@@ -15,18 +15,32 @@ bucket and the charge recomputed; that clamp makes the quadratic form
 nonnegative. The three correlation scenarios are applied to rho and gamma and
 the capital requirement is the worst (largest) scenario total.
 
-Correlation inputs are provider callables rather than matrices so that the
-rulebook, test oracles, and synthetic setups plug in interchangeably:
+Outside GIRR every pair of distinct names in a bucket shares one tabulated
+rho, and netting has already merged factors of the same name, so the
+intra-bucket form collapses exactly to
+
+    K_b^2 = (1 - rho) * sum_k WS_k^2 + rho * (sum_k WS_k)^2
+
+which risk_class_delta evaluates in O(F) with one rho lookup per bucket and
+scenario. A GIRR bucket is one curve with at most one factor per grid tenor,
+and its tenor correlations differ pair by pair, so it keeps the pairwise sum
+of bucket_risk_position. That function stays the general form: it takes the
+correlation as a provider callable
 
     rho(k: RiskFactorKey, l: RiskFactorKey, scenario) -> float
-    gamma(bucket_b: int, bucket_c: int, scenario) -> float
+
+and the cross-bucket charge takes gamma(bucket_b: int, bucket_c: int,
+scenario) -> float the same way.
+
+A quadratic form that is NaN or infinite raises AggregationError: flooring it
+at zero would silently drop the bucket or class from capital.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
 from .sensitivities import RiskFactorKey, SensitivityRecord
@@ -37,6 +51,9 @@ GammaProvider = Callable[[int, int, CorrelationScenario], float]
 
 class AggregationError(Exception):
     pass
+
+
+_NON_FINITE_HINT = "an input price, quantity or rate is not finite or too large"
 
 
 @dataclass(frozen=True)
@@ -106,7 +123,7 @@ def bucket_risk_position(
 
     All entries must share one bucket and risk class. The double sum runs over
     ordered factor pairs; negative quadratic forms are floored at zero before
-    the square root.
+    the square root, and a NaN or infinite form raises AggregationError.
     """
     if not ws_list:
         raise AggregationError("bucket_risk_position needs at least one weighted sensitivity")
@@ -119,11 +136,52 @@ def bucket_risk_position(
             if i == j:
                 continue
             terms.append(rho(w_k.key, w_l.key, scenario) * w_k.ws * w_l.ws)
-    quad = math.fsum(terms)
+    return _bucket_result(ws_list, _fsum(terms), _fsum(w.ws for w in ws_list), scenario)
+
+
+def _uniform_rho_position(ws_list: list[WeightedSensitivity], rb: Rulebook, scenario: CorrelationScenario) -> BucketResult:
+    """K_b of a non-GIRR bucket through the one-rho identity, in O(F).
+
+    Exact only when every factor has its own name, so duplicate keys raise.
+    rho is looked up once, on the first two names, and only when the bucket
+    holds two or more factors: a one-name bucket needs no tabulated rho.
+    """
+    ws = [w.ws for w in ws_list]
+    s_b = _fsum(ws)
+    sum_sq = _fsum(x * x for x in ws)
+    if len(ws_list) == 1:
+        return _bucket_result(ws_list, sum_sq, s_b, scenario)
+    first = ws_list[0].key
+    if len({w.key.name for w in ws_list}) != len(ws_list):
+        raise AggregationError(
+            f"duplicate factor keys in {first.risk_class.value} bucket {first.bucket}; net the records first"
+        )
+    rho = rb.intra_correlation(first.risk_class, first.bucket, first.factor_ref(), ws_list[1].key.factor_ref(), scenario)
+    return _bucket_result(ws_list, _fsum(((1.0 - rho) * sum_sq, rho * s_b * s_b)), s_b, scenario)
+
+
+def _bucket_result(
+    ws_list: list[WeightedSensitivity], quad: float, s_b: float, scenario: CorrelationScenario
+) -> BucketResult:
+    key = ws_list[0].key
+    if not math.isfinite(quad):
+        raise AggregationError(
+            f"{key.risk_class.value} bucket {key.bucket}: intra-bucket quadratic form is {quad!r} "
+            f"under scenario {scenario.value}; {_NON_FINITE_HINT}"
+        )
     k_b = math.sqrt(max(0.0, quad))
-    s_b = math.fsum(w.ws for w in ws_list)
-    bucket_id = ws_list[0].key.bucket
-    return BucketResult(bucket=bucket_id, k_b=k_b, s_b_net=s_b, s_b_effective=s_b, factors=tuple(ws_list))
+    return BucketResult(bucket=key.bucket, k_b=k_b, s_b_net=s_b, s_b_effective=s_b, factors=tuple(ws_list))
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """math.fsum, but NaN where fsum raises (inf - inf, intermediate overflow).
+
+    The caller then rejects the non-finite form with an AggregationError.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def delta_charge(
@@ -145,7 +203,7 @@ def _delta_charge_detail(
     ids = [b.bucket for b in buckets]
     if len(set(ids)) != len(ids):
         raise AggregationError(f"duplicate bucket ids in cross-bucket aggregation: {sorted(ids)}")
-    k_sq = math.fsum(b.k_b * b.k_b for b in buckets)
+    k_sq = _fsum(b.k_b * b.k_b for b in buckets)
 
     def quad_with(s_by_bucket: dict[int, float]) -> float:
         cross = [
@@ -154,7 +212,14 @@ def _delta_charge_detail(
             for c in buckets
             if b.bucket != c.bucket
         ]
-        return k_sq + math.fsum(cross)
+        quad = k_sq + _fsum(cross)
+        if not math.isfinite(quad):
+            classes = "/".join(sorted({w.key.risk_class.value for b in buckets for w in b.factors}))
+            raise AggregationError(
+                f"{classes} buckets {sorted(ids)}: cross-bucket quadratic form is {quad!r} "
+                f"under scenario {scenario.value}; {_NON_FINITE_HINT}"
+            )
+        return quad
 
     s_eff = {b.bucket: b.s_b_net for b in buckets}
     quad = quad_with(s_eff)
@@ -188,7 +253,10 @@ def risk_class_delta(
     by_bucket: dict[int, list[WeightedSensitivity]] = {}
     for rec in records:
         by_bucket.setdefault(rec.key.bucket, []).append(weight_sensitivity(rec, rb))
-    bucket_results = [bucket_risk_position(ws_list, rho, scenario) for _, ws_list in sorted(by_bucket.items())]
+    if risk_class is RiskClass.GIRR:
+        bucket_results = [bucket_risk_position(ws_list, rho, scenario) for _, ws_list in sorted(by_bucket.items())]
+    else:
+        bucket_results = [_uniform_rho_position(ws_list, rb, scenario) for _, ws_list in sorted(by_bucket.items())]
 
     charge, fallback, s_eff = _delta_charge_detail(bucket_results, gamma, scenario)
     final_buckets = tuple(replace(b, s_b_effective=s_eff[b.bucket]) for b in bucket_results)

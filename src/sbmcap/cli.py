@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .aggregation import AggregationError
 from .engine import REPORT_FORMATS, compute_capital, render_report
 from .portfolio import PortfolioError, load_market_data, load_portfolio, load_registry
 from .rulebook import (
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_RULEBOOK_INVALID
-    except (RulebookError, PortfolioError, SensitivityError, harness.HarnessError, OSError) as exc:
+    except (RulebookError, PortfolioError, SensitivityError, AggregationError, harness.HarnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -347,8 +346,3 @@ def _class_sort(token: str) -> int:
     order = [rc.value for rc in RiskClass]
     return order.index(token) if token in order else len(order)
 
-
-def total_is_scenario_max(report: CapitalReport) -> bool:
-    """Invariant check: total capital equals the max scenario total."""
-    totals = [sc.total for sc in report.scenarios.values()]
-    return bool(totals) and math.isclose(report.total_capital, max(totals), rel_tol=0.0, abs_tol=0.0)

@@ -317,15 +317,12 @@ def _portfolio_from_json(path: Path) -> Portfolio:
     data = _read_json(path)
     positions: list[Instrument] = []
     for pos, row in enumerate(data.get("positions", [])):
-        where = f"{path}: positions[{pos}]"
         if not isinstance(row, dict) or "type" not in row:
-            raise PortfolioParseError(f"{where}: each position needs a 'type' field")
+            raise PortfolioParseError(f"{path}: positions[{pos}]: each position needs a 'type' field")
         try:
             positions.append(instrument_from_dict(row))
-        except PortfolioParseError as exc:
-            raise PortfolioParseError(f"{where}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PortfolioParseError(f"{where}: {exc}") from None
+        except (PortfolioParseError, KeyError, TypeError, ValueError) as exc:
+            raise PortfolioParseError(f"{path}: positions[{pos}]: {exc}") from None
     return Portfolio(positions=tuple(positions), as_of=data.get("as_of"))
 
 

@@ -124,23 +124,33 @@ class Rulebook:
     correlations: CorrelationTable
     girr_tenor_params: GirrTenorParams
     scenario_rules: ScenarioRules
+    # Bucket indexes built once from ``buckets``. Of two buckets with one id
+    # the first is found; validation rejects such duplicates anyway.
+    _by_id: dict[tuple[RiskClass, int], Bucket] = field(init=False, repr=False, compare=False)
+    _by_class: dict[RiskClass, tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id: dict[tuple[RiskClass, int], Bucket] = {}
+        by_class: dict[RiskClass, list[Bucket]] = {rc: [] for rc in RiskClass}
+        for b in self.buckets:
+            by_id.setdefault((b.risk_class, b.bucket_id), b)
+            by_class[b.risk_class].append(b)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_class", {rc: tuple(bs) for rc, bs in by_class.items()})
 
     # -- bucket lookups ----------------------------------------------------
 
     def buckets_for(self, risk_class: RiskClass) -> tuple[Bucket, ...]:
-        return tuple(b for b in self.buckets if b.risk_class is risk_class)
+        return self._by_class[risk_class]
 
     def bucket(self, risk_class: RiskClass, bucket_id: int) -> Bucket:
-        for b in self.buckets:
-            if b.risk_class is risk_class and b.bucket_id == bucket_id:
-                return b
-        raise RulebookQueryError(f"no {risk_class.value} bucket with id {bucket_id}")
+        try:
+            return self._by_id[(risk_class, bucket_id)]
+        except KeyError:
+            raise RulebookQueryError(f"no {risk_class.value} bucket with id {bucket_id}") from None
 
     def residual_bucket(self, risk_class: RiskClass) -> Bucket | None:
-        for b in self.buckets_for(risk_class):
-            if b.residual:
-                return b
-        return None
+        return next((b for b in self._by_class[risk_class] if b.residual), None)
 
     def currency_bucket(self, risk_class: RiskClass, currency: str) -> Bucket:
         """Bucket listing ``currency`` (FX and GIRR classes)."""

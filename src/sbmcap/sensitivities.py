@@ -15,6 +15,9 @@ bond add up to its parallel-bump delta (exactly, for flows on grid dates).
 
 For linear spot instruments the relative bump recovers the position value:
 10,000 XOM shares at 110 give s = 1,100,000, the position's dollar value.
+
+A spot revaluation reads only the bumped quote, so the bumped snapshot holds
+that quote alone.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def equity_delta(instr: CashEquity, md: MarketData, bucket: int) -> SensitivityR
     """Delta to the issuer's spot price from a 1% relative bump."""
     base = value(instr, md)
     price = md.equity_price(instr.issuer_id)
-    bumped_md = replace(md, equity_prices={**md.equity_prices, instr.issuer_id: price * (1.0 + REL_BUMP)})
+    bumped_md = replace(md, equity_prices={instr.issuer_id: price * (1.0 + REL_BUMP)})
     s = (value(instr, bumped_md) - base) / REL_BUMP
     key = RiskFactorKey(risk_class=RiskClass.EQUITY, bucket=bucket, name=instr.issuer_id)
     return SensitivityRecord(key=key, value=s)
@@ -109,7 +112,7 @@ def fx_delta(instr: FXPosition, md: MarketData, bucket: int) -> SensitivityRecor
     """Delta to the foreign currency's spot against the reporting currency."""
     base = value(instr, md)
     spot = md.fx_spot(instr.foreign_currency)
-    bumped_md = replace(md, fx_spots={**md.fx_spots, instr.foreign_currency: spot * (1.0 + REL_BUMP)})
+    bumped_md = replace(md, fx_spots={instr.foreign_currency: spot * (1.0 + REL_BUMP)})
     s = (value(instr, bumped_md) - base) / REL_BUMP
     key = RiskFactorKey(risk_class=RiskClass.FX, bucket=bucket, name=instr.foreign_currency)
     return SensitivityRecord(key=key, value=s)
@@ -119,7 +122,7 @@ def commodity_delta(instr: CommodityFuture, md: MarketData, bucket: int) -> Sens
     """Delta to the commodity spot price from a 1% relative bump."""
     base = value(instr, md)
     price = md.commodity_price(instr.commodity_id)
-    bumped_md = replace(md, commodity_prices={**md.commodity_prices, instr.commodity_id: price * (1.0 + REL_BUMP)})
+    bumped_md = replace(md, commodity_prices={instr.commodity_id: price * (1.0 + REL_BUMP)})
     s = (value(instr, bumped_md) - base) / REL_BUMP
     key = RiskFactorKey(risk_class=RiskClass.COMMODITY, bucket=bucket, name=instr.commodity_id)
     return SensitivityRecord(key=key, value=s)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from sbmcap.aggregation import (
     scenario_envelope,
     weight_sensitivity,
 )
-from sbmcap.rulebook import CorrelationScenario, RiskClass, rulebook_from_dict
+from sbmcap.engine import compute_capital
+from sbmcap.portfolio import CashEquity, IssuerInfo, MarketData, Portfolio
+from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import RiskFactorKey, SensitivityRecord, collect_sensitivities
 
 MEDIUM = CorrelationScenario.MEDIUM
@@ -47,6 +50,23 @@ def gamma_const(value: float):
         return value
 
     return provider
+
+
+def one_bucket_rulebook(rho: float | None):
+    """Equity bucket 1 with risk weight 1 (WS equals s); rho None leaves the intra rho untabulated."""
+    return rulebook_from_dict(
+        {
+            "schema_version": 1,
+            "version": "one-bucket",
+            "tenor_grid": [1.0],
+            "buckets": [
+                {"risk_class": "equity", "id": 1, "description": "A", "economy": "advanced", "size": "large",
+                 "sectors": ["energy"], "risk_weight": 1.0},
+            ],
+            "intra_correlations": {"equity": {"1": rho}} if rho is not None else {},
+            "cross_correlations": {"equity": {"default": 0.0}},
+        }
+    )
 
 
 @pytest.fixture()
@@ -278,3 +298,88 @@ class TestScenarioEnvelope:
             assert outcome.total == pytest.approx(
                 math.fsum(c.charge for c in outcome.classes.values()), rel=REL_TOL
             )
+
+
+class TestUniformRhoBucket:
+    """Non-GIRR buckets use K_b^2 = (1 - rho) sum WS^2 + rho (sum WS)^2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        amounts=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+        ),
+        rho=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    )
+    def test_matches_pairwise_sum(self, amounts, rho):
+        records = [SensitivityRecord(eq_key(f"N{i}", bucket=1), a) for i, a in enumerate(amounts)]
+        closed = risk_class_delta(records, one_bucket_rulebook(rho), MEDIUM).buckets[0]
+        pairwise = bucket_risk_position([ws(f"N{i}", a, bucket=1) for i, a in enumerate(amounts)], rho_const(rho), MEDIUM)
+        assert closed.s_b_net == pairwise.s_b_net
+        # Near zero the two forms differ by rounding only: bound that by sum |WS|^2.
+        scale = math.fsum(a * a for a in amounts)
+        assert abs(closed.k_b - pairwise.k_b) <= REL_TOL * pairwise.k_b or abs(
+            closed.k_b**2 - pairwise.k_b**2
+        ) <= REL_TOL * scale
+
+    def test_one_lookup_per_scenario_for_a_wide_bucket(self, rb, monkeypatch):
+        names = [f"W{i:03d}" for i in range(300)]
+        registry = {n: IssuerInfo(n, "technology", "advanced", "large") for n in names}
+        md = MarketData(reporting_currency="USD", equity_prices={n: 10.0 + i for i, n in enumerate(names)})
+        p = Portfolio(positions=tuple(CashEquity(n, 100 if i % 3 else -250) for i, n in enumerate(names)))
+        calls = []
+        original = Rulebook.intra_correlation
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rulebook, "intra_correlation", counting)
+        report = compute_capital(p, md, registry, rb)
+        (bucket,) = report.scenarios["medium"].classes["equity"].buckets
+        assert len(bucket.factors) == 300
+        assert len(calls) <= 3
+
+    def test_one_name_bucket_needs_no_tabulated_rho(self):
+        result = risk_class_delta([SensitivityRecord(eq_key("A", bucket=1), -250.0)], one_bucket_rulebook(None), MEDIUM)
+        assert result.buckets[0].k_b == 250.0
+        assert result.charge == 250.0
+
+    def test_two_name_bucket_without_rho_raises_query_error(self):
+        records = [SensitivityRecord(eq_key("A", bucket=1), 1.0), SensitivityRecord(eq_key("B", bucket=1), 2.0)]
+        with pytest.raises(RulebookQueryError, match="^no intra-bucket correlation tabulated for equity bucket 1$"):
+            risk_class_delta(records, one_bucket_rulebook(None), MEDIUM)
+
+    def test_duplicate_factor_keys_rejected(self):
+        records = [SensitivityRecord(eq_key("A", bucket=1), 1.0), SensitivityRecord(eq_key("A", bucket=1), 2.0)]
+        with pytest.raises(AggregationError, match="duplicate factor keys in equity bucket 1"):
+            risk_class_delta(records, one_bucket_rulebook(0.5), MEDIUM)
+
+
+class TestNonFiniteForms:
+    """A NaN or infinite quadratic form raises; it is never floored to zero."""
+
+    def test_nan_equity_price_raises_naming_bucket_and_scenario(self, rb, reference_portfolio, market, registry):
+        md = replace(market, equity_prices={**market.equity_prices, "XOM": math.nan})
+        with pytest.raises(AggregationError, match=r"^equity bucket 7: intra-bucket quadratic form is nan under scenario low"):
+            compute_capital(reference_portfolio, md, registry, rb)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pairwise_form(self, bad):
+        with pytest.raises(AggregationError, match="equity bucket 7: intra-bucket quadratic form"):
+            bucket_risk_position([ws("A", 1.0), ws("B", bad)], rho_const(0.3), MEDIUM)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_closed_form(self, bad):
+        records = [SensitivityRecord(eq_key("A", bucket=1), 1.0), SensitivityRecord(eq_key("B", bucket=1), bad)]
+        with pytest.raises(AggregationError, match="equity bucket 1: intra-bucket quadratic form"):
+            risk_class_delta(records, one_bucket_rulebook(0.5), MEDIUM)
+
+    def test_cross_bucket_overflow(self):
+        b6 = bucket_risk_position([ws("A", 1e154, bucket=6)], rho_const(0.0), MEDIUM)
+        b7 = bucket_risk_position([ws("B", 1e154, bucket=7)], rho_const(0.0), MEDIUM)
+        with pytest.raises(AggregationError, match=r"equity buckets \[6, 7\]: cross-bucket quadratic form is nan under scenario medium"):
+            delta_charge([b6, b7], gamma_const(0.5), MEDIUM)
+
+    def test_finite_negative_form_still_floors_at_zero(self):
+        records = [SensitivityRecord(eq_key(n, bucket=1), 1.0) for n in "ABC"]
+        assert risk_class_delta(records, one_bucket_rulebook(-0.9), MEDIUM).buckets[0].k_b == 0.0

@@ -110,6 +110,18 @@ class TestCompute:
         assert code == 1
         assert "--portfolio" in err
 
+    def test_nan_price_is_input_error_not_lower_capital(self, paths, capsys, tmp_path):
+        market = json.loads(Path(paths["market"]).read_text(encoding="utf-8"))
+        market["equity_prices"]["XOM"] = float("nan")
+        bad = tmp_path / "market.json"
+        bad.write_text(json.dumps(market), encoding="utf-8")
+        args = ["compute", "--rulebook", paths["rulebook"], "--market", str(bad), "--registry", paths["registry"]]
+        code = main([*args, "--portfolio", paths["portfolio"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: equity bucket 7: intra-bucket quadratic form is nan under scenario low")
+
     def test_missing_portfolio_file_is_input_error(self, paths, capsys):
         code = main(["compute", *market_args(paths), "--portfolio", "/nonexistent/p.csv"])
         err = capsys.readouterr().err
