@@ -27,7 +27,7 @@ from .rulebook import (
     RulebookValidationError,
     load_rulebook,
 )
-from .sensitivities import SensitivityError, collect_sensitivities
+from .sensitivities import SensitivityError, collect_with_warnings
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -200,7 +200,9 @@ def _cmd_dump_sensitivities(args: argparse.Namespace) -> int:
     p = load_portfolio(args.portfolio)
     md = load_market_data(args.market)
     registry = load_registry(args.registry)
-    records = collect_sensitivities(p, md, registry, rb)
+    records, messages = collect_with_warnings(p, md, registry, rb)
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["risk_class", "bucket", "name", "tenor", "value"])

@@ -17,14 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .aggregation import ClassDeltaResult, scenario_envelope
 from .portfolio import IssuerInfo, MarketData, Portfolio
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
-from .sensitivities import collect_sensitivities
+from .sensitivities import collect_with_warnings
 
 REPORT_FORMATS = ("hierarchical", "tabular", "human")
 
@@ -195,9 +194,7 @@ def compute_capital(
     classes. Instrument-level failures surface as SensitivityError listing
     every failing position.
     """
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        records = collect_sensitivities(p, md, registry, rb)
+    records, collected = collect_with_warnings(p, md, registry, rb)
     class_filter = set(classes) if classes is not None else None
     by_class: dict[RiskClass, list] = {}
     for rec in records:
@@ -207,7 +204,7 @@ def compute_capital(
     scenarios = _SCENARIO_ORDER if scenario is None else (scenario,)
     envelope = scenario_envelope(by_class, rb, scenarios)
 
-    messages = [str(w.message) for w in caught]
+    messages = list(collected)
     scenario_reports: dict[str, ScenarioReport] = {}
     for sc in scenarios:
         outcome = envelope.scenarios[sc]

@@ -21,8 +21,9 @@ import bisect
 import csv
 import io
 import json
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
 
@@ -269,12 +270,20 @@ def load_market_data(path: str | Path) -> MarketData:
         rates = tuple(float(p[1]) for p in curve_raw)
     except (TypeError, ValueError, IndexError):
         raise PortfolioParseError(f"{path}: zero_curve must be a list of [tenor, rate] pairs") from None
+    _require_finite(path, "zero_curve", dict(enumerate(tenors)))
+    _require_finite(path, "zero_curve", dict(enumerate(rates)))
+
+    def quotes(section: str) -> dict[str, float]:
+        numbers = {str(k): float(v) for k, v in data.get(section, {}).items()}
+        _require_finite(path, section, numbers)
+        return numbers
+
     try:
         return MarketData(
             reporting_currency=str(data["reporting_currency"]),
-            equity_prices={str(k): float(v) for k, v in data.get("equity_prices", {}).items()},
-            fx_spots={str(k): float(v) for k, v in data.get("fx_spots", {}).items()},
-            commodity_prices={str(k): float(v) for k, v in data.get("commodity_prices", {}).items()},
+            equity_prices=quotes("equity_prices"),
+            fx_spots=quotes("fx_spots"),
+            commodity_prices=quotes("commodity_prices"),
             zero_curve=ZeroCurve(tenors, rates),
             as_of=data.get("as_of"),
         )
@@ -321,7 +330,7 @@ def _portfolio_from_json(path: Path) -> Portfolio:
             raise PortfolioParseError(f"{path}: positions[{pos}]: each position needs a 'type' field")
         try:
             positions.append(instrument_from_dict(row))
-        except (PortfolioParseError, KeyError, TypeError, ValueError) as exc:
+        except (PortfolioParseError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PortfolioParseError(f"{path}: positions[{pos}]: {exc}") from None
     return Portfolio(positions=tuple(positions), as_of=data.get("as_of"))
 
@@ -331,21 +340,21 @@ def instrument_from_dict(row: dict[str, Any]) -> Instrument:
     kind = row["type"]
     if kind == "bond":
         return Bond(
-            notional=float(row["notional"]),
-            coupon_rate=float(row.get("coupon_rate", 0.0)),
-            maturity=float(row["maturity"]),
+            notional=_finite(row["notional"], "notional"),
+            coupon_rate=_finite(row.get("coupon_rate", 0.0), "coupon_rate"),
+            maturity=_finite(row["maturity"], "maturity"),
             frequency=int(row.get("frequency", 2)),
             currency=str(row["currency"]),
             label=str(row.get("id", "")),
         )
     if kind == "equity":
-        return CashEquity(issuer_id=str(row["issuer_id"]), shares=float(row["shares"]))
+        return CashEquity(issuer_id=str(row["issuer_id"]), shares=_finite(row["shares"], "shares"))
     if kind == "fx":
-        return FXPosition(foreign_currency=str(row["currency"]), signed_notional=float(row["notional"]))
+        return FXPosition(foreign_currency=str(row["currency"]), signed_notional=_finite(row["notional"], "notional"))
     if kind == "commodity":
         return CommodityFuture(
             commodity_id=str(row["commodity_id"]),
-            quantity=float(row["quantity"]),
+            quantity=_finite(row["quantity"], "quantity"),
             unit=str(row.get("unit", "")),
         )
     raise PortfolioParseError(f"unknown position type {kind!r}")
@@ -384,9 +393,9 @@ def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
         frequency_raw = (row.get("frequency") or "").strip()
         return Bond(
             notional=signed,
-            coupon_rate=float(coupon_raw) if coupon_raw else 0.0,
+            coupon_rate=_finite(coupon_raw, "coupon") if coupon_raw else 0.0,
             maturity=_required_float(row, "maturity"),
-            frequency=int(float(frequency_raw)) if frequency_raw else 2,
+            frequency=int(_finite(frequency_raw, "frequency")) if frequency_raw else 2,
             currency=_required_str(row, "currency"),
             label=ident,
         )
@@ -434,15 +443,26 @@ def portfolio_to_dict(p: Portfolio) -> dict[str, Any]:
     return out
 
 
-def with_curve(md: MarketData, curve: ZeroCurve) -> MarketData:
-    return replace(md, zero_curve=curve)
-
-
 def _required_float(row: dict[str, str], column: str) -> float:
     raw = (row.get(column) or "").strip()
     if not raw:
         raise PortfolioParseError(f"column {column!r} is required for this row type")
-    return float(raw)
+    return _finite(raw, column)
+
+
+def _finite(raw: Any, label: str) -> float:
+    # float() accepts "nan", "inf" and JSON NaN/Infinity; none is a usable quantity or quote.
+    number = float(raw)
+    if not math.isfinite(number):
+        raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
+    return number
+
+
+def _require_finite(path: str | Path, section: str, numbers: dict[Any, float]) -> None:
+    # Checked after conversion, so the error text is only formatted on failure.
+    for key, number in numbers.items():
+        if not math.isfinite(number):
+            raise PortfolioParseError(f"{path}: {section}[{key!r}] must be a finite number, got {number!r}")
 
 
 def _required_str(row: dict[str, str], column: str) -> str:

@@ -13,6 +13,14 @@ grid tenor, 0 at the adjacent grid tenors, and flat outside the grid ends.
 The tents over all grid tenors sum to 1 everywhere, so the tenor deltas of a
 bond add up to its parallel-bump delta (exactly, for flows on grid dates).
 
+A tent is zero outside the grid interval on either side of its tenor, where
+the bumped curve equals the base curve and a cash flow's value does not
+move. So each flow is revalued only under the one or two tents that cover
+it, and its PV changes are summed per tenor. This is exact, not an
+approximation: the flows left out would add exactly 0 to V(z + tent) - V(z).
+``tent_bumped_curve`` keeps the whole-curve definition of the bump, which
+the tests revalue against.
+
 For linear spot instruments the relative bump recovers the position value:
 10,000 XOM shares at 110 give s = 1,100,000, the position's dollar value.
 
@@ -22,7 +30,9 @@ that quote alone.
 
 from __future__ import annotations
 
+import bisect
 import math
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -34,6 +44,7 @@ from .portfolio import (
     Instrument,
     IssuerInfo,
     MarketData,
+    MarketDataError,
     Portfolio,
     PortfolioError,
     ZeroCurve,
@@ -132,18 +143,45 @@ def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: in
     """Per-tenor curve deltas of a bond.
 
     One record per standard tenor whose 1bp tent bump moves the bond value;
-    tenors the bond has no exposure to are dropped.
+    tenors the bond has no exposure to are dropped. Each cash flow is
+    revalued only under the tents that cover it (see the module docstring).
     """
-    base = value(instr, md)
+    if instr.currency != md.reporting_currency:
+        raise MarketDataError(
+            f"bond denominated in {instr.currency}, but only the {md.reporting_currency} curve is available"
+        )
+    curve = md.zero_curve
+    terms: dict[int, list[float]] = defaultdict(list)
+    for t, amount in instr.cash_flows():
+        z = curve.rate(t)
+        # Bumped PV minus base PV, flow by flow: for a zero-coupon bond this is
+        # V(z + tent) - V(z) to the last bit.
+        pv = amount * (1.0 + z) ** -t
+        for i, w in _covering_tents(grid, t):
+            terms[i].append(amount * (1.0 + (z + GIRR_BUMP * w)) ** -t - pv)
     records: list[SensitivityRecord] = []
-    for tenor in grid:
-        bumped = value(instr, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
-        s = (bumped - base) / GIRR_BUMP
+    for i in sorted(terms):
+        s = math.fsum(terms[i]) / GIRR_BUMP
         if s == 0.0:
             continue
-        key = RiskFactorKey(risk_class=RiskClass.GIRR, bucket=bucket, name=instr.currency, tenor=tenor)
+        key = RiskFactorKey(risk_class=RiskClass.GIRR, bucket=bucket, name=instr.currency, tenor=grid[i])
         records.append(SensitivityRecord(key=key, value=s))
     return records
+
+
+def _covering_tents(grid: tuple[float, ...], t: float) -> tuple[tuple[int, float], ...]:
+    # (grid index, tent weight) of the tents that are non-zero at t: the one
+    # end tenor at or beyond a grid end or on a grid tenor, else the two grid
+    # tenors either side of t. Same weights as _tent_weight.
+    if t <= grid[0]:
+        return ((0, 1.0),)
+    if t >= grid[-1]:
+        return ((len(grid) - 1, 1.0),)
+    i = bisect.bisect_right(grid, t)
+    lo, hi = grid[i - 1], grid[i]
+    if t == lo:
+        return ((i - 1, 1.0),)
+    return ((i - 1, (hi - t) / (hi - lo)), (i, (t - lo) / (hi - lo)))
 
 
 def tent_bumped_curve(curve: ZeroCurve, grid: tuple[float, ...], tenor: float, size: float) -> ZeroCurve:
@@ -215,6 +253,23 @@ def collect_sensitivities(
     if issues:
         raise SensitivityError(issues)
     return net_records(raw)
+
+
+def collect_with_warnings(
+    p: Portfolio,
+    md: MarketData,
+    registry: dict[str, IssuerInfo],
+    rb: Rulebook,
+) -> tuple[list[SensitivityRecord], tuple[str, ...]]:
+    """collect_sensitivities plus the distinct warning messages it raised.
+
+    Residual-bucket and curve-extrapolation warnings are recorded, not shown,
+    and returned once each in first-seen order.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = collect_sensitivities(p, md, registry, rb)
+    return records, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
 def net_records(records: list[SensitivityRecord]) -> list[SensitivityRecord]:

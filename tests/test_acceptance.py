@@ -46,7 +46,6 @@ from sbmcap.portfolio import (
     Portfolio,
     assign_bucket,
     value,
-    with_curve,
 )
 from sbmcap.rulebook import CorrelationScenario, RiskClass, rulebook_from_dict
 from sbmcap.sensitivities import (
@@ -227,7 +226,7 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
             if isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
                 tenor_sum = math.fsum(r.value for r in girr_deltas(instr, market, rb.tenor_grid, bucket))
-                bumped = with_curve(market, market.zero_curve.parallel_bumped(GIRR_BUMP))
+                bumped = dataclasses.replace(market, zero_curve=market.zero_curve.parallel_bumped(GIRR_BUMP))
                 parallel = (value(instr, bumped) - value(instr, market)) / GIRR_BUMP
                 assert tenor_sum == pytest.approx(parallel, rel=1e-6)
                 bonds += 1

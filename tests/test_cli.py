@@ -120,7 +120,7 @@ class TestCompute:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: equity bucket 7: intra-bucket quadratic form is nan under scenario low")
+        assert captured.err == f"error: {bad}: equity_prices['XOM'] must be a finite number, got nan\n"
 
     def test_missing_portfolio_file_is_input_error(self, paths, capsys):
         code = main(["compute", *market_args(paths), "--portfolio", "/nonexistent/p.csv"])
@@ -243,6 +243,32 @@ class TestDumpSensitivities:
         assert float(xom["value"]) == pytest.approx(1_100_000.0, rel=1e-12)
         girr = [r for r in rows if r["risk_class"] == "girr"]
         assert sorted(r["tenor"] for r in girr) == ["10.0", "5.0"]
+
+    def test_warnings_are_reported_like_compute(self, paths, capsys, tmp_path):
+        # An unregistered issuer lands in the residual bucket; a 32y annual bond
+        # has flows beyond the 30y last pillar.
+        market = json.loads(Path(paths["market"]).read_text(encoding="utf-8"))
+        market["equity_prices"]["ACME"] = 50.0
+        market_path = tmp_path / "market.json"
+        market_path.write_text(json.dumps(market), encoding="utf-8")
+        portfolio = tmp_path / "portfolio.csv"
+        portfolio.write_text(
+            "type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n"
+            "equity,ACME,100,shares,,,,,+\n"
+            "bond,LONG,10000,,0.04,32,1,USD,+\n",
+            encoding="utf-8",
+        )
+        args = ["--rulebook", paths["rulebook"], "--market", str(market_path), "--registry", paths["registry"],
+                "--portfolio", str(portfolio)]
+        assert main(["dump-sensitivities", *args]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: issuer 'ACME' not in registry; assigned to residual bucket 11\n"
+            "warning: zero rate at t=31 beyond last pillar 30, extrapolating flat\n"
+            "warning: zero rate at t=32 beyond last pillar 30, extrapolating flat\n"
+        )
+        assert main(["compute", *args]) == 0
+        assert capsys.readouterr().err == err
 
 
 class TestOutDirEnv:

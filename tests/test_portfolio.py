@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from sbmcap.portfolio import (
@@ -20,6 +23,7 @@ from sbmcap.portfolio import (
     ZeroCurve,
     assign_bucket,
     instrument_from_dict,
+    load_market_data,
     load_portfolio,
     load_registry,
     portfolio_to_dict,
@@ -68,6 +72,74 @@ class TestLoaders:
         )
         with pytest.raises(PortfolioParseError, match="line 3"):
             load_portfolio(path)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("equity,T,nan,shares,,,,,+", "line 3: quantity"),
+            ("equity,T,-inf,shares,,,,,+", "line 3: quantity"),
+            ("bond,B,100,,nan,5,1,USD,+", "line 3: coupon"),
+            # an infinite maturity never leaves the loop in Bond.cash_flows
+            ("bond,B,100,,0.02,inf,1,USD,+", "line 3: maturity"),
+            ("bond,B,100,,0.02,5,inf,USD,+", "line 3: frequency"),
+        ],
+    )
+    def test_csv_non_finite_number_rejected(self, tmp_path, row, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n"
+            "equity,XOM,10000,shares,,,,,+\n" + row + "\n",
+            encoding="utf-8",
+        )
+        pattern = "^" + re.escape(f"{path}: {field}") + " must be a finite number, got '-?(nan|inf)'$"
+        with pytest.raises(PortfolioParseError, match=pattern):
+            load_portfolio(path)
+
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            ({"type": "equity", "issuer_id": "T", "shares": float("nan")}, "positions[1]: shares must be a finite number"),
+            ({"type": "fx", "currency": "EUR", "notional": float("inf")}, "positions[1]: notional must be a finite number"),
+            ({"type": "commodity", "commodity_id": "gold", "quantity": float("-inf")},
+             "positions[1]: quantity must be a finite number"),
+            ({"type": "bond", "notional": 100, "maturity": float("inf"), "currency": "USD"},
+             "positions[1]: maturity must be a finite number"),
+            ({"type": "bond", "notional": 100, "maturity": 5, "coupon_rate": float("nan"), "currency": "USD"},
+             "positions[1]: coupon_rate must be a finite number"),
+            ({"type": "bond", "notional": 100, "maturity": 5, "frequency": float("inf"), "currency": "USD"},
+             "positions[1]: cannot convert float infinity to integer"),
+        ],
+    )
+    def test_json_non_finite_number_rejected(self, tmp_path, position, message):
+        path = tmp_path / "bad.json"
+        rows = [{"type": "equity", "issuer_id": "XOM", "shares": 1}, position]
+        path.write_text(json.dumps({"positions": rows}), encoding="utf-8")
+        with pytest.raises(PortfolioParseError) as excinfo:
+            load_portfolio(path)
+        assert str(excinfo.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "section, key, field",
+        [
+            ("equity_prices", "XOM", "equity_prices['XOM']"),
+            ("fx_spots", "EUR", "fx_spots['EUR']"),
+            ("commodity_prices", "gold", "commodity_prices['gold']"),
+            ("zero_curve", (3, 1), "zero_curve[3]"),
+            ("zero_curve", (0, 0), "zero_curve[0]"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_market_non_finite_number_rejected(self, fixtures_dir, tmp_path, section, key, field, bad):
+        data = json.loads((fixtures_dir / "market.json").read_text(encoding="utf-8"))
+        if section == "zero_curve":
+            data[section][key[0]][key[1]] = bad
+        else:
+            data[section][key] = bad
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(PortfolioParseError) as excinfo:
+            load_market_data(path)
+        assert str(excinfo.value) == f"{path}: {field} must be a finite number, got {bad!r}"
 
     def test_unknown_type_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
     Bond,
     CashEquity,
@@ -14,6 +19,7 @@ from sbmcap.portfolio import (
     FXPosition,
     IssuerInfo,
     MarketData,
+    MarketDataError,
     Portfolio,
     ZeroCurve,
     value,
@@ -25,6 +31,7 @@ from sbmcap.sensitivities import (
     SensitivityError,
     SensitivityRecord,
     collect_sensitivities,
+    collect_with_warnings,
     commodity_delta,
     equity_delta,
     fx_delta,
@@ -34,6 +41,24 @@ from sbmcap.sensitivities import (
 )
 
 REL_TOL = 1e-12
+
+# Pillars off the standard grid, and a curve that ends (20y) before the grid does (30y).
+OFF_GRID_CURVE = ZeroCurve((0.1, 0.75, 4.0, 7.0, 12.5, 25.0, 40.0), (0.021, 0.025, 0.031, 0.034, 0.037, 0.041, 0.039))
+SHORT_CURVE = ZeroCurve((0.5, 1.0, 2.0, 5.0, 10.0, 20.0), (0.045, 0.043, 0.04, 0.038, 0.039, 0.041))
+
+
+def whole_curve_girr_deltas(bond, md, grid):
+    """Oracle: revalue the whole bond on each tent-bumped curve; keep non-zero deltas."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CurveExtrapolationWarning)
+        base = value(bond, md)
+        out = {}
+        for tenor in grid:
+            bumped = value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
+            s = (bumped - base) / GIRR_BUMP
+            if s != 0.0:
+                out[tenor] = s
+    return out
 
 
 class TestSpotDeltas:
@@ -155,6 +180,86 @@ class TestGirrDeltas:
                     total[t] += bumped.rate(t) - base.rate(t)
         for t, shift in total.items():
             assert shift == pytest.approx(GIRR_BUMP, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        maturity=st.one_of(
+            st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0, 20.0, 30.0, 45.0)),
+            st.floats(min_value=0.05, max_value=0.25),
+            st.floats(min_value=30.0, max_value=45.0),
+            st.floats(min_value=0.05, max_value=45.0),
+        ),
+        frequency=st.sampled_from((1, 2, 4)),
+        coupon=st.floats(min_value=0.0, max_value=0.08),
+        notional=st.one_of(st.floats(min_value=1e3, max_value=1e8), st.floats(min_value=-1e8, max_value=-1e3)),
+        curve=st.sampled_from(("fixture", "off_grid", "short")),
+    )
+    def test_matches_whole_curve_revaluation(self, rb, market, maturity, frequency, coupon, notional, curve):
+        md = {"fixture": market, "off_grid": replace(market, zero_curve=OFF_GRID_CURVE),
+              "short": replace(market, zero_curve=SHORT_CURVE)}[curve]
+        bond = Bond(notional=notional, coupon_rate=coupon, maturity=maturity, frequency=frequency, currency="USD")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CurveExtrapolationWarning)
+            records = girr_deltas(bond, md, rb.tenor_grid, bucket=1)
+        got = {rec.key.tenor: rec.value for rec in records}
+        expected = whole_curve_girr_deltas(bond, md, rb.tenor_grid)
+        assert [rec.key.tenor for rec in records] == sorted(got)
+        floor = 1e-9 * abs(notional)
+        # The same tenors, except that one side may carry a tenor whose delta is
+        # below the floor: the whole-bond difference V_bumped - V_base rounds a
+        # negligible flow's change (say a coupon of 1e-280) to exactly 0, which
+        # the per-flow sum keeps.
+        assert {t for t, s in got.items() if abs(s) > floor} <= set(expected)
+        assert {t for t, s in expected.items() if abs(s) > floor} <= set(got)
+        for tenor in set(got) | set(expected):
+            assert got.get(tenor, 0.0) == pytest.approx(expected.get(tenor, 0.0), rel=1e-9, abs=floor)
+
+    @pytest.mark.parametrize("maturity", [0.1, 0.25, 5.0, 10.0, 30.0, 40.0])
+    def test_zero_coupon_bond_matches_whole_curve_revaluation_bit_for_bit(self, rb, market, maturity):
+        # One non-zero flow below, on or beyond the grid: its PV difference is
+        # V(z + tent) - V(z) itself, so the fixture report does not move.
+        bond = Bond(notional=10_000, coupon_rate=0.0, maturity=maturity, frequency=1, currency="USD")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CurveExtrapolationWarning)
+            records = girr_deltas(bond, market, rb.tenor_grid, bucket=1)
+        got = {rec.key.tenor: rec.value for rec in records}
+        assert got == whole_curve_girr_deltas(bond, market, rb.tenor_grid)
+        assert len(got) == 1
+
+    def test_foreign_bond_fails_at_valuation_with_the_value_message(self, rb, registry, market):
+        # USD has a GIRR bucket, so classification passes; the EUR snapshot has no USD curve.
+        md = replace(market, reporting_currency="EUR")
+        bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="USD")
+        with pytest.raises(MarketDataError) as from_value:
+            value(bond, md)
+        with pytest.raises(SensitivityError) as excinfo:
+            collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond)), md, registry, rb)
+        assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == [(1, "valuation", str(from_value.value))]
+
+    def test_extrapolation_warnings_name_only_the_market_curve(self, rb, registry, market):
+        # The curve ends at 20y, the grid at 30y: every flow past 20y warns once,
+        # against the market's last pillar, not against the 30y grid end.
+        md = replace(market, zero_curve=SHORT_CURVE)
+        bond = Bond(notional=100.0, coupon_rate=0.02, maturity=40.0, frequency=1, currency="USD")
+        _, messages = collect_with_warnings(Portfolio(positions=(bond,)), md, registry, rb)
+        assert messages == tuple(
+            f"zero rate at t={t} beyond last pillar 20, extrapolating flat" for t in range(21, 41)
+        )
+
+    def test_extrapolation_and_residual_warnings_in_position_and_flow_order(self, rb, registry, market, reference_portfolio):
+        # Fixture curve: the last pillar is the last grid tenor, as in the benchmark.
+        md = replace(market, equity_prices={**market.equity_prices, "ACME": 50.0})
+        bonds = tuple(
+            Bond(notional=1e6, coupon_rate=0.03, maturity=m, frequency=f, currency="USD")
+            for m, f in ((31.3, 4), (30.7, 2), (34.9, 1))
+        )
+        p = Portfolio(positions=(bonds[0], CashEquity("ACME", 10), *bonds[1:]))
+        report = compute_capital(p, md, registry, rb)
+        beyond = [f"zero rate at t={t:g} beyond last pillar 30, extrapolating flat"
+                  for bond in bonds for t, _ in bond.cash_flows() if t > 30.0]
+        expected = [*beyond[:6], "issuer 'ACME' not in registry; assigned to residual bucket 11", *beyond[6:]]
+        assert report.warnings == tuple(dict.fromkeys(expected))
+        assert compute_capital(reference_portfolio, market, registry, rb).warnings == ()
 
     def test_off_grid_tenor_rejected(self, market, rb):
         with pytest.raises(ValueError, match="not on the grid"):
