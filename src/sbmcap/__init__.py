@@ -5,121 +5,24 @@ aggregation (BCBS d352) for GIRR, equity, FX, and commodity risk, plus an
 extraction-scoring harness for evaluating how reliably a reader (human or
 model) pulls buckets, weights, correlations, and capital numbers out of the
 rulebook.
+
+The package exports the README's Python API; everything else is imported
+from its submodule (``sbmcap.aggregation``, ``sbmcap.harness``, ...).
 """
 
-from .aggregation import (
-    BucketResult,
-    ClassDeltaResult,
-    EnvelopeResult,
-    ScenarioOutcome,
-    WeightedSensitivity,
-    bucket_risk_position,
-    delta_charge,
-    risk_class_delta,
-    scenario_envelope,
-    weight_sensitivity,
-)
 from .engine import CapitalReport, compute_capital, parse_report, render_report
-from .harness import (
-    Case,
-    CaseSet,
-    ExtractionAnswer,
-    PromptSpec,
-    ScoreReport,
-    Tolerances,
-    generate_cases,
-    render_prompt,
-    score_extraction,
-)
-from .portfolio import (
-    Bond,
-    CashEquity,
-    CommodityFuture,
-    FXPosition,
-    IssuerInfo,
-    MarketData,
-    Portfolio,
-    ZeroCurve,
-    assign_bucket,
-    load_market_data,
-    load_portfolio,
-    load_registry,
-    value,
-)
-from .rulebook import (
-    Bucket,
-    CorrelationScenario,
-    GirrTenorParams,
-    RiskClass,
-    Rulebook,
-    ScenarioRules,
-    apply_scenario,
-    girr_tenor_correlation,
-    load_rulebook,
-)
-from .sensitivities import (
-    RiskFactorKey,
-    SensitivityRecord,
-    collect_sensitivities,
-    commodity_delta,
-    equity_delta,
-    fx_delta,
-    girr_deltas,
-)
+from .portfolio import load_market_data, load_portfolio, load_registry
+from .rulebook import load_rulebook
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bond",
-    "Bucket",
-    "BucketResult",
     "CapitalReport",
-    "Case",
-    "CaseSet",
-    "CashEquity",
-    "ClassDeltaResult",
-    "CommodityFuture",
-    "CorrelationScenario",
-    "EnvelopeResult",
-    "ExtractionAnswer",
-    "FXPosition",
-    "GirrTenorParams",
-    "IssuerInfo",
-    "MarketData",
-    "Portfolio",
-    "PromptSpec",
-    "RiskClass",
-    "RiskFactorKey",
-    "Rulebook",
-    "ScenarioOutcome",
-    "ScenarioRules",
-    "ScoreReport",
-    "SensitivityRecord",
-    "Tolerances",
-    "WeightedSensitivity",
-    "ZeroCurve",
-    "apply_scenario",
-    "assign_bucket",
-    "bucket_risk_position",
-    "collect_sensitivities",
-    "commodity_delta",
     "compute_capital",
-    "delta_charge",
-    "equity_delta",
-    "fx_delta",
-    "generate_cases",
-    "girr_deltas",
-    "girr_tenor_correlation",
     "load_market_data",
     "load_portfolio",
     "load_registry",
     "load_rulebook",
     "parse_report",
-    "render_prompt",
     "render_report",
-    "risk_class_delta",
-    "scenario_envelope",
-    "score_extraction",
-    "value",
-    "weight_sensitivity",
 ]

@@ -1,4 +1,4 @@
-"""Correlation-matrix aggregation of weighted sensitivities.
+"""Correlation-matrix aggregation of weighted sensitivities, and the audit trail.
 
 Within a bucket (d352 para 51):
 
@@ -21,16 +21,24 @@ intra-bucket form collapses exactly to
 
     K_b^2 = (1 - rho) * sum_k WS_k^2 + rho * (sum_k WS_k)^2
 
-which risk_class_delta evaluates in O(F) with one rho lookup per bucket and
-scenario. A GIRR bucket is one curve with at most one factor per grid tenor,
-and its tenor correlations differ pair by pair, so it keeps the pairwise sum
-of bucket_risk_position. That function stays the general form: it takes the
+which is evaluated in O(F) with one rho lookup per bucket and scenario. A
+GIRR bucket is one curve with at most one factor per grid tenor, and its
+tenor correlations differ pair by pair, so it keeps the pairwise sum of
+bucket_risk_position. That function stays the general form: it takes the
 correlation as a provider callable
 
-    rho(k: RiskFactorKey, l: RiskFactorKey, scenario) -> float
+    rho(k: FactorRow, l: FactorRow, scenario) -> float
 
-and the cross-bucket charge takes gamma(bucket_b: int, bucket_c: int,
-scenario) -> float the same way.
+and cross_bucket_delta takes gamma(bucket_b: int, bucket_c: int, scenario)
+-> float the same way.
+
+The results form one frozen hierarchy, which is also the audit trail of the
+capital report: ScenarioResult (total, classes by risk class token) holds
+ClassResult (charge, fallback flag, buckets, cross-bucket correlations used),
+which holds BucketResult (K_b, net and effective S_b, factors), which holds
+FactorRow (s_k, RW_k, WS_k). Field names are the keys of the report's
+hierarchical form. Each factor is weighted once per run and the same rows
+are aggregated under every scenario.
 
 A quadratic form that is NaN or infinite raises AggregationError: flooring it
 at zero would silently drop the bucket or class from capital.
@@ -43,10 +51,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
-from .sensitivities import RiskFactorKey, SensitivityRecord
-
-RhoProvider = Callable[[RiskFactorKey, RiskFactorKey, CorrelationScenario], float]
-GammaProvider = Callable[[int, int, CorrelationScenario], float]
+from .sensitivities import SensitivityRecord
 
 
 class AggregationError(Exception):
@@ -57,16 +62,14 @@ _NON_FINITE_HINT = "an input price, quantity or rate is not finite or too large"
 
 
 @dataclass(frozen=True)
-class WeightedSensitivity:
-    """A netted sensitivity with its risk weight applied; ws = risk_weight * sensitivity."""
+class FactorRow:
+    """One netted risk factor of a bucket; weighted_sensitivity = risk_weight * sensitivity."""
 
-    key: RiskFactorKey
+    name: str
+    tenor: float | None
     sensitivity: float
     risk_weight: float
-    ws: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ws", self.risk_weight * self.sensitivity)
+    weighted_sensitivity: float
 
 
 @dataclass(frozen=True)
@@ -81,96 +84,106 @@ class BucketResult:
     k_b: float
     s_b_net: float
     s_b_effective: float
-    factors: tuple[WeightedSensitivity, ...] = ()
+    factors: tuple[FactorRow, ...]
 
 
 @dataclass(frozen=True)
-class ClassDeltaResult:
+class CrossCorrelation:
+    """The gamma used for one unordered bucket pair of a risk class."""
+
+    bucket_b: int
+    bucket_c: int
+    gamma: float
+
+
+@dataclass(frozen=True)
+class ClassResult:
     """Delta charge of one risk class under one scenario, with audit detail."""
 
     charge: float
-    buckets: tuple[BucketResult, ...]
     fallback_engaged: bool
-    cross_correlations_used: tuple[tuple[int, int, float], ...] = ()
+    buckets: tuple[BucketResult, ...]
+    cross_correlations: tuple[CrossCorrelation, ...]
 
 
 @dataclass(frozen=True)
-class ScenarioOutcome:
-    total: float
-    classes: dict[RiskClass, ClassDeltaResult]
-
-
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Per-scenario totals and the envelope (max) capital across scenarios."""
+class ScenarioResult:
+    """Sum of the class charges under one scenario; classes keyed by risk class token."""
 
     total: float
-    scenarios: dict[CorrelationScenario, ScenarioOutcome]
+    classes: dict[str, ClassResult] = field(metadata={"json_key": "risk_classes"})
 
 
-def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> WeightedSensitivity:
+RhoProvider = Callable[[FactorRow, FactorRow, CorrelationScenario], float]
+GammaProvider = Callable[[int, int, CorrelationScenario], float]
+WeightedBuckets = list[tuple[int, list[FactorRow]]]
+
+
+def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> FactorRow:
     """Apply the rulebook risk weight: WS_k = RW_k * s_k."""
-    rw = rb.risk_weight(rec.key.risk_class, rec.key.bucket, rec.key.tenor)
-    return WeightedSensitivity(key=rec.key, sensitivity=rec.value, risk_weight=rw)
+    key = rec.key
+    rw = rb.risk_weight(key.risk_class, key.bucket, key.tenor)
+    return FactorRow(
+        name=key.name, tenor=key.tenor, sensitivity=rec.value, risk_weight=rw, weighted_sensitivity=rw * rec.value
+    )
 
 
 def bucket_risk_position(
-    ws_list: list[WeightedSensitivity],
+    risk_class: RiskClass,
+    bucket: int,
+    rows: list[FactorRow],
     rho: RhoProvider,
     scenario: CorrelationScenario,
 ) -> BucketResult:
-    """Intra-bucket risk position K_b and net weighted sum S_b.
+    """Intra-bucket risk position K_b and net weighted sum S_b of one bucket.
 
-    All entries must share one bucket and risk class. The double sum runs over
-    ordered factor pairs; negative quadratic forms are floored at zero before
-    the square root, and a NaN or infinite form raises AggregationError.
+    The double sum runs over ordered factor pairs; negative quadratic forms
+    are floored at zero before the square root, and a NaN or infinite form
+    raises AggregationError.
     """
-    if not ws_list:
-        raise AggregationError("bucket_risk_position needs at least one weighted sensitivity")
-    buckets = {(w.key.risk_class, w.key.bucket) for w in ws_list}
-    if len(buckets) > 1:
-        raise AggregationError(f"mixed buckets in one aggregation call: {sorted((rc.value, b) for rc, b in buckets)}")
-    terms = [w.ws * w.ws for w in ws_list]
-    for i, w_k in enumerate(ws_list):
-        for j, w_l in enumerate(ws_list):
+    if not rows:
+        raise AggregationError("bucket_risk_position needs at least one factor row")
+    ws = [r.weighted_sensitivity for r in rows]
+    terms = [x * x for x in ws]
+    for i, r_k in enumerate(rows):
+        for j, r_l in enumerate(rows):
             if i == j:
                 continue
-            terms.append(rho(w_k.key, w_l.key, scenario) * w_k.ws * w_l.ws)
-    return _bucket_result(ws_list, _fsum(terms), _fsum(w.ws for w in ws_list), scenario)
+            terms.append(rho(r_k, r_l, scenario) * ws[i] * ws[j])
+    return _bucket_result(risk_class, bucket, rows, _fsum(terms), _fsum(ws), scenario)
 
 
-def _uniform_rho_position(ws_list: list[WeightedSensitivity], rb: Rulebook, scenario: CorrelationScenario) -> BucketResult:
+def _uniform_rho_position(
+    risk_class: RiskClass, bucket: int, rows: list[FactorRow], rb: Rulebook, scenario: CorrelationScenario
+) -> BucketResult:
     """K_b of a non-GIRR bucket through the one-rho identity, in O(F).
 
-    Exact only when every factor has its own name, so duplicate keys raise.
+    Exact only when every factor has its own name, so duplicate names raise.
     rho is looked up once, on the first two names, and only when the bucket
     holds two or more factors: a one-name bucket needs no tabulated rho.
     """
-    ws = [w.ws for w in ws_list]
+    ws = [r.weighted_sensitivity for r in rows]
     s_b = _fsum(ws)
     sum_sq = _fsum(x * x for x in ws)
-    if len(ws_list) == 1:
-        return _bucket_result(ws_list, sum_sq, s_b, scenario)
-    first = ws_list[0].key
-    if len({w.key.name for w in ws_list}) != len(ws_list):
-        raise AggregationError(
-            f"duplicate factor keys in {first.risk_class.value} bucket {first.bucket}; net the records first"
-        )
-    rho = rb.intra_correlation(first.risk_class, first.bucket, first.factor_ref(), ws_list[1].key.factor_ref(), scenario)
-    return _bucket_result(ws_list, _fsum(((1.0 - rho) * sum_sq, rho * s_b * s_b)), s_b, scenario)
+    if len(rows) == 1:
+        return _bucket_result(risk_class, bucket, rows, sum_sq, s_b, scenario)
+    if len({r.name for r in rows}) != len(rows):
+        raise AggregationError(f"duplicate factor keys in {risk_class.value} bucket {bucket}; net the records first")
+    first, second = rows[0], rows[1]
+    rho = rb.intra_correlation(risk_class, bucket, (first.name, first.tenor), (second.name, second.tenor), scenario)
+    return _bucket_result(risk_class, bucket, rows, _fsum(((1.0 - rho) * sum_sq, rho * s_b * s_b)), s_b, scenario)
 
 
 def _bucket_result(
-    ws_list: list[WeightedSensitivity], quad: float, s_b: float, scenario: CorrelationScenario
+    risk_class: RiskClass, bucket: int, rows: list[FactorRow], quad: float, s_b: float, scenario: CorrelationScenario
 ) -> BucketResult:
-    key = ws_list[0].key
     if not math.isfinite(quad):
         raise AggregationError(
-            f"{key.risk_class.value} bucket {key.bucket}: intra-bucket quadratic form is {quad!r} "
+            f"{risk_class.value} bucket {bucket}: intra-bucket quadratic form is {quad!r} "
             f"under scenario {scenario.value}; {_NON_FINITE_HINT}"
         )
     k_b = math.sqrt(max(0.0, quad))
-    return BucketResult(bucket=key.bucket, k_b=k_b, s_b_net=s_b, s_b_effective=s_b, factors=tuple(ws_list))
+    return BucketResult(bucket=bucket, k_b=k_b, s_b_net=s_b, s_b_effective=s_b, factors=tuple(rows))
 
 
 def _fsum(values: Iterable[float]) -> float:
@@ -184,116 +197,109 @@ def _fsum(values: Iterable[float]) -> float:
         return math.nan
 
 
-def delta_charge(
+def cross_bucket_delta(
+    risk_class: RiskClass,
     buckets: list[BucketResult],
     gamma: GammaProvider,
     scenario: CorrelationScenario,
-) -> float:
-    """Cross-bucket delta charge for one risk class."""
-    charge, _, _ = _delta_charge_detail(buckets, gamma, scenario)
-    return charge
+) -> ClassResult:
+    """Cross-bucket delta charge of one risk class from its bucket positions.
 
-
-def _delta_charge_detail(
-    buckets: list[BucketResult],
-    gamma: GammaProvider,
-    scenario: CorrelationScenario,
-) -> tuple[float, bool, dict[int, float]]:
-    """(charge, fallback_engaged, effective S_b per bucket)."""
+    gamma is asked once per ordered bucket pair. When the fallback engages,
+    the returned buckets carry the clamped S_b as ``s_b_effective``.
+    """
     ids = [b.bucket for b in buckets]
     if len(set(ids)) != len(ids):
         raise AggregationError(f"duplicate bucket ids in cross-bucket aggregation: {sorted(ids)}")
     k_sq = _fsum(b.k_b * b.k_b for b in buckets)
+    gammas = {(b, c): gamma(b, c, scenario) for b in ids for c in ids if b != c}
 
-    def quad_with(s_by_bucket: dict[int, float]) -> float:
-        cross = [
-            gamma(b.bucket, c.bucket, scenario) * s_by_bucket[b.bucket] * s_by_bucket[c.bucket]
-            for b in buckets
-            for c in buckets
-            if b.bucket != c.bucket
-        ]
-        quad = k_sq + _fsum(cross)
+    def quad_with(s: dict[int, float]) -> float:
+        quad = k_sq + _fsum(g * s[b] * s[c] for (b, c), g in gammas.items())
         if not math.isfinite(quad):
-            classes = "/".join(sorted({w.key.risk_class.value for b in buckets for w in b.factors}))
             raise AggregationError(
-                f"{classes} buckets {sorted(ids)}: cross-bucket quadratic form is {quad!r} "
+                f"{risk_class.value} buckets {sorted(ids)}: cross-bucket quadratic form is {quad!r} "
                 f"under scenario {scenario.value}; {_NON_FINITE_HINT}"
             )
         return quad
 
-    s_eff = {b.bucket: b.s_b_net for b in buckets}
-    quad = quad_with(s_eff)
+    quad = quad_with({b.bucket: b.s_b_net for b in buckets})
     fallback = quad < 0.0
     if fallback:
         # d352 para 53: fall back to S_b clamped into [-K_b, K_b].
-        s_eff = {b.bucket: max(min(b.s_b_net, b.k_b), -b.k_b) for b in buckets}
-        quad = quad_with(s_eff)
-    return math.sqrt(max(0.0, quad)), fallback, s_eff
+        buckets = [replace(b, s_b_effective=max(min(b.s_b_net, b.k_b), -b.k_b)) for b in buckets]
+        quad = quad_with({b.bucket: b.s_b_effective for b in buckets})
+    return ClassResult(
+        charge=math.sqrt(max(0.0, quad)),
+        fallback_engaged=fallback,
+        buckets=tuple(buckets),
+        cross_correlations=tuple(
+            CrossCorrelation(b, c, gammas[b, c]) for i, b in enumerate(ids) for c in ids[i + 1 :]
+        ),
+    )
 
 
 def risk_class_delta(
     records: list[SensitivityRecord],
     rb: Rulebook,
     scenario: CorrelationScenario,
-) -> ClassDeltaResult:
+) -> ClassResult:
     """Full intra- plus cross-bucket aggregation of one risk class."""
     if not records:
-        return ClassDeltaResult(charge=0.0, buckets=(), fallback_engaged=False)
+        return ClassResult(charge=0.0, fallback_engaged=False, buckets=(), cross_correlations=())
+    return _class_result(*_weighted_buckets(records, rb), rb, scenario)
+
+
+def _weighted_buckets(records: list[SensitivityRecord], rb: Rulebook) -> tuple[RiskClass, WeightedBuckets]:
+    """The records' one risk class and their factor rows per bucket, in bucket order."""
     classes = {rec.key.risk_class for rec in records}
     if len(classes) > 1:
         raise AggregationError(f"records span several risk classes: {sorted(rc.value for rc in classes)}")
-    risk_class = records[0].key.risk_class
+    by_bucket: dict[int, list[FactorRow]] = {}
+    for rec in records:
+        by_bucket.setdefault(rec.key.bucket, []).append(weight_sensitivity(rec, rb))
+    return records[0].key.risk_class, sorted(by_bucket.items())
 
-    def rho(k: RiskFactorKey, l: RiskFactorKey, sc: CorrelationScenario) -> float:
-        return rb.intra_correlation(risk_class, k.bucket, k.factor_ref(), l.factor_ref(), sc)
+
+def _class_result(
+    risk_class: RiskClass, weighted: WeightedBuckets, rb: Rulebook, scenario: CorrelationScenario
+) -> ClassResult:
+    if risk_class is RiskClass.GIRR:
+        positions = [
+            bucket_risk_position(risk_class, bucket, rows, _tenor_rho(rb, bucket), scenario)
+            for bucket, rows in weighted
+        ]
+    else:
+        positions = [_uniform_rho_position(risk_class, bucket, rows, rb, scenario) for bucket, rows in weighted]
 
     def gamma(b: int, c: int, sc: CorrelationScenario) -> float:
         return rb.cross_correlation(risk_class, b, c, sc)
 
-    by_bucket: dict[int, list[WeightedSensitivity]] = {}
-    for rec in records:
-        by_bucket.setdefault(rec.key.bucket, []).append(weight_sensitivity(rec, rb))
-    if risk_class is RiskClass.GIRR:
-        bucket_results = [bucket_risk_position(ws_list, rho, scenario) for _, ws_list in sorted(by_bucket.items())]
-    else:
-        bucket_results = [_uniform_rho_position(ws_list, rb, scenario) for _, ws_list in sorted(by_bucket.items())]
+    return cross_bucket_delta(risk_class, positions, gamma, scenario)
 
-    charge, fallback, s_eff = _delta_charge_detail(bucket_results, gamma, scenario)
-    final_buckets = tuple(replace(b, s_b_effective=s_eff[b.bucket]) for b in bucket_results)
-    gammas = tuple(
-        (b.bucket, c.bucket, gamma(b.bucket, c.bucket, scenario))
-        for i, b in enumerate(bucket_results)
-        for c in bucket_results[i + 1 :]
-    )
-    return ClassDeltaResult(
-        charge=charge,
-        buckets=final_buckets,
-        fallback_engaged=fallback,
-        cross_correlations_used=gammas,
-    )
+
+def _tenor_rho(rb: Rulebook, bucket: int) -> RhoProvider:
+    def rho(k: FactorRow, l: FactorRow, sc: CorrelationScenario) -> float:
+        return rb.intra_correlation(RiskClass.GIRR, bucket, (k.name, k.tenor), (l.name, l.tenor), sc)
+
+    return rho
 
 
 def scenario_envelope(
     records_by_class: dict[RiskClass, list[SensitivityRecord]],
     rb: Rulebook,
-    scenarios: tuple[CorrelationScenario, ...] = (
-        CorrelationScenario.LOW,
-        CorrelationScenario.MEDIUM,
-        CorrelationScenario.HIGH,
-    ),
-) -> EnvelopeResult:
-    """Worst-of-scenarios capital with per-scenario audit detail.
+    scenarios: tuple[CorrelationScenario, ...] = tuple(CorrelationScenario),
+) -> tuple[float, dict[str, ScenarioResult]]:
+    """Worst-of-scenarios capital and the result of each scenario, keyed by its token.
 
     The portfolio total under one scenario is the plain sum of risk-class
     charges; the capital requirement is the maximum total across scenarios.
+    Each class's records are weighted once, and the same factor rows are
+    aggregated under every scenario.
     """
-    outcomes: dict[CorrelationScenario, ScenarioOutcome] = {}
+    weighted = [_weighted_buckets(records_by_class[rc], rb) for rc in RiskClass if records_by_class.get(rc)]
+    results: dict[str, ScenarioResult] = {}
     for scenario in scenarios:
-        classes: dict[RiskClass, ClassDeltaResult] = {}
-        for risk_class in RiskClass:
-            if risk_class in records_by_class and records_by_class[risk_class]:
-                classes[risk_class] = risk_class_delta(records_by_class[risk_class], rb, scenario)
-        total = math.fsum(result.charge for result in classes.values())
-        outcomes[scenario] = ScenarioOutcome(total=total, classes=classes)
-    envelope = max((o.total for o in outcomes.values()), default=0.0)
-    return EnvelopeResult(total=envelope, scenarios=outcomes)
+        classes = {rc.value: _class_result(rc, buckets, rb, scenario) for rc, buckets in weighted}
+        results[scenario.value] = ScenarioResult(total=math.fsum(c.charge for c in classes.values()), classes=classes)
+    return max((r.total for r in results.values()), default=0.0), results

@@ -1,33 +1,43 @@
 """End-to-end capital computation and report rendering.
 
 compute_capital wires the pipeline together: collect bump-and-revalue
-sensitivities, net them per risk factor, aggregate per bucket and risk class
-under each requested correlation scenario, and take the worst scenario total
-as the capital requirement. The report keeps every intermediate quantity
-(s_k, RW_k, WS_k, K_b, S_b, the cross-bucket correlations used) so a reviewer
-can replay the aggregation by hand.
+sensitivities, net them per risk factor, and hand them to
+aggregation.scenario_envelope, which weights each factor once and aggregates
+per bucket and risk class under each requested correlation scenario. The
+worst scenario total is the capital requirement. CapitalReport wraps the
+aggregation's result hierarchy (scenario, class, bucket, factor rows) with the
+run's metadata and warnings, so every intermediate quantity (s_k, RW_k, WS_k,
+K_b, S_b, the cross-bucket correlations used) is there for an auditor to
+replay the aggregation by hand.
 
-Reports are value objects: rendering to the hierarchical format and parsing
-back reproduces an equal report, and identical inputs produce byte-identical
-rendered output (no timestamps, stable ordering, shortest-repr floats).
+The hierarchical (dict and JSON) form is derived from the dataclass fields:
+each field is a key of the same name, except where a field declares a
+``json_key`` in its metadata. Nested results become objects, tuples become
+lists, and scenario and class dicts keep their token keys. Parsing walks the
+same fields back, checks each value's type, and puts scenarios and classes
+in enum order. Reports are value objects: rendering to the hierarchical
+format and parsing back reproduces an equal report, and identical inputs
+produce byte-identical rendered output (no timestamps, stable ordering,
+shortest-repr floats).
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import typing
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
-from .aggregation import ClassDeltaResult, scenario_envelope
+from .aggregation import ScenarioResult, scenario_envelope
 from .portfolio import IssuerInfo, MarketData, Portfolio
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
 from .sensitivities import collect_with_warnings
 
 REPORT_FORMATS = ("hierarchical", "tabular", "human")
-
-_SCENARIO_ORDER = (CorrelationScenario.LOW, CorrelationScenario.MEDIUM, CorrelationScenario.HIGH)
 
 
 class ReportFormatError(Exception):
@@ -35,147 +45,108 @@ class ReportFormatError(Exception):
 
 
 @dataclass(frozen=True)
-class FactorRow:
-    """One netted risk factor inside a bucket."""
-
-    name: str
-    tenor: float | None
-    sensitivity: float
-    risk_weight: float
-    weighted_sensitivity: float
-
-
-@dataclass(frozen=True)
-class BucketReport:
-    bucket: int
-    k_b: float
-    s_b_net: float
-    s_b_effective: float
-    factors: tuple[FactorRow, ...]
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    charge: float
-    fallback_engaged: bool
-    buckets: tuple[BucketReport, ...]
-    cross_correlations: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    total: float
-    classes: dict[str, ClassReport] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class CapitalReport:
-    """Full audit trail of one capital computation."""
+    """Full audit trail of one capital computation; scenarios keyed by scenario token."""
 
     rulebook_version: str
     reporting_currency: str
     scenario_mode: str
-    scenarios: dict[str, ScenarioReport]
+    scenarios: dict[str, ScenarioResult]
     total_capital: float
     as_of: str | None = None
     warnings: tuple[str, ...] = ()
     schema_version: int = 1
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "rulebook_version": self.rulebook_version,
-            "reporting_currency": self.reporting_currency,
-            "as_of": self.as_of,
-            "scenario_mode": self.scenario_mode,
-            "total_capital": self.total_capital,
-            "warnings": list(self.warnings),
-            "scenarios": {
-                token: {
-                    "total": sc.total,
-                    "risk_classes": {
-                        rc_token: {
-                            "charge": cls.charge,
-                            "fallback_engaged": cls.fallback_engaged,
-                            "cross_correlations": [
-                                {"bucket_b": b, "bucket_c": c, "gamma": g} for b, c, g in cls.cross_correlations
-                            ],
-                            "buckets": [
-                                {
-                                    "bucket": br.bucket,
-                                    "k_b": br.k_b,
-                                    "s_b_net": br.s_b_net,
-                                    "s_b_effective": br.s_b_effective,
-                                    "factors": [
-                                        {
-                                            "name": f.name,
-                                            "tenor": f.tenor,
-                                            "sensitivity": f.sensitivity,
-                                            "risk_weight": f.risk_weight,
-                                            "weighted_sensitivity": f.weighted_sensitivity,
-                                        }
-                                        for f in br.factors
-                                    ],
-                                }
-                                for br in cls.buckets
-                            ],
-                        }
-                        for rc_token, cls in sc.classes.items()
-                    },
-                }
-                for token, sc in self.scenarios.items()
-            },
-        }
+        return _encoder(CapitalReport)(self)
 
 
 def report_from_dict(data: dict[str, Any]) -> CapitalReport:
     """Rebuild a CapitalReport from its hierarchical dict form."""
     try:
-        scenarios: dict[str, ScenarioReport] = {}
-        for token in sorted(data["scenarios"], key=_scenario_sort):
-            raw_scenario = data["scenarios"][token]
-            classes: dict[str, ClassReport] = {}
-            for rc_token in sorted(raw_scenario["risk_classes"], key=_class_sort):
-                raw_class = raw_scenario["risk_classes"][rc_token]
-                classes[rc_token] = ClassReport(
-                    charge=raw_class["charge"],
-                    fallback_engaged=raw_class["fallback_engaged"],
-                    cross_correlations=tuple(
-                        (row["bucket_b"], row["bucket_c"], row["gamma"]) for row in raw_class["cross_correlations"]
-                    ),
-                    buckets=tuple(
-                        BucketReport(
-                            bucket=raw_bucket["bucket"],
-                            k_b=raw_bucket["k_b"],
-                            s_b_net=raw_bucket["s_b_net"],
-                            s_b_effective=raw_bucket["s_b_effective"],
-                            factors=tuple(
-                                FactorRow(
-                                    name=raw_factor["name"],
-                                    tenor=raw_factor["tenor"],
-                                    sensitivity=raw_factor["sensitivity"],
-                                    risk_weight=raw_factor["risk_weight"],
-                                    weighted_sensitivity=raw_factor["weighted_sensitivity"],
-                                )
-                                for raw_factor in raw_bucket["factors"]
-                            ),
-                        )
-                        for raw_bucket in raw_class["buckets"]
-                    ),
-                )
-            scenarios[token] = ScenarioReport(total=raw_scenario["total"], classes=classes)
-        return CapitalReport(
-            schema_version=data.get("schema_version", 1),
-            rulebook_version=data["rulebook_version"],
-            reporting_currency=data["reporting_currency"],
-            as_of=data.get("as_of"),
-            scenario_mode=data["scenario_mode"],
-            scenarios=scenarios,
-            total_capital=data["total_capital"],
-            warnings=tuple(data.get("warnings", ())),
-        )
+        return _decoder(CapitalReport)(data)
     except (KeyError, TypeError) as exc:
         raise ReportFormatError(f"not a valid hierarchical capital report: {exc}") from None
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(attribute, JSON key, type, required) of each field of a result dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            f.metadata.get("json_key", f.name),
+            hints[f.name],
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+@functools.cache
+def _encoder(tp: Any) -> Callable[[Any], Any] | None:
+    """Function from a value of type ``tp`` to its dict form; None if the value is already plain."""
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        item = _encoder(typing.get_args(tp)[0])
+        return list if item is None else lambda value: [item(x) for x in value]
+    if origin is dict:
+        item = _encoder(typing.get_args(tp)[1])
+        return dict if item is None else lambda value: {k: item(x) for k, x in value.items()}
+    if dataclasses.is_dataclass(tp):
+        # A result's __dict__ holds exactly its fields: copy it, then convert
+        # the fields that need it and rename those with a json_key.
+        moved = [(name, key, enc) for name, key, hint, _ in _fields(tp) if (enc := _encoder(hint)) or key != name]
+
+        def encode(value: Any) -> dict[str, Any]:
+            out = value.__dict__.copy()
+            for name, key, enc in moved:
+                item = out.pop(name)
+                out[key] = enc(item) if enc else item
+            return out
+
+        return encode
+    return None
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """Inverse of _encoder(tp); raises KeyError or TypeError on a malformed dict form."""
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        item = _decoder(typing.get_args(tp)[0])
+        return lambda value: tuple(item(x) for x in _checked(value, (list,)))
+    if origin is dict:
+        item = _decoder(typing.get_args(tp)[1])
+        return lambda value: {k: item(value[k]) for k in sorted(_checked(value, (dict,)), key=_token_rank)}
+    if dataclasses.is_dataclass(tp):
+        fields = [(name, key, _decoder(hint), required) for name, key, hint, required in _fields(tp)]
+
+        def decode(value: Any) -> Any:
+            _checked(value, (dict,))
+            return tp(**{name: dec(value[key]) for name, key, dec, required in fields if required or key in value})
+
+        return decode
+    allowed = tuple(t for arg in typing.get_args(tp) or (tp,) for t in _SCALAR_TYPES[arg])
+    return lambda value: _checked(value, allowed)
+
+
+# JSON types accepted for each scalar field type; JSON integers are valid floats.
+_SCALAR_TYPES = {float: (float, int), int: (int,), str: (str,), bool: (bool,), type(None): (type(None),)}
+
+# Scenario and class dicts are parsed back in enum order; unknown tokens go last.
+_TOKEN_RANK = {token.value: i for i, token in enumerate((*CorrelationScenario, *RiskClass))}
+
+
+def _token_rank(token: str) -> int:
+    return _TOKEN_RANK.get(token, len(_TOKEN_RANK))
+
+
+def _checked(value: Any, types: tuple[type, ...]) -> Any:
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
 
 
 def compute_capital(
@@ -201,59 +172,23 @@ def compute_capital(
         if class_filter is None or rec.key.risk_class in class_filter:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
 
-    scenarios = _SCENARIO_ORDER if scenario is None else (scenario,)
-    envelope = scenario_envelope(by_class, rb, scenarios)
-
+    total, scenarios = scenario_envelope(by_class, rb, tuple(CorrelationScenario) if scenario is None else (scenario,))
     messages = list(collected)
-    scenario_reports: dict[str, ScenarioReport] = {}
-    for sc in scenarios:
-        outcome = envelope.scenarios[sc]
-        class_reports = {
-            rc.value: _class_report(outcome.classes[rc]) for rc in RiskClass if rc in outcome.classes
-        }
-        for rc in RiskClass:
-            if rc in outcome.classes and outcome.classes[rc].fallback_engaged:
-                messages.append(
-                    f"{rc.value}: cross-bucket quadratic form was negative under scenario {sc.value}; "
-                    f"net bucket positions clamped to [-K_b, K_b]"
-                )
-        scenario_reports[sc.value] = ScenarioReport(total=outcome.total, classes=class_reports)
-
+    for sc_token, result in scenarios.items():
+        messages.extend(
+            f"{rc_token}: cross-bucket quadratic form was negative under scenario {sc_token}; "
+            f"net bucket positions clamped to [-K_b, K_b]"
+            for rc_token, cls in result.classes.items()
+            if cls.fallback_engaged
+        )
     return CapitalReport(
         rulebook_version=rb.version,
         reporting_currency=md.reporting_currency,
         as_of=p.as_of or md.as_of,
         scenario_mode="envelope" if scenario is None else scenario.value,
-        scenarios=scenario_reports,
-        total_capital=envelope.total,
+        scenarios=scenarios,
+        total_capital=total,
         warnings=tuple(dict.fromkeys(messages)),
-    )
-
-
-def _class_report(result: ClassDeltaResult) -> ClassReport:
-    return ClassReport(
-        charge=result.charge,
-        fallback_engaged=result.fallback_engaged,
-        cross_correlations=result.cross_correlations_used,
-        buckets=tuple(
-            BucketReport(
-                bucket=b.bucket,
-                k_b=b.k_b,
-                s_b_net=b.s_b_net,
-                s_b_effective=b.s_b_effective,
-                factors=tuple(
-                    FactorRow(
-                        name=w.key.name,
-                        tenor=w.key.tenor,
-                        sensitivity=w.sensitivity,
-                        risk_weight=w.risk_weight,
-                        weighted_sensitivity=w.ws,
-                    )
-                    for w in b.factors
-                ),
-            )
-            for b in result.buckets
-        ),
     )
 
 
@@ -332,14 +267,3 @@ def _render_human(report: CapitalReport) -> str:
     else:
         lines.append("Warnings: none")
     return "\n".join(lines) + "\n"
-
-
-def _scenario_sort(token: str) -> int:
-    order = [sc.value for sc in _SCENARIO_ORDER]
-    return order.index(token) if token in order else len(order)
-
-
-def _class_sort(token: str) -> int:
-    order = [rc.value for rc in RiskClass]
-    return order.index(token) if token in order else len(order)
-

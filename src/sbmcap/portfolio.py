@@ -71,6 +71,9 @@ class Bond:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.maturity):
+            # A NaN maturity yields no cash flows and an infinite one never ends them.
+            raise PortfolioParseError(f"bond maturity must be a finite number, got {self.maturity}")
         if self.maturity <= 0:
             raise PortfolioParseError(f"bond maturity must be positive, got {self.maturity}")
         if self.frequency not in (1, 2, 4):

@@ -95,10 +95,6 @@ class RiskFactorKey:
         if (self.tenor is not None) != (self.risk_class is RiskClass.GIRR):
             raise ValueError("tenor must be set for GIRR factors and only for GIRR factors")
 
-    def factor_ref(self) -> tuple[str, float | None]:
-        """(name, tenor) pair used by rulebook correlation lookups."""
-        return (self.name, self.tenor)
-
     def sort_key(self) -> tuple[str, int, str, float]:
         return (self.risk_class.value, self.bucket, self.name, self.tenor if self.tenor is not None else -1.0)
 
@@ -109,34 +105,28 @@ class SensitivityRecord:
     value: float
 
 
-def equity_delta(instr: CashEquity, md: MarketData, bucket: int) -> SensitivityRecord:
-    """Delta to the issuer's spot price from a 1% relative bump."""
+# Per spot type: risk class, the attribute naming its quote, the MarketData
+# getter that reads the quote, and the MarketData field that holds it.
+_SPOT_QUOTES = {
+    CashEquity: (RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
+    FXPosition: (RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
+    CommodityFuture: (RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
+}
+
+
+def spot_delta(instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, bucket: int) -> SensitivityRecord:
+    """Delta to the one spot quote a position reads, from a 1% relative bump.
+
+    The quote is the issuer's equity price, the foreign currency's FX spot
+    against the reporting currency, or the commodity price; the factor is
+    named after it.
+    """
+    risk_class, name_attr, getter, quotes = _SPOT_QUOTES[type(instr)]
+    name = getattr(instr, name_attr)
     base = value(instr, md)
-    price = md.equity_price(instr.issuer_id)
-    bumped_md = replace(md, equity_prices={instr.issuer_id: price * (1.0 + REL_BUMP)})
+    bumped_md = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
     s = (value(instr, bumped_md) - base) / REL_BUMP
-    key = RiskFactorKey(risk_class=RiskClass.EQUITY, bucket=bucket, name=instr.issuer_id)
-    return SensitivityRecord(key=key, value=s)
-
-
-def fx_delta(instr: FXPosition, md: MarketData, bucket: int) -> SensitivityRecord:
-    """Delta to the foreign currency's spot against the reporting currency."""
-    base = value(instr, md)
-    spot = md.fx_spot(instr.foreign_currency)
-    bumped_md = replace(md, fx_spots={instr.foreign_currency: spot * (1.0 + REL_BUMP)})
-    s = (value(instr, bumped_md) - base) / REL_BUMP
-    key = RiskFactorKey(risk_class=RiskClass.FX, bucket=bucket, name=instr.foreign_currency)
-    return SensitivityRecord(key=key, value=s)
-
-
-def commodity_delta(instr: CommodityFuture, md: MarketData, bucket: int) -> SensitivityRecord:
-    """Delta to the commodity spot price from a 1% relative bump."""
-    base = value(instr, md)
-    price = md.commodity_price(instr.commodity_id)
-    bumped_md = replace(md, commodity_prices={instr.commodity_id: price * (1.0 + REL_BUMP)})
-    s = (value(instr, bumped_md) - base) / REL_BUMP
-    key = RiskFactorKey(risk_class=RiskClass.COMMODITY, bucket=bucket, name=instr.commodity_id)
-    return SensitivityRecord(key=key, value=s)
+    return SensitivityRecord(key=RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), value=s)
 
 
 def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: int) -> list[SensitivityRecord]:
@@ -230,18 +220,14 @@ def collect_sensitivities(
     for index, instr in enumerate(p.positions):
         stage = "classification"
         try:
-            if isinstance(instr, CashEquity):
+            if isinstance(instr, (CashEquity, CommodityFuture)):
                 bucket = assign_bucket(instr, registry, rb)
                 stage = "valuation"
-                raw.append(equity_delta(instr, md, bucket))
+                raw.append(spot_delta(instr, md, bucket))
             elif isinstance(instr, FXPosition):
                 bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
                 stage = "valuation"
-                raw.append(fx_delta(instr, md, bucket))
-            elif isinstance(instr, CommodityFuture):
-                bucket = assign_bucket(instr, registry, rb)
-                stage = "valuation"
-                raw.append(commodity_delta(instr, md, bucket))
+                raw.append(spot_delta(instr, md, bucket))
             elif isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
                 stage = "valuation"

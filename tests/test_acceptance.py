@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 from sbmcap.aggregation import (
-    WeightedSensitivity,
+    FactorRow,
     bucket_risk_position,
-    delta_charge,
+    cross_bucket_delta,
     risk_class_delta,
     weight_sensitivity,
 )
@@ -53,11 +53,9 @@ from sbmcap.sensitivities import (
     RiskFactorKey,
     SensitivityRecord,
     collect_sensitivities,
-    commodity_delta,
-    equity_delta,
-    fx_delta,
     girr_deltas,
     net_records,
+    spot_delta,
 )
 
 MEDIUM = CorrelationScenario.MEDIUM
@@ -91,7 +89,7 @@ def test_criterion_1_equity_case_study(rb, equity_portfolio, market, registry):
         assert by_name["T"].value == pytest.approx(170_000.0, rel=1e-12)
         assert round(by_name["T"].value, 2) == 170_000.00
 
-        ws = {name: weight_sensitivity(rec, rb).ws for name, rec in by_name.items()}
+        ws = {name: weight_sensitivity(rec, rb).weighted_sensitivity for name, rec in by_name.items()}
         assert ws["XOM"] == pytest.approx(440_000.0, rel=1e-12)
         assert ws["T"] == pytest.approx(59_500.0, rel=1e-12)
 
@@ -143,9 +141,7 @@ def test_criterion_3_quadratic_form_oracle():
                     corr[i, j] = corr[j, i] = rng.uniform(-0.3, 0.99)
 
             ws_list = [
-                WeightedSensitivity(
-                    key=RiskFactorKey(RiskClass.EQUITY, 1, f"F{i}"), sensitivity=v, risk_weight=1.0
-                )
+                FactorRow(name=f"F{i}", tenor=None, sensitivity=v, risk_weight=1.0, weighted_sensitivity=v)
                 for i, v in enumerate(ws_values)
             ]
             index = {f"F{i}": i for i in range(n)}
@@ -153,7 +149,7 @@ def test_criterion_3_quadratic_form_oracle():
             def rho(k, l, sc, corr=corr, index=index):
                 return float(corr[index[k.name], index[l.name]])
 
-            engine_k = bucket_risk_position(ws_list, rho, MEDIUM).k_b
+            engine_k = bucket_risk_position(RiskClass.EQUITY, 1, ws_list, rho, MEDIUM).k_b
             w = np.asarray(ws_values)
             quad = float(w @ corr @ w)
             oracle_k = math.sqrt(max(0.0, quad))
@@ -203,7 +199,7 @@ def test_criterion_4_homogeneity_and_collapse(rb):
                     assert b_scaled.k_b == pytest.approx(lam * b_base.k_b, rel=1e-12)
 
             rss = math.sqrt(math.fsum(b.k_b**2 for b in base.buckets))
-            zero_gamma = delta_charge(list(base.buckets), lambda b, c_, sc: 0.0, MEDIUM)
+            zero_gamma = cross_bucket_delta(RiskClass.EQUITY, list(base.buckets), lambda b, c_, sc: 0.0, MEDIUM).charge
             assert zero_gamma == pytest.approx(rss, rel=1e-12)
 
             if len(buckets) == 1:
@@ -231,13 +227,11 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 assert tenor_sum == pytest.approx(parallel, rel=1e-6)
                 bonds += 1
                 continue
-            if isinstance(instr, CashEquity):
-                rec = equity_delta(instr, market, assign_bucket(instr, registry, rb))
-            elif isinstance(instr, FXPosition):
-                fx_bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
-                rec = fx_delta(instr, market, fx_bucket)
+            if isinstance(instr, FXPosition):
+                bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
             else:
-                rec = commodity_delta(instr, market, assign_bucket(instr, registry, rb))
+                bucket = assign_bucket(instr, registry, rb)
+            rec = spot_delta(instr, market, bucket)
             assert rec.value == pytest.approx(value(instr, market), rel=1e-9)
             spots += 1
         assert spots == 6 and bonds == 2
@@ -253,8 +247,8 @@ def test_criterion_6_fallback_path():
     fallback flag is exercised, not just the formula.
     """
     with criterion(6) as c:
-        def key(bucket: int, name: str) -> RiskFactorKey:
-            return RiskFactorKey(RiskClass.EQUITY, bucket, name)
+        def row(name: str, ws: float) -> FactorRow:
+            return FactorRow(name=name, tenor=None, sensitivity=ws, risk_weight=1.0, weighted_sensitivity=ws)
 
         def rho_zero(k, l, sc):
             return 0.0
@@ -262,16 +256,10 @@ def test_criterion_6_fallback_path():
         hit = None
         for gamma in (0.2, 0.4, 0.6, 0.8, 0.9):
             for signs in itertools.product((-1.0, 1.0), repeat=4):
-                ws_a = [
-                    WeightedSensitivity(key(1, "A1"), signs[0] * 100.0, 1.0),
-                    WeightedSensitivity(key(1, "A2"), signs[1] * 100.0, 1.0),
-                ]
-                ws_b = [
-                    WeightedSensitivity(key(2, "B1"), signs[2] * 100.0, 1.0),
-                    WeightedSensitivity(key(2, "B2"), signs[3] * 100.0, 1.0),
-                ]
-                res_a = bucket_risk_position(ws_a, rho_zero, MEDIUM)
-                res_b = bucket_risk_position(ws_b, rho_zero, MEDIUM)
+                ws_a = [row("A1", signs[0] * 100.0), row("A2", signs[1] * 100.0)]
+                ws_b = [row("B1", signs[2] * 100.0), row("B2", signs[3] * 100.0)]
+                res_a = bucket_risk_position(RiskClass.EQUITY, 1, ws_a, rho_zero, MEDIUM)
+                res_b = bucket_risk_position(RiskClass.EQUITY, 2, ws_b, rho_zero, MEDIUM)
                 quad = res_a.k_b**2 + res_b.k_b**2 + 2 * gamma * res_a.s_b_net * res_b.s_b_net
                 if quad < 0.0 and hit is None:
                     hit = (gamma, signs, res_a, res_b)
@@ -279,7 +267,7 @@ def test_criterion_6_fallback_path():
         gamma, signs, res_a, res_b = hit
         assert res_a.s_b_net * res_b.s_b_net < 0
 
-        charge = delta_charge([res_a, res_b], lambda b, c_, sc: gamma, MEDIUM)
+        charge = cross_bucket_delta(RiskClass.EQUITY, [res_a, res_b], lambda b, c_, sc: gamma, MEDIUM).charge
         assert math.isfinite(charge) and charge >= 0.0
 
         rb_lab = rulebook_from_dict(

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from sbmcap.aggregation import (
     AggregationError,
-    BucketResult,
-    WeightedSensitivity,
+    CrossCorrelation,
+    FactorRow,
     bucket_risk_position,
-    delta_charge,
+    cross_bucket_delta,
     risk_class_delta,
     scenario_envelope,
     weight_sensitivity,
@@ -26,6 +26,7 @@ from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook, RulebookQu
 from sbmcap.sensitivities import RiskFactorKey, SensitivityRecord, collect_sensitivities
 
 MEDIUM = CorrelationScenario.MEDIUM
+EQUITY = RiskClass.EQUITY
 REL_TOL = 1e-12
 
 
@@ -33,9 +34,19 @@ def eq_key(name: str, bucket: int = 7) -> RiskFactorKey:
     return RiskFactorKey(RiskClass.EQUITY, bucket, name)
 
 
-def ws(name: str, amount: float, bucket: int = 7) -> WeightedSensitivity:
+def ws(name: str, amount: float) -> FactorRow:
     # risk weight 1 makes ws equal the stated amount
-    return WeightedSensitivity(key=eq_key(name, bucket), sensitivity=amount, risk_weight=1.0)
+    return FactorRow(name=name, tenor=None, sensitivity=amount, risk_weight=1.0, weighted_sensitivity=amount)
+
+
+def position(rows: list[FactorRow], rho, bucket: int = 7):
+    """K_b of equity bucket ``bucket`` under the medium scenario, pairwise."""
+    return bucket_risk_position(EQUITY, bucket, rows, rho, MEDIUM)
+
+
+def charge(buckets, gamma) -> float:
+    """Medium-scenario cross-bucket charge of equity bucket positions."""
+    return cross_bucket_delta(EQUITY, buckets, gamma, MEDIUM).charge
 
 
 def rho_const(value: float):
@@ -93,53 +104,51 @@ def fallback_rulebook():
 class TestWeightSensitivity:
     def test_equity_worked_examples(self, rb, equity_portfolio, market, registry):
         records = collect_sensitivities(equity_portfolio, market, registry, rb)
-        weighted = {w.key.name: w for w in (weight_sensitivity(r, rb) for r in records)}
+        weighted = {w.name: w for w in (weight_sensitivity(r, rb) for r in records)}
         assert weighted["XOM"].risk_weight == 0.40
-        assert weighted["XOM"].ws == pytest.approx(440_000.0, rel=REL_TOL)
+        assert weighted["XOM"].weighted_sensitivity == pytest.approx(440_000.0, rel=REL_TOL)
         assert weighted["T"].risk_weight == 0.35
-        assert weighted["T"].ws == pytest.approx(59_500.0, rel=REL_TOL)
+        assert weighted["T"].weighted_sensitivity == pytest.approx(59_500.0, rel=REL_TOL)
 
     def test_girr_uses_tenor_weight(self, rb):
         rec = SensitivityRecord(RiskFactorKey(RiskClass.GIRR, 1, "USD", tenor=5.0), -40_000.0)
         w = weight_sensitivity(rec, rb)
         assert w.risk_weight == 0.015
-        assert w.ws == pytest.approx(-600.0, rel=REL_TOL)
+        assert w.weighted_sensitivity == pytest.approx(-600.0, rel=REL_TOL)
+        assert (w.name, w.tenor) == ("USD", 5.0)
 
-    def test_ws_invariant_holds_at_construction(self):
-        w = WeightedSensitivity(key=eq_key("X"), sensitivity=123.0, risk_weight=0.4)
-        assert w.ws == 123.0 * 0.4
+    def test_ws_invariant_holds_at_construction(self, rb):
+        # equity bucket 7 carries risk weight 0.4
+        w = weight_sensitivity(SensitivityRecord(eq_key("X"), 123.0), rb)
+        assert w.weighted_sensitivity == 123.0 * 0.4
 
 
 class TestBucketRiskPosition:
     def test_single_factor_is_absolute_ws(self):
-        result = bucket_risk_position([ws("A", -440_000.0)], rho_const(0.15), MEDIUM)
+        result = position([ws("A", -440_000.0)], rho_const(0.15))
         assert result.k_b == 440_000.0
         assert result.s_b_net == -440_000.0
 
     def test_zero_correlation_is_pythagorean(self):
-        result = bucket_risk_position([ws("A", 300.0), ws("B", 400.0)], rho_const(0.0), MEDIUM)
+        result = position([ws("A", 300.0), ws("B", 400.0)], rho_const(0.0))
         assert result.k_b == pytest.approx(500.0, rel=REL_TOL)
 
     def test_perfect_correlation_adds_linearly(self):
-        result = bucket_risk_position([ws("A", 100.0), ws("B", 100.0)], rho_const(1.0), MEDIUM)
+        result = position([ws("A", 100.0), ws("B", 100.0)], rho_const(1.0))
         assert result.k_b == pytest.approx(200.0, rel=REL_TOL)
 
     def test_negative_quadratic_form_floors_at_zero(self):
         # three unit positions with pairwise rho -0.9 push the form negative
-        result = bucket_risk_position([ws("A", 1.0), ws("B", 1.0), ws("C", 1.0)], rho_const(-0.9), MEDIUM)
+        result = position([ws("A", 1.0), ws("B", 1.0), ws("C", 1.0)], rho_const(-0.9))
         assert result.k_b == 0.0
 
     def test_ordered_pairs_count_each_pair_twice(self):
-        result = bucket_risk_position([ws("A", 3.0), ws("B", 4.0)], rho_const(0.5), MEDIUM)
+        result = position([ws("A", 3.0), ws("B", 4.0)], rho_const(0.5))
         assert result.k_b == pytest.approx(math.sqrt(9.0 + 16.0 + 2 * 0.5 * 12.0), rel=REL_TOL)
-
-    def test_mixed_buckets_rejected(self):
-        with pytest.raises(AggregationError, match="mixed buckets"):
-            bucket_risk_position([ws("A", 1.0, bucket=6), ws("B", 1.0, bucket=7)], rho_const(0.0), MEDIUM)
 
     def test_empty_input_rejected(self):
         with pytest.raises(AggregationError, match="at least one"):
-            bucket_risk_position([], rho_const(0.0), MEDIUM)
+            position([], rho_const(0.0))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -148,51 +157,51 @@ class TestBucketRiskPosition:
         lam=st.sampled_from([0.5, 2.0, 10.0]),
     )
     def test_nonnegative_and_homogeneous(self, amounts, rho, lam):
-        base = bucket_risk_position([ws(f"F{i}", a) for i, a in enumerate(amounts)], rho_const(rho), MEDIUM)
-        scaled = bucket_risk_position([ws(f"F{i}", lam * a) for i, a in enumerate(amounts)], rho_const(rho), MEDIUM)
+        base = position([ws(f"F{i}", a) for i, a in enumerate(amounts)], rho_const(rho))
+        scaled = position([ws(f"F{i}", lam * a) for i, a in enumerate(amounts)], rho_const(rho))
         assert base.k_b >= 0.0
         assert scaled.k_b == pytest.approx(lam * base.k_b, rel=1e-12, abs=1e-12)
 
 
 class TestDeltaCharge:
     def test_single_bucket_collapses_to_k_b(self):
-        bucket = bucket_risk_position([ws("A", 250.0)], rho_const(0.0), MEDIUM)
-        assert delta_charge([bucket], gamma_const(0.15), MEDIUM) == pytest.approx(bucket.k_b, rel=REL_TOL)
+        bucket = position([ws("A", 250.0)], rho_const(0.0))
+        assert charge([bucket], gamma_const(0.15)) == pytest.approx(bucket.k_b, rel=REL_TOL)
 
     def test_zero_gamma_gives_root_sum_of_squares(self):
-        b1 = bucket_risk_position([ws("A", 300.0, bucket=6)], rho_const(0.0), MEDIUM)
-        b2 = bucket_risk_position([ws("B", 400.0, bucket=7)], rho_const(0.0), MEDIUM)
-        assert delta_charge([b1, b2], gamma_const(0.0), MEDIUM) == pytest.approx(500.0, rel=REL_TOL)
+        b1 = position([ws("A", 300.0)], rho_const(0.0), bucket=6)
+        b2 = position([ws("B", 400.0)], rho_const(0.0), bucket=7)
+        assert charge([b1, b2], gamma_const(0.0)) == pytest.approx(500.0, rel=REL_TOL)
 
     def test_two_bucket_worked_example(self):
-        b6 = bucket_risk_position([ws("T", 59_500.0, bucket=6)], rho_const(0.0), MEDIUM)
-        b7 = bucket_risk_position([ws("XOM", 440_000.0, bucket=7)], rho_const(0.0), MEDIUM)
+        b6 = position([ws("T", 59_500.0)], rho_const(0.0), bucket=6)
+        b7 = position([ws("XOM", 440_000.0)], rho_const(0.0), bucket=7)
         expected = math.sqrt(440_000.0**2 + 59_500.0**2 + 2 * 0.15 * 440_000.0 * 59_500.0)
-        assert delta_charge([b7, b6], gamma_const(0.15), MEDIUM) == pytest.approx(expected, rel=REL_TOL)
+        assert charge([b7, b6], gamma_const(0.15)) == pytest.approx(expected, rel=REL_TOL)
 
     def test_all_correlations_one_collapses_to_plain_sum(self):
         # rho = gamma = 1 with nonnegative WS makes the quadratic forms perfect
         # squares, so the charge degenerates to the arithmetic total
-        b1 = bucket_risk_position([ws("A", 100.0, bucket=6), ws("B", 50.0, bucket=6)], rho_const(1.0), MEDIUM)
-        b2 = bucket_risk_position([ws("C", 75.0, bucket=7), ws("D", 25.0, bucket=7)], rho_const(1.0), MEDIUM)
-        assert delta_charge([b1, b2], gamma_const(1.0), MEDIUM) == pytest.approx(250.0, rel=REL_TOL)
+        b1 = position([ws("A", 100.0), ws("B", 50.0)], rho_const(1.0), bucket=6)
+        b2 = position([ws("C", 75.0), ws("D", 25.0)], rho_const(1.0), bucket=7)
+        assert charge([b1, b2], gamma_const(1.0)) == pytest.approx(250.0, rel=REL_TOL)
 
     def test_duplicate_bucket_ids_rejected(self):
-        b1 = bucket_risk_position([ws("A", 1.0)], rho_const(0.0), MEDIUM)
-        b2 = bucket_risk_position([ws("B", 2.0)], rho_const(0.0), MEDIUM)
+        b1 = position([ws("A", 1.0)], rho_const(0.0))
+        b2 = position([ws("B", 2.0)], rho_const(0.0))
         with pytest.raises(AggregationError, match="duplicate bucket ids"):
-            delta_charge([b1, b2], gamma_const(0.15), MEDIUM)
+            charge([b1, b2], gamma_const(0.15))
 
     def test_fallback_clamps_net_positions(self):
         # +/+ against -/- with rho 0 and gamma 0.8: S products overwhelm K^2
-        b1 = bucket_risk_position([ws("A1", 100.0, bucket=1), ws("A2", 100.0, bucket=1)], rho_const(0.0), MEDIUM)
-        b2 = bucket_risk_position([ws("B1", -100.0, bucket=2), ws("B2", -100.0, bucket=2)], rho_const(0.0), MEDIUM)
+        b1 = position([ws("A1", 100.0), ws("A2", 100.0)], rho_const(0.0), bucket=1)
+        b2 = position([ws("B1", -100.0), ws("B2", -100.0)], rho_const(0.0), bucket=2)
         k = 100.0 * math.sqrt(2.0)
         unclamped = 2 * k * k + 2 * 0.8 * (200.0 * -200.0)
         assert unclamped < 0  # the configuration really needs the fallback
-        charge = delta_charge([b1, b2], gamma_const(0.8), MEDIUM)
+        clamped = charge([b1, b2], gamma_const(0.8))
         expected = math.sqrt(2 * k * k + 2 * 0.8 * (k * -k))
-        assert charge == pytest.approx(expected, rel=REL_TOL)
+        assert clamped == pytest.approx(expected, rel=REL_TOL)
 
 
 class TestRiskClassDelta:
@@ -203,7 +212,7 @@ class TestRiskClassDelta:
         assert result.charge == pytest.approx(oracle, rel=REL_TOL)
         assert [b.bucket for b in result.buckets] == [6, 7]
         assert not result.fallback_engaged
-        assert result.cross_correlations_used == ((6, 7, 0.15),)
+        assert result.cross_correlations == (CrossCorrelation(6, 7, 0.15),)
 
     def test_positive_homogeneity(self, rb):
         rng = random.Random(99)
@@ -218,6 +227,12 @@ class TestRiskClassDelta:
         assert scaled.charge == pytest.approx(2.0 * base.charge, rel=REL_TOL)
         for b_base, b_scaled in zip(base.buckets, scaled.buckets):
             assert b_scaled.k_b == pytest.approx(2.0 * b_base.k_b, rel=REL_TOL)
+
+    def test_records_are_split_by_bucket(self, rb):
+        # a bucket position takes one bucket's rows; the class aggregation groups records by bucket
+        records = [SensitivityRecord(eq_key("B", bucket=7), 2.0), SensitivityRecord(eq_key("A", bucket=6), 1.0)]
+        result = risk_class_delta(records, rb, MEDIUM)
+        assert [(b.bucket, [f.name for f in b.factors]) for b in result.buckets] == [(6, ["A"]), (7, ["B"])]
 
     def test_empty_records_give_zero_charge(self, rb):
         result = risk_class_delta([], rb, MEDIUM)
@@ -264,40 +279,55 @@ class TestScenarioEnvelope:
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
-        result = scenario_envelope(by_class, rb)
-        totals = {sc: outcome.total for sc, outcome in result.scenarios.items()}
+        total, scenarios = scenario_envelope(by_class, rb)
+        totals = {sc: outcome.total for sc, outcome in scenarios.items()}
         assert len(totals) == 3
-        assert result.total == max(totals.values())
+        assert total == max(totals.values())
 
     def test_high_dominates_for_all_long_book(self, rb, reference_portfolio, market, registry):
         records = collect_sensitivities(reference_portfolio, market, registry, rb)
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
-        result = scenario_envelope(by_class, rb)
-        assert result.total == result.scenarios[CorrelationScenario.HIGH].total
+        total, scenarios = scenario_envelope(by_class, rb)
+        assert total == scenarios[CorrelationScenario.HIGH.value].total
 
     def test_single_factor_class_is_scenario_invariant(self, rb):
         records = {RiskClass.EQUITY: [SensitivityRecord(eq_key("XOM"), 1_000.0)]}
-        result = scenario_envelope(records, rb)
-        totals = {outcome.total for outcome in result.scenarios.values()}
+        _, scenarios = scenario_envelope(records, rb)
+        totals = {outcome.total for outcome in scenarios.values()}
         assert len(totals) == 1
 
     def test_empty_input_gives_zero(self, rb):
-        result = scenario_envelope({}, rb)
-        assert result.total == 0.0
-        assert all(outcome.total == 0.0 for outcome in result.scenarios.values())
+        total, scenarios = scenario_envelope({}, rb)
+        assert total == 0.0
+        assert all(outcome.total == 0.0 for outcome in scenarios.values())
 
     def test_scenario_totals_sum_class_charges(self, rb, reference_portfolio, market, registry):
         records = collect_sensitivities(reference_portfolio, market, registry, rb)
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
-        result = scenario_envelope(by_class, rb)
-        for outcome in result.scenarios.values():
+        _, scenarios = scenario_envelope(by_class, rb)
+        for outcome in scenarios.values():
             assert outcome.total == pytest.approx(
                 math.fsum(c.charge for c in outcome.classes.values()), rel=REL_TOL
             )
+
+
+    def test_each_factor_is_weighted_once_per_run(self, rb, reference_portfolio, market, registry, monkeypatch):
+        netted = collect_sensitivities(reference_portfolio, market, registry, rb)
+        calls = []
+        original = Rulebook.risk_weight
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rulebook, "risk_weight", counting)
+        report = compute_capital(reference_portfolio, market, registry, rb)
+        assert len(report.scenarios) == 3
+        assert len(calls) == len(netted) == 8
 
 
 class TestUniformRhoBucket:
@@ -313,7 +343,7 @@ class TestUniformRhoBucket:
     def test_matches_pairwise_sum(self, amounts, rho):
         records = [SensitivityRecord(eq_key(f"N{i}", bucket=1), a) for i, a in enumerate(amounts)]
         closed = risk_class_delta(records, one_bucket_rulebook(rho), MEDIUM).buckets[0]
-        pairwise = bucket_risk_position([ws(f"N{i}", a, bucket=1) for i, a in enumerate(amounts)], rho_const(rho), MEDIUM)
+        pairwise = position([ws(f"N{i}", a) for i, a in enumerate(amounts)], rho_const(rho), bucket=1)
         assert closed.s_b_net == pairwise.s_b_net
         # Near zero the two forms differ by rounding only: bound that by sum |WS|^2.
         scale = math.fsum(a * a for a in amounts)
@@ -366,7 +396,7 @@ class TestNonFiniteForms:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_pairwise_form(self, bad):
         with pytest.raises(AggregationError, match="equity bucket 7: intra-bucket quadratic form"):
-            bucket_risk_position([ws("A", 1.0), ws("B", bad)], rho_const(0.3), MEDIUM)
+            position([ws("A", 1.0), ws("B", bad)], rho_const(0.3))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_closed_form(self, bad):
@@ -375,10 +405,10 @@ class TestNonFiniteForms:
             risk_class_delta(records, one_bucket_rulebook(0.5), MEDIUM)
 
     def test_cross_bucket_overflow(self):
-        b6 = bucket_risk_position([ws("A", 1e154, bucket=6)], rho_const(0.0), MEDIUM)
-        b7 = bucket_risk_position([ws("B", 1e154, bucket=7)], rho_const(0.0), MEDIUM)
+        b6 = position([ws("A", 1e154)], rho_const(0.0), bucket=6)
+        b7 = position([ws("B", 1e154)], rho_const(0.0), bucket=7)
         with pytest.raises(AggregationError, match=r"equity buckets \[6, 7\]: cross-bucket quadratic form is nan under scenario medium"):
-            delta_charge([b6, b7], gamma_const(0.5), MEDIUM)
+            charge([b6, b7], gamma_const(0.5))
 
     def test_finite_negative_form_still_floors_at_zero(self):
         records = [SensitivityRecord(eq_key(n, bucket=1), 1.0) for n in "ABC"]

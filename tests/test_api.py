@@ -1,0 +1,28 @@
+"""The package's public names and the README's Python API example."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import sbmcap
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    assert sbmcap.__all__
+    for name in sbmcap.__all__:
+        assert getattr(sbmcap, name) is not None, name
+
+
+def test_readme_python_api_snippet_runs_on_the_fixtures(monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    imported = set(re.findall(r"\w+", snippet.split("from sbmcap import", 1)[1].split(")", 1)[0]))
+    assert imported <= set(sbmcap.__all__)
+    monkeypatch.chdir(README.parent)
+    exec(compile(snippet, str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("772695.14")
+    assert "Capital requirement: 772,695.14 USD" in out

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from sbmcap.aggregation import CrossCorrelation
 from sbmcap.engine import (
     ReportFormatError,
     compute_capital,
@@ -104,7 +107,7 @@ class TestComputeCapital:
         assert xom.name == "XOM"
         assert xom.risk_weight == 0.40
         assert xom.weighted_sensitivity == pytest.approx(440_000.0, rel=REL_TOL)
-        assert equity.cross_correlations == ((6, 7, 0.15),)
+        assert equity.cross_correlations == (CrossCorrelation(bucket_b=6, bucket_c=7, gamma=0.15),)
 
 
 @pytest.fixture()
@@ -196,3 +199,81 @@ class TestRendering:
             parse_report("not json at all")
         with pytest.raises(ReportFormatError):
             parse_report('{"some": "object"}')
+
+
+class TestDictForm:
+    def test_parse_puts_scenarios_and_classes_in_enum_order(self, rb, reference_portfolio, market, registry):
+        report = compute_capital(reference_portfolio, market, registry, rb)
+        data = json.loads(render_report(report, "hierarchical"))  # sorted keys: high, low, medium
+        assert list(data["scenarios"]) == ["high", "low", "medium"]
+        parsed = report_from_dict(data)
+        assert list(parsed.scenarios) == ["low", "medium", "high"]
+        assert list(parsed.scenarios["low"].classes) == ["girr", "equity", "fx", "commodity"]
+
+    def test_optional_keys_take_their_defaults(self, rb, equity_portfolio, market, registry):
+        report = compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM)
+        data = report.to_dict()
+        for key in ("as_of", "warnings", "schema_version"):
+            del data[key]
+        parsed = report_from_dict(data)
+        assert (parsed.as_of, parsed.warnings, parsed.schema_version) == (None, (), 1)
+        assert parsed.scenarios == report.scenarios
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("rulebook_version",),
+            ("scenarios", "medium", "risk_classes"),
+            ("scenarios", "medium", "risk_classes", "equity", "cross_correlations"),
+            ("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors", 0, "weighted_sensitivity"),
+        ],
+    )
+    def test_missing_key_is_format_error(self, rb, equity_portfolio, market, registry, path):
+        data = compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM).to_dict()
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        del node[path[-1]]
+        with pytest.raises(ReportFormatError, match=f"'{path[-1]}'"):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("total_capital",), "772695.14"),
+            (("warnings",), "none"),
+            (("scenarios", "medium", "risk_classes", "equity", "fallback_engaged"), 0),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "bucket"), 6.0),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors"), {}),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors", 0, "tenor"), "5y"),
+            (("scenarios", "medium", "risk_classes"), []),
+        ],
+    )
+    def test_wrong_type_is_format_error(self, rb, equity_portfolio, market, registry, path, bad):
+        data = compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM).to_dict()
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = bad
+        with pytest.raises(ReportFormatError, match="not a valid hierarchical capital report: expected"):
+            report_from_dict(data)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenOutput:
+    """The fixture envelope report, byte for byte, in every format."""
+
+    @pytest.fixture(scope="class")
+    def report(self, rb, reference_portfolio, market, registry):
+        return compute_capital(reference_portfolio, market, registry, rb)
+
+    @pytest.mark.parametrize("fmt, suffix", [("hierarchical", "json"), ("tabular", "csv"), ("human", "txt")])
+    def test_rendered_bytes_match_golden(self, report, fmt, suffix):
+        golden = (GOLDEN_DIR / f"fixture_envelope.{suffix}").read_bytes()
+        assert render_report(report, fmt).encode("utf-8") == golden
+
+    def test_parsed_report_renders_the_same_human_text(self, report):
+        text = render_report(report, "hierarchical")
+        assert render_report(parse_report(text), "human") == render_report(report, "human")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -293,6 +294,16 @@ class TestValuation:
             Bond(notional=100.0, coupon_rate=0.0, maturity=-1.0, frequency=1, currency="USD")
         with pytest.raises(PortfolioParseError, match="frequency"):
             Bond(notional=100.0, coupon_rate=0.0, maturity=1.0, frequency=3, currency="USD")
+
+    def test_nan_maturity_rejected(self):
+        # A NaN maturity used to give an empty cash-flow list: a bond worth 0 with no GIRR delta.
+        with pytest.raises(PortfolioParseError, match="^bond maturity must be a finite number, got nan$"):
+            Bond(notional=1e6, coupon_rate=0.05, maturity=math.nan, frequency=1, currency="USD")
+
+    def test_infinite_maturity_rejected(self):
+        # Rejected at construction, before cash_flows() could loop without end.
+        with pytest.raises(PortfolioParseError, match="^bond maturity must be a finite number, got inf$"):
+            Bond(notional=1e6, coupon_rate=0.05, maturity=math.inf, frequency=1, currency="USD")
 
     def test_unsorted_curve_rejected(self):
         with pytest.raises(MarketDataError, match="strictly increasing"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmcap import sensitivities
 from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
     Bond,
@@ -27,16 +28,15 @@ from sbmcap.portfolio import (
 from sbmcap.rulebook import RiskClass
 from sbmcap.sensitivities import (
     GIRR_BUMP,
+    REL_BUMP,
     RiskFactorKey,
     SensitivityError,
     SensitivityRecord,
     collect_sensitivities,
     collect_with_warnings,
-    commodity_delta,
-    equity_delta,
-    fx_delta,
     girr_deltas,
     net_records,
+    spot_delta,
     tent_bumped_curve,
 )
 
@@ -64,50 +64,73 @@ def whole_curve_girr_deltas(bond, md, grid):
 class TestSpotDeltas:
     def test_equity_delta_recovers_position_value(self, market):
         # 10,000 XOM shares at 110: delta is the 1,100,000 position value.
-        rec = equity_delta(CashEquity("XOM", 10_000), market, bucket=7)
+        rec = spot_delta(CashEquity("XOM", 10_000), market, bucket=7)
         assert rec.key == RiskFactorKey(RiskClass.EQUITY, 7, "XOM")
         assert rec.value == pytest.approx(1_100_000.0, rel=REL_TOL)
         assert round(rec.value, 2) == 1_100_000.00
 
     def test_equity_delta_att(self, market):
-        rec = equity_delta(CashEquity("T", 10_000), market, bucket=6)
+        rec = spot_delta(CashEquity("T", 10_000), market, bucket=6)
         assert rec.value == pytest.approx(170_000.0, rel=REL_TOL)
         assert round(rec.value, 2) == 170_000.00
 
     def test_fx_deltas(self, market):
-        eur = fx_delta(FXPosition("EUR", 100_000), market, bucket=1)
+        eur = spot_delta(FXPosition("EUR", 100_000), market, bucket=1)
         assert eur.key == RiskFactorKey(RiskClass.FX, 1, "EUR")
         assert eur.value == pytest.approx(110_000.0, rel=REL_TOL)
-        jpy = fx_delta(FXPosition("JPY", 10_000_000), market, bucket=2)
+        jpy = spot_delta(FXPosition("JPY", 10_000_000), market, bucket=2)
         assert jpy.value == pytest.approx(91_000.0, rel=REL_TOL)
 
     def test_commodity_deltas(self, market):
-        gold = commodity_delta(CommodityFuture("gold", 600, "oz"), market, bucket=7)
+        gold = spot_delta(CommodityFuture("gold", 600, "oz"), market, bucket=7)
         assert gold.value == pytest.approx(1_200_000.0, rel=REL_TOL)
-        crude = commodity_delta(CommodityFuture("crude_oil", 2_000, "bbl"), market, bucket=2)
+        crude = spot_delta(CommodityFuture("crude_oil", 2_000, "bbl"), market, bucket=2)
         assert crude.value == pytest.approx(160_000.0, rel=REL_TOL)
 
     def test_short_position_gives_negative_delta(self, market):
-        rec = equity_delta(CashEquity("T", -5_000), market, bucket=6)
+        rec = spot_delta(CashEquity("T", -5_000), market, bucket=6)
         assert rec.value == pytest.approx(-85_000.0, rel=REL_TOL)
 
     def test_delta_scales_with_position(self, market):
-        one = equity_delta(CashEquity("MSFT", 1_000), market, bucket=8).value
-        three = equity_delta(CashEquity("MSFT", 3_000), market, bucket=8).value
+        one = spot_delta(CashEquity("MSFT", 1_000), market, bucket=8).value
+        three = spot_delta(CashEquity("MSFT", 3_000), market, bucket=8).value
         assert three == pytest.approx(3.0 * one, rel=REL_TOL)
 
     def test_linear_bump_identity_for_all_spot_types(self, market):
         # For linear instruments the relative bump reproduces value() itself.
         instruments = [
-            (CashEquity("XOM", 10_000), equity_delta, 7),
-            (CashEquity("T", 10_000), equity_delta, 6),
-            (FXPosition("EUR", 100_000), fx_delta, 1),
-            (FXPosition("JPY", 10_000_000), fx_delta, 2),
-            (CommodityFuture("gold", 600, "oz"), commodity_delta, 7),
-            (CommodityFuture("crude_oil", 2_000, "bbl"), commodity_delta, 2),
+            (CashEquity("XOM", 10_000), 7),
+            (CashEquity("T", 10_000), 6),
+            (FXPosition("EUR", 100_000), 1),
+            (FXPosition("JPY", 10_000_000), 2),
+            (CommodityFuture("gold", 600, "oz"), 7),
+            (CommodityFuture("crude_oil", 2_000, "bbl"), 2),
         ]
-        for instr, fn, bucket in instruments:
-            assert fn(instr, market, bucket).value == pytest.approx(value(instr, market), rel=1e-9)
+        for instr, bucket in instruments:
+            assert spot_delta(instr, market, bucket).value == pytest.approx(value(instr, market), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "instr, quotes, name",
+        [
+            (CashEquity("XOM", 10_000), "equity_prices", "XOM"),
+            (FXPosition("EUR", 100_000), "fx_spots", "EUR"),
+            (CommodityFuture("gold", 600, "oz"), "commodity_prices", "gold"),
+        ],
+    )
+    def test_bumped_snapshot_holds_only_the_bumped_quote(self, market, monkeypatch, instr, quotes, name):
+        seen = []
+
+        def recording(instr, md):
+            seen.append(md)
+            return value(instr, md)
+
+        monkeypatch.setattr(sensitivities, "value", recording)
+        spot_delta(instr, market, bucket=1)
+        base, bumped = seen
+        assert base is market
+        assert getattr(bumped, quotes) == {name: getattr(market, quotes)[name] * (1.0 + REL_BUMP)}
+        others = {"equity_prices", "fx_spots", "commodity_prices"} - {quotes}
+        assert all(getattr(bumped, other) == getattr(market, other) for other in others)
 
 
 class TestGirrDeltas:
