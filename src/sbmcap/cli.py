@@ -16,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import harness
 from .aggregation import AggregationError
 from .engine import REPORT_FORMATS, compute_capital, render_report
 from .portfolio import PortfolioError, load_market_data, load_portfolio, load_registry
@@ -68,9 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score candidate extraction answers against a case set")
     score.add_argument("--cases", required=True, help="reference case set (from gen-cases)")
     score.add_argument("--candidate", required=True, help="candidate answers JSON")
-    score.add_argument("--weight-tol", type=float, default=harness.Tolerances.weight_tol)
-    score.add_argument("--corr-tol", type=float, default=harness.Tolerances.corr_tol)
-    score.add_argument("--mcr-rel-tol", type=float, default=harness.Tolerances.mcr_rel_tol)
+    # None stands for the harness.Tolerances default, filled in by _cmd_score,
+    # so that building the parser does not import the harness.
+    score.add_argument("--weight-tol", type=float, default=None)
+    score.add_argument("--corr-tol", type=float, default=None)
+    score.add_argument("--mcr-rel-tol", type=float, default=None)
     score.add_argument("--format", default="human", choices=["human", "hierarchical"])
     score.add_argument("--out", default=None)
 
@@ -117,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_RULEBOOK_INVALID
-    except (RulebookError, PortfolioError, SensitivityError, AggregationError, harness.HarnessError, OSError) as exc:
+    except (RulebookError, PortfolioError, SensitivityError, AggregationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -127,12 +128,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_compute(args)
     if args.command == "validate-rulebook":
         return _cmd_validate(args)
-    if args.command == "score":
-        return _cmd_score(args)
-    if args.command == "gen-cases":
-        return _cmd_gen_cases(args)
-    if args.command == "render-prompt":
-        return _cmd_render_prompt(args)
+    if args.command in _HARNESS_COMMANDS:
+        from . import harness
+
+        try:
+            return _HARNESS_COMMANDS[args.command](args)
+        except harness.HarnessError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     if args.command == "dump-sensitivities":
         return _cmd_dump_sensitivities(args)
     raise _UsageError(f"sbmcap: unknown command {args.command!r}")
@@ -161,15 +164,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from . import harness
+
     case_set = harness.load_cases(args.cases)
     candidate = harness.load_candidate(args.candidate)
-    tolerances = harness.Tolerances(weight_tol=args.weight_tol, corr_tol=args.corr_tol, mcr_rel_tol=args.mcr_rel_tol)
+    given = {"weight_tol": args.weight_tol, "corr_tol": args.corr_tol, "mcr_rel_tol": args.mcr_rel_tol}
+    tolerances = harness.Tolerances(**{name: tol for name, tol in given.items() if tol is not None})
     report = harness.score_extraction(candidate, case_set, tolerances)
     _emit(harness.render_score_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_gen_cases(args: argparse.Namespace) -> int:
+    from . import harness
+
     rb = load_rulebook(args.rulebook)
     md = load_market_data(args.market)
     registry = load_registry(args.registry)
@@ -184,6 +192,8 @@ def _cmd_gen_cases(args: argparse.Namespace) -> int:
 
 
 def _cmd_render_prompt(args: argparse.Namespace) -> int:
+    from . import harness
+
     try:
         data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -193,6 +203,10 @@ def _cmd_render_prompt(args: argparse.Namespace) -> int:
     spec = harness.prompt_spec_from_dict(data)
     _emit(harness.render_prompt(spec), args.out)
     return EXIT_OK
+
+
+# The commands that use the harness: only these import it.
+_HARNESS_COMMANDS = {"score": _cmd_score, "gen-cases": _cmd_gen_cases, "render-prompt": _cmd_render_prompt}
 
 
 def _cmd_dump_sensitivities(args: argparse.Namespace) -> int:

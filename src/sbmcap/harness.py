@@ -308,29 +308,56 @@ def generate_cases(
     if n <= 0:
         raise HarnessError("case count must be positive")
     rng = random.Random(seed)
+    pools = _case_pools(rb, md, registry)
     order = tuple(RiskClass)
     width = max(3, len(str(n)))
     cases = []
     for i in range(1, n + 1):
         risk_class = order[(i - 1) % len(order)]
         case_id = f"case-{i:0{width}d}"
-        cases.append(_generate_case(case_id, risk_class, rng, rb, md, registry, scenario))
+        cases.append(_generate_case(case_id, risk_class, pools[risk_class], rng, rb, md, registry, scenario))
     return CaseSet(seed=seed, n=n, scenario=scenario, cases=tuple(cases))
+
+
+# Raised when a class's pool has fewer than the two entries a case draws.
+_SHORT_POOL = {
+    RiskClass.GIRR: "need at least two grid tenors inside the curve to build GIRR cases",
+    RiskClass.EQUITY: "need at least two priced issuers to build equity cases",
+    RiskClass.FX: "need at least two quoted currencies to build FX cases",
+    RiskClass.COMMODITY: "need at least two priced commodities to build commodity cases",
+}
+
+
+def _case_pools(rb: Rulebook, md: MarketData, registry: dict[str, IssuerInfo]) -> dict[RiskClass, list]:
+    """What a case of each class draws its two factors from, in a fixed order.
+
+    Equity: registered issuers with a price; FX and commodity: quoted names
+    some bucket covers; GIRR: grid tenors inside the curve.
+    """
+    fx_covered = {ccy for b in rb.buckets_for(RiskClass.FX) for ccy in b.currencies}
+    commodity_covered = {cid for b in rb.buckets_for(RiskClass.COMMODITY) for cid in b.commodities}
+    curve_max = md.zero_curve.tenors[-1] if md.zero_curve.tenors else 0.0
+    return {
+        RiskClass.GIRR: [t for t in rb.tenor_grid if t <= curve_max],
+        RiskClass.EQUITY: sorted(i for i in registry if i in md.equity_prices),
+        RiskClass.FX: sorted(c for c in md.fx_spots if c in fx_covered),
+        RiskClass.COMMODITY: sorted(c for c in md.commodity_prices if c in commodity_covered),
+    }
 
 
 def _generate_case(
     case_id: str,
     risk_class: RiskClass,
+    pool: list,
     rng: random.Random,
     rb: Rulebook,
     md: MarketData,
     registry: dict[str, IssuerInfo],
     scenario: CorrelationScenario,
 ) -> Case:
+    if len(pool) < 2:
+        raise HarnessError(_SHORT_POOL[risk_class])
     if risk_class is RiskClass.EQUITY:
-        pool = sorted(i for i in registry if i in md.equity_prices)
-        if len(pool) < 2:
-            raise HarnessError("need at least two priced issuers to build equity cases")
         first, second = rng.sample(pool, 2)
         positions: tuple[Instrument, ...] = (
             CashEquity(issuer_id=first, shares=100 * rng.randint(1, 200)),
@@ -341,10 +368,6 @@ def _generate_case(
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
     elif risk_class is RiskClass.FX:
-        covered = {ccy for b in rb.buckets_for(RiskClass.FX) for ccy in b.currencies}
-        pool = sorted(c for c in md.fx_spots if c in covered)
-        if len(pool) < 2:
-            raise HarnessError("need at least two quoted currencies to build FX cases")
         first, second = rng.sample(pool, 2)
         positions = (
             FXPosition(foreign_currency=first, signed_notional=10_000 * rng.randint(1, 100)),
@@ -355,10 +378,6 @@ def _generate_case(
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
     elif risk_class is RiskClass.COMMODITY:
-        covered = {cid for b in rb.buckets_for(RiskClass.COMMODITY) for cid in b.commodities}
-        pool = sorted(c for c in md.commodity_prices if c in covered)
-        if len(pool) < 2:
-            raise HarnessError("need at least two priced commodities to build commodity cases")
         first, second = rng.sample(pool, 2)
         positions = (
             CommodityFuture(commodity_id=first, quantity=rng.randint(1, 500), unit="lot"),
@@ -369,10 +388,6 @@ def _generate_case(
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
     else:
-        curve_max = md.zero_curve.tenors[-1] if md.zero_curve.tenors else 0.0
-        pool = [t for t in rb.tenor_grid if t <= curve_max]
-        if len(pool) < 2:
-            raise HarnessError("need at least two grid tenors inside the curve to build GIRR cases")
         t_1, t_2 = rng.sample(pool, 2)
         ccy = md.reporting_currency
         # Zero-coupon bonds maturing on grid tenors load exactly one tenor each.

@@ -433,6 +433,19 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
 
 
 def _validate(rb: Rulebook, violations: list[str]) -> None:
+    # Range checks pass NaN (every comparison with it is false) and some pass
+    # infinities, so non-finite parameters are named first.
+    rules, tenor = rb.scenario_rules, rb.girr_tenor_params
+    parameters = [(f"tenor_grid[{i}]", t) for i, t in enumerate(rb.tenor_grid)] + [
+        ("girr_tenor_params.theta", tenor.theta),
+        ("girr_tenor_params.floor", tenor.floor),
+        ("scenario_rules.high.scale", rules.high_scale),
+        ("scenario_rules.high.cap", rules.high_cap),
+        ("scenario_rules.low.scale", rules.low_scale),
+        ("scenario_rules.low.affine_scale", rules.low_affine_scale),
+        ("scenario_rules.low.affine_shift", rules.low_affine_shift),
+    ]
+    violations.extend(f"{name} must be a finite number, got {v!r}" for name, v in parameters if not math.isfinite(v))
     if not rb.tenor_grid:
         violations.append("tenor_grid must be non-empty")
     if any(t <= 0 for t in rb.tenor_grid):

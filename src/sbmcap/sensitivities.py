@@ -25,7 +25,15 @@ For linear spot instruments the relative bump recovers the position value:
 10,000 XOM shares at 110 give s = 1,100,000, the position's dollar value.
 
 A spot revaluation reads only the bumped quote, so the bumped snapshot holds
-that quote alone.
+that quote alone. ``collect_sensitivities`` classifies, keys and bumps each
+distinct quote once per call and revalues every position that reads it
+against that one snapshot. This is exact: a spot position's bucket and
+factor depend only on its quote, and each position is still revalued on its
+own, so every per-position delta and every netted sum is the same to the bit
+as with one bump per position.
+
+A NaN or infinite delta (from non-finite inputs passed in through the API;
+the loaders reject them) fails its position at the valuation stage.
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .portfolio import (
     Bond,
     CashEquity,
     CommodityFuture,
     FXPosition,
-    Instrument,
     IssuerInfo,
     MarketData,
     MarketDataError,
@@ -105,28 +113,44 @@ class SensitivityRecord:
     value: float
 
 
-# Per spot type: risk class, the attribute naming its quote, the MarketData
-# getter that reads the quote, and the MarketData field that holds it.
-_SPOT_QUOTES = {
-    CashEquity: (RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
-    FXPosition: (RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
-    CommodityFuture: (RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
+class _SpotType(NamedTuple):
+    risk_class: RiskClass
+    name_attr: str  # the instrument attribute naming its quote
+    getter: str  # the MarketData method that reads the quote
+    quotes: str  # the MarketData field that holds it
+
+
+_SPOT_TYPES = {
+    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
+    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
+    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
 }
 
 
-def spot_delta(instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, bucket: int) -> SensitivityRecord:
-    """Delta to the one spot quote a position reads, from a 1% relative bump.
+def spot_quote(
+    instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, bucket: int
+) -> tuple[RiskFactorKey, MarketData]:
+    """Factor key of the one spot quote a position reads, and the snapshot with it bumped by 1%.
 
     The quote is the issuer's equity price, the foreign currency's FX spot
     against the reporting currency, or the commodity price; the factor is
-    named after it.
+    named after it. The bumped snapshot holds that quote alone.
     """
-    risk_class, name_attr, getter, quotes = _SPOT_QUOTES[type(instr)]
+    risk_class, name_attr, getter, quotes = _SPOT_TYPES[type(instr)]
     name = getattr(instr, name_attr)
+    bumped = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
+    return RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), bumped
+
+
+def spot_delta(
+    instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, key: RiskFactorKey, bumped: MarketData
+) -> SensitivityRecord:
+    """Delta to a position's spot quote: [V(bumped) - V(md)] / 1%, as factor ``key``.
+
+    ``key`` and ``bumped`` are what ``spot_quote`` returns for the position's quote.
+    """
     base = value(instr, md)
-    bumped_md = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
-    s = (value(instr, bumped_md) - base) / REL_BUMP
-    return SensitivityRecord(key=RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), value=s)
+    return SensitivityRecord(key=key, value=(value(instr, bumped) - base) / REL_BUMP)
 
 
 def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: int) -> list[SensitivityRecord]:
@@ -213,32 +237,76 @@ def collect_sensitivities(
     """All delta sensitivities of a portfolio, netted per risk factor.
 
     Every position is attempted; failures are gathered and raised together as
-    a SensitivityError tagged with position index and stage.
+    a SensitivityError tagged with position index and stage. Each distinct
+    spot quote is classified and bumped once (see the module docstring).
     """
     raw: list[SensitivityRecord] = []
     issues: list[InstrumentIssue] = []
+    # (instrument type, quote name) -> factor key and bumped snapshot, or the
+    # issue the first position reading that quote raised.
+    quotes: dict[tuple[type, str], tuple[RiskFactorKey, MarketData] | InstrumentIssue] = {}
     for index, instr in enumerate(p.positions):
         stage = "classification"
         try:
-            if isinstance(instr, (CashEquity, CommodityFuture)):
-                bucket = assign_bucket(instr, registry, rb)
+            spot = _SPOT_TYPES.get(type(instr))
+            if spot is not None:
+                quote_id = (type(instr), getattr(instr, spot.name_attr))
+                quote = quotes.get(quote_id)
+                if quote is None:
+                    quote = quotes[quote_id] = _resolve_quote(index, instr, md, registry, rb)
+                if isinstance(quote, InstrumentIssue):
+                    issues.append(InstrumentIssue(index, quote.stage, quote.message))
+                    continue
                 stage = "valuation"
-                raw.append(spot_delta(instr, md, bucket))
-            elif isinstance(instr, FXPosition):
-                bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
-                stage = "valuation"
-                raw.append(spot_delta(instr, md, bucket))
+                records = [spot_delta(instr, md, *quote)]
             elif isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
                 stage = "valuation"
-                raw.extend(girr_deltas(instr, md, rb.tenor_grid, bucket))
+                records = girr_deltas(instr, md, rb.tenor_grid, bucket)
             else:
                 issues.append(InstrumentIssue(index, "classification", f"unsupported type {type(instr).__name__}"))
+                continue
         except (PortfolioError, RulebookError, ValueError) as exc:
             issues.append(InstrumentIssue(index, stage, str(exc)))
+            continue
+        for rec in records:
+            if not math.isfinite(rec.value):
+                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(rec)))
+                break
+        else:
+            raw.extend(records)
     if issues:
         raise SensitivityError(issues)
     return net_records(raw)
+
+
+def _resolve_quote(
+    index: int,
+    instr: CashEquity | FXPosition | CommodityFuture,
+    md: MarketData,
+    registry: dict[str, IssuerInfo],
+    rb: Rulebook,
+) -> tuple[RiskFactorKey, MarketData] | InstrumentIssue:
+    # Bucket, factor key and bumped snapshot of the quote a spot position
+    # reads, or the issue of position ``index`` if classifying or bumping fails.
+    stage = "classification"
+    try:
+        if isinstance(instr, FXPosition):
+            bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
+        else:
+            bucket = assign_bucket(instr, registry, rb)
+        stage = "valuation"
+        return spot_quote(instr, md, bucket)
+    except (PortfolioError, RulebookError, ValueError) as exc:
+        return InstrumentIssue(index, stage, str(exc))
+
+
+def _non_finite_message(rec: SensitivityRecord) -> str:
+    tenor = f" at tenor {rec.key.tenor:g}" if rec.key.tenor is not None else ""
+    return (
+        f"{rec.key.risk_class.value} delta to {rec.key.name}{tenor} is {rec.value!r}; "
+        "a quantity, price or rate of this position is not finite or too large"
+    )
 
 
 def collect_with_warnings(

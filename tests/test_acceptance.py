@@ -56,6 +56,7 @@ from sbmcap.sensitivities import (
     girr_deltas,
     net_records,
     spot_delta,
+    spot_quote,
 )
 
 MEDIUM = CorrelationScenario.MEDIUM
@@ -231,7 +232,7 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
             else:
                 bucket = assign_bucket(instr, registry, rb)
-            rec = spot_delta(instr, market, bucket)
+            rec = spot_delta(instr, market, *spot_quote(instr, market, bucket))
             assert rec.value == pytest.approx(value(instr, market), rel=1e-9)
             spots += 1
         assert spots == 6 and bonds == 2

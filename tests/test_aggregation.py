@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -388,10 +387,16 @@ class TestUniformRhoBucket:
 class TestNonFiniteForms:
     """A NaN or infinite quadratic form raises; it is never floored to zero."""
 
-    def test_nan_equity_price_raises_naming_bucket_and_scenario(self, rb, reference_portfolio, market, registry):
-        md = replace(market, equity_prices={**market.equity_prices, "XOM": math.nan})
+    def test_nan_sensitivity_raises_naming_bucket_and_scenario(self, rb, reference_portfolio, market, registry):
+        # compute_capital stops a NaN price at the position (see test_sensitivities);
+        # records handed to the aggregation directly still meet this guard.
+        by_class: dict = {}
+        for rec in collect_sensitivities(reference_portfolio, market, registry, rb):
+            if rec.key.name == "XOM":
+                rec = SensitivityRecord(rec.key, math.nan)
+            by_class.setdefault(rec.key.risk_class, []).append(rec)
         with pytest.raises(AggregationError, match=r"^equity bucket 7: intra-bucket quadratic form is nan under scenario low"):
-            compute_capital(reference_portfolio, md, registry, rb)
+            scenario_envelope(by_class, rb)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_pairwise_form(self, bad):

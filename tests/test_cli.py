@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,17 @@ def paths(fixtures_dir):
 
 def market_args(paths):
     return ["--rulebook", paths["rulebook"], "--market", paths["market"], "--registry", paths["registry"]]
+
+
+def test_importing_the_cli_does_not_load_the_harness():
+    # Only score, gen-cases and render-prompt need the harness; compute does not pay for it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import json, sys, sbmcap.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('sbmcap'))))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "sbmcap.cli" in loaded
+    assert "sbmcap.harness" not in loaded
 
 
 class TestHelp:
@@ -149,6 +163,22 @@ class TestValidateRulebook:
         assert code == 2
         assert "rulebook validation failed" in err
         assert "asymmetric" in err
+
+    def test_non_finite_parameters_exit_two_naming_the_fields(self, paths, capsys, tmp_path):
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        data["scenario_rules"]["high"]["scale"] = float("nan")
+        data["girr_tenor_params"]["theta"] = float("inf")
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(data))  # written as NaN and Infinity
+        code = main(["validate-rulebook", "--rulebook", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "rulebook validation failed:\n"
+            "  - girr_tenor_params.theta must be a finite number, got inf\n"
+            "  - scenario_rules.high.scale must be a finite number, got nan\n"
+        )
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,9 @@ class TestPromptRendering:
             assert header in text
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
 @pytest.fixture(scope="module")
 def case_set(rb, market, registry):
     return generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
@@ -137,6 +141,17 @@ class TestCaseGeneration:
     def test_dict_round_trip_preserves_scenario(self, rb, market, registry):
         cs = generate_cases(seed=3, n=4, rb=rb, md=market, registry=registry, scenario=CorrelationScenario.HIGH)
         assert case_set_from_dict(cs.to_dict()) == cs
+
+    def test_case_set_matches_golden(self, rb, market, registry):
+        # Pins the order of the RNG draws, and so every generated case.
+        golden = json.loads((GOLDEN_DIR / "cases_seed7_n8.json").read_text(encoding="utf-8"))
+        assert generate_cases(seed=7, n=8, rb=rb, md=market, registry=registry).to_dict() == golden
+
+    def test_short_pool_fails_at_the_first_case_of_its_class(self, rb, market, registry):
+        md = dataclasses.replace(market, equity_prices={"XOM": market.equity_prices["XOM"]})
+        assert len(generate_cases(seed=1, n=1, rb=rb, md=md, registry=registry).cases) == 1  # one GIRR case
+        with pytest.raises(HarnessError, match="^need at least two priced issuers to build equity cases$"):
+            generate_cases(seed=1, n=2, rb=rb, md=md, registry=registry)
 
     def test_nonpositive_n_rejected(self, rb, market, registry):
         with pytest.raises(HarnessError, match="positive"):

@@ -273,6 +273,30 @@ class TestValidation:
         rb = rulebook_from_dict(data)
         assert rb.cross_correlation(RiskClass.EQUITY, 1, 2) == 0.2
 
+    def test_non_finite_parameters_rejected_naming_each_field(self):
+        data = self._base()
+        data["scenario_rules"] = {"high": {"scale": math.nan}, "low": {"affine_shift": -math.inf}}
+        data["girr_tenor_params"] = {"theta": math.inf}
+        data["tenor_grid"] = [1.0, math.nan]
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations[:4] == [
+            "tenor_grid[1] must be a finite number, got nan",
+            "girr_tenor_params.theta must be a finite number, got inf",
+            "scenario_rules.high.scale must be a finite number, got nan",
+            "scenario_rules.low.affine_shift must be a finite number, got -inf",
+        ]
+
+    @pytest.mark.parametrize(
+        "section, key", [("high", "scale"), ("high", "cap"), ("low", "scale"), ("low", "affine_scale"), ("low", "affine_shift")]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_each_non_finite_scenario_rule_rejected(self, section, key, bad):
+        data = self._base()
+        data["scenario_rules"] = {section: {key: bad}}
+        with pytest.raises(RulebookValidationError, match=rf"scenario_rules\.{section}\.{key} must be a finite number"):
+            rulebook_from_dict(data)
+
     def test_percent_style_weight_rejected(self):
         data = self._base()
         data["buckets"][1]["risk_weight"] = 40.0

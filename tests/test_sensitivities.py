@@ -7,7 +7,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sbmcap import sensitivities
@@ -25,7 +25,7 @@ from sbmcap.portfolio import (
     ZeroCurve,
     value,
 )
-from sbmcap.rulebook import RiskClass
+from sbmcap.rulebook import RiskClass, rulebook_from_dict
 from sbmcap.sensitivities import (
     GIRR_BUMP,
     REL_BUMP,
@@ -37,6 +37,7 @@ from sbmcap.sensitivities import (
     girr_deltas,
     net_records,
     spot_delta,
+    spot_quote,
     tent_bumped_curve,
 )
 
@@ -45,6 +46,11 @@ REL_TOL = 1e-12
 # Pillars off the standard grid, and a curve that ends (20y) before the grid does (30y).
 OFF_GRID_CURVE = ZeroCurve((0.1, 0.75, 4.0, 7.0, 12.5, 25.0, 40.0), (0.021, 0.025, 0.031, 0.034, 0.037, 0.041, 0.039))
 SHORT_CURVE = ZeroCurve((0.5, 1.0, 2.0, 5.0, 10.0, 20.0), (0.045, 0.043, 0.04, 0.038, 0.039, 0.041))
+
+
+def delta(instr, md, bucket):
+    """Spot delta of one position, on its own quote's key and bumped snapshot."""
+    return spot_delta(instr, md, *spot_quote(instr, md, bucket))
 
 
 def whole_curve_girr_deltas(bond, md, grid):
@@ -64,36 +70,36 @@ def whole_curve_girr_deltas(bond, md, grid):
 class TestSpotDeltas:
     def test_equity_delta_recovers_position_value(self, market):
         # 10,000 XOM shares at 110: delta is the 1,100,000 position value.
-        rec = spot_delta(CashEquity("XOM", 10_000), market, bucket=7)
+        rec = delta(CashEquity("XOM", 10_000), market, bucket=7)
         assert rec.key == RiskFactorKey(RiskClass.EQUITY, 7, "XOM")
         assert rec.value == pytest.approx(1_100_000.0, rel=REL_TOL)
         assert round(rec.value, 2) == 1_100_000.00
 
     def test_equity_delta_att(self, market):
-        rec = spot_delta(CashEquity("T", 10_000), market, bucket=6)
+        rec = delta(CashEquity("T", 10_000), market, bucket=6)
         assert rec.value == pytest.approx(170_000.0, rel=REL_TOL)
         assert round(rec.value, 2) == 170_000.00
 
     def test_fx_deltas(self, market):
-        eur = spot_delta(FXPosition("EUR", 100_000), market, bucket=1)
+        eur = delta(FXPosition("EUR", 100_000), market, bucket=1)
         assert eur.key == RiskFactorKey(RiskClass.FX, 1, "EUR")
         assert eur.value == pytest.approx(110_000.0, rel=REL_TOL)
-        jpy = spot_delta(FXPosition("JPY", 10_000_000), market, bucket=2)
+        jpy = delta(FXPosition("JPY", 10_000_000), market, bucket=2)
         assert jpy.value == pytest.approx(91_000.0, rel=REL_TOL)
 
     def test_commodity_deltas(self, market):
-        gold = spot_delta(CommodityFuture("gold", 600, "oz"), market, bucket=7)
+        gold = delta(CommodityFuture("gold", 600, "oz"), market, bucket=7)
         assert gold.value == pytest.approx(1_200_000.0, rel=REL_TOL)
-        crude = spot_delta(CommodityFuture("crude_oil", 2_000, "bbl"), market, bucket=2)
+        crude = delta(CommodityFuture("crude_oil", 2_000, "bbl"), market, bucket=2)
         assert crude.value == pytest.approx(160_000.0, rel=REL_TOL)
 
     def test_short_position_gives_negative_delta(self, market):
-        rec = spot_delta(CashEquity("T", -5_000), market, bucket=6)
+        rec = delta(CashEquity("T", -5_000), market, bucket=6)
         assert rec.value == pytest.approx(-85_000.0, rel=REL_TOL)
 
     def test_delta_scales_with_position(self, market):
-        one = spot_delta(CashEquity("MSFT", 1_000), market, bucket=8).value
-        three = spot_delta(CashEquity("MSFT", 3_000), market, bucket=8).value
+        one = delta(CashEquity("MSFT", 1_000), market, bucket=8).value
+        three = delta(CashEquity("MSFT", 3_000), market, bucket=8).value
         assert three == pytest.approx(3.0 * one, rel=REL_TOL)
 
     def test_linear_bump_identity_for_all_spot_types(self, market):
@@ -107,7 +113,7 @@ class TestSpotDeltas:
             (CommodityFuture("crude_oil", 2_000, "bbl"), 2),
         ]
         for instr, bucket in instruments:
-            assert spot_delta(instr, market, bucket).value == pytest.approx(value(instr, market), rel=1e-9)
+            assert delta(instr, market, bucket).value == pytest.approx(value(instr, market), rel=1e-9)
 
     @pytest.mark.parametrize(
         "instr, quotes, name",
@@ -125,7 +131,7 @@ class TestSpotDeltas:
             return value(instr, md)
 
         monkeypatch.setattr(sensitivities, "value", recording)
-        spot_delta(instr, market, bucket=1)
+        delta(instr, market, bucket=1)
         base, bumped = seen
         assert base is market
         assert getattr(bumped, quotes) == {name: getattr(market, quotes)[name] * (1.0 + REL_BUMP)}
@@ -363,3 +369,157 @@ class TestCollectAndNet:
         netted = net_records(records)
         assert [r.key for r in netted] == [key_a, key_b, key_g]
         assert netted[1].value == 6.0
+
+
+# Repeated names in every spot class, plus bonds: 13 positions on 6 spot quotes.
+REPEATED_NAMES = (
+    CashEquity("XOM", 10_000),
+    FXPosition("EUR", 100_000),
+    CashEquity("T", -5_000),
+    CashEquity("XOM", -4_000),
+    CommodityFuture("gold", 600, "oz"),
+    Bond(notional=1e6, coupon_rate=0.03, maturity=7.3, frequency=2, currency="USD"),
+    CashEquity("MSFT", 1_000),
+    FXPosition("EUR", -30_000),
+    CashEquity("XOM", 2_500),
+    CommodityFuture("crude_oil", 2_000, "bbl"),
+    CommodityFuture("gold", -250, "oz"),
+    Bond(notional=-4e5, coupon_rate=0.0, maturity=5.0, frequency=1, currency="USD"),
+    CashEquity("T", 1_200),
+)
+
+
+def without_equity_residual(rb):
+    """The rulebook with its equity residual bucket (and that bucket's correlations) removed."""
+    data = rb.to_dict()
+    residual = next(b for b in data["buckets"] if b["risk_class"] == "equity" and b.get("residual"))
+    data["buckets"].remove(residual)
+    data["intra_correlations"]["equity"].pop(str(residual["id"]), None)
+    pairs = data["cross_correlations"]["equity"].get("pairs", [])
+    data["cross_correlations"]["equity"]["pairs"] = [p for p in pairs if residual["id"] not in (p["b"], p["c"])]
+    return rulebook_from_dict(data)
+
+
+class TestPerQuoteResolution:
+    """collect_sensitivities classifies and bumps each distinct spot quote once."""
+
+    def test_each_quote_classified_and_bumped_once_each_position_valued_twice(self, monkeypatch, market, registry, rb):
+        counts = {"assign_bucket": 0, "spot_quote": 0, "value": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(sensitivities, name, counting(name, getattr(sensitivities, name)))
+        collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
+        spot = [instr for instr in REPEATED_NAMES if not isinstance(instr, Bond)]
+        # Equities XOM, T, MSFT and commodities gold, crude_oil go through
+        # assign_bucket; EUR is classified by its currency.
+        assert counts == {"assign_bucket": 5, "spot_quote": 6, "value": 2 * len(spot)}
+
+    def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
+        # An issuer id may spell a currency code; its equity price is another quote.
+        registry = {**registry, "EUR": IssuerInfo("EUR", "energy", "advanced", "large")}
+        md = replace(market, equity_prices={**market.equity_prices, "EUR": 10.0})
+        positions = (FXPosition("EUR", 100_000), CashEquity("EUR", 1_000))
+        records = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
+        assert [(r.key.risk_class, r.value) for r in records] == [
+            (RiskClass.EQUITY, pytest.approx(10_000.0, rel=REL_TOL)),
+            (RiskClass.FX, pytest.approx(110_000.0, rel=REL_TOL)),
+        ]
+
+    def test_repeated_quotes_give_the_same_deltas_as_positions_on_their_own(self, market, registry, rb):
+        together = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
+        alone = [rec for instr in REPEATED_NAMES for rec in collect_sensitivities(Portfolio((instr,)), market, registry, rb)]
+        assert together == net_records(alone)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(order=st.permutations(REPEATED_NAMES))
+    def test_capital_is_bit_identical_under_reordering(self, market, registry, rb, order):
+        # fsum makes each factor's net sum independent of the order of its terms.
+        expected = compute_capital(Portfolio(positions=REPEATED_NAMES), market, registry, rb).total_capital
+        assert compute_capital(Portfolio(positions=tuple(order)), market, registry, rb).total_capital == expected
+
+    @pytest.mark.parametrize(
+        "unclassifiable, message",
+        [
+            (CashEquity("NOBUCKET", 100),
+             "issuer 'NOBUCKET' (advanced/large/crypto) matches no equity bucket, and the rulebook has no equity residual bucket"),
+            (FXPosition("XYZ", 100), "no fx bucket covers currency 'XYZ'"),
+        ],
+    )
+    def test_unclassifiable_quote_fails_every_position_holding_it(self, market, registry, rb, unclassifiable, message):
+        registry = {**registry, "NOBUCKET": IssuerInfo("NOBUCKET", "crypto", "advanced", "large")}
+        positions = (unclassifiable, CashEquity("XOM", 10), unclassifiable, unclassifiable)
+        with pytest.raises(SensitivityError) as excinfo:
+            collect_sensitivities(Portfolio(positions=positions), market, registry, without_equity_residual(rb))
+        issues = [(i.index, i.stage, i.message) for i in excinfo.value.issues]
+        assert issues == [(i, "classification", message) for i in (0, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "unquoted",
+        [CashEquity("NOPRICE", 100), FXPosition("CHF", 1_000), CommodityFuture("silver", 5, "oz")],
+    )
+    def test_missing_quote_fails_each_position_at_valuation_with_the_value_message(self, market, registry, rb, unquoted):
+        registry = {**registry, "NOPRICE": IssuerInfo("NOPRICE", "energy", "advanced", "large")}
+        md = replace(market, fx_spots={k: v for k, v in market.fx_spots.items() if k != "CHF"},
+                     commodity_prices={k: v for k, v in market.commodity_prices.items() if k != "silver"})
+        with pytest.raises(MarketDataError) as from_value:
+            value(unquoted, md)
+        with pytest.raises(SensitivityError) as excinfo:
+            collect_sensitivities(Portfolio(positions=(unquoted, CashEquity("XOM", 10), unquoted)), md, registry, rb)
+        issues = [(i.index, i.stage, i.message) for i in excinfo.value.issues]
+        assert issues == [(0, "valuation", str(from_value.value)), (2, "valuation", str(from_value.value))]
+
+    def test_residual_warning_once_in_first_seen_order(self, market, registry, rb):
+        md = replace(market, equity_prices={**market.equity_prices, "ACME": 50.0, "ZETA": 20.0})
+        positions = (CashEquity("ZETA", 1), CashEquity("ACME", 1), CashEquity("ZETA", 2), CashEquity("ACME", 3))
+        _, messages = collect_with_warnings(Portfolio(positions=positions), md, registry, rb)
+        assert messages == (
+            "issuer 'ZETA' not in registry; assigned to residual bucket 11",
+            "issuer 'ACME' not in registry; assigned to residual bucket 11",
+        )
+
+
+class TestNonFiniteDeltas:
+    """A NaN or infinite delta fails its position at valuation, naming its index.
+
+    API callers skip the loaders, which reject these values in files.
+    """
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (CashEquity("XOM", math.nan), "equity delta to XOM is nan"),
+            (FXPosition("EUR", math.inf), "fx delta to EUR is nan"),
+            (Bond(notional=math.nan, coupon_rate=0.02, maturity=5.0, frequency=1, currency="USD"),
+             "girr delta to USD at tenor 1 is nan"),
+        ],
+    )
+    def test_non_finite_quantity(self, reference_portfolio, market, registry, rb, bad, message):
+        positions = (*reference_portfolio.positions[:3], bad, *reference_portfolio.positions[3:])
+        with pytest.raises(SensitivityError) as excinfo:
+            compute_capital(Portfolio(positions=positions), market, registry, rb)
+        [issue] = excinfo.value.issues
+        assert (issue.index, issue.stage) == (3, "valuation")
+        assert issue.message == f"{message}; a quantity, price or rate of this position is not finite or too large"
+
+    def test_nan_price_fails_every_position_reading_it(self, reference_portfolio, market, registry, rb):
+        md = replace(market, equity_prices={**market.equity_prices, "XOM": math.nan})
+        positions = (*reference_portfolio.positions, CashEquity("XOM", -2_000))
+        xom = [i for i, instr in enumerate(positions) if getattr(instr, "issuer_id", None) == "XOM"]
+        with pytest.raises(SensitivityError) as excinfo:
+            compute_capital(Portfolio(positions=positions), md, registry, rb)
+        assert [(i.index, i.stage) for i in excinfo.value.issues] == [(i, "valuation") for i in xom]
+        assert len(xom) == 2
+
+    def test_nan_curve_rate_fails_the_bond(self, market, registry, rb):
+        curve = market.zero_curve
+        md = replace(market, zero_curve=ZeroCurve(curve.tenors, (math.nan, *curve.rates[1:])))
+        bond = Bond(notional=100.0, coupon_rate=0.0, maturity=0.1, frequency=1, currency="USD")
+        with pytest.raises(SensitivityError) as excinfo:
+            collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond)), md, registry, rb)
+        assert [(i.index, i.stage) for i in excinfo.value.issues] == [(1, "valuation")]
