@@ -195,7 +195,8 @@ def compute_capital(
 def render_report(report: CapitalReport, fmt: str = "hierarchical") -> str:
     """Render a report; 'hierarchical' is lossless and machine-parseable."""
     if fmt == "hierarchical":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        # allow_nan=False: a last guard, since compute_capital raises before any NaN reaches a report.
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "tabular":
         return _render_tabular(report)
     if fmt == "human":

@@ -143,6 +143,9 @@ class ZeroCurve:
     def __post_init__(self) -> None:
         if len(self.tenors) != len(self.rates):
             raise MarketDataError("zero curve tenors and rates differ in length")
+        if not all(math.isfinite(t) for t in self.tenors):
+            # A NaN pillar compares false both ways, so the ordering check below would pass it.
+            raise MarketDataError(f"zero curve tenors must be finite numbers, got {self.tenors}")
         if any(a >= b for a, b in zip(self.tenors, self.tenors[1:])):
             raise MarketDataError("zero curve tenors must be strictly increasing")
 

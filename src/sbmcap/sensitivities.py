@@ -21,6 +21,12 @@ approximation: the flows left out would add exactly 0 to V(z + tent) - V(z).
 ``tent_bumped_curve`` keeps the whole-curve definition of the bump, which
 the tests revalue against.
 
+``collect_sensitivities`` builds one knot table per call, at its first bond
+(``_GirrKernel``). So a cash flow costs one binary search and at most three
+discount factors, and its deltas are the same to the bit as with a curve
+lookup per flow. Each GIRR factor key is built once per call, when a bond
+first loads its tenor; ``net_records`` hashes each distinct key object once.
+
 For linear spot instruments the relative bump recovers the position value:
 10,000 XOM shares at 110 give s = 1,100,000, the position's dollar value.
 
@@ -41,7 +47,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -73,6 +78,18 @@ class SensitivityError(Exception):
         self.issues = tuple(issues)
         lines = ", ".join(str(i) for i in self.issues)
         super().__init__(f"{len(self.issues)} position(s) failed: {lines}")
+
+
+class FactorOverflowError(SensitivityError):
+    """The deltas of one risk factor sum past the float range; no single position failed."""
+
+    def __init__(self, key: "RiskFactorKey"):
+        self.key = key
+        self.issues = ()
+        Exception.__init__(
+            self, f"net {_factor_label(key)} in bucket {key.bucket} overflows the float range; "
+            "the positions on this factor are too large"
+        )
 
 
 @dataclass(frozen=True)
@@ -160,42 +177,79 @@ def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: in
     tenors the bond has no exposure to are dropped. Each cash flow is
     revalued only under the tents that cover it (see the module docstring).
     """
-    if instr.currency != md.reporting_currency:
-        raise MarketDataError(
-            f"bond denominated in {instr.currency}, but only the {md.reporting_currency} curve is available"
-        )
-    curve = md.zero_curve
-    terms: dict[int, list[float]] = defaultdict(list)
-    for t, amount in instr.cash_flows():
-        z = curve.rate(t)
-        # Bumped PV minus base PV, flow by flow: for a zero-coupon bond this is
-        # V(z + tent) - V(z) to the last bit.
-        pv = amount * (1.0 + z) ** -t
-        for i, w in _covering_tents(grid, t):
-            terms[i].append(amount * (1.0 + (z + GIRR_BUMP * w)) ** -t - pv)
-    records: list[SensitivityRecord] = []
-    for i in sorted(terms):
-        s = math.fsum(terms[i]) / GIRR_BUMP
-        if s == 0.0:
-            continue
-        key = RiskFactorKey(risk_class=RiskClass.GIRR, bucket=bucket, name=instr.currency, tenor=grid[i])
-        records.append(SensitivityRecord(key=key, value=s))
-    return records
+    return _GirrKernel(md, grid).deltas(instr, bucket)
 
 
-def _covering_tents(grid: tuple[float, ...], t: float) -> tuple[tuple[int, float], ...]:
-    # (grid index, tent weight) of the tents that are non-zero at t: the one
-    # end tenor at or beyond a grid end or on a grid tenor, else the two grid
-    # tenors either side of t. Same weights as _tent_weight.
-    if t <= grid[0]:
-        return ((0, 1.0),)
-    if t >= grid[-1]:
-        return ((len(grid) - 1, 1.0),)
-    i = bisect.bisect_right(grid, t)
-    lo, hi = grid[i - 1], grid[i]
-    if t == lo:
-        return ((i - 1, 1.0),)
-    return ((i - 1, (hi - t) / (hi - lo)), (i, (t - lo) / (hi - lo)))
+class _GirrKernel:
+    """Knot table of one curve and grid, and the GIRR factor keys handed out so far.
+
+    The knots are the sorted union of the curve pillars and the grid tenors.
+    Row k serves knots[k-1] <= t < knots[k] (row 0 all t below the first
+    knot, the last row all t from the last knot on). There the curve is one
+    segment (t0, r0, r1 - r0, t1 - t0), and the same tents cover t: the grid
+    tenors either side (i - 1, i, lo, hi, hi - lo), or one end tent (i, None,
+    ...). z(t) and the tent weights are the expressions of ``ZeroCurve.rate``
+    and of the tent with the same operands in the same order. Flows at or
+    outside the first and last pillars call ``curve.rate``, which warns on
+    extrapolation.
+    """
+
+    def __init__(self, md: MarketData, grid: tuple[float, ...]):
+        self.currency = md.reporting_currency
+        self.curve = curve = md.zero_curve
+        self.grid = grid
+        tenors, rates = curve.tenors, curve.rates
+        # An empty curve has no inside; its rate() raises for every flow.
+        self.first, self.last = (tenors[0], tenors[-1]) if tenors else (math.inf, -math.inf)
+        self.knots = sorted(set(tenors) | set(grid))
+        self.rows: list[tuple] = []
+        for start in (-math.inf, *self.knots):
+            segment: tuple = (None, None, None, None)
+            if self.first <= start < self.last:
+                j = bisect.bisect_right(tenors, start)
+                segment = (tenors[j - 1], rates[j - 1], rates[j] - rates[j - 1], tenors[j] - tenors[j - 1])
+            if start < grid[0]:
+                tents: tuple = (0, None, None, None, None)
+            elif start >= grid[-1]:
+                tents = (len(grid) - 1, None, None, None, None)
+            else:
+                i = bisect.bisect_right(grid, start)
+                tents = (i - 1, i, grid[i - 1], grid[i], grid[i] - grid[i - 1])
+            self.rows.append(segment + tents)
+        # bucket -> factor key per grid position, each built on first use.
+        self.keys: dict[int, list[RiskFactorKey | None]] = {}
+
+    def deltas(self, instr: Bond, bucket: int) -> list[SensitivityRecord]:
+        if instr.currency != self.currency:
+            raise MarketDataError(
+                f"bond denominated in {instr.currency}, but only the {self.currency} curve is available"
+            )
+        knots, rows, first, last = self.knots, self.rows, self.first, self.last
+        terms: list[list[float]] = [[] for _ in self.grid]
+        for t, amount in instr.cash_flows():
+            t0, r0, dr, dt, a, b, lo, hi, width = rows[bisect.bisect_right(knots, t)]
+            z = r0 + dr * (t - t0) / dt if first < t < last else self.curve.rate(t)
+            # Bumped PV minus base PV, flow by flow: for a zero-coupon bond this is
+            # V(z + tent) - V(z) to the last bit.
+            pv = amount * (1.0 + z) ** -t
+            if b is None or t == lo:
+                terms[a].append(amount * (1.0 + (z + GIRR_BUMP)) ** -t - pv)
+            else:
+                terms[a].append(amount * (1.0 + (z + GIRR_BUMP * ((hi - t) / width))) ** -t - pv)
+                terms[b].append(amount * (1.0 + (z + GIRR_BUMP * ((t - lo) / width))) ** -t - pv)
+        keys = self.keys.get(bucket)
+        if keys is None:
+            keys = self.keys[bucket] = [None] * len(self.grid)
+        records: list[SensitivityRecord] = []
+        for i, parts in enumerate(terms):
+            s = math.fsum(parts) / GIRR_BUMP
+            if s == 0.0:
+                continue
+            key = keys[i]
+            if key is None:
+                key = keys[i] = RiskFactorKey(RiskClass.GIRR, bucket, self.currency, self.grid[i])
+            records.append(SensitivityRecord(key=key, value=s))
+        return records
 
 
 def tent_bumped_curve(curve: ZeroCurve, grid: tuple[float, ...], tenor: float, size: float) -> ZeroCurve:
@@ -245,6 +299,7 @@ def collect_sensitivities(
     # (instrument type, quote name) -> factor key and bumped snapshot, or the
     # issue the first position reading that quote raised.
     quotes: dict[tuple[type, str], tuple[RiskFactorKey, MarketData] | InstrumentIssue] = {}
+    girr: _GirrKernel | None = None  # built when the first bond is seen
     for index, instr in enumerate(p.positions):
         stage = "classification"
         try:
@@ -262,7 +317,9 @@ def collect_sensitivities(
             elif isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
                 stage = "valuation"
-                records = girr_deltas(instr, md, rb.tenor_grid, bucket)
+                if girr is None:
+                    girr = _GirrKernel(md, rb.tenor_grid)
+                records = girr.deltas(instr, bucket)
             else:
                 issues.append(InstrumentIssue(index, "classification", f"unsupported type {type(instr).__name__}"))
                 continue
@@ -302,11 +359,15 @@ def _resolve_quote(
 
 
 def _non_finite_message(rec: SensitivityRecord) -> str:
-    tenor = f" at tenor {rec.key.tenor:g}" if rec.key.tenor is not None else ""
     return (
-        f"{rec.key.risk_class.value} delta to {rec.key.name}{tenor} is {rec.value!r}; "
+        f"{_factor_label(rec.key)} is {rec.value!r}; "
         "a quantity, price or rate of this position is not finite or too large"
     )
+
+
+def _factor_label(key: RiskFactorKey) -> str:
+    tenor = f" at tenor {key.tenor:g}" if key.tenor is not None else ""
+    return f"{key.risk_class.value} delta to {key.name}{tenor}"
 
 
 def collect_with_warnings(
@@ -327,10 +388,29 @@ def collect_with_warnings(
 
 
 def net_records(records: list[SensitivityRecord]) -> list[SensitivityRecord]:
-    """Sum sensitivities that share a risk factor key, deterministically ordered."""
-    grouped: dict[RiskFactorKey, list[float]] = defaultdict(list)
+    """Sum sensitivities that share a risk factor key, deterministically ordered.
+
+    Records are grouped by key object first, since the records of one call
+    share them; equal keys held by distinct objects then merge. Raises
+    FactorOverflowError if a factor's deltas sum past the float range.
+    """
+    by_object: dict[int, list] = {}  # id(key) -> [key, value, value, ...]
     for rec in records:
-        grouped[rec.key].append(rec.value)
-    netted = [SensitivityRecord(key=key, value=math.fsum(values)) for key, values in grouped.items()]
+        group = by_object.get(id(rec.key))
+        if group is None:
+            by_object[id(rec.key)] = [rec.key, rec.value]
+        else:
+            group.append(rec.value)
+    grouped: dict[RiskFactorKey, list[float]] = {}
+    for key, *values in by_object.values():
+        grouped.setdefault(key, []).extend(values)
+    netted = [SensitivityRecord(key=key, value=_net(key, values)) for key, values in grouped.items()]
     netted.sort(key=lambda rec: rec.key.sort_key())
     return netted
+
+
+def _net(key: RiskFactorKey, values: list[float]) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise FactorOverflowError(key) from None

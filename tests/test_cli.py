@@ -136,6 +136,20 @@ class TestCompute:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: equity_prices['XOM'] must be a finite number, got nan\n"
 
+    def test_netting_overflow_is_input_error_naming_the_factor(self, paths, capsys, tmp_path):
+        # Each position's delta (1.1e308) is finite; their net sum is not.
+        header = Path(paths["portfolio"]).read_text(encoding="utf-8").splitlines()[0]
+        book = tmp_path / "overflow.csv"
+        book.write_text(f"{header}\n" + "equity,XOM,1e306,,,,,,+\n" * 2, encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: net equity delta to XOM in bucket 7 overflows the float range; "
+            "the positions on this factor are too large\n"
+        )
+
     def test_missing_portfolio_file_is_input_error(self, paths, capsys):
         code = main(["compute", *market_args(paths), "--portfolio", "/nonexistent/p.csv"])
         err = capsys.readouterr().err

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import math
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from sbmcap.engine import (
     render_report,
     report_from_dict,
 )
-from sbmcap.portfolio import CashEquity, IssuerInfo, MarketData, Portfolio
+from sbmcap.portfolio import Bond, CashEquity, IssuerInfo, MarketData, Portfolio, ZeroCurve
 from sbmcap.rulebook import CorrelationScenario, RiskClass, rulebook_from_dict
 from sbmcap.sensitivities import SensitivityError
 
@@ -277,3 +279,43 @@ class TestGoldenOutput:
     def test_parsed_report_renders_the_same_human_text(self, report):
         text = render_report(report, "hierarchical")
         assert render_report(parse_report(text), "human") == render_report(report, "human")
+
+    def test_nan_in_a_report_fails_to_render_instead_of_emitting_nan(self, report):
+        data = report.to_dict()
+        data["scenarios"]["medium"]["risk_classes"]["equity"]["buckets"][0]["k_b"] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report(report_from_dict(data), "hierarchical")
+
+
+# Pillars off the standard grid: the first (0.4y) above the first grid tenor,
+# the last (25y) below the last one, so flows past 25y extrapolate and warn.
+BOND_BOOK_CURVE = ZeroCurve(
+    (0.4, 0.8, 1.5, 2.5, 4.0, 6.5, 9.0, 13.0, 18.0, 25.0),
+    (0.0291, 0.0302, 0.0318, 0.0329, 0.0341, 0.0353, 0.0366, 0.0379, 0.0391, 0.0402),
+)
+
+
+def bond_book() -> Portfolio:
+    """30 seeded coupon bonds at off-grid maturities, 3 of them beyond the last pillar."""
+    rng = random.Random(6)
+    bonds = []
+    for j in range(30):
+        maturity = rng.uniform(25.5, 34.0) if j % 8 == 7 else rng.uniform(0.3, 24.0)
+        bonds.append(Bond(
+            notional=rng.choice((1.0, 1.0, -1.0)) * round(rng.uniform(1e5, 5e6), -3),
+            coupon_rate=round(rng.uniform(0.0, 0.07), 4),
+            maturity=round(maturity, 3),
+            frequency=(1, 2, 4)[j % 3],
+            currency="USD",
+        ))
+    return Portfolio(positions=tuple(bonds))
+
+
+class TestBondBookGolden:
+    """A multi-bond book's envelope report, byte for byte: netted GIRR deltas and extrapolation warnings."""
+
+    def test_rendered_bytes_match_golden(self, rb, market, registry):
+        md = replace(market, zero_curve=BOND_BOOK_CURVE)
+        report = compute_capital(bond_book(), md, registry, rb)
+        golden = (GOLDEN_DIR / "bond_book_envelope.json").read_bytes()
+        assert render_report(report, "hierarchical").encode("utf-8") == golden

@@ -309,6 +309,12 @@ class TestValuation:
         with pytest.raises(MarketDataError, match="strictly increasing"):
             ZeroCurve((5.0, 1.0), (0.03, 0.03))
 
+    @pytest.mark.parametrize("tenors", [(0.5, math.nan, 10.0), (math.nan, 1.0, 10.0), (0.5, 1.0, math.inf)])
+    def test_non_finite_curve_tenor_rejected(self, tenors):
+        # API callers skip the loader's finiteness check; a NaN pillar would pass the ordering check.
+        with pytest.raises(MarketDataError, match="^zero curve tenors must be finite numbers"):
+            ZeroCurve(tenors, (0.03, 0.035, 0.04))
+
 
 class TestBucketAssignment:
     @pytest.mark.parametrize(

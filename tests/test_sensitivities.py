@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -46,6 +48,10 @@ REL_TOL = 1e-12
 # Pillars off the standard grid, and a curve that ends (20y) before the grid does (30y).
 OFF_GRID_CURVE = ZeroCurve((0.1, 0.75, 4.0, 7.0, 12.5, 25.0, 40.0), (0.021, 0.025, 0.031, 0.034, 0.037, 0.041, 0.039))
 SHORT_CURVE = ZeroCurve((0.5, 1.0, 2.0, 5.0, 10.0, 20.0), (0.045, 0.043, 0.04, 0.038, 0.039, 0.041))
+# The fixture rulebook's tenor grid; the fixture curve's pillars are the same tenors.
+FIXTURE_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0, 20.0, 30.0)
+# A grid whose tenors and spacings are not exact binary fractions.
+ODD_GRID = (0.3, 0.7, 1.1, 2.9, 4.3, 7.7, 11.3, 17.9, 26.1)
 
 
 def delta(instr, md, bucket):
@@ -65,6 +71,53 @@ def whole_curve_girr_deltas(bond, md, grid):
             if s != 0.0:
                 out[tenor] = s
     return out
+
+
+def per_flow_girr_deltas(bond, md, grid, bucket):
+    """Oracle: the per-flow kernel, with a ZeroCurve.rate call and a grid bisect for each cash flow."""
+    curve = md.zero_curve
+    terms = defaultdict(list)
+    for t, amount in bond.cash_flows():
+        z = curve.rate(t)
+        pv = amount * (1.0 + z) ** -t
+        for i, w in covering_tents(grid, t):
+            terms[i].append(amount * (1.0 + (z + GIRR_BUMP * w)) ** -t - pv)
+    records = []
+    for i in sorted(terms):
+        s = math.fsum(terms[i]) / GIRR_BUMP
+        if s != 0.0:
+            records.append(SensitivityRecord(RiskFactorKey(RiskClass.GIRR, bucket, bond.currency, grid[i]), s))
+    return records
+
+
+def covering_tents(grid, t):
+    """(grid index, tent weight) of the tents that are non-zero at t.
+
+    The one end tenor at or beyond a grid end or on a grid tenor, else the two
+    grid tenors either side of t.
+    """
+    if t <= grid[0]:
+        return ((0, 1.0),)
+    if t >= grid[-1]:
+        return ((len(grid) - 1, 1.0),)
+    i = bisect.bisect_right(grid, t)
+    lo, hi = grid[i - 1], grid[i]
+    if t == lo:
+        return ((i - 1, 1.0),)
+    return ((i - 1, (hi - t) / (hi - lo)), (i, (t - lo) / (hi - lo)))
+
+
+def bits(records):
+    """Records as (key, exact float bits), so that equal means equal to the last bit."""
+    return [(rec.key, rec.value.hex()) for rec in records]
+
+
+def warned(fn, *args):
+    """fn(*args) and the messages of every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
 
 
 class TestSpotDeltas:
@@ -255,6 +308,54 @@ class TestGirrDeltas:
         assert got == whole_curve_girr_deltas(bond, market, rb.tenor_grid)
         assert len(got) == 1
 
+    # Maturities on every pillar and grid tenor, so that flows land exactly on
+    # them (5y annual: 5, 4, 3, 2, 1), below every curve's first pillar and
+    # beyond every curve's last one, plus arbitrary ones.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bonds=st.lists(
+            st.builds(
+                Bond,
+                notional=st.one_of(st.floats(min_value=1e3, max_value=1e8), st.floats(min_value=-1e8, max_value=-1e3)),
+                coupon_rate=st.floats(min_value=0.0, max_value=0.08),
+                maturity=st.one_of(
+                    st.sampled_from(sorted({*FIXTURE_GRID, *ODD_GRID, *OFF_GRID_CURVE.tenors, *SHORT_CURVE.tenors})),
+                    st.sampled_from((0.05, 0.07, 32.5, 41.0, 45.0)),
+                    st.floats(min_value=0.05, max_value=45.0),
+                ),
+                frequency=st.sampled_from((1, 2, 4)),
+                currency=st.just("USD"),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        curve=st.sampled_from(("fixture", "off_grid", "short")),
+        # Or the same pillars at arbitrary rates, negative ones included.
+        rates=st.none() | st.lists(st.floats(min_value=-0.01, max_value=0.08), min_size=10, max_size=10),
+        odd_grid=st.booleans(),
+    )
+    def test_matches_the_per_flow_kernel_bit_for_bit(self, rb, registry, market, bonds, curve, rates, odd_grid):
+        assert rb.tenor_grid == FIXTURE_GRID == market.zero_curve.tenors
+        md = {"fixture": market, "off_grid": replace(market, zero_curve=OFF_GRID_CURVE),
+              "short": replace(market, zero_curve=SHORT_CURVE)}[curve]
+        if rates is not None:
+            tenors = md.zero_curve.tenors
+            md = replace(md, zero_curve=ZeroCurve(tenors, tuple(rates[: len(tenors)])))
+        if odd_grid:
+            rb = replace(rb, tenor_grid=ODD_GRID)
+        expected_records, expected_warnings = [], []
+        for bond in bonds:
+            expected, expected_warned = warned(per_flow_girr_deltas, bond, md, rb.tenor_grid, 1)
+            got, got_warned = warned(girr_deltas, bond, md, rb.tenor_grid, 1)
+            assert bits(got) == bits(expected)
+            assert got_warned == expected_warned
+            expected_records += expected
+            expected_warnings += expected_warned
+        # One knot table and one set of factor keys shared by all the bonds of a call.
+        records, messages = collect_with_warnings(Portfolio(positions=tuple(bonds)), md, registry, rb)
+        assert bits(records) == bits(net_records(expected_records))
+        assert messages == tuple(dict.fromkeys(expected_warnings))
+
     def test_foreign_bond_fails_at_valuation_with_the_value_message(self, rb, registry, market):
         # USD has a GIRR bucket, so classification passes; the EUR snapshot has no USD curve.
         md = replace(market, reporting_currency="EUR")
@@ -369,6 +470,14 @@ class TestCollectAndNet:
         netted = net_records(records)
         assert [r.key for r in netted] == [key_a, key_b, key_g]
         assert netted[1].value == 6.0
+
+    def test_equal_keys_held_by_distinct_objects_net_into_one_factor(self):
+        keys = [RiskFactorKey(RiskClass.GIRR, 1, "USD", tenor=5.0) for _ in range(3)]
+        assert keys[0] is not keys[1]
+        xom = RiskFactorKey(RiskClass.EQUITY, 7, "XOM")
+        records = [SensitivityRecord(key, value) for key, value in zip(keys, (1.0, 2.0, 4.0))]
+        netted = net_records([*records, SensitivityRecord(xom, 5.0)])
+        assert netted == [SensitivityRecord(xom, 5.0), SensitivityRecord(keys[2], 7.0)]
 
 
 # Repeated names in every spot class, plus bonds: 13 positions on 6 spot quotes.
