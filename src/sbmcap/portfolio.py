@@ -34,6 +34,10 @@ CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity",
 # Cash flows closer to valuation than this are treated as already paid.
 _TIME_EPS = 1e-9
 
+# Longest bond maturity accepted, in years (ten century bonds). Beyond about 2.3e15,
+# stepping back one coupon period no longer changes t and cash_flows() never ends.
+MAX_MATURITY = 1_000.0
+
 
 class PortfolioError(Exception):
     """Base class for portfolio problems."""
@@ -76,6 +80,8 @@ class Bond:
             raise PortfolioParseError(f"bond maturity must be a finite number, got {self.maturity}")
         if self.maturity <= 0:
             raise PortfolioParseError(f"bond maturity must be positive, got {self.maturity}")
+        if self.maturity > MAX_MATURITY:
+            raise PortfolioParseError(f"bond maturity must be at most {MAX_MATURITY:g} years, got {self.maturity}")
         if self.frequency not in (1, 2, 4):
             raise PortfolioParseError(f"bond frequency must be 1, 2 or 4, got {self.frequency}")
 
@@ -193,9 +199,9 @@ class MarketData:
             raise MarketDataError(f"no equity price for issuer {issuer_id!r}") from None
 
     def fx_spot(self, currency: str) -> float:
-        """Price of one unit of ``currency`` in the reporting currency."""
+        """Price of one unit of ``currency`` in the reporting currency, which itself has no FX quote."""
         if currency == self.reporting_currency:
-            return 1.0
+            raise MarketDataError("FX position must be against a non-reporting currency")
         try:
             return self.fx_spots[currency]
         except KeyError:
@@ -219,8 +225,6 @@ def value(instr: Instrument, md: MarketData) -> float:
     if isinstance(instr, CashEquity):
         return instr.shares * md.equity_price(instr.issuer_id)
     if isinstance(instr, FXPosition):
-        if instr.foreign_currency == md.reporting_currency:
-            raise MarketDataError("FX position must be against a non-reporting currency")
         return instr.signed_notional * md.fx_spot(instr.foreign_currency)
     if isinstance(instr, CommodityFuture):
         return instr.quantity * md.commodity_price(instr.commodity_id)

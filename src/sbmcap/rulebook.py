@@ -11,6 +11,7 @@ January 2016 (bis.org/bcbs/publ/d352.pdf), delta risk only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -493,6 +494,22 @@ def _validate(rb: Rulebook, violations: list[str]) -> None:
                 violations.append(f"cross correlation pair references unknown {rc.value} bucket {ref}")
         if not -1.0 <= value <= 1.0:
             violations.append(f"cross correlation for {rc.value} buckets ({b_id},{c_id}) outside [-1, 1]: {value}")
+
+    # Completeness: a rho for every bucket that can hold two names, a gamma for every pair of buckets in a class.
+    # GIRR tenors correlate by formula; an FX bucket holds two names only if it lists two currencies.
+    for b in rb.buckets:
+        if b.risk_class is RiskClass.GIRR or (b.risk_class, b.bucket_id) in rb.correlations.intra:
+            continue
+        if b.risk_class is not RiskClass.FX or len(b.currencies) > 1:
+            violations.append(f"{b.risk_class.value} bucket {b.bucket_id}: no intra-bucket correlation tabulated")
+    pairs = rb.correlations.cross_pairs
+    for rc in (rc for rc in RiskClass if rc not in rb.correlations.cross_default):
+        ids = sorted({b.bucket_id for b in rb.buckets_for(rc)})
+        violations.extend(
+            f"{rc.value} buckets ({b_id}, {c_id}): no cross-bucket correlation, and no class default"
+            for b_id, c_id in itertools.combinations(ids, 2)
+            if (rc, b_id, c_id) not in pairs and (rc, c_id, b_id) not in pairs
+        )
 
     if not 0.0 < rb.girr_tenor_params.floor < 1.0:
         violations.append(f"girr tenor floor {rb.girr_tenor_params.floor} outside (0, 1)")

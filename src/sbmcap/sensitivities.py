@@ -25,18 +25,16 @@ the tests revalue against.
 (``_GirrKernel``). So a cash flow costs one binary search and at most three
 discount factors, and its deltas are the same to the bit as with a curve
 lookup per flow. Each GIRR factor key is built once per call, when a bond
-first loads its tenor; ``net_records`` hashes each distinct key object once.
+first loads its tenor.
 
-For linear spot instruments the relative bump recovers the position value:
-10,000 XOM shares at 110 give s = 1,100,000, the position's dollar value.
-
-A spot revaluation reads only the bumped quote, so the bumped snapshot holds
-that quote alone. ``collect_sensitivities`` classifies, keys and bumps each
-distinct quote once per call and revalues every position that reads it
-against that one snapshot. This is exact: a spot position's bucket and
-factor depend only on its quote, and each position is still revalued on its
-own, so every per-position delta and every netted sum is the same to the bit
-as with one bump per position.
+A linear spot position is worth its quantity q times its one quote x, so its
+delta is (q * 1.01 x - q * x) / 0.01 (10,000 XOM shares at 110 give
+1,100,000, the position's value): the products ``value`` computes, on the
+same operands, so the same to the bit as revaluing against a bumped
+snapshot. ``collect_sensitivities`` classifies, keys and reads each distinct
+quote once per call; a position then costs one float, not a snapshot and a
+record. All deltas, bond tenor deltas included, go into one list per factor,
+netted by one exactly rounded ``fsum``, so term order does not change a sum.
 
 A NaN or infinite delta (from non-finite inputs passed in through the API;
 the loaders reject them) fails its position at the valuation stage.
@@ -47,8 +45,8 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .portfolio import (
     Bond,
@@ -62,7 +60,6 @@ from .portfolio import (
     PortfolioError,
     ZeroCurve,
     assign_bucket,
-    value,
 )
 from .rulebook import RiskClass, Rulebook, RulebookError
 
@@ -120,9 +117,6 @@ class RiskFactorKey:
         if (self.tenor is not None) != (self.risk_class is RiskClass.GIRR):
             raise ValueError("tenor must be set for GIRR factors and only for GIRR factors")
 
-    def sort_key(self) -> tuple[str, int, str, float]:
-        return (self.risk_class.value, self.bucket, self.name, self.tenor if self.tenor is not None else -1.0)
-
 
 @dataclass(frozen=True)
 class SensitivityRecord:
@@ -133,41 +127,15 @@ class SensitivityRecord:
 class _SpotType(NamedTuple):
     risk_class: RiskClass
     name_attr: str  # the instrument attribute naming its quote
+    quantity_attr: str  # the instrument attribute the quote is multiplied by
     getter: str  # the MarketData method that reads the quote
-    quotes: str  # the MarketData field that holds it
 
 
 _SPOT_TYPES = {
-    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
-    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
-    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
+    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "shares", "equity_price"),
+    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "signed_notional", "fx_spot"),
+    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "quantity", "commodity_price"),
 }
-
-
-def spot_quote(
-    instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, bucket: int
-) -> tuple[RiskFactorKey, MarketData]:
-    """Factor key of the one spot quote a position reads, and the snapshot with it bumped by 1%.
-
-    The quote is the issuer's equity price, the foreign currency's FX spot
-    against the reporting currency, or the commodity price; the factor is
-    named after it. The bumped snapshot holds that quote alone.
-    """
-    risk_class, name_attr, getter, quotes = _SPOT_TYPES[type(instr)]
-    name = getattr(instr, name_attr)
-    bumped = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
-    return RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), bumped
-
-
-def spot_delta(
-    instr: CashEquity | FXPosition | CommodityFuture, md: MarketData, key: RiskFactorKey, bumped: MarketData
-) -> SensitivityRecord:
-    """Delta to a position's spot quote: [V(bumped) - V(md)] / 1%, as factor ``key``.
-
-    ``key`` and ``bumped`` are what ``spot_quote`` returns for the position's quote.
-    """
-    base = value(instr, md)
-    return SensitivityRecord(key=key, value=(value(instr, bumped) - base) / REL_BUMP)
 
 
 def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: int) -> list[SensitivityRecord]:
@@ -292,75 +260,91 @@ def collect_sensitivities(
 
     Every position is attempted; failures are gathered and raised together as
     a SensitivityError tagged with position index and stage. Each distinct
-    spot quote is classified and bumped once (see the module docstring).
+    spot quote is classified, keyed and bumped once (see the module docstring).
     """
-    raw: list[SensitivityRecord] = []
     issues: list[InstrumentIssue] = []
-    # (instrument type, quote name) -> factor key and bumped snapshot, or the
-    # issue the first position reading that quote raised.
-    quotes: dict[tuple[type, str], tuple[RiskFactorKey, MarketData] | InstrumentIssue] = {}
+    # id(factor key) -> (key, delta terms), in first-seen order. Each spot quote
+    # and each GIRR tenor has one key object per call.
+    factors: dict[int, tuple[RiskFactorKey, list[float]]] = {}
+    # (instrument type, quote name) -> factor key, x, 1.01 x and the factor's
+    # terms, or the issue the first position reading that quote raised.
+    quotes: dict[tuple[type, str], tuple[RiskFactorKey, float, float, list[float]] | InstrumentIssue] = {}
     girr: _GirrKernel | None = None  # built when the first bond is seen
     for index, instr in enumerate(p.positions):
+        spot = _SPOT_TYPES.get(type(instr))
+        if spot is not None:
+            quote_id = (type(instr), getattr(instr, spot.name_attr))
+            quote = quotes.get(quote_id)
+            if quote is None:
+                quote = quotes[quote_id] = _resolve_quote(index, instr, spot, md, registry, rb)
+                if type(quote) is not InstrumentIssue:
+                    factors[id(quote[0])] = (quote[0], quote[3])
+            if type(quote) is InstrumentIssue:
+                issues.append(InstrumentIssue(index, quote.stage, quote.message))
+                continue
+            key, x, bumped, terms = quote
+            q = getattr(instr, spot.quantity_attr)
+            s = (q * bumped - q * x) / REL_BUMP
+            if math.isfinite(s):
+                terms.append(s)
+            else:
+                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(key, s)))
+            continue
+        if not isinstance(instr, Bond):
+            issues.append(InstrumentIssue(index, "classification", f"unsupported type {type(instr).__name__}"))
+            continue
         stage = "classification"
         try:
-            spot = _SPOT_TYPES.get(type(instr))
-            if spot is not None:
-                quote_id = (type(instr), getattr(instr, spot.name_attr))
-                quote = quotes.get(quote_id)
-                if quote is None:
-                    quote = quotes[quote_id] = _resolve_quote(index, instr, md, registry, rb)
-                if isinstance(quote, InstrumentIssue):
-                    issues.append(InstrumentIssue(index, quote.stage, quote.message))
-                    continue
-                stage = "valuation"
-                records = [spot_delta(instr, md, *quote)]
-            elif isinstance(instr, Bond):
-                bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
-                stage = "valuation"
-                if girr is None:
-                    girr = _GirrKernel(md, rb.tenor_grid)
-                records = girr.deltas(instr, bucket)
-            else:
-                issues.append(InstrumentIssue(index, "classification", f"unsupported type {type(instr).__name__}"))
-                continue
+            bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
+            stage = "valuation"
+            if girr is None:
+                girr = _GirrKernel(md, rb.tenor_grid)
+            records = girr.deltas(instr, bucket)
         except (PortfolioError, RulebookError, ValueError) as exc:
             issues.append(InstrumentIssue(index, stage, str(exc)))
             continue
         for rec in records:
             if not math.isfinite(rec.value):
-                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(rec)))
+                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(rec.key, rec.value)))
                 break
         else:
-            raw.extend(records)
+            for rec in records:
+                factor = factors.get(id(rec.key))
+                if factor is None:
+                    factor = factors[id(rec.key)] = (rec.key, [])
+                factor[1].append(rec.value)
     if issues:
         raise SensitivityError(issues)
-    return net_records(raw)
+    return _net(factors.values())
 
 
 def _resolve_quote(
     index: int,
     instr: CashEquity | FXPosition | CommodityFuture,
+    spot: _SpotType,
     md: MarketData,
     registry: dict[str, IssuerInfo],
     rb: Rulebook,
-) -> tuple[RiskFactorKey, MarketData] | InstrumentIssue:
-    # Bucket, factor key and bumped snapshot of the quote a spot position
-    # reads, or the issue of position ``index`` if classifying or bumping fails.
+) -> tuple[RiskFactorKey, float, float, list[float]] | InstrumentIssue:
+    # Factor key, x, 1.01 x and an empty term list of the quote a spot position
+    # reads, or the issue of position ``index`` if classifying or reading it fails.
     stage = "classification"
     try:
-        if isinstance(instr, FXPosition):
-            bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
+        name = getattr(instr, spot.name_attr)
+        if spot.risk_class is RiskClass.FX:
+            bucket = rb.currency_bucket(RiskClass.FX, name).bucket_id
         else:
             bucket = assign_bucket(instr, registry, rb)
         stage = "valuation"
-        return spot_quote(instr, md, bucket)
+        x = getattr(md, spot.getter)(name)  # fx_spot rejects the reporting currency
+        return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []
     except (PortfolioError, RulebookError, ValueError) as exc:
         return InstrumentIssue(index, stage, str(exc))
 
 
-def _non_finite_message(rec: SensitivityRecord) -> str:
+def _non_finite_message(key: RiskFactorKey, delta: float) -> str:
     return (
-        f"{_factor_label(rec.key)} is {rec.value!r}; "
+        f"{_factor_label(key)} is {delta!r}; "
         "a quantity, price or rate of this position is not finite or too large"
     )
 
@@ -390,27 +374,22 @@ def collect_with_warnings(
 def net_records(records: list[SensitivityRecord]) -> list[SensitivityRecord]:
     """Sum sensitivities that share a risk factor key, deterministically ordered.
 
-    Records are grouped by key object first, since the records of one call
-    share them; equal keys held by distinct objects then merge. Raises
-    FactorOverflowError if a factor's deltas sum past the float range.
+    Raises FactorOverflowError if a factor's deltas sum past the float range.
     """
-    by_object: dict[int, list] = {}  # id(key) -> [key, value, value, ...]
-    for rec in records:
-        group = by_object.get(id(rec.key))
-        if group is None:
-            by_object[id(rec.key)] = [rec.key, rec.value]
-        else:
-            group.append(rec.value)
     grouped: dict[RiskFactorKey, list[float]] = {}
-    for key, *values in by_object.values():
-        grouped.setdefault(key, []).extend(values)
-    netted = [SensitivityRecord(key=key, value=_net(key, values)) for key, values in grouped.items()]
-    netted.sort(key=lambda rec: rec.key.sort_key())
+    for rec in records:
+        grouped.setdefault(rec.key, []).append(rec.value)
+    return _net(grouped.items())
+
+
+def _net(factors: Iterable[tuple[RiskFactorKey, list[float]]]) -> list[SensitivityRecord]:
+    # One record per factor, its terms summed by one fsum, sorted by factor key.
+    netted = []
+    for key, terms in factors:
+        try:
+            netted.append(SensitivityRecord(key, math.fsum(terms)))
+        except OverflowError:
+            raise FactorOverflowError(key) from None
+    # RiskClass is a str enum, so its members order as their values do.
+    netted.sort(key=lambda rec: (rec.key.risk_class, rec.key.bucket, rec.key.name, rec.key.tenor or -1.0))
     return netted
-
-
-def _net(key: RiskFactorKey, values: list[float]) -> float:
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        raise FactorOverflowError(key) from None

@@ -55,8 +55,6 @@ from sbmcap.sensitivities import (
     collect_sensitivities,
     girr_deltas,
     net_records,
-    spot_delta,
-    spot_quote,
 )
 
 MEDIUM = CorrelationScenario.MEDIUM
@@ -232,7 +230,8 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
             else:
                 bucket = assign_bucket(instr, registry, rb)
-            rec = spot_delta(instr, market, *spot_quote(instr, market, bucket))
+            [rec] = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
+            assert rec.key.bucket == bucket
             assert rec.value == pytest.approx(value(instr, market), rel=1e-9)
             spots += 1
         assert spots == 6 and bonds == 2

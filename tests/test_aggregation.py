@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -63,8 +64,11 @@ def gamma_const(value: float):
 
 
 def one_bucket_rulebook(rho: float | None):
-    """Equity bucket 1 with risk weight 1 (WS equals s); rho None leaves the intra rho untabulated."""
-    return rulebook_from_dict(
+    """Equity bucket 1 with risk weight 1 (WS equals s); rho None leaves the intra rho untabulated.
+
+    The loader rejects a bucket without a rho, so that rulebook is built in Python.
+    """
+    rb = rulebook_from_dict(
         {
             "schema_version": 1,
             "version": "one-bucket",
@@ -73,10 +77,13 @@ def one_bucket_rulebook(rho: float | None):
                 {"risk_class": "equity", "id": 1, "description": "A", "economy": "advanced", "size": "large",
                  "sectors": ["energy"], "risk_weight": 1.0},
             ],
-            "intra_correlations": {"equity": {"1": rho}} if rho is not None else {},
+            "intra_correlations": {"equity": {"1": 0.0 if rho is None else rho}},
             "cross_correlations": {"equity": {"default": 0.0}},
         }
     )
+    if rho is None:
+        rb = replace(rb, correlations=replace(rb.correlations, intra={}))
+    return rb
 
 
 @pytest.fixture()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import sbmcap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "sbmcap"
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +29,21 @@ def test_readme_python_api_snippet_runs_on_the_fixtures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("772695.14")
     assert "Capital requirement: 772,695.14 USD" in out
+
+
+def test_engine_imports_only_the_standard_library():
+    # Relative imports (level > 0) stay inside the package; every absolute one must be stdlib.
+    foreign = []
+    sources = sorted(SOURCES.glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{source.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

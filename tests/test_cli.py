@@ -150,6 +150,17 @@ class TestCompute:
             "the positions on this factor are too large\n"
         )
 
+    def test_bond_maturity_beyond_the_cap_is_input_error_naming_the_row(self, paths, capsys, tmp_path):
+        # One row is enough: its coupon loop would otherwise never end.
+        header = Path(paths["portfolio"]).read_text(encoding="utf-8").splitlines()[0]
+        book = tmp_path / "long.csv"
+        book.write_text(f"{header}\nbond,LONG,100,,0.02,1e17,4,USD,+\n", encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {book}: line 2: bond maturity must be at most 1000 years, got 1e+17\n"
+
     def test_missing_portfolio_file_is_input_error(self, paths, capsys):
         code = main(["compute", *market_args(paths), "--portfolio", "/nonexistent/p.csv"])
         err = capsys.readouterr().err
@@ -193,6 +204,27 @@ class TestValidateRulebook:
             "  - girr_tenor_params.theta must be a finite number, got inf\n"
             "  - scenario_rules.high.scale must be a finite number, got nan\n"
         )
+
+    @pytest.mark.parametrize(
+        "gap, violation",
+        [
+            ("equity bucket 7 rho", "equity bucket 7: no intra-bucket correlation tabulated"),
+            ("commodity cross default", "commodity buckets (1, 2): no cross-bucket correlation, and no class default"),
+        ],
+    )
+    def test_incomplete_rulebook_exits_two_naming_the_gap(self, paths, capsys, tmp_path, gap, violation):
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        if gap == "equity bucket 7 rho":
+            del data["intra_correlations"]["equity"]["7"]
+        else:
+            del data["cross_correlations"]["commodity"]["default"]
+        bad = tmp_path / "incomplete.json"
+        bad.write_text(json.dumps(data))
+        code = main(["validate-rulebook", "--rulebook", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"  - {violation}\n" in captured.err
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"

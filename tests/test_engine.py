@@ -11,6 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmcap.aggregation import CrossCorrelation
 from sbmcap.engine import (
@@ -20,7 +22,17 @@ from sbmcap.engine import (
     render_report,
     report_from_dict,
 )
-from sbmcap.portfolio import Bond, CashEquity, IssuerInfo, MarketData, Portfolio, ZeroCurve
+from sbmcap.portfolio import (
+    Bond,
+    CashEquity,
+    CommodityFuture,
+    FXPosition,
+    IssuerInfo,
+    MarketData,
+    Portfolio,
+    ZeroCurve,
+    value,
+)
 from sbmcap.rulebook import CorrelationScenario, RiskClass, rulebook_from_dict
 from sbmcap.sensitivities import SensitivityError
 
@@ -110,6 +122,54 @@ class TestComputeCapital:
         assert xom.risk_weight == 0.40
         assert xom.weighted_sensitivity == pytest.approx(440_000.0, rel=REL_TOL)
         assert equity.cross_correlations == (CrossCorrelation(bucket_b=6, bucket_c=7, gamma=0.15),)
+
+
+# Whole-unit long or short sizes of at least 2, so that a position can be cut into whole parts.
+SIZES = st.integers(min_value=2, max_value=10**6).flatmap(lambda n: st.sampled_from((n, -n))).map(float)
+# Positions on fixture names that classify and price, in every risk class.
+BOOK_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "T", "MSFT", "JPM", "PBR", "VALE", "NWCO", "RGNL")), SIZES),
+    st.builds(FXPosition, st.sampled_from(("EUR", "JPY", "GBP", "CHF")), SIZES),
+    st.builds(CommodityFuture, st.sampled_from(("gold", "silver", "crude_oil", "copper", "wheat")), SIZES, st.just("")),
+    st.builds(Bond, notional=SIZES, coupon_rate=st.sampled_from((0.0, 0.025, 0.05)),
+              maturity=st.sampled_from((0.5, 3.0, 7.3, 12.0, 30.0)), frequency=st.sampled_from((1, 2, 4)),
+              currency=st.just("USD")),
+)
+QUANTITY_ATTR = {CashEquity: "shares", FXPosition: "signed_notional", CommodityFuture: "quantity", Bond: "notional"}
+
+
+class TestCapitalProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(book=st.lists(BOOK_POSITIONS, min_size=1, max_size=10), data=st.data())
+    def test_splitting_a_position_into_parts_keeps_capital(self, rb, market, registry, book, data):
+        index = data.draw(st.integers(min_value=0, max_value=len(book) - 1), label="index")
+        instr = book[index]
+        attr = QUANTITY_ATTR[type(instr)]
+        whole = getattr(instr, attr)
+        size = int(abs(whole))
+        cuts = data.draw(st.lists(st.integers(min_value=1, max_value=size - 1), min_size=1, max_size=3, unique=True),
+                         label="cuts")
+        bounds = [0, *sorted(cuts), size]
+        parts = [replace(instr, **{attr: math.copysign(hi - lo, whole)}) for lo, hi in zip(bounds, bounds[1:])]
+        assert math.fsum(getattr(part, attr) for part in parts) == whole
+        split = (*book[:index], *parts, *book[index + 1:])
+        before = compute_capital(Portfolio(positions=tuple(book)), market, registry, rb)
+        after = compute_capital(Portfolio(positions=split), market, registry, rb)
+        # A hedged book can net to zero capital, where relative error means nothing.
+        scale = math.fsum(abs(value(p, market)) for p in book)
+        assert after.total_capital == pytest.approx(before.total_capital, rel=1e-12, abs=1e-12 * scale)
+        for token, outcome in before.scenarios.items():
+            assert after.scenarios[token].total == pytest.approx(outcome.total, rel=1e-12, abs=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(book=st.lists(BOOK_POSITIONS, max_size=12))
+    def test_envelope_is_at_least_each_scenario_total(self, rb, market, registry, book):
+        report = compute_capital(Portfolio(positions=tuple(book)), market, registry, rb)
+        totals = [outcome.total for outcome in report.scenarios.values()]
+        assert len(totals) == 3
+        assert math.isfinite(report.total_capital)
+        assert all(report.total_capital >= total for total in totals)
+        assert report.total_capital in totals
 
 
 @pytest.fixture()

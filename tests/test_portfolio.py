@@ -15,6 +15,7 @@ from sbmcap.portfolio import (
     CommodityFuture,
     CurveExtrapolationWarning,
     FXPosition,
+    MAX_MATURITY,
     IssuerInfo,
     MarketData,
     MarketDataError,
@@ -304,6 +305,16 @@ class TestValuation:
         # Rejected at construction, before cash_flows() could loop without end.
         with pytest.raises(PortfolioParseError, match="^bond maturity must be a finite number, got inf$"):
             Bond(notional=1e6, coupon_rate=0.05, maturity=math.inf, frequency=1, currency="USD")
+
+    @pytest.mark.parametrize("maturity, shown", [(1e12, "1000000000000.0"), (1e17, "1e+17")])
+    def test_maturity_beyond_the_cap_rejected(self, maturity, shown):
+        # 1e12 asks for 4e12 quarterly flows; at 1e17, t - 0.25 == t and cash_flows() would never end.
+        with pytest.raises(PortfolioParseError, match=f"^bond maturity must be at most 1000 years, got {re.escape(shown)}$"):
+            Bond(notional=1e6, coupon_rate=0.05, maturity=maturity, frequency=4, currency="USD")
+
+    def test_maturity_at_the_cap_accepted(self):
+        bond = Bond(notional=1e6, coupon_rate=0.05, maturity=MAX_MATURITY, frequency=4, currency="USD")
+        assert len(bond.cash_flows()) == 4_000
 
     def test_unsorted_curve_rejected(self):
         with pytest.raises(MarketDataError, match="strictly increasing"):

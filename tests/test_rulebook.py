@@ -358,3 +358,44 @@ class TestValidation:
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(rb.to_dict()), encoding="utf-8")
         assert load_rulebook(path) == rb
+
+    def test_bucket_without_intra_rho_rejected(self):
+        data = self._base()
+        del data["intra_correlations"]["equity"]["2"]
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == ["equity bucket 2: no intra-bucket correlation tabulated"]
+
+    @pytest.mark.parametrize("currencies, needs_rho", [(["EUR"], False), (["EUR", "DKK"], True)])
+    def test_fx_bucket_needs_a_rho_only_when_it_lists_two_currencies(self, currencies, needs_rho):
+        data = self._base()
+        data["buckets"].append({"risk_class": "fx", "id": 1, "description": "fx", "currencies": currencies,
+                                "risk_weight": 0.3})
+        if not needs_rho:
+            rulebook_from_dict(data)
+            return
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == ["fx bucket 1: no intra-bucket correlation tabulated"]
+        data["intra_correlations"]["fx"] = {"1": 0.5}
+        rulebook_from_dict(data)
+
+    def test_bucket_pair_without_gamma_rejected(self):
+        data = self._base()
+        data["buckets"].append({"risk_class": "equity", "id": 3, "description": "c", "economy": "emerging",
+                                "size": "large", "sectors": ["energy"], "risk_weight": 0.45})
+        data["intra_correlations"]["equity"]["3"] = 0.15
+        data["cross_correlations"]["equity"] = {"pairs": [{"b": 2, "c": 1, "value": 0.15}]}
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [
+            "equity buckets (1, 3): no cross-bucket correlation, and no class default",
+            "equity buckets (2, 3): no cross-bucket correlation, and no class default",
+        ]
+        data["cross_correlations"]["equity"]["default"] = 0.15
+        rulebook_from_dict(data)
+
+    def test_one_bucket_class_needs_no_gamma(self):
+        data = self._base()
+        del data["cross_correlations"]["girr"]
+        rulebook_from_dict(data)

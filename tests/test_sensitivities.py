@@ -9,10 +9,10 @@ from collections import defaultdict
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sbmcap import sensitivities
+from sbmcap import portfolio, sensitivities
 from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
     Bond,
@@ -24,13 +24,16 @@ from sbmcap.portfolio import (
     MarketData,
     MarketDataError,
     Portfolio,
+    PortfolioError,
     ZeroCurve,
+    assign_bucket,
     value,
 )
-from sbmcap.rulebook import RiskClass, rulebook_from_dict
+from sbmcap.rulebook import RiskClass, RulebookError, rulebook_from_dict
 from sbmcap.sensitivities import (
     GIRR_BUMP,
     REL_BUMP,
+    FactorOverflowError,
     RiskFactorKey,
     SensitivityError,
     SensitivityRecord,
@@ -38,8 +41,6 @@ from sbmcap.sensitivities import (
     collect_with_warnings,
     girr_deltas,
     net_records,
-    spot_delta,
-    spot_quote,
     tent_bumped_curve,
 )
 
@@ -52,6 +53,31 @@ SHORT_CURVE = ZeroCurve((0.5, 1.0, 2.0, 5.0, 10.0, 20.0), (0.045, 0.043, 0.04, 0
 FIXTURE_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 # A grid whose tenors and spacings are not exact binary fractions.
 ODD_GRID = (0.3, 0.7, 1.1, 2.9, 4.3, 7.7, 11.3, 17.9, 26.1)
+
+
+# Spot type -> (risk class, attribute naming its quote, MarketData method, field holding the quote).
+SPOT_QUOTES = {
+    CashEquity: (RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
+    FXPosition: (RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
+    CommodityFuture: (RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
+}
+
+
+def spot_quote(instr, md, bucket):
+    """Oracle: factor key of the one spot quote a position reads, and the snapshot with it bumped by 1%.
+
+    The bumped snapshot holds that quote alone.
+    """
+    risk_class, name_attr, getter, quotes = SPOT_QUOTES[type(instr)]
+    name = getattr(instr, name_attr)
+    bumped = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
+    return RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), bumped
+
+
+def spot_delta(instr, md, key, bumped):
+    """Oracle: [V(bumped) - V(md)] / 1% of one position, by revaluation, as factor ``key``."""
+    base = value(instr, md)
+    return SensitivityRecord(key=key, value=(value(instr, bumped) - base) / REL_BUMP)
 
 
 def delta(instr, md, bucket):
@@ -178,12 +204,13 @@ class TestSpotDeltas:
     )
     def test_bumped_snapshot_holds_only_the_bumped_quote(self, market, monkeypatch, instr, quotes, name):
         seen = []
+        original = value
 
         def recording(instr, md):
             seen.append(md)
-            return value(instr, md)
+            return original(instr, md)
 
-        monkeypatch.setattr(sensitivities, "value", recording)
+        monkeypatch.setitem(globals(), "value", recording)
         delta(instr, market, bucket=1)
         base, bumped = seen
         assert base is market
@@ -512,8 +539,10 @@ def without_equity_residual(rb):
 class TestPerQuoteResolution:
     """collect_sensitivities classifies and bumps each distinct spot quote once."""
 
-    def test_each_quote_classified_and_bumped_once_each_position_valued_twice(self, monkeypatch, market, registry, rb):
-        counts = {"assign_bucket": 0, "spot_quote": 0, "value": 0}
+    def test_each_quote_read_once_and_no_position_revalued(self, monkeypatch, market, registry, rb):
+        counts = {"assign_bucket": 0, "value": 0, "quote reads": 0, "records": 0}
+        bonds = [instr for instr in REPEATED_NAMES if isinstance(instr, Bond)]
+        girr = [rec for bond in bonds for rec in girr_deltas(bond, market, rb.tenor_grid, 1)]
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -521,13 +550,17 @@ class TestPerQuoteResolution:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(sensitivities, name, counting(name, getattr(sensitivities, name)))
-        collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
-        spot = [instr for instr in REPEATED_NAMES if not isinstance(instr, Bond)]
+        monkeypatch.setattr(sensitivities, "assign_bucket", counting("assign_bucket", sensitivities.assign_bucket))
+        monkeypatch.setattr(portfolio, "value", counting("value", portfolio.value))
+        for getter in ("equity_price", "fx_spot", "commodity_price"):
+            monkeypatch.setattr(MarketData, getter, counting("quote reads", getattr(MarketData, getter)))
+        monkeypatch.setattr(sensitivities, "SensitivityRecord", counting("records", SensitivityRecord))
+        records = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
         # Equities XOM, T, MSFT and commodities gold, crude_oil go through
-        # assign_bucket; EUR is classified by its currency.
-        assert counts == {"assign_bucket": 5, "spot_quote": 6, "value": 2 * len(spot)}
+        # assign_bucket; EUR is classified by its currency. Each of the 6 quotes
+        # is read once, no position is revalued, and the only records built are
+        # the bonds' tenor deltas and one per netted factor.
+        assert counts == {"assign_bucket": 5, "value": 0, "quote reads": 6, "records": len(girr) + len(records)}
 
     def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
         # An issuer id may spell a currency code; its equity price is another quote.
@@ -591,6 +624,120 @@ class TestPerQuoteResolution:
             "issuer 'ZETA' not in registry; assigned to residual bucket 11",
             "issuer 'ACME' not in registry; assigned to residual bucket 11",
         )
+
+
+def per_position_sensitivities(positions, md, registry, rb):
+    """Oracle: each position classified and revalued on its own, as (records, issues).
+
+    Spot positions go through ``spot_quote`` and ``spot_delta``, so each is
+    revalued twice against full snapshots; bonds through ``girr_deltas``.
+    Issues are (index, stage, message), one per failed position.
+    """
+    records, issues = [], []
+    for index, instr in enumerate(positions):
+        stage = "classification"
+        try:
+            if isinstance(instr, Bond):
+                bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
+                stage = "valuation"
+                deltas = girr_deltas(instr, md, rb.tenor_grid, bucket)
+            else:
+                if isinstance(instr, FXPosition):
+                    bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
+                else:
+                    bucket = assign_bucket(instr, registry, rb)
+                stage = "valuation"
+                deltas = [delta(instr, md, bucket)]
+        except (PortfolioError, RulebookError) as exc:
+            issues.append((index, stage, str(exc)))
+            continue
+        bad = next((rec for rec in deltas if not math.isfinite(rec.value)), None)
+        if bad is None:
+            records += deltas
+            continue
+        tenor = f" at tenor {bad.key.tenor:g}" if bad.key.tenor is not None else ""
+        issues.append((index, "valuation", f"{bad.key.risk_class.value} delta to {bad.key.name}{tenor} is {bad.value!r}; "
+                                           "a quantity, price or rate of this position is not finite or too large"))
+    return records, issues
+
+
+# Positions on names that classify and price, with ordinary quantities or ones
+# whose deltas on one factor sum past the float range (1e306), or a delta of
+# 1.01 * 1.79e308 (one T share under "huge T").
+ORDINARY = st.one_of(st.integers(min_value=-10**7, max_value=10**7).map(float), st.floats(min_value=-1e7, max_value=1e7))
+CLEAN_QUANTITIES = st.one_of(ORDINARY, ORDINARY, st.sampled_from((1.0, 1e306)))
+CLEAN_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "T", "MSFT", "PBR")), CLEAN_QUANTITIES),
+    st.builds(FXPosition, st.sampled_from(("EUR", "JPY")), CLEAN_QUANTITIES),
+    st.builds(CommodityFuture, st.sampled_from(("gold", "crude_oil")), CLEAN_QUANTITIES, st.just("")),
+    st.builds(Bond, notional=st.floats(min_value=-1e8, max_value=1e8), coupon_rate=st.sampled_from((0.0, 0.03)),
+              maturity=st.sampled_from((0.5, 4.0, 7.3, 30.0)), frequency=st.sampled_from((1, 2)),
+              currency=st.just("USD")),
+)
+# Positions that fail: names that fall to a residual bucket (ACME, unobtainium),
+# have no quote (NOPRICE; CHF and silver once dropped), have no bucket (XYZ, GBP
+# bonds) or are the reporting currency (EUR, when the snapshot reports in EUR),
+# and quantities that are not finite.
+FAILING_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "ACME", "NOPRICE")), st.sampled_from((1.0, math.nan, math.inf))),
+    st.builds(FXPosition, st.sampled_from(("EUR", "CHF", "XYZ")), st.sampled_from((1.0, -math.inf))),
+    st.builds(CommodityFuture, st.sampled_from(("silver", "unobtainium")), st.sampled_from((1.0, math.nan)),
+              st.just("")),
+    st.builds(Bond, notional=st.sampled_from((1e6, math.nan)), coupon_rate=st.just(0.03), maturity=st.just(4.0),
+              frequency=st.just(1), currency=st.sampled_from(("USD", "GBP"))),
+)
+
+
+class TestAgainstThePerPositionOracle:
+    @settings(max_examples=300, deadline=None)
+    @example(positions=[CashEquity("XOM", 1e306), FXPosition("EUR", 1.0), CashEquity("XOM", 1e306)],
+             reporting="USD", quotes="fixture", residual=True)
+    @example(positions=[CashEquity("T", 1.0), CashEquity("XOM", 2.0), CashEquity("T", -3.0)],
+             reporting="USD", quotes="huge T", residual=True)
+    @example(positions=[CashEquity("XOM", 2.0), CashEquity("XOM", 1.0)], reporting="USD", quotes="nan XOM", residual=True)
+    @example(positions=[FXPosition("CHF", 1.0), CommodityFuture("silver", 5.0, ""), FXPosition("CHF", 2.0)],
+             reporting="USD", quotes="no CHF or silver", residual=True)
+    @example(positions=[CashEquity("ACME", 1.0), CommodityFuture("unobtainium", 2.0, ""), CashEquity("ACME", 3.0)],
+             reporting="USD", quotes="fixture", residual=True)
+    @given(
+        positions=st.lists(CLEAN_POSITIONS, max_size=12) | st.lists(CLEAN_POSITIONS | FAILING_POSITIONS, max_size=12),
+        reporting=st.sampled_from(("USD", "USD", "USD", "EUR")),
+        quotes=st.sampled_from(("fixture", "nan XOM", "huge T", "no CHF or silver")),
+        residual=st.booleans(),
+    )
+    def test_collect_matches_net_records_over_the_oracle_bit_for_bit(
+        self, rb, registry, market, positions, reporting, quotes, residual
+    ):
+        registry = {**registry, "NOPRICE": IssuerInfo("NOPRICE", "energy", "advanced", "large")}
+        md = replace(market, reporting_currency=reporting,
+                     equity_prices={**market.equity_prices, "ACME": 50.0},
+                     commodity_prices={**market.commodity_prices, "unobtainium": 7.0})
+        if quotes == "nan XOM":
+            md = replace(md, equity_prices={**md.equity_prices, "XOM": math.nan})
+        elif quotes == "huge T":
+            # 1.01 times this quote overflows, so every T delta is infinite or NaN.
+            md = replace(md, equity_prices={**md.equity_prices, "T": 1.79e308})
+        elif quotes == "no CHF or silver":
+            md = replace(md, fx_spots={k: v for k, v in md.fx_spots.items() if k != "CHF"},
+                         commodity_prices={k: v for k, v in md.commodity_prices.items() if k != "silver"})
+        if not residual:
+            rb = without_equity_residual(rb)
+        (records, issues), oracle_warnings = warned(per_position_sensitivities, positions, md, registry, rb)
+        if issues:
+            with pytest.raises(SensitivityError) as excinfo:
+                collect_with_warnings(Portfolio(positions=tuple(positions)), md, registry, rb)
+            assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == issues
+            return
+        try:
+            expected = net_records(records)
+        except FactorOverflowError as exc:
+            with pytest.raises(FactorOverflowError) as excinfo:
+                collect_sensitivities(Portfolio(positions=tuple(positions)), md, registry, rb)
+            assert str(excinfo.value) == str(exc)
+            return
+        got, messages = collect_with_warnings(Portfolio(positions=tuple(positions)), md, registry, rb)
+        assert bits(got) == bits(expected)
+        assert messages == tuple(dict.fromkeys(oracle_warnings))
 
 
 class TestNonFiniteDeltas:
