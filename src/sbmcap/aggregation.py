@@ -29,8 +29,10 @@ correlation as a provider callable
 
     rho(k: FactorRow, l: FactorRow, scenario) -> float
 
-and cross_bucket_delta takes gamma(bucket_b: int, bucket_c: int, scenario)
--> float the same way.
+cross_bucket_delta takes the gammas of one class and scenario as a mapping
+from ordered bucket pairs to gamma. gamma_bc = gamma_cb (the rulebook loader
+rejects asymmetric duplicates), so each gamma is looked up once per
+unordered pair and stored under both orders.
 
 The results form one frozen hierarchy, which is also the audit trail of the
 capital report: ScenarioResult (total, classes by risk class token) holds
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
 from .sensitivities import SensitivityRecord
@@ -115,7 +117,6 @@ class ScenarioResult:
 
 
 RhoProvider = Callable[[FactorRow, FactorRow, CorrelationScenario], float]
-GammaProvider = Callable[[int, int, CorrelationScenario], float]
 WeightedBuckets = list[tuple[int, list[FactorRow]]]
 
 
@@ -200,19 +201,20 @@ def _fsum(values: Iterable[float]) -> float:
 def cross_bucket_delta(
     risk_class: RiskClass,
     buckets: list[BucketResult],
-    gamma: GammaProvider,
+    gamma: Mapping[tuple[int, int], float],
     scenario: CorrelationScenario,
 ) -> ClassResult:
     """Cross-bucket delta charge of one risk class from its bucket positions.
 
-    gamma is asked once per ordered bucket pair. When the fallback engages,
-    the returned buckets carry the clamped S_b as ``s_b_effective``.
+    ``gamma`` holds gamma_bc for every ordered pair (b, c) of distinct
+    buckets. When the fallback engages, the returned buckets carry the
+    clamped S_b as ``s_b_effective``.
     """
     ids = [b.bucket for b in buckets]
     if len(set(ids)) != len(ids):
         raise AggregationError(f"duplicate bucket ids in cross-bucket aggregation: {sorted(ids)}")
     k_sq = _fsum(b.k_b * b.k_b for b in buckets)
-    gammas = {(b, c): gamma(b, c, scenario) for b in ids for c in ids if b != c}
+    gammas = {(b, c): gamma[b, c] for b in ids for c in ids if b != c}
 
     def quad_with(s: dict[int, float]) -> float:
         quad = k_sq + _fsum(g * s[b] * s[c] for (b, c), g in gammas.items())
@@ -271,10 +273,11 @@ def _class_result(
         ]
     else:
         positions = [_uniform_rho_position(risk_class, bucket, rows, rb, scenario) for bucket, rows in weighted]
-
-    def gamma(b: int, c: int, sc: CorrelationScenario) -> float:
-        return rb.cross_correlation(risk_class, b, c, sc)
-
+    # One lookup per unordered pair, used for both orders.
+    gamma: dict[tuple[int, int], float] = {}
+    for i, (b, _) in enumerate(weighted):
+        for c, _ in weighted[i + 1 :]:
+            gamma[b, c] = gamma[c, b] = rb.cross_correlation(risk_class, b, c, scenario)
     return cross_bucket_delta(risk_class, positions, gamma, scenario)
 
 

@@ -26,7 +26,7 @@ from .rulebook import (
     RulebookValidationError,
     load_rulebook,
 )
-from .sensitivities import SensitivityError, collect_with_warnings
+from .sensitivities import SensitivityError, collect_sensitivities
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -214,7 +214,7 @@ def _cmd_dump_sensitivities(args: argparse.Namespace) -> int:
     p = load_portfolio(args.portfolio)
     md = load_market_data(args.market)
     registry = load_registry(args.registry)
-    records, messages = collect_with_warnings(p, md, registry, rb)
+    records, messages = collect_sensitivities(p, md, registry, rb)
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
     out = io.StringIO()

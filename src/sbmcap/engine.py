@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable
 from .aggregation import ScenarioResult, scenario_envelope
 from .portfolio import IssuerInfo, MarketData, Portfolio
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
-from .sensitivities import collect_with_warnings
+from .sensitivities import collect_sensitivities
 
 REPORT_FORMATS = ("hierarchical", "tabular", "human")
 
@@ -165,7 +165,7 @@ def compute_capital(
     classes. Instrument-level failures surface as SensitivityError listing
     every failing position.
     """
-    records, collected = collect_with_warnings(p, md, registry, rb)
+    records, collected = collect_sensitivities(p, md, registry, rb)
     class_filter = set(classes) if classes is not None else None
     by_class: dict[RiskClass, list] = {}
     for rec in records:

@@ -363,8 +363,8 @@ def _generate_case(
             CashEquity(issuer_id=first, shares=100 * rng.randint(1, 200)),
             CashEquity(issuer_id=second, shares=100 * rng.randint(1, 200)),
         )
-        bucket_1 = assign_bucket(positions[0], registry, rb)
-        bucket_2 = assign_bucket(positions[1], registry, rb)
+        bucket_1, _ = assign_bucket(positions[0], registry, rb)
+        bucket_2, _ = assign_bucket(positions[1], registry, rb)
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
     elif risk_class is RiskClass.FX:
@@ -383,8 +383,8 @@ def _generate_case(
             CommodityFuture(commodity_id=first, quantity=rng.randint(1, 500), unit="lot"),
             CommodityFuture(commodity_id=second, quantity=rng.randint(1, 500), unit="lot"),
         )
-        bucket_1 = assign_bucket(positions[0], registry, rb)
-        bucket_2 = assign_bucket(positions[1], registry, rb)
+        bucket_1, _ = assign_bucket(positions[0], registry, rb)
+        bucket_2, _ = assign_bucket(positions[1], registry, rb)
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
     else:

@@ -8,7 +8,7 @@ so that bump-and-revalue sensitivities stay transparent.
 Conventions:
   - Bond discounting uses annual compounding, DF(t) = (1 + z(t)) ** -t, with
     piecewise-linear interpolation of zero rates between pillars and flat
-    extrapolation outside (extrapolation beyond the last pillar warns).
+    extrapolation outside.
   - Coupon dates run backwards from maturity in steps of 1/frequency, so the
     final flow falls exactly at maturity.
   - FX positions are signed notionals of the foreign currency; positive means
@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -53,14 +52,6 @@ class MarketDataError(PortfolioError):
 
 class BucketAssignmentError(PortfolioError):
     """An instrument cannot be mapped to any rulebook bucket."""
-
-
-class CurveExtrapolationWarning(UserWarning):
-    """A cash flow fell outside the pillar range; flat extrapolation used."""
-
-
-class ResidualBucketWarning(UserWarning):
-    """An instrument fell through to a residual bucket."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +147,17 @@ class ZeroCurve:
             raise MarketDataError("zero curve tenors must be strictly increasing")
 
     def rate(self, t: float) -> float:
+        """Zero rate at t, held flat outside the pillars.
+
+        The flat extrapolation is silent here. The GIRR kernel
+        (``sensitivities.collect_sensitivities``) reports each cash flow beyond
+        the last pillar in the messages it returns.
+        """
         if not self.tenors:
             raise MarketDataError("zero curve is empty")
         if t <= self.tenors[0]:
             return self.rates[0]
         if t >= self.tenors[-1]:
-            if t > self.tenors[-1]:
-                warnings.warn(
-                    f"zero rate at t={t:g} beyond last pillar {self.tenors[-1]:g}, extrapolating flat",
-                    CurveExtrapolationWarning,
-                    stacklevel=2,
-                )
             return self.rates[-1]
         i = bisect.bisect_right(self.tenors, t)
         t0, t1 = self.tenors[i - 1], self.tenors[i]
@@ -231,11 +222,12 @@ def value(instr: Instrument, md: MarketData) -> float:
     raise PortfolioError(f"cannot value instrument of type {type(instr).__name__}")
 
 
-def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebook) -> int:
-    """Rulebook bucket id for an equity or commodity instrument.
+def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebook) -> tuple[int, str | None]:
+    """Rulebook bucket id for an equity or commodity instrument, and a note or None.
 
-    Unmatched instruments fall through to the residual bucket with a warning
-    when the rulebook defines one, otherwise raise BucketAssignmentError.
+    Unmatched instruments fall through to the residual bucket when the
+    rulebook defines one, and the note says why; otherwise they raise
+    BucketAssignmentError.
     """
     if isinstance(instr, CashEquity):
         info = registry.get(instr.issuer_id)
@@ -247,7 +239,7 @@ def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebo
             if b.economy != info.economy or b.size != info.size:
                 continue
             if b.sectors is None or info.sector in b.sectors:
-                return b.bucket_id
+                return b.bucket_id, None
         return _residual_or_error(
             rb,
             RiskClass.EQUITY,
@@ -256,17 +248,16 @@ def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebo
     if isinstance(instr, CommodityFuture):
         for b in rb.buckets_for(RiskClass.COMMODITY):
             if instr.commodity_id in b.commodities:
-                return b.bucket_id
+                return b.bucket_id, None
         return _residual_or_error(rb, RiskClass.COMMODITY, f"commodity {instr.commodity_id!r} matches no bucket")
     raise BucketAssignmentError(f"bucket assignment applies to equities and commodities, not {type(instr).__name__}")
 
 
-def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> int:
+def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[int, str]:
     residual = rb.residual_bucket(risk_class)
     if residual is None:
         raise BucketAssignmentError(f"{why}, and the rulebook has no {risk_class.value} residual bucket")
-    warnings.warn(f"{why}; assigned to residual bucket {residual.bucket_id}", ResidualBucketWarning, stacklevel=2)
-    return residual.bucket_id
+    return residual.bucket_id, f"{why}; assigned to residual bucket {residual.bucket_id}"
 
 
 # -- file loaders -----------------------------------------------------------

@@ -22,10 +22,15 @@ approximation: the flows left out would add exactly 0 to V(z + tent) - V(z).
 the tests revalue against.
 
 ``collect_sensitivities`` builds one knot table per call, at its first bond
-(``_GirrKernel``). So a cash flow costs one binary search and at most three
-discount factors, and its deltas are the same to the bit as with a curve
-lookup per flow. Each GIRR factor key is built once per call, when a bond
-first loads its tenor.
+(``_GirrKernel``). The cash flows of a bond ascend, so a row of the table is
+looked up only when a flow leaves the current knot interval, and a flow
+costs at most three discount factors. Rows below the first pillar and from
+the last pillar on hold flat segments, so no flow calls ``ZeroCurve.rate``,
+and the deltas are the same to the bit as with a curve lookup per flow. For
+each bond the kernel returns one (factor key, s_t) pair per tenor it loads,
+and s_t joins that factor's term list: no record is built per bond and
+tenor. Each GIRR factor key is built once per call, when a bond first loads
+its tenor.
 
 A linear spot position is worth its quantity q times its one quote x, so its
 delta is (q * 1.01 x - q * x) / 0.01 (10,000 XOM shares at 110 give
@@ -38,13 +43,19 @@ netted by one exactly rounded ``fsum``, so term order does not change a sum.
 
 A NaN or infinite delta (from non-finite inputs passed in through the API;
 the loaders reject them) fails its position at the valuation stage.
+
+Diagnostics are data. Each cash flow beyond the curve's last pillar, which
+the kernel values at the flat last rate, appends a note to one list, and so
+does each quote that ``assign_bucket`` puts in a residual bucket: in
+position order, and in flow order within a bond. ``collect_sensitivities``
+returns the distinct notes in first-seen order beside the records; nothing
+goes through Python's ``warnings`` machinery.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -138,42 +149,43 @@ _SPOT_TYPES = {
 }
 
 
-def girr_deltas(instr: Bond, md: MarketData, grid: tuple[float, ...], bucket: int) -> list[SensitivityRecord]:
-    """Per-tenor curve deltas of a bond.
-
-    One record per standard tenor whose 1bp tent bump moves the bond value;
-    tenors the bond has no exposure to are dropped. Each cash flow is
-    revalued only under the tents that cover it (see the module docstring).
-    """
-    return _GirrKernel(md, grid).deltas(instr, bucket)
-
-
 class _GirrKernel:
     """Knot table of one curve and grid, and the GIRR factor keys handed out so far.
 
     The knots are the sorted union of the curve pillars and the grid tenors.
     Row k serves knots[k-1] <= t < knots[k] (row 0 all t below the first
-    knot, the last row all t from the last knot on). There the curve is one
-    segment (t0, r0, r1 - r0, t1 - t0), and the same tents cover t: the grid
-    tenors either side (i - 1, i, lo, hi, hi - lo), or one end tent (i, None,
-    ...). z(t) and the tent weights are the expressions of ``ZeroCurve.rate``
-    and of the tent with the same operands in the same order. Flows at or
-    outside the first and last pillars call ``curve.rate``, which warns on
-    extrapolation.
+    knot, the last row all t from the last knot on) and ends with its upper
+    bound knots[k]. There the curve is one segment (t0, r0, r1 - r0, t1 - t0),
+    and the same tents cover t: the grid tenors either side (i - 1, i, lo, hi,
+    hi - lo), or one end tent (i, None, ...). Below the first pillar and from
+    the last pillar on, the segment is flat, (pillar, rate, 0.0, 1.0). z(t)
+    and the tent weights are the expressions of ``ZeroCurve.rate`` and of the
+    tent with the same operands in the same order. Where ``ZeroCurve.rate``
+    returns a pillar rate r itself (on a flat segment, or at t equal to the
+    first pillar), the segment adds a signed zero to r. That can only flip
+    the sign of a zero rate, and 1.0 + z erases the sign.
     """
 
     def __init__(self, md: MarketData, grid: tuple[float, ...]):
         self.currency = md.reporting_currency
-        self.curve = curve = md.zero_curve
         self.grid = grid
-        tenors, rates = curve.tenors, curve.rates
-        # An empty curve has no inside; its rate() raises for every flow.
-        self.first, self.last = (tenors[0], tenors[-1]) if tenors else (math.inf, -math.inf)
-        self.knots = sorted(set(tenors) | set(grid))
+        tenors, rates = md.zero_curve.tenors, md.zero_curve.rates
+        self.knots = knots = sorted(set(tenors) | set(grid))
+        # A curve no bond can be valued on has no rows: the first cash flow a bond has raises why.
+        self.unusable = "zero curve is empty" if not tenors else next(
+            (f"zero rate {r!r} at tenor {t:g} is at or below -1, where (1 + z) ** -t has no real value"
+             for t, r in zip(tenors, rates) if r <= -1.0),
+            None,
+        )
         self.rows: list[tuple] = []
-        for start in (-math.inf, *self.knots):
-            segment: tuple = (None, None, None, None)
-            if self.first <= start < self.last:
+        self.last = tenors[-1] if tenors else math.inf
+        self.beyond = f" beyond last pillar {self.last:g}, extrapolating flat"
+        for start, end in zip((-math.inf, *knots), (*knots, math.inf)) if self.unusable is None else ():
+            if start < tenors[0]:
+                segment: tuple = (tenors[0], rates[0], 0.0, 1.0)
+            elif start >= tenors[-1]:
+                segment = (tenors[-1], rates[-1], 0.0, 1.0)
+            else:
                 j = bisect.bisect_right(tenors, start)
                 segment = (tenors[j - 1], rates[j - 1], rates[j] - rates[j - 1], tenors[j] - tenors[j - 1])
             if start < grid[0]:
@@ -183,20 +195,28 @@ class _GirrKernel:
             else:
                 i = bisect.bisect_right(grid, start)
                 tents = (i - 1, i, grid[i - 1], grid[i], grid[i] - grid[i - 1])
-            self.rows.append(segment + tents)
+            self.rows.append((*segment, *tents, end))
         # bucket -> factor key per grid position, each built on first use.
         self.keys: dict[int, list[RiskFactorKey | None]] = {}
 
-    def deltas(self, instr: Bond, bucket: int) -> list[SensitivityRecord]:
+    def deltas(self, instr: Bond, bucket: int, notes: list[str]) -> list[tuple[RiskFactorKey, float]]:
+        """(factor key, s_t) of each tenor the bond loads; each flow beyond the last pillar appends a note."""
         if instr.currency != self.currency:
             raise MarketDataError(
                 f"bond denominated in {instr.currency}, but only the {self.currency} curve is available"
             )
-        knots, rows, first, last = self.knots, self.rows, self.first, self.last
+        knots, rows, last, beyond = self.knots, self.rows, self.last, self.beyond
         terms: list[list[float]] = [[] for _ in self.grid]
+        end = -math.inf
         for t, amount in instr.cash_flows():
-            t0, r0, dr, dt, a, b, lo, hi, width = rows[bisect.bisect_right(knots, t)]
-            z = r0 + dr * (t - t0) / dt if first < t < last else self.curve.rate(t)
+            if t >= end:
+                # Flows ascend, so a row is looked up once per knot interval they reach.
+                if not rows:
+                    raise MarketDataError(self.unusable)
+                t0, r0, dr, dt, a, b, lo, hi, width, end = rows[bisect.bisect_right(knots, t)]
+            if t > last:
+                notes.append(f"zero rate at t={t:g}{beyond}")
+            z = r0 + dr * (t - t0) / dt
             # Bumped PV minus base PV, flow by flow: for a zero-coupon bond this is
             # V(z + tent) - V(z) to the last bit.
             pv = amount * (1.0 + z) ** -t
@@ -208,7 +228,7 @@ class _GirrKernel:
         keys = self.keys.get(bucket)
         if keys is None:
             keys = self.keys[bucket] = [None] * len(self.grid)
-        records: list[SensitivityRecord] = []
+        pairs = []
         for i, parts in enumerate(terms):
             s = math.fsum(parts) / GIRR_BUMP
             if s == 0.0:
@@ -216,8 +236,8 @@ class _GirrKernel:
             key = keys[i]
             if key is None:
                 key = keys[i] = RiskFactorKey(RiskClass.GIRR, bucket, self.currency, self.grid[i])
-            records.append(SensitivityRecord(key=key, value=s))
-        return records
+            pairs.append((key, s))
+        return pairs
 
 
 def tent_bumped_curve(curve: ZeroCurve, grid: tuple[float, ...], tenor: float, size: float) -> ZeroCurve:
@@ -255,14 +275,17 @@ def collect_sensitivities(
     md: MarketData,
     registry: dict[str, IssuerInfo],
     rb: Rulebook,
-) -> list[SensitivityRecord]:
-    """All delta sensitivities of a portfolio, netted per risk factor.
+) -> tuple[list[SensitivityRecord], tuple[str, ...]]:
+    """All delta sensitivities of a portfolio, netted per risk factor, and the run's messages.
 
     Every position is attempted; failures are gathered and raised together as
     a SensitivityError tagged with position index and stage. Each distinct
     spot quote is classified, keyed and bumped once (see the module docstring).
+    The messages are the residual-bucket and curve-extrapolation notes, each
+    once, in first-seen order.
     """
     issues: list[InstrumentIssue] = []
+    notes: list[str] = []
     # id(factor key) -> (key, delta terms), in first-seen order. Each spot quote
     # and each GIRR tenor has one key object per call.
     factors: dict[int, tuple[RiskFactorKey, list[float]]] = {}
@@ -276,7 +299,7 @@ def collect_sensitivities(
             quote_id = (type(instr), getattr(instr, spot.name_attr))
             quote = quotes.get(quote_id)
             if quote is None:
-                quote = quotes[quote_id] = _resolve_quote(index, instr, spot, md, registry, rb)
+                quote = quotes[quote_id] = _resolve_quote(index, instr, spot, md, registry, rb, notes)
                 if type(quote) is not InstrumentIssue:
                     factors[id(quote[0])] = (quote[0], quote[3])
             if type(quote) is InstrumentIssue:
@@ -299,23 +322,29 @@ def collect_sensitivities(
             stage = "valuation"
             if girr is None:
                 girr = _GirrKernel(md, rb.tenor_grid)
-            records = girr.deltas(instr, bucket)
+            pairs = girr.deltas(instr, bucket, notes)
         except (PortfolioError, RulebookError, ValueError) as exc:
             issues.append(InstrumentIssue(index, stage, str(exc)))
             continue
-        for rec in records:
-            if not math.isfinite(rec.value):
-                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(rec.key, rec.value)))
+        except (OverflowError, ZeroDivisionError):
+            # Float ** raises where it would give inf, and so does fsum on an intermediate overflow.
+            message = ("discounted cash flows are out of the float range; "
+                       "the notional or maturity of this position is too large, or a zero rate too close to -1")
+            issues.append(InstrumentIssue(index, "valuation", message))
+            continue
+        for key, s in pairs:
+            if not math.isfinite(s):
+                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(key, s)))
                 break
         else:
-            for rec in records:
-                factor = factors.get(id(rec.key))
+            for key, s in pairs:
+                factor = factors.get(id(key))
                 if factor is None:
-                    factor = factors[id(rec.key)] = (rec.key, [])
-                factor[1].append(rec.value)
+                    factor = factors[id(key)] = (key, [])
+                factor[1].append(s)
     if issues:
         raise SensitivityError(issues)
-    return _net(factors.values())
+    return _net(factors.values()), tuple(dict.fromkeys(notes))
 
 
 def _resolve_quote(
@@ -325,6 +354,7 @@ def _resolve_quote(
     md: MarketData,
     registry: dict[str, IssuerInfo],
     rb: Rulebook,
+    notes: list[str],
 ) -> tuple[RiskFactorKey, float, float, list[float]] | InstrumentIssue:
     # Factor key, x, 1.01 x and an empty term list of the quote a spot position
     # reads, or the issue of position ``index`` if classifying or reading it fails.
@@ -334,7 +364,9 @@ def _resolve_quote(
         if spot.risk_class is RiskClass.FX:
             bucket = rb.currency_bucket(RiskClass.FX, name).bucket_id
         else:
-            bucket = assign_bucket(instr, registry, rb)
+            bucket, note = assign_bucket(instr, registry, rb)
+            if note is not None:
+                notes.append(note)
         stage = "valuation"
         x = getattr(md, spot.getter)(name)  # fx_spot rejects the reporting currency
         return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []
@@ -352,23 +384,6 @@ def _non_finite_message(key: RiskFactorKey, delta: float) -> str:
 def _factor_label(key: RiskFactorKey) -> str:
     tenor = f" at tenor {key.tenor:g}" if key.tenor is not None else ""
     return f"{key.risk_class.value} delta to {key.name}{tenor}"
-
-
-def collect_with_warnings(
-    p: Portfolio,
-    md: MarketData,
-    registry: dict[str, IssuerInfo],
-    rb: Rulebook,
-) -> tuple[list[SensitivityRecord], tuple[str, ...]]:
-    """collect_sensitivities plus the distinct warning messages it raised.
-
-    Residual-bucket and curve-extrapolation warnings are recorded, not shown,
-    and returned once each in first-seen order.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = collect_sensitivities(p, md, registry, rb)
-    return records, tuple(dict.fromkeys(str(w.message) for w in caught))
 
 
 def net_records(records: list[SensitivityRecord]) -> list[SensitivityRecord]:

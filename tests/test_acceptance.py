@@ -53,7 +53,6 @@ from sbmcap.sensitivities import (
     RiskFactorKey,
     SensitivityRecord,
     collect_sensitivities,
-    girr_deltas,
     net_records,
 )
 
@@ -81,7 +80,7 @@ def test_criterion_1_equity_case_study(rb, equity_portfolio, market, registry):
     that formula (see README) and is deliberately not used here.
     """
     with criterion(1) as c:
-        records = net_records(collect_sensitivities(equity_portfolio, market, registry, rb))
+        records = net_records(collect_sensitivities(equity_portfolio, market, registry, rb)[0])
         by_name = {r.key.name: r for r in records}
         assert by_name["XOM"].value == pytest.approx(1_100_000.0, rel=1e-12)
         assert round(by_name["XOM"].value, 2) == 1_100_000.00
@@ -198,7 +197,9 @@ def test_criterion_4_homogeneity_and_collapse(rb):
                     assert b_scaled.k_b == pytest.approx(lam * b_base.k_b, rel=1e-12)
 
             rss = math.sqrt(math.fsum(b.k_b**2 for b in base.buckets))
-            zero_gamma = cross_bucket_delta(RiskClass.EQUITY, list(base.buckets), lambda b, c_, sc: 0.0, MEDIUM).charge
+            ids = [b.bucket for b in base.buckets]
+            no_gamma = {(b, c_): 0.0 for b in ids for c_ in ids if b != c_}
+            zero_gamma = cross_bucket_delta(RiskClass.EQUITY, list(base.buckets), no_gamma, MEDIUM).charge
             assert zero_gamma == pytest.approx(rss, rel=1e-12)
 
             if len(buckets) == 1:
@@ -220,7 +221,9 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
         for instr in reference_portfolio.positions:
             if isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
-                tenor_sum = math.fsum(r.value for r in girr_deltas(instr, market, rb.tenor_grid, bucket))
+                girr, _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
+                assert {r.key.bucket for r in girr} == {bucket}
+                tenor_sum = math.fsum(r.value for r in girr)
                 bumped = dataclasses.replace(market, zero_curve=market.zero_curve.parallel_bumped(GIRR_BUMP))
                 parallel = (value(instr, bumped) - value(instr, market)) / GIRR_BUMP
                 assert tenor_sum == pytest.approx(parallel, rel=1e-6)
@@ -229,8 +232,8 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
             if isinstance(instr, FXPosition):
                 bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
             else:
-                bucket = assign_bucket(instr, registry, rb)
-            [rec] = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
+                bucket, _ = assign_bucket(instr, registry, rb)
+            [rec], _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
             assert rec.key.bucket == bucket
             assert rec.value == pytest.approx(value(instr, market), rel=1e-9)
             spots += 1
@@ -267,7 +270,8 @@ def test_criterion_6_fallback_path():
         gamma, signs, res_a, res_b = hit
         assert res_a.s_b_net * res_b.s_b_net < 0
 
-        charge = cross_bucket_delta(RiskClass.EQUITY, [res_a, res_b], lambda b, c_, sc: gamma, MEDIUM).charge
+        pair = {(res_a.bucket, res_b.bucket): gamma, (res_b.bucket, res_a.bucket): gamma}
+        charge = cross_bucket_delta(RiskClass.EQUITY, [res_a, res_b], pair, MEDIUM).charge
         assert math.isfinite(charge) and charge >= 0.0
 
         rb_lab = rulebook_from_dict(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -57,10 +58,8 @@ def rho_const(value: float):
 
 
 def gamma_const(value: float):
-    def provider(b, c, scenario):
-        return value
-
-    return provider
+    """The same gamma for every bucket pair."""
+    return defaultdict(lambda: value)
 
 
 def one_bucket_rulebook(rho: float | None):
@@ -109,7 +108,7 @@ def fallback_rulebook():
 
 class TestWeightSensitivity:
     def test_equity_worked_examples(self, rb, equity_portfolio, market, registry):
-        records = collect_sensitivities(equity_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(equity_portfolio, market, registry, rb)
         weighted = {w.name: w for w in (weight_sensitivity(r, rb) for r in records)}
         assert weighted["XOM"].risk_weight == 0.40
         assert weighted["XOM"].weighted_sensitivity == pytest.approx(440_000.0, rel=REL_TOL)
@@ -212,7 +211,7 @@ class TestDeltaCharge:
 
 class TestRiskClassDelta:
     def test_equity_case_study(self, rb, equity_portfolio, market, registry):
-        records = collect_sensitivities(equity_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(equity_portfolio, market, registry, rb)
         result = risk_class_delta(records, rb, MEDIUM)
         oracle = math.sqrt(440_000.0**2 + 59_500.0**2 + 2 * 0.15 * 440_000.0 * 59_500.0)
         assert result.charge == pytest.approx(oracle, rel=REL_TOL)
@@ -281,7 +280,7 @@ class TestRiskClassDelta:
 
 class TestScenarioEnvelope:
     def test_envelope_is_max_of_scenario_totals(self, rb, reference_portfolio, market, registry):
-        records = collect_sensitivities(reference_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
@@ -291,7 +290,7 @@ class TestScenarioEnvelope:
         assert total == max(totals.values())
 
     def test_high_dominates_for_all_long_book(self, rb, reference_portfolio, market, registry):
-        records = collect_sensitivities(reference_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
@@ -310,7 +309,7 @@ class TestScenarioEnvelope:
         assert all(outcome.total == 0.0 for outcome in scenarios.values())
 
     def test_scenario_totals_sum_class_charges(self, rb, reference_portfolio, market, registry):
-        records = collect_sensitivities(reference_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
         by_class: dict = {}
         for rec in records:
             by_class.setdefault(rec.key.risk_class, []).append(rec)
@@ -322,7 +321,7 @@ class TestScenarioEnvelope:
 
 
     def test_each_factor_is_weighted_once_per_run(self, rb, reference_portfolio, market, registry, monkeypatch):
-        netted = collect_sensitivities(reference_portfolio, market, registry, rb)
+        netted, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
         calls = []
         original = Rulebook.risk_weight
 
@@ -334,6 +333,28 @@ class TestScenarioEnvelope:
         report = compute_capital(reference_portfolio, market, registry, rb)
         assert len(report.scenarios) == 3
         assert len(calls) == len(netted) == 8
+
+    def test_each_gamma_is_looked_up_once_per_unordered_pair(self, rb, market, registry, monkeypatch):
+        # Six equity names in six buckets: 15 bucket pairs under each of 3 scenarios.
+        names = ("XOM", "T", "MSFT", "PBR", "NWCO", "RGNL")
+        calls = []
+        original = Rulebook.cross_correlation
+
+        def counting(self, risk_class, b, c, scenario):
+            calls.append((risk_class, b, c, scenario))
+            return original(self, risk_class, b, c, scenario)
+
+        monkeypatch.setattr(Rulebook, "cross_correlation", counting)
+        report = compute_capital(Portfolio(positions=tuple(CashEquity(n, 100) for n in names)), market, registry, rb)
+        buckets = [b.bucket for b in report.scenarios["medium"].classes["equity"].buckets]
+        assert len(buckets) == 6
+        pairs = [(b, c) for i, b in enumerate(buckets) for c in buckets[i + 1 :]]
+        assert sorted(calls) == sorted((EQUITY, b, c, sc) for sc in CorrelationScenario for b, c in pairs)
+        for token, outcome in report.scenarios.items():
+            used = outcome.classes["equity"].cross_correlations
+            assert [(g.bucket_b, g.bucket_c, g.gamma) for g in used] == [
+                (b, c, original(rb, EQUITY, c, b, CorrelationScenario(token))) for b, c in pairs
+            ]
 
 
 class TestUniformRhoBucket:
@@ -398,7 +419,7 @@ class TestNonFiniteForms:
         # compute_capital stops a NaN price at the position (see test_sensitivities);
         # records handed to the aggregation directly still meet this guard.
         by_class: dict = {}
-        for rec in collect_sensitivities(reference_portfolio, market, registry, rb):
+        for rec in collect_sensitivities(reference_portfolio, market, registry, rb)[0]:
             if rec.key.name == "XOM":
                 rec = SensitivityRecord(rec.key, math.nan)
             by_class.setdefault(rec.key.risk_class, []).append(rec)

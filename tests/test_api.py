@@ -47,3 +47,16 @@ def test_engine_imports_only_the_standard_library():
             foreign += [f"{source.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_engine_reports_diagnostics_without_the_warnings_module():
+    # Diagnostics are returned as data; Python's process-global warning filters stay out of the engine.
+    found = []
+    for source in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{source.name}:{node.lineno}" for alias in node.names if alias.name == "warnings"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found.append(f"{source.name}:{node.lineno}")
+    assert found == []

@@ -8,10 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from sbmcap import compute_capital, load_market_data, load_portfolio, load_registry, load_rulebook
 from sbmcap.cli import main
 from sbmcap.engine import parse_report
 
@@ -321,30 +323,70 @@ class TestDumpSensitivities:
         assert sorted(r["tenor"] for r in girr) == ["10.0", "5.0"]
 
     def test_warnings_are_reported_like_compute(self, paths, capsys, tmp_path):
-        # An unregistered issuer lands in the residual bucket; a 32y annual bond
-        # has flows beyond the 30y last pillar.
-        market = json.loads(Path(paths["market"]).read_text(encoding="utf-8"))
-        market["equity_prices"]["ACME"] = 50.0
-        market_path = tmp_path / "market.json"
-        market_path.write_text(json.dumps(market), encoding="utf-8")
-        portfolio = tmp_path / "portfolio.csv"
-        portfolio.write_text(
-            "type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n"
-            "equity,ACME,100,shares,,,,,+\n"
-            "bond,LONG,10000,,0.04,32,1,USD,+\n",
-            encoding="utf-8",
-        )
-        args = ["--rulebook", paths["rulebook"], "--market", str(market_path), "--registry", paths["registry"],
-                "--portfolio", str(portfolio)]
+        args = diagnostic_args(paths, tmp_path)
         assert main(["dump-sensitivities", *args]) == 0
         err = capsys.readouterr().err
-        assert err == (
-            "warning: issuer 'ACME' not in registry; assigned to residual bucket 11\n"
-            "warning: zero rate at t=31 beyond last pillar 30, extrapolating flat\n"
-            "warning: zero rate at t=32 beyond last pillar 30, extrapolating flat\n"
-        )
+        assert err == DIAGNOSTIC_LINES
         assert main(["compute", *args]) == 0
         assert capsys.readouterr().err == err
+
+
+def diagnostic_args(paths, tmp_path):
+    """CLI input options for a book with a residual-bucket note and two extrapolation notes.
+
+    An unregistered issuer lands in the residual bucket; a 32y annual bond has
+    flows beyond the 30y last pillar.
+    """
+    market = json.loads(Path(paths["market"]).read_text(encoding="utf-8"))
+    market["equity_prices"]["ACME"] = 50.0
+    market_path = tmp_path / "market.json"
+    market_path.write_text(json.dumps(market), encoding="utf-8")
+    portfolio = tmp_path / "portfolio.csv"
+    portfolio.write_text(
+        "type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n"
+        "equity,ACME,100,shares,,,,,+\n"
+        "bond,LONG,10000,,0.04,32,1,USD,+\n",
+        encoding="utf-8",
+    )
+    return ["--rulebook", paths["rulebook"], "--market", str(market_path), "--registry", paths["registry"],
+            "--portfolio", str(portfolio)]
+
+
+DIAGNOSTIC_LINES = (
+    "warning: issuer 'ACME' not in registry; assigned to residual bucket 11\n"
+    "warning: zero rate at t=31 beyond last pillar 30, extrapolating flat\n"
+    "warning: zero rate at t=32 beyond last pillar 30, extrapolating flat\n"
+)
+
+
+def test_diagnostics_travel_as_data_not_through_the_warnings_module(paths, capsys, tmp_path, monkeypatch):
+    # Python's warning filters are process-global: neither compute_capital nor
+    # CLI compute may change them, enter catch_warnings or emit a warning.
+    args = diagnostic_args(paths, tmp_path)
+    files = dict(zip(args[::2], args[1::2]))
+    inputs = (load_portfolio(files["--portfolio"]), load_market_data(files["--market"]),
+              load_registry(files["--registry"]), load_rulebook(files["--rulebook"]))
+    used = []
+
+    def spy(name, fn):
+        def wrapper(*a, **k):
+            used.append(name)
+            return fn(*a, **k)
+        return wrapper
+
+    catch_warnings = warnings.catch_warnings
+    monkeypatch.setattr(warnings, "warn", spy("warn", warnings.warn))
+    monkeypatch.setattr(warnings, "catch_warnings", spy("catch_warnings", catch_warnings))
+    with catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        report = compute_capital(*inputs)
+        assert warnings.filters == filters
+        assert main(["compute", *args]) == 0
+        assert warnings.filters == filters
+    assert caught == [] and used == []
+    assert report.warnings == tuple(line[len("warning: "):] for line in DIAGNOSTIC_LINES.splitlines())
+    assert capsys.readouterr().err == DIAGNOSTIC_LINES
 
 
 class TestOutDirEnv:

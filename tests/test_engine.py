@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmcap.aggregation import CrossCorrelation
+from sbmcap.aggregation import AggregationError, CrossCorrelation
 from sbmcap.engine import (
     ReportFormatError,
     compute_capital,
@@ -170,6 +170,50 @@ class TestCapitalProperties:
         assert math.isfinite(report.total_capital)
         assert all(report.total_capital >= total for total in totals)
         assert report.total_capital in totals
+
+
+# Finite numbers of every magnitude, zeros of both signs included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (0.0, -0.0, 1e-300, 1e154, 1e200, 1e306, 1.7e308, -1.7e308)
+)
+FINITE_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "T", "MSFT", "PBR", "NWCO")), FINITE),
+    st.builds(FXPosition, st.sampled_from(("EUR", "JPY", "GBP")), FINITE),
+    st.builds(CommodityFuture, st.sampled_from(("gold", "crude_oil", "wheat")), FINITE, st.just("")),
+    st.builds(Bond, notional=FINITE, coupon_rate=FINITE, maturity=st.floats(min_value=1e-12, max_value=1_000.0),
+              frequency=st.sampled_from((1, 2, 4)), currency=st.just("USD")),
+)
+# Zero rates near -1, where discount factors get large, at and below it, and large ones.
+RATES = st.floats(min_value=-1.5, max_value=-0.5) | st.floats(min_value=-0.5, max_value=10.0) | st.sampled_from(
+    (-1.0, -0.9999999999999999, 1e300)
+)
+
+
+class TestFiniteInputs:
+    """Finite inputs give finite capital or a named error: never NaN, inf or another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        book=st.lists(FINITE_POSITIONS, max_size=6),
+        quote=FINITE,
+        rates=st.lists(RATES, min_size=3, max_size=3),
+    )
+    def test_finite_capital_or_a_named_error(self, rb, market, registry, book, quote, rates):
+        md = replace(market, equity_prices={**market.equity_prices, "XOM": quote},
+                     zero_curve=ZeroCurve((0.5, 5.0, 30.0), tuple(rates)))
+        try:
+            report = compute_capital(Portfolio(positions=tuple(book)), md, registry, rb)
+        except (SensitivityError, AggregationError):
+            return
+        numbers = [report.total_capital]
+        for outcome in report.scenarios.values():
+            numbers.append(outcome.total)
+            for cls in outcome.classes.values():
+                numbers.append(cls.charge)
+                numbers += [x for b in cls.buckets for x in (b.k_b, b.s_b_net, b.s_b_effective)]
+                numbers += [x for b in cls.buckets for f in b.factors for x in (f.sensitivity, f.weighted_sensitivity)]
+        assert all(math.isfinite(x) for x in numbers)
+        render_report(report, "hierarchical")
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ from sbmcap.portfolio import (
     BucketAssignmentError,
     CashEquity,
     CommodityFuture,
-    CurveExtrapolationWarning,
     FXPosition,
     MAX_MATURITY,
     IssuerInfo,
@@ -21,7 +20,6 @@ from sbmcap.portfolio import (
     MarketDataError,
     Portfolio,
     PortfolioParseError,
-    ResidualBucketWarning,
     ZeroCurve,
     assign_bucket,
     instrument_from_dict,
@@ -32,6 +30,7 @@ from sbmcap.portfolio import (
     value,
 )
 from sbmcap.rulebook import rulebook_from_dict
+from sbmcap.sensitivities import collect_sensitivities
 
 REL_TOL = 1e-12
 
@@ -257,11 +256,14 @@ class TestValuation:
     def test_zero_curve_flat_below_first_pillar(self, market):
         assert market.zero_curve.rate(0.1) == market.zero_curve.rate(0.25) == 0.03
 
-    def test_extrapolation_beyond_last_pillar_warns(self, market):
+    def test_extrapolation_beyond_last_pillar_warns(self, market, registry, rb):
+        # value() extrapolates flat and silently; collecting the bond's deltas
+        # returns one message per flow beyond the 30y last pillar.
         bond = Bond(notional=100.0, coupon_rate=0.0, maturity=35.0, frequency=1, currency="USD")
-        with pytest.warns(CurveExtrapolationWarning):
-            pv = value(bond, market)
+        pv = value(bond, market)
         assert pv == pytest.approx(100.0 * 1.04**-35.0, rel=1e-12)
+        _, messages = collect_sensitivities(Portfolio(positions=(bond,)), market, registry, rb)
+        assert messages == tuple(f"zero rate at t={t} beyond last pillar 30, extrapolating flat" for t in range(31, 36))
 
     def test_missing_equity_price(self, market):
         with pytest.raises(MarketDataError, match="ZZZ"):
@@ -336,7 +338,7 @@ class TestBucketAssignment:
         ],
     )
     def test_equity_buckets(self, rb, registry, issuer, expected):
-        assert assign_bucket(CashEquity(issuer, 1), registry, rb) == expected
+        assert assign_bucket(CashEquity(issuer, 1), registry, rb) == (expected, None)
 
     @pytest.mark.parametrize(
         ("commodity", "expected"),
@@ -346,15 +348,17 @@ class TestBucketAssignment:
         ],
     )
     def test_commodity_buckets(self, rb, registry, commodity, expected):
-        assert assign_bucket(CommodityFuture(commodity, 1, "lot"), registry, rb) == expected
+        assert assign_bucket(CommodityFuture(commodity, 1, "lot"), registry, rb) == (expected, None)
 
     def test_unknown_issuer_falls_to_residual_with_warning(self, rb, registry):
-        with pytest.warns(ResidualBucketWarning, match="residual"):
-            assert assign_bucket(CashEquity("UNKNOWN", 1), registry, rb) == 11
+        bucket, note = assign_bucket(CashEquity("UNKNOWN", 1), registry, rb)
+        assert bucket == 11
+        assert note == "issuer 'UNKNOWN' not in registry; assigned to residual bucket 11"
 
     def test_unknown_commodity_falls_to_residual_with_warning(self, rb, registry):
-        with pytest.warns(ResidualBucketWarning):
-            assert assign_bucket(CommodityFuture("uranium", 1, "lb"), registry, rb) == 11
+        bucket, note = assign_bucket(CommodityFuture("uranium", 1, "lb"), registry, rb)
+        assert bucket == 11
+        assert note == "commodity 'uranium' matches no bucket; assigned to residual bucket 11"
 
     def test_unknown_issuer_without_residual_bucket_errors(self, rb, registry):
         data = rb.to_dict()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from collections import defaultdict
 from dataclasses import replace
 
@@ -18,7 +17,6 @@ from sbmcap.portfolio import (
     Bond,
     CashEquity,
     CommodityFuture,
-    CurveExtrapolationWarning,
     FXPosition,
     IssuerInfo,
     MarketData,
@@ -38,8 +36,6 @@ from sbmcap.sensitivities import (
     SensitivityError,
     SensitivityRecord,
     collect_sensitivities,
-    collect_with_warnings,
-    girr_deltas,
     net_records,
     tent_bumped_curve,
 )
@@ -49,6 +45,8 @@ REL_TOL = 1e-12
 # Pillars off the standard grid, and a curve that ends (20y) before the grid does (30y).
 OFF_GRID_CURVE = ZeroCurve((0.1, 0.75, 4.0, 7.0, 12.5, 25.0, 40.0), (0.021, 0.025, 0.031, 0.034, 0.037, 0.041, 0.039))
 SHORT_CURVE = ZeroCurve((0.5, 1.0, 2.0, 5.0, 10.0, 20.0), (0.045, 0.043, 0.04, 0.038, 0.039, 0.041))
+# One pillar inside the grid: flat everywhere, extrapolated beyond 7y.
+ONE_PILLAR_CURVE = ZeroCurve((7.0,), (0.03,))
 # The fixture rulebook's tenor grid; the fixture curve's pillars are the same tenors.
 FIXTURE_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 # A grid whose tenors and spacings are not exact binary fractions.
@@ -85,26 +83,57 @@ def delta(instr, md, bucket):
     return spot_delta(instr, md, *spot_quote(instr, md, bucket))
 
 
+# Spot positions that fall to a residual bucket in ``with_residual_quotes(market)``.
+RESIDUAL_SPOTS = (CashEquity("ACME", 10.0), CommodityFuture("unobtainium", 2.0, ""), CashEquity("ZETA", -5.0))
+
+
+def with_residual_quotes(md):
+    """The snapshot with quotes for the residual names ACME, ZETA (equities) and unobtainium."""
+    return replace(md, equity_prices={**md.equity_prices, "ACME": 50.0, "ZETA": 20.0},
+                   commodity_prices={**md.commodity_prices, "unobtainium": 7.0})
+
+
+def kernel_deltas(bond, md, grid, bucket):
+    """The GIRR kernel on one bond: a record per tenor it loads, and its notes in flow order."""
+    notes = []
+    pairs = sensitivities._GirrKernel(md, grid).deltas(bond, bucket, notes)
+    return [SensitivityRecord(key, s) for key, s in pairs], notes
+
+
+def girr_deltas(bond, md, grid, bucket):
+    """The kernel's per-tenor delta records of one bond."""
+    return kernel_deltas(bond, md, grid, bucket)[0]
+
+
 def whole_curve_girr_deltas(bond, md, grid):
     """Oracle: revalue the whole bond on each tent-bumped curve; keep non-zero deltas."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CurveExtrapolationWarning)
-        base = value(bond, md)
-        out = {}
-        for tenor in grid:
-            bumped = value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
-            s = (bumped - base) / GIRR_BUMP
-            if s != 0.0:
-                out[tenor] = s
+    base = value(bond, md)
+    out = {}
+    for tenor in grid:
+        bumped = value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
+        s = (bumped - base) / GIRR_BUMP
+        if s != 0.0:
+            out[tenor] = s
     return out
 
 
 def per_flow_girr_deltas(bond, md, grid, bucket):
-    """Oracle: the per-flow kernel, with a ZeroCurve.rate call and a grid bisect for each cash flow."""
+    """Oracle: the per-flow kernel, with a ZeroCurve.rate call and a grid bisect for each cash flow.
+
+    Returns the records and the extrapolation notes: one per flow beyond the
+    curve's last pillar, in ascending t.
+    """
+    if bond.currency != md.reporting_currency:
+        raise MarketDataError(
+            f"bond denominated in {bond.currency}, but only the {md.reporting_currency} curve is available"
+        )
     curve = md.zero_curve
     terms = defaultdict(list)
+    notes = []
     for t, amount in bond.cash_flows():
         z = curve.rate(t)
+        if t > curve.tenors[-1]:
+            notes.append(f"zero rate at t={t:g} beyond last pillar {curve.tenors[-1]:g}, extrapolating flat")
         pv = amount * (1.0 + z) ** -t
         for i, w in covering_tents(grid, t):
             terms[i].append(amount * (1.0 + (z + GIRR_BUMP * w)) ** -t - pv)
@@ -113,7 +142,7 @@ def per_flow_girr_deltas(bond, md, grid, bucket):
         s = math.fsum(terms[i]) / GIRR_BUMP
         if s != 0.0:
             records.append(SensitivityRecord(RiskFactorKey(RiskClass.GIRR, bucket, bond.currency, grid[i]), s))
-    return records
+    return records, notes
 
 
 def covering_tents(grid, t):
@@ -136,14 +165,6 @@ def covering_tents(grid, t):
 def bits(records):
     """Records as (key, exact float bits), so that equal means equal to the last bit."""
     return [(rec.key, rec.value.hex()) for rec in records]
-
-
-def warned(fn, *args):
-    """fn(*args) and the messages of every warning it raised, in order."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, [str(w.message) for w in caught]
 
 
 class TestSpotDeltas:
@@ -278,15 +299,14 @@ class TestGirrDeltas:
 
     def test_tent_weights_sum_to_parallel_shift(self, rb, market):
         # t=40 sits beyond the last pillar; the partition of unity must hold
-        # in the flat-extrapolation zone too, which warns on each query.
+        # in the flat-extrapolation zone too, where ZeroCurve.rate is silent.
         grid = rb.tenor_grid
         base = market.zero_curve
         total = {t: 0.0 for t in (0.1, 0.25, 0.7, 1.0, 4.0, 12.5, 30.0, 40.0)}
-        with pytest.warns(CurveExtrapolationWarning):
-            for tenor in grid:
-                bumped = tent_bumped_curve(base, grid, tenor, GIRR_BUMP)
-                for t in total:
-                    total[t] += bumped.rate(t) - base.rate(t)
+        for tenor in grid:
+            bumped = tent_bumped_curve(base, grid, tenor, GIRR_BUMP)
+            for t in total:
+                total[t] += bumped.rate(t) - base.rate(t)
         for t, shift in total.items():
             assert shift == pytest.approx(GIRR_BUMP, rel=1e-9)
 
@@ -307,9 +327,7 @@ class TestGirrDeltas:
         md = {"fixture": market, "off_grid": replace(market, zero_curve=OFF_GRID_CURVE),
               "short": replace(market, zero_curve=SHORT_CURVE)}[curve]
         bond = Bond(notional=notional, coupon_rate=coupon, maturity=maturity, frequency=frequency, currency="USD")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CurveExtrapolationWarning)
-            records = girr_deltas(bond, md, rb.tenor_grid, bucket=1)
+        records = girr_deltas(bond, md, rb.tenor_grid, bucket=1)
         got = {rec.key.tenor: rec.value for rec in records}
         expected = whole_curve_girr_deltas(bond, md, rb.tenor_grid)
         assert [rec.key.tenor for rec in records] == sorted(got)
@@ -328,60 +346,107 @@ class TestGirrDeltas:
         # One non-zero flow below, on or beyond the grid: its PV difference is
         # V(z + tent) - V(z) itself, so the fixture report does not move.
         bond = Bond(notional=10_000, coupon_rate=0.0, maturity=maturity, frequency=1, currency="USD")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CurveExtrapolationWarning)
-            records = girr_deltas(bond, market, rb.tenor_grid, bucket=1)
+        records = girr_deltas(bond, market, rb.tenor_grid, bucket=1)
         got = {rec.key.tenor: rec.value for rec in records}
         assert got == whole_curve_girr_deltas(bond, market, rb.tenor_grid)
         assert len(got) == 1
 
     # Maturities on every pillar and grid tenor, so that flows land exactly on
-    # them (5y annual: 5, 4, 3, 2, 1), below every curve's first pillar and
-    # beyond every curve's last one, plus arbitrary ones.
-    @settings(max_examples=300, deadline=None)
+    # them (5y annual: 5, 4, 3, 2, 1; 20.25y quarterly also on 0.25 and 0.5),
+    # below every curve's first pillar and beyond every curve's last one; bonds
+    # with no flow (maturity at most 1e-9) or a single one; plus arbitrary
+    # ones. Spot positions that fall to a residual bucket sit between the bonds,
+    # so that their notes interleave with the extrapolation notes.
+    @settings(max_examples=400, deadline=None)
+    @example(positions=[Bond(1e6, 0.03, 20.25, 4, "USD"), CashEquity("ACME", 10.0), Bond(-1e5, 0.0, 30.0, 2, "USD")],
+             curve="short", rates=[0.0, -0.0, 0.0, -0.0, 0.01, -0.0, 0.0, 0.0, 0.0, 0.0], odd_grid=False)
+    @example(positions=[Bond(1e6, 0.03, 1e-9, 1, "USD"), Bond(1e6, 0.03, 0.3, 1, "USD")], curve="empty", rates=None,
+             odd_grid=False)
     @given(
-        bonds=st.lists(
+        positions=st.lists(
             st.builds(
                 Bond,
                 notional=st.one_of(st.floats(min_value=1e3, max_value=1e8), st.floats(min_value=-1e8, max_value=-1e3)),
                 coupon_rate=st.floats(min_value=0.0, max_value=0.08),
                 maturity=st.one_of(
                     st.sampled_from(sorted({*FIXTURE_GRID, *ODD_GRID, *OFF_GRID_CURVE.tenors, *SHORT_CURVE.tenors})),
-                    st.sampled_from((0.05, 0.07, 32.5, 41.0, 45.0)),
+                    st.sampled_from((0.05, 0.07, 20.25, 25.5, 30.25, 32.5, 40.5, 41.0, 45.0)),
+                    st.sampled_from((1e-12, 5e-10, 1e-9)),
+                    st.floats(min_value=1e-12, max_value=1.0),
                     st.floats(min_value=0.05, max_value=45.0),
                 ),
                 frequency=st.sampled_from((1, 2, 4)),
                 currency=st.just("USD"),
-            ),
+            )
+            | st.sampled_from(RESIDUAL_SPOTS),
             min_size=1,
-            max_size=4,
+            max_size=5,
         ),
-        curve=st.sampled_from(("fixture", "off_grid", "short")),
-        # Or the same pillars at arbitrary rates, negative ones included.
-        rates=st.none() | st.lists(st.floats(min_value=-0.01, max_value=0.08), min_size=10, max_size=10),
+        curve=st.sampled_from(("fixture", "off_grid", "short", "one pillar", "empty")),
+        # Or the same pillars at arbitrary rates: negative ones, and zeros of either sign.
+        rates=st.none()
+        | st.lists(st.floats(min_value=-0.01, max_value=0.08) | st.sampled_from((0.0, -0.0)), min_size=10, max_size=10),
         odd_grid=st.booleans(),
     )
-    def test_matches_the_per_flow_kernel_bit_for_bit(self, rb, registry, market, bonds, curve, rates, odd_grid):
+    def test_matches_the_per_flow_kernel_bit_for_bit(self, rb, registry, market, positions, curve, rates, odd_grid):
         assert rb.tenor_grid == FIXTURE_GRID == market.zero_curve.tenors
-        md = {"fixture": market, "off_grid": replace(market, zero_curve=OFF_GRID_CURVE),
-              "short": replace(market, zero_curve=SHORT_CURVE)}[curve]
+        zero_curve = {"fixture": market.zero_curve, "off_grid": OFF_GRID_CURVE, "short": SHORT_CURVE,
+                      "one pillar": ONE_PILLAR_CURVE, "empty": ZeroCurve((), ())}[curve]
         if rates is not None:
-            tenors = md.zero_curve.tenors
-            md = replace(md, zero_curve=ZeroCurve(tenors, tuple(rates[: len(tenors)])))
+            zero_curve = ZeroCurve(zero_curve.tenors, tuple(rates[: len(zero_curve.tenors)]))
+        md = replace(with_residual_quotes(market), zero_curve=zero_curve)
         if odd_grid:
             rb = replace(rb, tenor_grid=ODD_GRID)
-        expected_records, expected_warnings = [], []
-        for bond in bonds:
-            expected, expected_warned = warned(per_flow_girr_deltas, bond, md, rb.tenor_grid, 1)
-            got, got_warned = warned(girr_deltas, bond, md, rb.tenor_grid, 1)
+        expected_records, expected_notes, expected_issues = [], [], []
+        for index, instr in enumerate(positions):
+            if not isinstance(instr, Bond):
+                bucket, note = assign_bucket(instr, registry, rb)
+                expected_records.append(delta(instr, md, bucket))
+                expected_notes.append(note)
+                continue
+            try:
+                expected, notes = per_flow_girr_deltas(instr, md, rb.tenor_grid, 1)
+            except MarketDataError as exc:
+                # The empty curve, for a bond with a flow.
+                with pytest.raises(MarketDataError) as from_kernel:
+                    kernel_deltas(instr, md, rb.tenor_grid, 1)
+                assert str(from_kernel.value) == str(exc)
+                expected_issues.append((index, "valuation", str(exc)))
+                continue
+            got, got_notes = kernel_deltas(instr, md, rb.tenor_grid, 1)
             assert bits(got) == bits(expected)
-            assert got_warned == expected_warned
+            assert got_notes == notes
             expected_records += expected
-            expected_warnings += expected_warned
+            expected_notes += notes
         # One knot table and one set of factor keys shared by all the bonds of a call.
-        records, messages = collect_with_warnings(Portfolio(positions=tuple(bonds)), md, registry, rb)
+        p = Portfolio(positions=tuple(positions))
+        if expected_issues:
+            with pytest.raises(SensitivityError) as excinfo:
+                collect_sensitivities(p, md, registry, rb)
+            assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == expected_issues
+            return
+        records, messages = collect_sensitivities(p, md, registry, rb)
         assert bits(records) == bits(net_records(expected_records))
-        assert messages == tuple(dict.fromkeys(expected_warnings))
+        assert messages == tuple(dict.fromkeys(expected_notes))
+
+    def test_kernel_never_calls_zero_curve_rate(self, monkeypatch, rb, registry, market):
+        # Flows below the first pillar (0.5y), on and between pillars, and beyond the last (20y).
+        calls = []
+        original = ZeroCurve.rate
+
+        def counting(curve, t):
+            calls.append(t)
+            return original(curve, t)
+
+        monkeypatch.setattr(ZeroCurve, "rate", counting)
+        md = replace(market, zero_curve=SHORT_CURVE)
+        bonds = tuple(Bond(notional=1e6, coupon_rate=0.03, maturity=m, frequency=4, currency="USD") for m in (0.3, 7.3, 26.0))
+        records, messages = collect_sensitivities(Portfolio(positions=bonds), md, registry, rb)
+        flows = [t for bond in bonds for t, _ in bond.cash_flows()]
+        assert min(flows) < SHORT_CURVE.tenors[0] and max(flows) > SHORT_CURVE.tenors[-1]
+        assert calls == []
+        assert len(records) == len(rb.tenor_grid)
+        assert len(messages) == sum(t > SHORT_CURVE.tenors[-1] for t in flows) == 24
 
     def test_foreign_bond_fails_at_valuation_with_the_value_message(self, rb, registry, market):
         # USD has a GIRR bucket, so classification passes; the EUR snapshot has no USD curve.
@@ -394,11 +459,11 @@ class TestGirrDeltas:
         assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == [(1, "valuation", str(from_value.value))]
 
     def test_extrapolation_warnings_name_only_the_market_curve(self, rb, registry, market):
-        # The curve ends at 20y, the grid at 30y: every flow past 20y warns once,
+        # The curve ends at 20y, the grid at 30y: every flow past 20y is noted once,
         # against the market's last pillar, not against the 30y grid end.
         md = replace(market, zero_curve=SHORT_CURVE)
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=40.0, frequency=1, currency="USD")
-        _, messages = collect_with_warnings(Portfolio(positions=(bond,)), md, registry, rb)
+        _, messages = collect_sensitivities(Portfolio(positions=(bond,)), md, registry, rb)
         assert messages == tuple(
             f"zero rate at t={t} beyond last pillar 20, extrapolating flat" for t in range(21, 41)
         )
@@ -435,7 +500,7 @@ class TestRiskFactorKey:
 
 class TestCollectAndNet:
     def test_reference_portfolio_collects_eight_factors(self, reference_portfolio, market, registry, rb):
-        records = collect_sensitivities(reference_portfolio, market, registry, rb)
+        records, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
         keys = [(r.key.risk_class.value, r.key.bucket, r.key.name, r.key.tenor) for r in records]
         assert keys == [
             ("commodity", 2, "crude_oil", None),
@@ -450,7 +515,7 @@ class TestCollectAndNet:
 
     def test_same_factor_positions_net(self, market, registry, rb):
         p = Portfolio(positions=(CashEquity("XOM", 10_000), CashEquity("XOM", -4_000)))
-        records = collect_sensitivities(p, market, registry, rb)
+        records, _ = collect_sensitivities(p, market, registry, rb)
         assert len(records) == 1
         assert records[0].value == pytest.approx(660_000.0, rel=REL_TOL)
 
@@ -458,10 +523,10 @@ class TestCollectAndNet:
         p1 = Portfolio(positions=(CashEquity("XOM", 10_000), FXPosition("EUR", 50_000)))
         p2 = Portfolio(positions=(CashEquity("XOM", -3_000), CommodityFuture("gold", 10, "oz")))
         union = Portfolio(positions=p1.positions + p2.positions)
-        merged = {r.key: r.value for r in collect_sensitivities(union, market, registry, rb)}
+        merged = {r.key: r.value for r in collect_sensitivities(union, market, registry, rb)[0]}
         split: dict = {}
         for part in (p1, p2):
-            for rec in collect_sensitivities(part, market, registry, rb):
+            for rec in collect_sensitivities(part, market, registry, rb)[0]:
                 split[rec.key] = split.get(rec.key, 0.0) + rec.value
         assert set(merged) == set(split)
         for key, total in merged.items():
@@ -482,7 +547,7 @@ class TestCollectAndNet:
         assert "EUR" in issues[1].message
 
     def test_empty_portfolio_collects_nothing(self, market, registry, rb):
-        assert collect_sensitivities(Portfolio(positions=()), market, registry, rb) == []
+        assert collect_sensitivities(Portfolio(positions=()), market, registry, rb) == ([], ())
 
     def test_net_records_orders_deterministically(self):
         key_b = RiskFactorKey(RiskClass.EQUITY, 7, "B")
@@ -541,8 +606,6 @@ class TestPerQuoteResolution:
 
     def test_each_quote_read_once_and_no_position_revalued(self, monkeypatch, market, registry, rb):
         counts = {"assign_bucket": 0, "value": 0, "quote reads": 0, "records": 0}
-        bonds = [instr for instr in REPEATED_NAMES if isinstance(instr, Bond)]
-        girr = [rec for bond in bonds for rec in girr_deltas(bond, market, rb.tenor_grid, 1)]
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -555,27 +618,28 @@ class TestPerQuoteResolution:
         for getter in ("equity_price", "fx_spot", "commodity_price"):
             monkeypatch.setattr(MarketData, getter, counting("quote reads", getattr(MarketData, getter)))
         monkeypatch.setattr(sensitivities, "SensitivityRecord", counting("records", SensitivityRecord))
-        records = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
+        records, _ = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
         # Equities XOM, T, MSFT and commodities gold, crude_oil go through
         # assign_bucket; EUR is classified by its currency. Each of the 6 quotes
         # is read once, no position is revalued, and the only records built are
-        # the bonds' tenor deltas and one per netted factor.
-        assert counts == {"assign_bucket": 5, "value": 0, "quote reads": 6, "records": len(girr) + len(records)}
+        # one per netted factor, the bonds' tenors included.
+        assert any(rec.key.risk_class is RiskClass.GIRR for rec in records)
+        assert counts == {"assign_bucket": 5, "value": 0, "quote reads": 6, "records": len(records)}
 
     def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
         # An issuer id may spell a currency code; its equity price is another quote.
         registry = {**registry, "EUR": IssuerInfo("EUR", "energy", "advanced", "large")}
         md = replace(market, equity_prices={**market.equity_prices, "EUR": 10.0})
         positions = (FXPosition("EUR", 100_000), CashEquity("EUR", 1_000))
-        records = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
+        records, _ = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
         assert [(r.key.risk_class, r.value) for r in records] == [
             (RiskClass.EQUITY, pytest.approx(10_000.0, rel=REL_TOL)),
             (RiskClass.FX, pytest.approx(110_000.0, rel=REL_TOL)),
         ]
 
     def test_repeated_quotes_give_the_same_deltas_as_positions_on_their_own(self, market, registry, rb):
-        together = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
-        alone = [rec for instr in REPEATED_NAMES for rec in collect_sensitivities(Portfolio((instr,)), market, registry, rb)]
+        together, _ = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
+        alone = [rec for instr in REPEATED_NAMES for rec in collect_sensitivities(Portfolio((instr,)), market, registry, rb)[0]]
         assert together == net_records(alone)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -619,7 +683,7 @@ class TestPerQuoteResolution:
     def test_residual_warning_once_in_first_seen_order(self, market, registry, rb):
         md = replace(market, equity_prices={**market.equity_prices, "ACME": 50.0, "ZETA": 20.0})
         positions = (CashEquity("ZETA", 1), CashEquity("ACME", 1), CashEquity("ZETA", 2), CashEquity("ACME", 3))
-        _, messages = collect_with_warnings(Portfolio(positions=positions), md, registry, rb)
+        _, messages = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
         assert messages == (
             "issuer 'ZETA' not in registry; assigned to residual bucket 11",
             "issuer 'ACME' not in registry; assigned to residual bucket 11",
@@ -627,25 +691,29 @@ class TestPerQuoteResolution:
 
 
 def per_position_sensitivities(positions, md, registry, rb):
-    """Oracle: each position classified and revalued on its own, as (records, issues).
+    """Oracle: each position classified and revalued on its own, as (records, issues, notes).
 
     Spot positions go through ``spot_quote`` and ``spot_delta``, so each is
-    revalued twice against full snapshots; bonds through ``girr_deltas``.
-    Issues are (index, stage, message), one per failed position.
+    revalued twice against full snapshots; bonds through ``per_flow_girr_deltas``.
+    Issues are (index, stage, message), one per failed position; notes are the
+    residual-bucket and extrapolation notes, in position and flow order.
     """
-    records, issues = [], []
+    records, issues, notes = [], [], []
     for index, instr in enumerate(positions):
         stage = "classification"
         try:
             if isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
                 stage = "valuation"
-                deltas = girr_deltas(instr, md, rb.tenor_grid, bucket)
+                deltas, flow_notes = per_flow_girr_deltas(instr, md, rb.tenor_grid, bucket)
+                notes += flow_notes
             else:
                 if isinstance(instr, FXPosition):
                     bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
                 else:
-                    bucket = assign_bucket(instr, registry, rb)
+                    bucket, note = assign_bucket(instr, registry, rb)
+                    if note is not None:
+                        notes.append(note)
                 stage = "valuation"
                 deltas = [delta(instr, md, bucket)]
         except (PortfolioError, RulebookError) as exc:
@@ -658,7 +726,7 @@ def per_position_sensitivities(positions, md, registry, rb):
         tenor = f" at tenor {bad.key.tenor:g}" if bad.key.tenor is not None else ""
         issues.append((index, "valuation", f"{bad.key.risk_class.value} delta to {bad.key.name}{tenor} is {bad.value!r}; "
                                            "a quantity, price or rate of this position is not finite or too large"))
-    return records, issues
+    return records, issues, notes
 
 
 # Positions on names that classify and price, with ordinary quantities or ones
@@ -722,10 +790,10 @@ class TestAgainstThePerPositionOracle:
                          commodity_prices={k: v for k, v in md.commodity_prices.items() if k != "silver"})
         if not residual:
             rb = without_equity_residual(rb)
-        (records, issues), oracle_warnings = warned(per_position_sensitivities, positions, md, registry, rb)
+        records, issues, oracle_notes = per_position_sensitivities(positions, md, registry, rb)
         if issues:
             with pytest.raises(SensitivityError) as excinfo:
-                collect_with_warnings(Portfolio(positions=tuple(positions)), md, registry, rb)
+                collect_sensitivities(Portfolio(positions=tuple(positions)), md, registry, rb)
             assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == issues
             return
         try:
@@ -735,9 +803,9 @@ class TestAgainstThePerPositionOracle:
                 collect_sensitivities(Portfolio(positions=tuple(positions)), md, registry, rb)
             assert str(excinfo.value) == str(exc)
             return
-        got, messages = collect_with_warnings(Portfolio(positions=tuple(positions)), md, registry, rb)
+        got, messages = collect_sensitivities(Portfolio(positions=tuple(positions)), md, registry, rb)
         assert bits(got) == bits(expected)
-        assert messages == tuple(dict.fromkeys(oracle_warnings))
+        assert messages == tuple(dict.fromkeys(oracle_notes))
 
 
 class TestNonFiniteDeltas:
@@ -779,3 +847,21 @@ class TestNonFiniteDeltas:
         with pytest.raises(SensitivityError) as excinfo:
             collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond)), md, registry, rb)
         assert [(i.index, i.stage) for i in excinfo.value.issues] == [(1, "valuation")]
+
+    @pytest.mark.parametrize(
+        "rate, maturity, message",
+        [
+            (-1.0, 5.0, "zero rate -1.0 at tenor 0.5 is at or below -1, where (1 + z) ** -t has no real value"),
+            (-1.5, 5.0, "zero rate -1.5 at tenor 0.5 is at or below -1, where (1 + z) ** -t has no real value"),
+            # 0.1 ** -t passes the float range beyond t = 308.
+            (-0.9, 400.0, "discounted cash flows are out of the float range; "
+                          "the notional or maturity of this position is too large, or a zero rate too close to -1"),
+        ],
+    )
+    def test_rate_without_a_finite_discount_factor_fails_the_bond(self, market, registry, rb, rate, maturity, message):
+        md = replace(market, zero_curve=ZeroCurve((0.5, 30.0), (rate, rate)))
+        bond = Bond(notional=100.0, coupon_rate=0.03, maturity=maturity, frequency=1, currency="USD")
+        with pytest.raises(SensitivityError) as excinfo:
+            collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond, bond)), md, registry, rb)
+        assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == [(1, "valuation", message),
+                                                                                 (2, "valuation", message)]
