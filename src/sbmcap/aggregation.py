@@ -23,16 +23,16 @@ intra-bucket form collapses exactly to
 
 which is evaluated in O(F) with one rho lookup per bucket and scenario. A
 GIRR bucket is one curve with at most one factor per grid tenor, and its
-tenor correlations differ pair by pair, so it keeps the pairwise sum of
-bucket_risk_position. That function stays the general form: it takes the
-correlation as a provider callable
-
-    rho(k: FactorRow, l: FactorRow, scenario) -> float
+tenor correlations differ pair by pair, so it keeps the pairwise sum. Its
+rhos come as a mapping from ordered pairs of factor positions to rho, built
+per bucket and scenario before the sum.
 
 cross_bucket_delta takes the gammas of one class and scenario as a mapping
-from ordered bucket pairs to gamma. gamma_bc = gamma_cb (the rulebook loader
-rejects asymmetric duplicates), so each gamma is looked up once per
-unordered pair and stored under both orders.
+from ordered bucket pairs to gamma. Both correlations are symmetric
+(rho_kl = rho_lk by the tenor formula, gamma_bc = gamma_cb because the
+rulebook loader rejects asymmetric duplicates), so each rho or gamma is
+looked up once per unordered pair and stored under both orders: 45 rho
+lookups for a full 10-tenor GIRR bucket, per scenario.
 
 The results form one frozen hierarchy, which is also the audit trail of the
 capital report: ScenarioResult (total, classes by risk class token) holds
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
 from .sensitivities import SensitivityRecord
@@ -116,7 +116,6 @@ class ScenarioResult:
     classes: dict[str, ClassResult] = field(metadata={"json_key": "risk_classes"})
 
 
-RhoProvider = Callable[[FactorRow, FactorRow, CorrelationScenario], float]
 WeightedBuckets = list[tuple[int, list[FactorRow]]]
 
 
@@ -129,28 +128,17 @@ def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> FactorRow:
     )
 
 
-def bucket_risk_position(
+def _pairwise_position(
     risk_class: RiskClass,
     bucket: int,
     rows: list[FactorRow],
-    rho: RhoProvider,
+    rho: Mapping[tuple[int, int], float],
     scenario: CorrelationScenario,
 ) -> BucketResult:
-    """Intra-bucket risk position K_b and net weighted sum S_b of one bucket.
-
-    The double sum runs over ordered factor pairs; negative quadratic forms
-    are floored at zero before the square root, and a NaN or infinite form
-    raises AggregationError.
-    """
-    if not rows:
-        raise AggregationError("bucket_risk_position needs at least one factor row")
+    """K_b as the double sum over ordered factor pairs; ``rho`` is keyed by row positions (i, j)."""
     ws = [r.weighted_sensitivity for r in rows]
     terms = [x * x for x in ws]
-    for i, r_k in enumerate(rows):
-        for j, r_l in enumerate(rows):
-            if i == j:
-                continue
-            terms.append(rho(r_k, r_l, scenario) * ws[i] * ws[j])
+    terms += [rho[i, j] * ws[i] * ws[j] for i in range(len(ws)) for j in range(len(ws)) if i != j]
     return _bucket_result(risk_class, bucket, rows, _fsum(terms), _fsum(ws), scenario)
 
 
@@ -241,17 +229,6 @@ def cross_bucket_delta(
     )
 
 
-def risk_class_delta(
-    records: list[SensitivityRecord],
-    rb: Rulebook,
-    scenario: CorrelationScenario,
-) -> ClassResult:
-    """Full intra- plus cross-bucket aggregation of one risk class."""
-    if not records:
-        return ClassResult(charge=0.0, fallback_engaged=False, buckets=(), cross_correlations=())
-    return _class_result(*_weighted_buckets(records, rb), rb, scenario)
-
-
 def _weighted_buckets(records: list[SensitivityRecord], rb: Rulebook) -> tuple[RiskClass, WeightedBuckets]:
     """The records' one risk class and their factor rows per bucket, in bucket order."""
     classes = {rec.key.risk_class for rec in records}
@@ -267,25 +244,29 @@ def _class_result(
     risk_class: RiskClass, weighted: WeightedBuckets, rb: Rulebook, scenario: CorrelationScenario
 ) -> ClassResult:
     if risk_class is RiskClass.GIRR:
-        positions = [
-            bucket_risk_position(risk_class, bucket, rows, _tenor_rho(rb, bucket), scenario)
-            for bucket, rows in weighted
-        ]
+        positions = []
+        for bucket, rows in weighted:
+            factors = [(r.name, r.tenor) for r in rows]
+            rho = _both_orders(
+                range(len(rows)),
+                lambda i, j: rb.intra_correlation(risk_class, bucket, factors[i], factors[j], scenario),
+            )
+            positions.append(_pairwise_position(risk_class, bucket, rows, rho, scenario))
     else:
         positions = [_uniform_rho_position(risk_class, bucket, rows, rb, scenario) for bucket, rows in weighted]
-    # One lookup per unordered pair, used for both orders.
-    gamma: dict[tuple[int, int], float] = {}
-    for i, (b, _) in enumerate(weighted):
-        for c, _ in weighted[i + 1 :]:
-            gamma[b, c] = gamma[c, b] = rb.cross_correlation(risk_class, b, c, scenario)
+    gamma = _both_orders([b for b, _ in weighted], lambda b, c: rb.cross_correlation(risk_class, b, c, scenario))
     return cross_bucket_delta(risk_class, positions, gamma, scenario)
 
 
-def _tenor_rho(rb: Rulebook, bucket: int) -> RhoProvider:
-    def rho(k: FactorRow, l: FactorRow, sc: CorrelationScenario) -> float:
-        return rb.intra_correlation(RiskClass.GIRR, bucket, (k.name, k.tenor), (l.name, l.tenor), sc)
-
-    return rho
+def _both_orders(
+    ids: Sequence[Hashable], lookup: Callable[[Hashable, Hashable], float]
+) -> dict[tuple[Hashable, Hashable], float]:
+    """lookup(a, b) once per unordered pair of distinct positions in ``ids``, stored under (a, b) and (b, a)."""
+    pairs: dict[tuple[Hashable, Hashable], float] = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            pairs[a, b] = pairs[b, a] = lookup(a, b)
+    return pairs
 
 
 def scenario_envelope(

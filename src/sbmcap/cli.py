@@ -194,14 +194,7 @@ def _cmd_gen_cases(args: argparse.Namespace) -> int:
 def _cmd_render_prompt(args: argparse.Namespace) -> int:
     from . import harness
 
-    try:
-        data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise harness.HarnessError(f"{args.spec}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise harness.HarnessError(f"{args.spec}: prompt spec must be a JSON object")
-    spec = harness.prompt_spec_from_dict(data)
-    _emit(harness.render_prompt(spec), args.out)
+    _emit(harness.render_prompt(harness.load_prompt_spec(args.spec)), args.out)
     return EXIT_OK
 
 

@@ -443,8 +443,8 @@ def load_cases(path: str | Path) -> CaseSet:
     return case_set_from_dict(_read_json(path))
 
 
-def save_cases(case_set: CaseSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(case_set.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def load_prompt_spec(path: str | Path) -> PromptSpec:
+    return prompt_spec_from_dict(_read_json(path, "prompt spec"))
 
 
 def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = "") -> dict[str, Any]:
@@ -526,11 +526,11 @@ def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_json(path: str | Path) -> dict[str, Any]:
+def _read_json(path: str | Path, what: str = "top level") -> dict[str, Any]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise HarnessError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise HarnessError(f"{path}: top level must be a JSON object")
+        raise HarnessError(f"{path}: {what} must be a JSON object")
     return data

@@ -164,13 +164,6 @@ class ZeroCurve:
         r0, r1 = self.rates[i - 1], self.rates[i]
         return r0 + (r1 - r0) * (t - t0) / (t1 - t0)
 
-    def discount_factor(self, t: float) -> float:
-        # Annual compounding: DF(t) = (1 + z(t)) ** -t.
-        return (1.0 + self.rate(t)) ** -t
-
-    def parallel_bumped(self, size: float) -> "ZeroCurve":
-        return ZeroCurve(self.tenors, tuple(r + size for r in self.rates))
-
 
 @dataclass(frozen=True)
 class MarketData:
@@ -206,13 +199,10 @@ class MarketData:
 
 
 def value(instr: Instrument, md: MarketData) -> float:
-    """Present value of one position in the reporting currency."""
-    if isinstance(instr, Bond):
-        if instr.currency != md.reporting_currency:
-            raise MarketDataError(
-                f"bond denominated in {instr.currency}, but only the {md.reporting_currency} curve is available"
-            )
-        return sum(amount * md.zero_curve.discount_factor(t) for t, amount in instr.cash_flows())
+    """Present value of one spot position (equity, FX or commodity) in the reporting currency.
+
+    Bonds are valued only through their GIRR deltas (``sensitivities.collect_sensitivities``).
+    """
     if isinstance(instr, CashEquity):
         return instr.shares * md.equity_price(instr.issuer_id)
     if isinstance(instr, FXPosition):
@@ -275,7 +265,10 @@ def load_market_data(path: str | Path) -> MarketData:
     _require_finite(path, "zero_curve", dict(enumerate(rates)))
 
     def quotes(section: str) -> dict[str, float]:
-        numbers = {str(k): float(v) for k, v in data.get(section, {}).items()}
+        raw = data.get(section, {})
+        if not isinstance(raw, dict):
+            raise PortfolioParseError(f"{path}: {section} must be an object mapping names to numbers, got {raw!r}")
+        numbers = {str(k): float(v) for k, v in raw.items()}
         _require_finite(path, section, numbers)
         return numbers
 
@@ -298,7 +291,7 @@ def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
     """Issuer registry as a dict keyed by issuer id."""
     data = _read_json(path)
     registry: dict[str, IssuerInfo] = {}
-    for pos, row in enumerate(data.get("issuers", [])):
+    for pos, row in enumerate(_list_section(path, data, "issuers")):
         try:
             info = IssuerInfo(
                 issuer_id=str(row["issuer_id"]),
@@ -326,7 +319,7 @@ def load_portfolio(path: str | Path) -> Portfolio:
 def _portfolio_from_json(path: Path) -> Portfolio:
     data = _read_json(path)
     positions: list[Instrument] = []
-    for pos, row in enumerate(data.get("positions", [])):
+    for pos, row in enumerate(_list_section(path, data, "positions")):
         if not isinstance(row, dict) or "type" not in row:
             raise PortfolioParseError(f"{path}: positions[{pos}]: each position needs a 'type' field")
         try:
@@ -436,14 +429,6 @@ def instrument_to_dict(instr: Instrument) -> dict[str, Any]:
     raise PortfolioError(f"cannot serialize instrument of type {type(instr).__name__}")
 
 
-def portfolio_to_dict(p: Portfolio) -> dict[str, Any]:
-    """JSON-schema view of a portfolio (inverse of the JSON loader)."""
-    out: dict[str, Any] = {"schema_version": 1, "positions": [instrument_to_dict(i) for i in p.positions]}
-    if p.as_of is not None:
-        out["as_of"] = p.as_of
-    return out
-
-
 def _required_float(row: dict[str, str], column: str) -> float:
     raw = (row.get(column) or "").strip()
     if not raw:
@@ -464,6 +449,13 @@ def _require_finite(path: str | Path, section: str, numbers: dict[Any, float]) -
     for key, number in numbers.items():
         if not math.isfinite(number):
             raise PortfolioParseError(f"{path}: {section}[{key!r}] must be a finite number, got {number!r}")
+
+
+def _list_section(path: str | Path, data: dict[str, Any], section: str) -> list[Any]:
+    rows = data.get(section, [])
+    if not isinstance(rows, list):
+        raise PortfolioParseError(f"{path}: {section} must be a list, got {rows!r}")
+    return rows
 
 
 def _required_str(row: dict[str, str], column: str) -> str:

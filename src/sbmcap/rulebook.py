@@ -160,15 +160,6 @@ class Rulebook:
                 return b
         raise RulebookQueryError(f"no {risk_class.value} bucket covers currency {currency!r}")
 
-    def commodity_bucket(self, commodity_id: str) -> Bucket:
-        for b in self.buckets_for(RiskClass.COMMODITY):
-            if commodity_id in b.commodities:
-                return b
-        residual = self.residual_bucket(RiskClass.COMMODITY)
-        if residual is not None:
-            return residual
-        raise RulebookQueryError(f"no commodity bucket covers {commodity_id!r}")
-
     # -- parameter queries ---------------------------------------------------
 
     def risk_weight(self, risk_class: RiskClass, bucket_id: int, tenor: float | None = None) -> float:
@@ -354,35 +345,57 @@ def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
         except (KeyError, TypeError, ValueError):
             violations.append(f"{where}: missing or non-integer id")
             continue
+        # A field of the wrong type is named and then treated as absent.
         by_tenor: dict[float, float] = {}
-        for key, value in (row.get("risk_weights_by_tenor") or {}).items():
+        for key, value in _typed(row, "risk_weights_by_tenor", dict, where, violations, {}).items():
             try:
                 by_tenor[float(key)] = float(value)
             except (TypeError, ValueError):
                 violations.append(f"{where}: bad tenor weight entry {key!r}")
         rw = row.get("risk_weight")
-        sectors = row.get("sectors")
+        if rw is not None:
+            try:
+                rw = float(rw)
+            except (TypeError, ValueError):
+                violations.append(f"{where}: risk_weight must be a number, got {rw!r}")
+                rw = None
+        sectors = _typed(row, "sectors", list, where, violations, None)
         buckets.append(
             Bucket(
                 risk_class=rc,
                 bucket_id=bucket_id,
                 description=str(row.get("description", "")),
-                risk_weight=float(rw) if rw is not None else None,
+                risk_weight=rw,
                 risk_weights_by_tenor=by_tenor,
                 economy=row.get("economy"),
                 size=row.get("size"),
                 sectors=tuple(sectors) if sectors is not None else None,
-                currencies=tuple(row.get("currencies", ())),
-                commodities=tuple(row.get("commodities", ())),
-                residual=bool(row.get("residual", False)),
+                currencies=tuple(_typed(row, "currencies", list, where, violations, ())),
+                commodities=tuple(_typed(row, "commodities", list, where, violations, ())),
+                residual=_typed(row, "residual", bool, where, violations, False),
             )
         )
     return tuple(buckets)
 
 
+_JSON_TYPES = {list: "a list", dict: "an object", bool: "true or false"}
+
+
+def _typed(row: dict[str, Any], name: str, kind: type, where: str, violations: list[str], default: Any) -> Any:
+    # row[name] if it is a ``kind`` from _JSON_TYPES, else ``default``; a value of another type is a violation.
+    value = row.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        label = f"{where}: {name}" if where else name
+        violations.append(f"{label} must be {_JSON_TYPES[kind]}, got {value!r}")
+        return default
+    return value
+
+
 def _parse_correlations(data: dict[str, Any], violations: list[str]) -> CorrelationTable:
     intra: dict[tuple[RiskClass, int], float] = {}
-    for rc_token, per_bucket in (data.get("intra_correlations") or {}).items():
+    for rc_token, per_bucket in _typed(data, "intra_correlations", dict, "", violations, {}).items():
         try:
             rc = RiskClass(rc_token)
         except ValueError:
@@ -398,7 +411,7 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
                 violations.append(f"intra_correlations[{rc_token}][{bucket_key}]: not a number")
     cross_default: dict[RiskClass, float] = {}
     cross_pairs: dict[tuple[RiskClass, int, int], float] = {}
-    for rc_token, spec_block in (data.get("cross_correlations") or {}).items():
+    for rc_token, spec_block in _typed(data, "cross_correlations", dict, "", violations, {}).items():
         try:
             rc = RiskClass(rc_token)
         except ValueError:
@@ -412,7 +425,8 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
                 cross_default[rc] = float(spec_block["default"])
             except (TypeError, ValueError):
                 violations.append(f"cross_correlations[{rc_token}].default: not a number")
-        for pos, pair in enumerate(spec_block.get("pairs", ())):
+        pairs = _typed(spec_block, "pairs", list, f"cross_correlations[{rc_token}]", violations, ())
+        for pos, pair in enumerate(pairs):
             where = f"cross_correlations[{rc_token}].pairs[{pos}]"
             try:
                 b_id, c_id, value = int(pair["b"]), int(pair["c"]), float(pair["value"])
@@ -554,9 +568,14 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
         )
     except (TypeError, ValueError, AttributeError):
         raise RulebookParseError("girr_tenor_params and scenario_rules must hold numeric fields") from None
+    schema_version = data.get("schema_version", 1)
+    try:
+        schema_version = int(schema_version)
+    except (TypeError, ValueError):
+        violations.append(f"schema_version must be an integer, got {schema_version!r}")
     rb = Rulebook(
         version=str(data.get("version", "")),
-        schema_version=int(data.get("schema_version", 1)),
+        schema_version=schema_version,
         tenor_grid=grid,
         buckets=buckets,
         correlations=correlations,

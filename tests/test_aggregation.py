@@ -11,18 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bucket_risk_position, risk_class_delta, tenor_rho
 from sbmcap.aggregation import (
     AggregationError,
     CrossCorrelation,
     FactorRow,
-    bucket_risk_position,
     cross_bucket_delta,
-    risk_class_delta,
     scenario_envelope,
     weight_sensitivity,
 )
 from sbmcap.engine import compute_capital
-from sbmcap.portfolio import CashEquity, IssuerInfo, MarketData, Portfolio
+from sbmcap.portfolio import Bond, CashEquity, IssuerInfo, MarketData, Portfolio
 from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import RiskFactorKey, SensitivityRecord, collect_sensitivities
 
@@ -355,6 +354,71 @@ class TestScenarioEnvelope:
             assert [(g.bucket_b, g.bucket_c, g.gamma) for g in used] == [
                 (b, c, original(rb, EQUITY, c, b, CorrelationScenario(token))) for b, c in pairs
             ]
+
+
+GIRR = RiskClass.GIRR
+
+
+@pytest.fixture(scope="module")
+def two_girr_rulebook(rb):
+    """The fixture rulebook plus GIRR bucket 2 (EUR), weighted like bucket 1 (USD)."""
+    data = rb.to_dict()
+    usd = next(b for b in data["buckets"] if b["risk_class"] == "girr")
+    data["buckets"].append({**usd, "id": 2, "description": "EUR", "currencies": ["EUR"]})
+    return rulebook_from_dict(data)
+
+
+GIRR_DELTAS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestGirrTenorPairs:
+    """A GIRR bucket's K_b comes from a tenor-pair rho mapping; the pairwise callback form is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_oracle_bit_for_bit(self, two_girr_rulebook, data):
+        rb = two_girr_rulebook
+        tenors = st.sampled_from(rb.tenor_grid)
+        usd = data.draw(st.dictionaries(tenors, GIRR_DELTAS, min_size=1, max_size=10), label="usd")
+        eur = data.draw(st.dictionaries(tenors, GIRR_DELTAS, max_size=10), label="eur")
+        records = [
+            SensitivityRecord(RiskFactorKey(GIRR, bucket, ccy, t), s)
+            for bucket, ccy, deltas in ((1, "USD", usd), (2, "EUR", eur))
+            for t, s in deltas.items()
+        ]
+        _, results = scenario_envelope({GIRR: records}, rb)
+        for sc in CorrelationScenario:
+            buckets = results[sc.value].classes["girr"].buckets
+            assert [b.bucket for b in buckets] == ([1, 2] if eur else [1])
+            for b in buckets:
+                rows = [weight_sensitivity(r, rb) for r in records if r.key.bucket == b.bucket]
+                oracle = bucket_risk_position(GIRR, b.bucket, rows, tenor_rho(rb, b.bucket), sc)
+                assert b.k_b.hex() == oracle.k_b.hex()
+                assert b.s_b_net.hex() == oracle.s_b_net.hex()
+
+    def test_each_rho_is_looked_up_once_per_unordered_tenor_pair(self, rb, market, registry, monkeypatch):
+        # A zero-coupon bond maturing on each of the 10 grid tenors: 45 tenor pairs under each of 3 scenarios.
+        grid = rb.tenor_grid
+        bonds = tuple(Bond(notional=1e6, coupon_rate=0.0, maturity=t, frequency=1, currency="USD") for t in grid)
+        calls = []
+        original = Rulebook.intra_correlation
+
+        def counting(self, risk_class, bucket, k, l, scenario):
+            calls.append((risk_class, bucket, k, l, scenario))
+            return original(self, risk_class, bucket, k, l, scenario)
+
+        monkeypatch.setattr(Rulebook, "intra_correlation", counting)
+        report = compute_capital(Portfolio(positions=bonds), market, registry, rb)
+        (bucket,) = report.scenarios["medium"].classes["girr"].buckets
+        assert [f.tenor for f in bucket.factors] == list(grid)
+        pairs = [(("USD", a), ("USD", b)) for i, a in enumerate(grid) for b in grid[i + 1 :]]
+        assert len(pairs) == 45
+        assert sorted(calls) == sorted((GIRR, 1, k, l, sc) for sc in CorrelationScenario for k, l in pairs)
+
+    def test_non_finite_form_raises_naming_the_bucket(self, rb):
+        records = [SensitivityRecord(RiskFactorKey(GIRR, 1, "USD", t), s) for t, s in ((1.0, 1.0), (2.0, math.inf))]
+        with pytest.raises(AggregationError, match=r"^girr bucket 1: intra-bucket quadratic form is inf under scenario low"):
+            scenario_envelope({GIRR: records}, rb)
 
 
 class TestUniformRhoBucket:

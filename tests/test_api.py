@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import sbmcap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "sbmcap"
+BENCHMARK_LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
 def test_every_exported_name_resolves():
@@ -60,3 +63,20 @@ def test_engine_reports_diagnostics_without_the_warnings_module():
             elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
                 found.append(f"{source.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_benchmark_boundary_resolves(monkeypatch):
+    # The benchmark's traced runs wrap these names; one deleted or renamed here would read 0 there.
+    spec = importlib.util.spec_from_file_location("perfbench_layers", BENCHMARK_LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look their module up there
+    spec.loader.exec_module(layers)
+    assert layers.BOUNDARIES
+    missing = []
+    for module_name, attr, _ in layers.BOUNDARIES:
+        holder = importlib.import_module(module_name)
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if not callable(holder):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

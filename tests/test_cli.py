@@ -236,6 +236,68 @@ class TestValidateRulebook:
         assert "error:" in capsys.readouterr().err
 
 
+class TestWrongTypedSections:
+    """A section or field of the wrong JSON type is named: a violation for the rulebook, an error line for the rest."""
+
+    @pytest.mark.parametrize(
+        "risk_class, field, bad, violation",
+        [
+            (None, "schema_version", "x", "schema_version must be an integer, got 'x'"),
+            (None, "intra_correlations", [1], "intra_correlations must be an object, got [1]"),
+            ("equity", "risk_weight", "abc", "{where}: risk_weight must be a number, got 'abc'"),
+            ("equity", "sectors", 5, "{where}: sectors must be a list, got 5"),
+            ("girr", "risk_weights_by_tenor", [1, 2], "{where}: risk_weights_by_tenor must be an object, got [1, 2]"),
+            ("girr", "currencies", "USD", "{where}: currencies must be a list, got 'USD'"),
+            ("commodity", "commodities", 5, "{where}: commodities must be a list, got 5"),
+            ("equity", "residual", "false", "{where}: residual must be true or false, got 'false'"),
+        ],
+    )
+    def test_rulebook_field_is_a_violation(self, paths, capsys, tmp_path, risk_class, field, bad, violation):
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        where = ""
+        if risk_class is None:
+            data[field] = bad
+        else:
+            pos = next(i for i, b in enumerate(data["buckets"]) if b["risk_class"] == risk_class)
+            data["buckets"][pos][field] = bad
+            where = f"buckets[{pos}]"
+        path = tmp_path / "rulebook.json"
+        path.write_text(json.dumps(data))
+        code = main(["validate-rulebook", "--rulebook", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("rulebook validation failed:\n")
+        assert f"  - {violation.format(where=where)}\n" in captured.err
+
+    @pytest.mark.parametrize("section, bad", [("equity_prices", [1, 2]), ("fx_spots", 5), ("commodity_prices", "x")])
+    def test_market_section_is_an_input_error(self, paths, capsys, tmp_path, section, bad):
+        data = json.loads(Path(paths["market"]).read_text())
+        data[section] = bad
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(data))
+        code = main(["compute", *market_args({**paths, "market": str(path)}), "--portfolio", paths["portfolio"]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {section} must be an object mapping names to numbers, got {bad!r}\n"
+        )
+
+    @pytest.mark.parametrize("bad", [5, {"XOM": {}}, "XOM"])
+    def test_registry_issuers_is_an_input_error(self, paths, capsys, tmp_path, bad):
+        path = tmp_path / "issuers.json"
+        path.write_text(json.dumps({"schema_version": 1, "issuers": bad}))
+        code = main(["compute", *market_args({**paths, "registry": str(path)}), "--portfolio", paths["portfolio"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: issuers must be a list, got {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", [5, {"type": "equity"}, "equity"])
+    def test_portfolio_positions_is_an_input_error(self, paths, capsys, tmp_path, bad):
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps({"schema_version": 1, "positions": bad}))
+        code = main(["compute", *market_args(paths), "--portfolio", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: positions must be a list, got {bad!r}\n"
+
+
 class TestScoringFlow:
     def test_gen_cases_then_score_reference_scores_100(self, paths, capsys, tmp_path):
         cases = tmp_path / "cases.json"
@@ -307,6 +369,20 @@ class TestRenderPrompt:
         err = capsys.readouterr().err
         assert code == 1
         assert "method" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"role": ', "invalid JSON at line 1 column 10: Expecting value"),
+            ('["role"]', "prompt spec must be a JSON object"),
+        ],
+    )
+    def test_unreadable_spec_is_input_error_naming_the_file(self, capsys, tmp_path, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code = main(["render-prompt", "--spec", str(spec)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
 
 class TestDumpSensitivities:

