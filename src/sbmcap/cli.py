@@ -9,8 +9,6 @@ which, when set, prefixes relative --out paths.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -203,6 +201,9 @@ _HARNESS_COMMANDS = {"score": _cmd_score, "gen-cases": _cmd_gen_cases, "render-p
 
 
 def _cmd_dump_sensitivities(args: argparse.Namespace) -> int:
+    import csv
+    import io
+
     rb = load_rulebook(args.rulebook)
     p = load_portfolio(args.portfolio)
     md = load_market_data(args.market)

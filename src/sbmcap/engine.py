@@ -19,17 +19,25 @@ in enum order. Reports are value objects: rendering to the hierarchical
 format and parsing back reproduces an equal report, and identical inputs
 produce byte-identical rendered output (no timestamps, stable ordering,
 shortest-repr floats).
+
+The hierarchical text is written by this module's own JSON writer, straight
+from the result dataclasses, with no dict form in between. Its bytes are
+those of ``json.dumps(report.to_dict(), indent=2, sort_keys=True,
+allow_nan=False)``, which the tests keep as the oracle: keys sorted, floats
+as ``float.__repr__``, strings escaped to ASCII, and a NaN or infinity
+raising ValueError. The envelope's scenarios share their factor rows, and
+the writer writes each result object once per render and reuses its text.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import json
+import math
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable
 
 from .aggregation import ScenarioResult, scenario_envelope
@@ -195,13 +203,81 @@ def compute_capital(
 def render_report(report: CapitalReport, fmt: str = "hierarchical") -> str:
     """Render a report; 'hierarchical' is lossless and machine-parseable."""
     if fmt == "hierarchical":
-        # allow_nan=False: a last guard, since compute_capital raises before any NaN reaches a report.
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(report, "\n", {}) + "\n"
     if fmt == "tabular":
         return _render_tabular(report)
     if fmt == "human":
         return _render_human(report)
     raise ReportFormatError(f"unknown report format {fmt!r}; choose from {', '.join(REPORT_FORMATS)}")
+
+
+def _json_text(value: Any, nl: str, written: dict[tuple[int, str], str]) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it, ``nl`` opening its lines.
+
+    A dataclass is written as the object of its fields, and ``written`` keeps
+    the text of each one by (id, nl), so an object the report holds in
+    several places is written once per render.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(x, inner, written) for x in value]) + nl + "]"
+    if isinstance(value, dict):
+        return _json_object([(_json_key(k), v) for k, v in sorted(value.items())], nl, written)
+    for base, write in _SCALARS.items():
+        if isinstance(value, base):  # a subclass, such as the str enums RiskClass and CorrelationScenario
+            return write(value)
+    key = (id(value), nl)
+    text = written.get(key)
+    if text is None:
+        fields = [(json_key, getattr(value, name)) for json_key, name in _json_fields(type(value))]
+        text = written[key] = _json_object(fields, nl, written)
+    return text
+
+
+def _json_object(members: list[tuple[str, Any]], nl: str, written: dict[tuple[int, str], str]) -> str:
+    if not members:
+        return "{}"
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join([k + ": " + _json_text(v, inner, written) for k, v in members]) + nl + "}"
+
+
+def _json_float(value: float) -> str:
+    # A last guard, since compute_capital raises before any NaN or infinity reaches a report.
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# JSON text of each scalar type; json.dumps writes a subclass as its base.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    float: _json_float,
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_json_text(key, "", {}))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(quoted JSON key, attribute) of each field of a result dataclass, in key order."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    keys = sorted((f.metadata.get("json_key", f.name), f.name) for f in dataclasses.fields(cls))
+    return tuple((encode_basestring_ascii(key), name) for key, name in keys)
 
 
 def parse_report(text: str) -> CapitalReport:
@@ -216,6 +292,9 @@ def parse_report(text: str) -> CapitalReport:
 
 
 def _render_tabular(report: CapitalReport) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(

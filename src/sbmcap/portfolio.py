@@ -18,8 +18,6 @@ Conventions:
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -292,6 +290,8 @@ def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
     data = _read_json(path)
     registry: dict[str, IssuerInfo] = {}
     for pos, row in enumerate(_list_section(path, data, "issuers")):
+        if not isinstance(row, dict):
+            raise PortfolioParseError(f"{path}: issuers[{pos}]: each issuer must be an object, got {row!r}")
         try:
             info = IssuerInfo(
                 issuer_id=str(row["issuer_id"]),
@@ -355,6 +355,9 @@ def instrument_from_dict(row: dict[str, Any]) -> Instrument:
 
 
 def _portfolio_from_csv(path: Path) -> Portfolio:
+    import csv
+    import io
+
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:

@@ -493,6 +493,11 @@ def _validate(rb: Rulebook, violations: list[str]) -> None:
                 violations.append(f"{tag}: missing risk_weight")
             elif not 0.0 <= b.risk_weight <= 1.0:
                 violations.append(f"{tag}: risk weight {b.risk_weight} outside [0, 1] (enter fractions, not percent)")
+    # residual_bucket returns one bucket per class; a second would silently take some issuers.
+    for rc in RiskClass:
+        residual = [str(b.bucket_id) for b in rb.buckets_for(rc) if b.residual]
+        if len(residual) > 1:
+            violations.append(f"{rc.value} buckets {', '.join(residual)}: more than one residual bucket in the class")
 
     for (rc, bucket_id), value in sorted(rb.correlations.intra.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
         if (rc, bucket_id) not in seen:

@@ -12,10 +12,13 @@ faster way, or a convenience only the tests need:
   ``scenario_envelope``.
 - ``bond_value`` and ``parallel_bumped``: a bond's present value by
   discounting every cash flow on the curve, and a parallel-shifted curve.
+- ``render_hierarchical``: the hierarchical report as ``json.dumps`` writes
+  the report's dict form; the engine's own JSON writer must give its bytes.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 from sbmcap.aggregation import (
@@ -27,6 +30,7 @@ from sbmcap.aggregation import (
     _fsum,
     scenario_envelope,
 )
+from sbmcap.engine import CapitalReport
 from sbmcap.portfolio import Bond, MarketData, MarketDataError, ZeroCurve
 from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook
 from sbmcap.sensitivities import SensitivityRecord
@@ -87,3 +91,8 @@ def bond_value(bond: Bond, md: MarketData) -> float:
 def parallel_bumped(curve: ZeroCurve, size: float) -> ZeroCurve:
     """The curve with every pillar rate shifted by ``size``."""
     return ZeroCurve(curve.tenors, tuple(r + size for r in curve.rates))
+
+
+def render_hierarchical(report: CapitalReport) -> str:
+    """The hierarchical report text, through the report's dict form and json.dumps."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"

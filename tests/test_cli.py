@@ -35,14 +35,16 @@ def market_args(paths):
 
 
 def test_importing_the_cli_does_not_load_the_harness():
-    # Only score, gen-cases and render-prompt need the harness; compute does not pay for it.
+    # Only score, gen-cases and render-prompt need the harness, and only the CSV reader and
+    # writers need csv; compute with a JSON portfolio pays for neither.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import json, sys, sbmcap.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('sbmcap'))))"
+    code = "import json, sys, sbmcap.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith(('sbmcap', 'csv')))))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     loaded = json.loads(out)
     assert "sbmcap.cli" in loaded
     assert "sbmcap.harness" not in loaded
+    assert "csv" not in loaded
 
 
 class TestHelp:
@@ -228,6 +230,22 @@ class TestValidateRulebook:
         assert captured.out == ""
         assert f"  - {violation}\n" in captured.err
 
+    def test_second_residual_bucket_exits_two_naming_both(self, paths, capsys, tmp_path):
+        # residual_bucket would return bucket 1, and unregistered issuers would take its 0.55, not 0.70.
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        pos = next(i for i, b in enumerate(data["buckets"]) if (b["risk_class"], b["id"]) == ("equity", 1))
+        data["buckets"][pos]["residual"] = True
+        bad = tmp_path / "two_residual.json"
+        bad.write_text(json.dumps(data))
+        code = main(["validate-rulebook", "--rulebook", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "rulebook validation failed:\n"
+            "  - equity buckets 1, 11: more than one residual bucket in the class\n"
+        )
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{")
@@ -288,6 +306,14 @@ class TestWrongTypedSections:
         code = main(["compute", *market_args({**paths, "registry": str(path)}), "--portfolio", paths["portfolio"]])
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: issuers must be a list, got {bad!r}\n"
+
+    @pytest.mark.parametrize("bad", [5, None, [], "XOM"])
+    def test_registry_issuer_row_that_is_not_an_object_is_an_input_error(self, paths, capsys, tmp_path, bad):
+        path = tmp_path / "issuers.json"
+        path.write_text(json.dumps({"schema_version": 1, "issuers": [bad]}))
+        code = main(["compute", *market_args({**paths, "registry": str(path)}), "--portfolio", paths["portfolio"]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: issuers[0]: each issuer must be an object, got {bad!r}\n"
 
     @pytest.mark.parametrize("bad", [5, {"type": "equity"}, "equity"])
     def test_portfolio_positions_is_an_input_error(self, paths, capsys, tmp_path, bad):

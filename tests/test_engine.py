@@ -3,20 +3,31 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bond_value
-from sbmcap.aggregation import AggregationError, CrossCorrelation
+from oracles import bond_value, render_hierarchical
+from sbmcap import load_market_data, load_portfolio, load_registry, load_rulebook
+from sbmcap.aggregation import (
+    AggregationError,
+    BucketResult,
+    ClassResult,
+    CrossCorrelation,
+    FactorRow,
+    ScenarioResult,
+)
 from sbmcap.engine import (
+    CapitalReport,
     ReportFormatError,
     compute_capital,
     parse_report,
@@ -390,6 +401,144 @@ class TestGoldenOutput:
         data["scenarios"]["medium"]["risk_classes"]["equity"]["buckets"][0]["k_b"] = math.nan
         with pytest.raises(ValueError, match="not JSON compliant"):
             render_report(report_from_dict(data), "hierarchical")
+
+    def test_hierarchical_render_uses_neither_json_dumps_nor_the_dict_form(self, report, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called while rendering")
+
+        monkeypatch.setattr(json, "dumps", forbidden)
+        monkeypatch.setattr(CapitalReport, "to_dict", forbidden)
+        golden = (GOLDEN_DIR / "fixture_envelope.json").read_bytes()
+        assert render_report(report, "hierarchical").encode("utf-8") == golden
+
+
+# Floats json.dumps writes in its own way: signed zero, the smallest subnormal, and a huge exponent;
+# an int or a bool where a float is declared is written as json.dumps writes it too.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1e300, -1e300)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS), st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+# Non-ASCII text, JSON escapes, a lone surrogate, and the str enums the engine itself uses.
+TEXTS = st.one_of(
+    st.text(),
+    st.sampled_from(["Société Générale", "東京電力 Holdings", "tab\tquote\"back\\slash", "\x00\x1f\x7f\u2028", "\ud800"]),
+    st.sampled_from([*RiskClass, *CorrelationScenario]),
+)
+
+
+@st.composite
+def capital_reports(draw) -> CapitalReport:
+    """Reports of any shape the result types allow; rows and classes are shared as the envelope shares them."""
+    rows = draw(st.lists(st.builds(
+        FactorRow, name=TEXTS, tenor=st.none() | FLOATS, sensitivity=FLOATS, risk_weight=FLOATS,
+        weighted_sensitivity=FLOATS,
+    ), min_size=1, max_size=5))
+    bucket = st.builds(
+        BucketResult, bucket=st.integers(-3, 12), k_b=FLOATS, s_b_net=FLOATS, s_b_effective=FLOATS,
+        factors=st.lists(st.sampled_from(rows), max_size=4).map(tuple),
+    )
+    cross = st.builds(CrossCorrelation, bucket_b=st.integers(1, 11), bucket_c=st.integers(1, 11), gamma=FLOATS)
+    classes = draw(st.lists(st.builds(
+        ClassResult, charge=FLOATS, fallback_engaged=st.booleans(),
+        buckets=st.lists(bucket, max_size=3).map(tuple), cross_correlations=st.lists(cross, max_size=3).map(tuple),
+    ), min_size=1, max_size=3))
+    # Keys are all tokens or all enum members: a token and its member are distinct keys that write alike.
+    class_key = st.sampled_from(list(RiskClass)).map((lambda rc: rc.value) if draw(st.booleans()) else (lambda rc: rc))
+    scenario = st.builds(
+        ScenarioResult, total=FLOATS, classes=st.dictionaries(class_key, st.sampled_from(classes), max_size=4)
+    )
+    return CapitalReport(
+        rulebook_version=draw(TEXTS),
+        reporting_currency=draw(TEXTS),
+        scenario_mode=draw(st.sampled_from(["envelope", *CorrelationScenario])),
+        scenarios=draw(st.dictionaries(st.sampled_from([sc.value for sc in CorrelationScenario]), scenario, max_size=3)),
+        total_capital=draw(FLOATS),
+        as_of=draw(st.none() | TEXTS),
+        warnings=tuple(draw(st.lists(TEXTS, max_size=3))),
+        schema_version=draw(st.integers(0, 3)),
+    )
+
+
+_EDGE_ROW = FactorRow("Société Générale 東京", None, -0.0, 5e-324, 1e300)
+EMPTY_REPORT = CapitalReport("d352", "USD", "envelope", {}, 0.0, as_of=None)
+SINGLE_SCENARIO_REPORT = CapitalReport(
+    rulebook_version="d352 – révisé",
+    reporting_currency="USD",
+    scenario_mode="high",
+    scenarios={"high": ScenarioResult(1e300, {"equity": ClassResult(
+        1e300, True, (BucketResult(11, 5e-324, -0.0, -5e-324, (_EDGE_ROW, _EDGE_ROW)),), (CrossCorrelation(1, 11, -0.0),)
+    )})},
+    total_capital=1e300,
+    as_of="2024-06-28",
+    warnings=("émetteur « ZZZ » inconnu → résiduel 11", "equity: clamped"),
+)
+
+
+class TestHierarchicalWriter:
+    """The engine's JSON writer gives the bytes of json.dumps over the report's dict form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=capital_reports())
+    @example(report=EMPTY_REPORT)
+    @example(report=SINGLE_SCENARIO_REPORT)
+    def test_writer_matches_the_json_dumps_oracle(self, report):
+        assert render_report(report, "hierarchical") == render_hierarchical(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_as_the_oracle_does(self, bad):
+        report = replace(SINGLE_SCENARIO_REPORT, total_capital=bad)
+        with pytest.raises(ValueError) as expected:
+            render_hierarchical(report)
+        with pytest.raises(ValueError) as got:
+            render_report(report, "hierarchical")
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            replace(EMPTY_REPORT, warnings=(object(),)),
+            replace(EMPTY_REPORT, scenarios={"high": ScenarioResult(0.0, {("equity",): ClassResult(0.0, False, (), ())})}),
+        ],
+        ids=["value", "key"],
+    )
+    def test_unwritable_type_raises_type_error_as_the_oracle_does(self, report):
+        with pytest.raises(TypeError) as expected:
+            render_hierarchical(report)
+        with pytest.raises(TypeError) as got:
+            render_report(report, "hierarchical")
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("keys", [(2, 10), (1.5, -0.0), (None,), (True, 3)])
+    def test_non_string_keys_are_written_as_the_oracle_writes_them(self, keys):
+        cls = SINGLE_SCENARIO_REPORT.scenarios["high"].classes["equity"]
+        report = replace(EMPTY_REPORT, scenarios={"high": ScenarioResult(1.0, {key: cls for key in keys})})
+        assert render_report(report, "hierarchical") == render_hierarchical(report)
+
+    @pytest.mark.parametrize("workload", ["equity-concentrated", "bond-ladder"])
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_every_benchmark_book_renders_as_the_oracle(self, perfbench_gen, workload, seed, tmp_path):
+        inputs = perfbench_gen.write_inputs(workload, seed, tmp_path)
+        rb = load_rulebook(inputs.rulebook)
+        md, registry = load_market_data(inputs.market), load_registry(inputs.registry)
+        assert inputs.books
+        for book in inputs.books:
+            report = compute_capital(load_portfolio(book), md, registry, rb)
+            assert render_report(report, "hierarchical") == render_hierarchical(report), book.name
+
+
+@pytest.fixture(scope="module")
+def perfbench_gen():
+    """The benchmark's input generator, loaded from its file and left unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 # Pillars off the standard grid: the first (0.4y) above the first grid tenor,

@@ -309,6 +309,15 @@ class TestValidation:
         with pytest.raises(RulebookValidationError, match=r"outside \[-1, 1\]"):
             rulebook_from_dict(data)
 
+    def test_second_residual_bucket_in_a_class_rejected_naming_both(self):
+        data = self._base()
+        data["buckets"][1]["residual"] = True
+        assert rulebook_from_dict(data).residual_bucket(RiskClass.EQUITY).bucket_id == 1
+        data["buckets"][2]["residual"] = True
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == ["equity buckets 1, 2: more than one residual bucket in the class"]
+
     def test_duplicate_bucket_id_rejected(self):
         data = self._base()
         data["buckets"].append(dict(data["buckets"][1]))
