@@ -10,23 +10,22 @@ run's metadata and warnings, so every intermediate quantity (s_k, RW_k, WS_k,
 K_b, S_b, the cross-bucket correlations used) is there for an auditor to
 replay the aggregation by hand.
 
-The hierarchical (dict and JSON) form is derived from the dataclass fields:
-each field is a key of the same name, except where a field declares a
-``json_key`` in its metadata. Nested results become objects, tuples become
-lists, and scenario and class dicts keep their token keys. Parsing walks the
-same fields back, checks each value's type, and puts scenarios and classes
-in enum order. Reports are value objects: rendering to the hierarchical
-format and parsing back reproduces an equal report, and identical inputs
-produce byte-identical rendered output (no timestamps, stable ordering,
-shortest-repr floats).
+The hierarchical form is derived from the dataclass fields: each field is a
+key of the same name, except where a field declares a ``json_key`` in its
+metadata. Nested results become objects, tuples become lists, and scenario
+and class dicts keep their token keys. Parsing walks the same fields back,
+checks each value's type, and puts scenarios and classes in enum order.
+Reports are value objects: rendering to the hierarchical format and parsing
+back reproduces an equal report, and identical inputs produce byte-identical
+rendered output (no timestamps, stable ordering, shortest-repr floats).
 
 The hierarchical text is written by this module's own JSON writer, straight
-from the result dataclasses, with no dict form in between. Its bytes are
-those of ``json.dumps(report.to_dict(), indent=2, sort_keys=True,
-allow_nan=False)``, which the tests keep as the oracle: keys sorted, floats
-as ``float.__repr__``, strings escaped to ASCII, and a NaN or infinity
-raising ValueError. The envelope's scenarios share their factor rows, and
-the writer writes each result object once per render and reuses its text.
+from the result dataclasses, in the bytes ``json.dumps(indent=2,
+sort_keys=True, allow_nan=False)`` gives for the same tree: keys sorted,
+floats as ``float.__repr__``, strings escaped to ASCII, and a NaN or
+infinity raising ValueError. The envelope's scenarios share their factor
+rows, and the writer writes each result object once per render and reuses
+its text.
 """
 
 from __future__ import annotations
@@ -65,17 +64,6 @@ class CapitalReport:
     warnings: tuple[str, ...] = ()
     schema_version: int = 1
 
-    def to_dict(self) -> dict[str, Any]:
-        return _encoder(CapitalReport)(self)
-
-
-def report_from_dict(data: dict[str, Any]) -> CapitalReport:
-    """Rebuild a CapitalReport from its hierarchical dict form."""
-    try:
-        return _decoder(CapitalReport)(data)
-    except (KeyError, TypeError) as exc:
-        raise ReportFormatError(f"not a valid hierarchical capital report: {exc}") from None
-
 
 @functools.cache
 def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
@@ -93,34 +81,8 @@ def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
 
 
 @functools.cache
-def _encoder(tp: Any) -> Callable[[Any], Any] | None:
-    """Function from a value of type ``tp`` to its dict form; None if the value is already plain."""
-    origin = typing.get_origin(tp)
-    if origin is tuple:
-        item = _encoder(typing.get_args(tp)[0])
-        return list if item is None else lambda value: [item(x) for x in value]
-    if origin is dict:
-        item = _encoder(typing.get_args(tp)[1])
-        return dict if item is None else lambda value: {k: item(x) for k, x in value.items()}
-    if dataclasses.is_dataclass(tp):
-        # A result's __dict__ holds exactly its fields: copy it, then convert
-        # the fields that need it and rename those with a json_key.
-        moved = [(name, key, enc) for name, key, hint, _ in _fields(tp) if (enc := _encoder(hint)) or key != name]
-
-        def encode(value: Any) -> dict[str, Any]:
-            out = value.__dict__.copy()
-            for name, key, enc in moved:
-                item = out.pop(name)
-                out[key] = enc(item) if enc else item
-            return out
-
-        return encode
-    return None
-
-
-@functools.cache
 def _decoder(tp: Any) -> Callable[[Any], Any]:
-    """Inverse of _encoder(tp); raises KeyError or TypeError on a malformed dict form."""
+    """Function from the JSON form of a value of type ``tp`` to the value; raises KeyError or TypeError if malformed."""
     origin = typing.get_origin(tp)
     if origin is tuple:
         item = _decoder(typing.get_args(tp)[0])
@@ -288,7 +250,10 @@ def parse_report(text: str) -> CapitalReport:
         raise ReportFormatError(f"invalid report JSON: {exc.msg} at line {exc.lineno}") from None
     if not isinstance(data, dict):
         raise ReportFormatError("report text must be a JSON object")
-    return report_from_dict(data)
+    try:
+        return _decoder(CapitalReport)(data)
+    except (KeyError, TypeError) as exc:
+        raise ReportFormatError(f"not a valid hierarchical capital report: {exc}") from None
 
 
 def _render_tabular(report: CapitalReport) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +37,7 @@ from .portfolio import (
     instrument_from_dict,
     instrument_to_dict,
 )
-from .rulebook import CorrelationScenario, RiskClass, Rulebook
+from .rulebook import CorrelationScenario, RiskClass, Rulebook, read_json_object
 
 AXES = ("bucket", "risk_weight", "correlation", "mcr_value")
 
@@ -71,14 +71,6 @@ class ExtractionAnswer:
     risk_weight: float | None = None
     correlation: float | None = None
     mcr_value: float | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "bucket": self.bucket,
-            "risk_weight": self.risk_weight,
-            "correlation": self.correlation,
-            "mcr_value": self.mcr_value,
-        }
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,7 @@ class CaseSet:
                         {"name": f.name, "tenor": f.tenor} if f.tenor is not None else {"name": f.name}
                         for f in c.factors
                     ],
-                    "reference": c.reference.to_dict(),
+                    "reference": asdict(c.reference),
                 }
                 for c in self.cases
             ],
@@ -169,16 +161,7 @@ class ScoreReport:
                 "mcr_value": self.mcr_accuracy,
             },
             "counts": {axis: {"correct": c, "scored": d} for axis, (c, d) in self.counts.items()},
-            "verdicts": [
-                {
-                    "case_id": v.case_id,
-                    "bucket": v.bucket,
-                    "risk_weight": v.risk_weight,
-                    "correlation": v.correlation,
-                    "mcr_value": v.mcr_value,
-                }
-                for v in self.verdicts
-            ],
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
 
 
@@ -425,7 +408,7 @@ def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
                 risk_class=RiskClass(raw["risk_class"]),
                 positions=tuple(instrument_from_dict(p) for p in raw["positions"]),
                 factors=tuple(FactorRef(name=str(f["name"]), tenor=f.get("tenor")) for f in raw["factors"]),  # type: ignore[arg-type]
-                reference=_answer_from_dict(raw["reference"]),
+                reference=_answer_from_dict(str(raw["case_id"]), raw["reference"]),
             )
             for raw in data["cases"]
         )
@@ -435,34 +418,34 @@ def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
             scenario=CorrelationScenario(data.get("scenario", "medium")),
             cases=cases,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HarnessError(f"malformed case set: {exc}") from None
 
 
 def load_cases(path: str | Path) -> CaseSet:
-    return case_set_from_dict(_read_json(path))
+    return case_set_from_dict(read_json_object(path, HarnessError))
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
-    return prompt_spec_from_dict(_read_json(path, "prompt spec"))
+    return prompt_spec_from_dict(read_json_object(path, HarnessError, "prompt spec"))
 
 
 def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = "") -> dict[str, Any]:
     return {
         "schema_version": 1,
         "source_label": source_label,
-        "answers": {case_id: answer.to_dict() for case_id, answer in sorted(answers.items())},
+        "answers": {case_id: asdict(answer) for case_id, answer in sorted(answers.items())},
     }
 
 
 def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
-    data = _read_json(path)
+    data = read_json_object(path, HarnessError)
     raw = data.get("answers")
     if not isinstance(raw, dict):
         raise HarnessError(f"{path}: candidate file needs an 'answers' object keyed by case id")
     try:
-        answers = {str(case_id): _answer_from_dict(row) for case_id, row in raw.items()}
-    except (TypeError, ValueError, AttributeError) as exc:
+        answers = {str(case_id): _answer_from_dict(str(case_id), row) for case_id, row in raw.items()}
+    except (ValueError, OverflowError) as exc:
         raise HarnessError(f"{path}: malformed candidate answers: {exc}") from None
     for case_id, answer in answers.items():
         # Sanity band: a fraction outside [0, 1.5] is a garbled extraction,
@@ -481,25 +464,20 @@ def reference_candidate(case_set: CaseSet) -> dict[str, ExtractionAnswer]:
     return {c.case_id: c.reference for c in case_set.cases}
 
 
-def _answer_from_dict(row: dict[str, Any]) -> ExtractionAnswer:
-    def number(name: str) -> float | None:
-        value = row.get(name)
-        if value is None:
-            return None
-        return float(value)
-
-    bucket_raw = row.get("bucket")
-    bucket: int | float | None
-    if bucket_raw is None:
-        bucket = None
-    else:
-        bucket = int(bucket_raw) if float(bucket_raw).is_integer() else float(bucket_raw)
-    return ExtractionAnswer(
-        bucket=bucket,
-        risk_weight=number("risk_weight"),
-        correlation=number("correlation"),
-        mcr_value=number("mcr_value"),
-    )
+def _answer_from_dict(case_id: str, row: Any) -> ExtractionAnswer:
+    """One answer row; a JSON boolean or string is not a number and raises ValueError naming the case and axis."""
+    if not isinstance(row, dict):
+        raise ValueError(f"case {case_id}: each answer must be an object, got {row!r}")
+    values = {}
+    for axis in AXES:
+        value = row.get(axis)
+        if value is not None and type(value) not in (int, float):
+            raise ValueError(f"case {case_id}: {axis} must be a number, got {value!r}")
+        values[axis] = value if value is None or axis == "bucket" else float(value)
+    bucket = values["bucket"]
+    if isinstance(bucket, float) and bucket.is_integer():
+        values["bucket"] = int(bucket)
+    return ExtractionAnswer(**values)
 
 
 def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
@@ -524,13 +502,3 @@ def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
         correct, scored = report.counts.get(axis, (0, 0))
         lines.append(f"  {names[axis]:<20} {values[axis]:6.1f}%  ({correct}/{scored})")
     return "\n".join(lines) + "\n"
-
-
-def _read_json(path: str | Path, what: str = "top level") -> dict[str, Any]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise HarnessError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise HarnessError(f"{path}: {what} must be a JSON object")
-    return data

@@ -18,13 +18,12 @@ Conventions:
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
 
-from .rulebook import RiskClass, Rulebook, RulebookQueryError
+from .rulebook import RiskClass, Rulebook, read_json_object
 
 CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity", "frequency", "currency", "sign")
 
@@ -252,7 +251,7 @@ def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[i
 
 
 def load_market_data(path: str | Path) -> MarketData:
-    data = _read_json(path)
+    data = read_json_object(path, PortfolioParseError)
     curve_raw = data.get("zero_curve", [])
     try:
         tenors = tuple(float(p[0]) for p in curve_raw)
@@ -277,7 +276,7 @@ def load_market_data(path: str | Path) -> MarketData:
             fx_spots=quotes("fx_spots"),
             commodity_prices=quotes("commodity_prices"),
             zero_curve=ZeroCurve(tenors, rates),
-            as_of=data.get("as_of"),
+            as_of=_as_of(path, data),
         )
     except KeyError as exc:
         raise PortfolioParseError(f"{path}: missing market data field {exc}") from None
@@ -287,7 +286,7 @@ def load_market_data(path: str | Path) -> MarketData:
 
 def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
     """Issuer registry as a dict keyed by issuer id."""
-    data = _read_json(path)
+    data = read_json_object(path, PortfolioParseError)
     registry: dict[str, IssuerInfo] = {}
     for pos, row in enumerate(_list_section(path, data, "issuers")):
         if not isinstance(row, dict):
@@ -317,7 +316,7 @@ def load_portfolio(path: str | Path) -> Portfolio:
 
 
 def _portfolio_from_json(path: Path) -> Portfolio:
-    data = _read_json(path)
+    data = read_json_object(path, PortfolioParseError)
     positions: list[Instrument] = []
     for pos, row in enumerate(_list_section(path, data, "positions")):
         if not isinstance(row, dict) or "type" not in row:
@@ -326,7 +325,7 @@ def _portfolio_from_json(path: Path) -> Portfolio:
             positions.append(instrument_from_dict(row))
         except (PortfolioParseError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PortfolioParseError(f"{path}: positions[{pos}]: {exc}") from None
-    return Portfolio(positions=tuple(positions), as_of=data.get("as_of"))
+    return Portfolio(positions=tuple(positions), as_of=_as_of(path, data))
 
 
 def instrument_from_dict(row: dict[str, Any]) -> Instrument:
@@ -461,18 +460,15 @@ def _list_section(path: str | Path, data: dict[str, Any], section: str) -> list[
     return rows
 
 
+def _as_of(path: str | Path, data: dict[str, Any]) -> str | None:
+    as_of = data.get("as_of")
+    if as_of is not None and not isinstance(as_of, str):
+        raise PortfolioParseError(f"{path}: as_of must be a string, got {as_of!r}")
+    return as_of
+
+
 def _required_str(row: dict[str, str], column: str) -> str:
     raw = (row.get(column) or "").strip()
     if not raw:
         raise PortfolioParseError(f"column {column!r} is required for this row type")
     return raw
-
-
-def _read_json(path: str | Path) -> dict[str, Any]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PortfolioParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise PortfolioParseError(f"{path}: top level must be a JSON object")
-    return data

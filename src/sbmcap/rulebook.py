@@ -236,60 +236,6 @@ class Rulebook:
             )
         return apply_scenario(base, scenario, self.scenario_rules)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize back to the file schema (round-trips through from_dict)."""
-        buckets = []
-        for b in self.buckets:
-            row: dict[str, Any] = {
-                "risk_class": b.risk_class.value,
-                "id": b.bucket_id,
-                "description": b.description,
-            }
-            if b.risk_class is RiskClass.GIRR:
-                row["risk_weights_by_tenor"] = {_tenor_key(t): w for t, w in sorted(b.risk_weights_by_tenor.items())}
-            else:
-                row["risk_weight"] = b.risk_weight
-            if b.economy is not None:
-                row["economy"] = b.economy
-            if b.size is not None:
-                row["size"] = b.size
-            if b.sectors is not None:
-                row["sectors"] = list(b.sectors)
-            if b.currencies:
-                row["currencies"] = list(b.currencies)
-            if b.commodities:
-                row["commodities"] = list(b.commodities)
-            if b.residual:
-                row["residual"] = True
-            buckets.append(row)
-        intra: dict[str, dict[str, float]] = {}
-        for (rc, bucket_id), value in sorted(self.correlations.intra.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-            intra.setdefault(rc.value, {})[str(bucket_id)] = value
-        cross: dict[str, Any] = {}
-        for rc, default in sorted(self.correlations.cross_default.items(), key=lambda kv: kv[0].value):
-            cross.setdefault(rc.value, {})["default"] = default
-        for (rc, b_id, c_id), value in sorted(
-            self.correlations.cross_pairs.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])
-        ):
-            cross.setdefault(rc.value, {}).setdefault("pairs", []).append({"b": b_id, "c": c_id, "value": value})
-        return {
-            "schema_version": self.schema_version,
-            "version": self.version,
-            "tenor_grid": list(self.tenor_grid),
-            "buckets": buckets,
-            "intra_correlations": intra,
-            "cross_correlations": cross,
-            "girr_tenor_params": {"theta": self.girr_tenor_params.theta, "floor": self.girr_tenor_params.floor},
-            "scenario_rules": {
-                "high": {"scale": self.scenario_rules.high_scale, "cap": self.scenario_rules.high_cap},
-                "low": {
-                    "scale": self.scenario_rules.low_scale,
-                    "affine_scale": self.scenario_rules.low_affine_scale,
-                    "affine_shift": self.scenario_rules.low_affine_shift,
-                },
-            },
-        }
-
 
 def girr_tenor_correlation(t_k: float, t_l: float, params: GirrTenorParams = GirrTenorParams()) -> float:
     """Correlation between two tenors of one curve.
@@ -319,10 +265,6 @@ def apply_scenario(
     if scenario is CorrelationScenario.LOW:
         return max(rules.low_affine_scale * base + rules.low_affine_shift, rules.low_scale * base)
     raise RulebookQueryError(f"unknown scenario {scenario!r}")
-
-
-def _tenor_key(t: float) -> str:
-    return repr(int(t)) if float(t).is_integer() else repr(float(t))
 
 
 def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
@@ -595,9 +537,18 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
 
 def load_rulebook(path: str | Path) -> Rulebook:
     """Load and validate a rulebook JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    return rulebook_from_dict(read_json_object(path, RulebookParseError, "rulebook document"))
+
+
+def read_json_object(path: str | Path, error_cls: type[Exception], what: str = "top level") -> dict[str, Any]:
+    """The JSON object in the file at ``path``; invalid JSON or another top-level type raises ``error_cls``.
+
+    Every input loader reads its file through this; both messages name the path.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise RulebookParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return rulebook_from_dict(data)
+        raise error_cls(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise error_cls(f"{path}: {what} must be a JSON object")
+    return data

@@ -13,13 +13,18 @@ faster way, or a convenience only the tests need:
 - ``bond_value`` and ``parallel_bumped``: a bond's present value by
   discounting every cash flow on the curve, and a parallel-shifted curve.
 - ``render_hierarchical``: the hierarchical report as ``json.dumps`` writes
-  the report's dict form; the engine's own JSON writer must give its bytes.
+  ``dataclasses.asdict`` of the report; the engine's own JSON writer must
+  give its bytes.
+- ``fixture_rulebook_data``: a fresh dict of the fixture rulebook file, for
+  tests that edit a rulebook and build it with ``rulebook_from_dict``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Callable
+from pathlib import Path
+from typing import Any, Callable
 
 from sbmcap.aggregation import (
     AggregationError,
@@ -94,5 +99,19 @@ def parallel_bumped(curve: ZeroCurve, size: float) -> ZeroCurve:
 
 
 def render_hierarchical(report: CapitalReport) -> str:
-    """The hierarchical report text, through the report's dict form and json.dumps."""
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The hierarchical report text, through dataclasses.asdict and json.dumps."""
+    data = dataclasses.asdict(report, dict_factory=_report_keys)
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _report_keys(fields: list[tuple[str, Any]]) -> dict[str, Any]:
+    # The report's one renamed field: ScenarioResult.classes is written as "risk_classes".
+    return {"risk_classes" if name == "classes" else name: value for name, value in fields}
+
+
+FIXTURE_RULEBOOK = Path(__file__).resolve().parent.parent / "fixtures" / "rulebook.json"
+
+
+def fixture_rulebook_data() -> dict[str, Any]:
+    """The fixture rulebook file as a new dict, for a test to edit."""
+    return json.loads(FIXTURE_RULEBOOK.read_text(encoding="utf-8"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bucket_risk_position, risk_class_delta, tenor_rho
+from oracles import bucket_risk_position, fixture_rulebook_data, risk_class_delta, tenor_rho
 from sbmcap.aggregation import (
     AggregationError,
     CrossCorrelation,
@@ -360,9 +360,9 @@ GIRR = RiskClass.GIRR
 
 
 @pytest.fixture(scope="module")
-def two_girr_rulebook(rb):
+def two_girr_rulebook():
     """The fixture rulebook plus GIRR bucket 2 (EUR), weighted like bucket 1 (USD)."""
-    data = rb.to_dict()
+    data = fixture_rulebook_data()
     usd = next(b for b in data["buckets"] if b["risk_class"] == "girr")
     data["buckets"].append({**usd, "id": 2, "description": "EUR", "currencies": ["EUR"]})
     return rulebook_from_dict(data)

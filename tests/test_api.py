@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +81,12 @@ def test_every_benchmark_boundary_resolves(monkeypatch):
         if not callable(holder):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_benchmark_self_test_passes():
+    # The benchmark runs the engine and the CLI on tiny inputs (about ten seconds), so a name it calls
+    # that is renamed or deleted here fails this test rather than the benchmark's own run.
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=README.parent, capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr[-4000:]

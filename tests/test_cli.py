@@ -26,6 +26,7 @@ def paths(fixtures_dir):
         "registry": str(fixtures_dir / "issuers.json"),
         "portfolio": str(fixtures_dir / "portfolio.csv"),
         "equity_portfolio": str(fixtures_dir / "portfolio_equity.csv"),
+        "json_portfolio": str(fixtures_dir / "portfolio.json"),
         "prompt": str(fixtures_dir / "prompt_mcr.json"),
     }
 
@@ -323,6 +324,73 @@ class TestWrongTypedSections:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: positions must be a list, got {bad!r}\n"
 
+    @pytest.mark.parametrize("source", ["market", "json_portfolio"])
+    @pytest.mark.parametrize("bad", [20240101, ["2024"], {"date": "2024-06-28"}, True])
+    def test_as_of_that_is_not_a_string_is_an_input_error(self, paths, capsys, tmp_path, source, bad):
+        # A non-string as_of used to reach the report, which parse_report then rejected.
+        data = json.loads(Path(paths[source]).read_text())
+        data["as_of"] = bad
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        given = {**paths, source: str(path)}
+        code = main(["compute", *market_args(given), "--portfolio", given["json_portfolio"],
+                     "--format", "hierarchical"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: as_of must be a string, got {bad!r}\n"
+
+    def test_null_as_of_falls_back_to_the_market_date(self, paths, capsys, tmp_path):
+        data = json.loads(Path(paths["json_portfolio"]).read_text())
+        data["as_of"] = None
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(data))
+        code = main(["compute", *market_args(paths), "--portfolio", str(path), "--format", "hierarchical"])
+        assert code == 0
+        assert parse_report(capsys.readouterr().out).as_of == "2024-06-28"
+
+
+GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases_seed7_n8.json"
+
+# Each JSON input file the CLI reads: the command that reads it from ``path``, and what its top level is called.
+JSON_INPUTS = {
+    "rulebook": (lambda paths, path: ["validate-rulebook", "--rulebook", path], "rulebook document"),
+    "market": (
+        lambda paths, path: ["compute", *market_args({**paths, "market": path}), "--portfolio", paths["portfolio"]],
+        "top level",
+    ),
+    "registry": (
+        lambda paths, path: ["compute", *market_args({**paths, "registry": path}), "--portfolio", paths["portfolio"]],
+        "top level",
+    ),
+    "portfolio": (lambda paths, path: ["compute", *market_args(paths), "--portfolio", path], "top level"),
+    "cases": (lambda paths, path: ["score", "--cases", path, "--candidate", path], "top level"),
+    "candidate": (lambda paths, path: ["score", "--cases", str(GOLDEN_CASES), "--candidate", path], "top level"),
+    "prompt spec": (lambda paths, path: ["render-prompt", "--spec", path], "prompt spec"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{\n  "a":\n}', "invalid JSON at line 3 column 1: Expecting value"),
+        ("[1, 2]", "{what} must be a JSON object"),
+        ('"text"', "{what} must be a JSON object"),
+    ],
+    ids=["invalid", "list", "string"],
+)
+@pytest.mark.parametrize("source", list(JSON_INPUTS))
+def test_unreadable_json_input_is_an_input_error_naming_the_file(paths, capsys, tmp_path, source, text, message):
+    # Every JSON loader reads its file one way, so each message names the path (and the line and column).
+    command, what = JSON_INPUTS[source]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main(command(paths, str(path)))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message.format(what=what)}\n"
+
 
 class TestScoringFlow:
     def test_gen_cases_then_score_reference_scores_100(self, paths, capsys, tmp_path):
@@ -358,6 +426,19 @@ class TestScoringFlow:
         code = main(["score", "--cases", str(cases), "--candidate", str(candidate)])
         assert code == 1
         assert "case-xyz" in capsys.readouterr().err
+
+    def test_score_boolean_bucket_is_input_error(self, paths, capsys, tmp_path):
+        cases = tmp_path / "cases.json"
+        main(["gen-cases", *market_args(paths), "--seed", "11", "--n", "4", "--out", str(cases)])
+        capsys.readouterr()
+        candidate = tmp_path / "candidate.json"
+        candidate.write_text(json.dumps({"answers": {"case-001": {"bucket": True}}}))
+        code = main(["score", "--cases", str(cases), "--candidate", str(candidate)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {candidate}: malformed candidate answers: case case-001: bucket must be a number, got True\n"
+        )
 
     def test_score_tolerance_flags_are_honored(self, paths, capsys, tmp_path):
         cases_path = tmp_path / "cases.json"

@@ -266,6 +266,47 @@ class TestCandidateFiles:
         answer = load_candidate(path)["case-001"]
         assert answer.bucket == 7 and isinstance(answer.bucket, int)
 
+    @pytest.mark.parametrize(
+        "axis, bad",
+        [("bucket", True), ("bucket", "1"), ("risk_weight", "0.15"), ("correlation", False), ("mcr_value", "1e6")],
+    )
+    def test_boolean_or_string_answer_rejected_naming_case_and_axis(self, tmp_path, axis, bad):
+        # Candidate files are machine-written: true is not bucket 1, and "0.15" is not 0.15.
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps({"answers": {"case-001": {axis: bad}}}))
+        with pytest.raises(HarnessError) as excinfo:
+            load_candidate(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed candidate answers: case case-001: {axis} must be a number, got {bad!r}"
+        )
+
+    @pytest.mark.parametrize("row", [5, None, [0.15], "bucket"])
+    def test_answer_row_that_is_not_an_object_rejected(self, tmp_path, row):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps({"answers": {"case-001": row}}))
+        with pytest.raises(HarnessError) as excinfo:
+            load_candidate(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed candidate answers: case case-001: each answer must be an object, got {row!r}"
+        )
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text('{"answers": {"case-001": {"mcr_value": 1' + "0" * 400 + "}}}")
+        with pytest.raises(HarnessError, match="malformed candidate answers: int too large to convert to float"):
+            load_candidate(path)
+
+    @pytest.mark.parametrize(
+        "axis, bad, message",
+        [("bucket", True, "case case-001: bucket must be a number, got True"),
+         ("mcr_value", 10**400, "int too large to convert to float")],
+    )
+    def test_reference_answer_that_is_not_a_float_rejected(self, case_set, axis, bad, message):
+        data = case_set.to_dict()
+        data["cases"][0]["reference"][axis] = bad
+        with pytest.raises(HarnessError, match=f"malformed case set: {message}"):
+            case_set_from_dict(data)
+
     @pytest.mark.parametrize("field_name", ["risk_weight", "correlation"])
     @pytest.mark.parametrize("bad", [-0.01, 1.51, 73.0])
     def test_out_of_band_fraction_rejected(self, tmp_path, field_name, bad):
@@ -305,7 +346,11 @@ class TestScoreReportRendering:
         report = score_extraction(reference_candidate(case_set), case_set)
         data = json.loads(render_score_report(report, "hierarchical"))
         assert data["accuracy"]["bucket"] == 100.0
-        assert len(data["verdicts"]) == case_set.n
+        assert data["verdicts"] == [
+            {"case_id": c.case_id, "bucket": "correct", "risk_weight": "correct", "correlation": "correct",
+             "mcr_value": "correct"}
+            for c in case_set.cases
+        ]
 
     def test_unknown_format_rejected(self, case_set):
         report = score_extraction(reference_candidate(case_set), case_set)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from oracles import bond_value
+from oracles import bond_value, fixture_rulebook_data
 from sbmcap.portfolio import (
     Bond,
     BucketAssignmentError,
@@ -360,8 +360,8 @@ class TestBucketAssignment:
         assert bucket == 11
         assert note == "commodity 'uranium' matches no bucket; assigned to residual bucket 11"
 
-    def test_unknown_issuer_without_residual_bucket_errors(self, rb, registry):
-        data = rb.to_dict()
+    def test_unknown_issuer_without_residual_bucket_errors(self, registry):
+        data = fixture_rulebook_data()
         data["buckets"] = [b for b in data["buckets"] if not (b["risk_class"] == "equity" and b["id"] == 11)]
         del data["intra_correlations"]["equity"]["11"]
         data["cross_correlations"]["equity"]["pairs"] = [

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fixture_rulebook_data
 from sbmcap.rulebook import (
     CorrelationScenario,
     GirrTenorParams,
@@ -76,9 +76,6 @@ class TestReferenceRulebook:
         with pytest.raises(RulebookQueryError, match="no equity bucket"):
             rb.risk_weight(RiskClass.EQUITY, 99)
 
-    def test_round_trips_through_dict(self, rb):
-        assert rulebook_from_dict(rb.to_dict()) == rb
-
 
 class TestCorrelationQueries:
     def test_equity_cross_bucket(self, rb):
@@ -97,10 +94,10 @@ class TestCorrelationQueries:
         ids = [b.bucket_id for b in buckets if not b.residual][:2]
         assert rb.cross_correlation(risk_class, ids[0], ids[1], MEDIUM) == expected
 
-    def test_girr_cross_default_with_second_currency(self, rb):
+    def test_girr_cross_default_with_second_currency(self):
         # The fixture carries one GIRR bucket (the USD curve), so querying the
         # cross-currency gamma of 0.5 needs a second bucket added alongside it.
-        data = rb.to_dict()
+        data = fixture_rulebook_data()
         usd = next(b for b in data["buckets"] if b["risk_class"] == "girr")
         eur = dict(usd, id=2, description="EUR risk-free yield curve", currencies=["EUR"])
         data["buckets"].append(eur)
@@ -362,11 +359,6 @@ class TestValidation:
         bad.write_text('{"version": "x",\n  "tenor_grid": [1.0,]\n}', encoding="utf-8")
         with pytest.raises(RulebookParseError, match="line 2"):
             load_rulebook(bad)
-
-    def test_file_round_trip(self, rb, tmp_path):
-        path = tmp_path / "copy.json"
-        path.write_text(json.dumps(rb.to_dict()), encoding="utf-8")
-        assert load_rulebook(path) == rb
 
     def test_bucket_without_intra_rho_rejected(self):
         data = self._base()

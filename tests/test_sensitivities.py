@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bond_value, parallel_bumped
+from oracles import bond_value, fixture_rulebook_data, parallel_bumped
 from sbmcap import portfolio, sensitivities
 from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
@@ -591,9 +591,9 @@ REPEATED_NAMES = (
 )
 
 
-def without_equity_residual(rb):
-    """The rulebook with its equity residual bucket (and that bucket's correlations) removed."""
-    data = rb.to_dict()
+def without_equity_residual():
+    """The fixture rulebook with its equity residual bucket (and that bucket's correlations) removed."""
+    data = fixture_rulebook_data()
     residual = next(b for b in data["buckets"] if b["risk_class"] == "equity" and b.get("residual"))
     data["buckets"].remove(residual)
     data["intra_correlations"]["equity"].pop(str(residual["id"]), None)
@@ -662,7 +662,7 @@ class TestPerQuoteResolution:
         registry = {**registry, "NOBUCKET": IssuerInfo("NOBUCKET", "crypto", "advanced", "large")}
         positions = (unclassifiable, CashEquity("XOM", 10), unclassifiable, unclassifiable)
         with pytest.raises(SensitivityError) as excinfo:
-            collect_sensitivities(Portfolio(positions=positions), market, registry, without_equity_residual(rb))
+            collect_sensitivities(Portfolio(positions=positions), market, registry, without_equity_residual())
         issues = [(i.index, i.stage, i.message) for i in excinfo.value.issues]
         assert issues == [(i, "classification", message) for i in (0, 2, 3)]
 
@@ -790,7 +790,7 @@ class TestAgainstThePerPositionOracle:
             md = replace(md, fx_spots={k: v for k, v in md.fx_spots.items() if k != "CHF"},
                          commodity_prices={k: v for k, v in md.commodity_prices.items() if k != "silver"})
         if not residual:
-            rb = without_equity_residual(rb)
+            rb = without_equity_residual()
         records, issues, oracle_notes = per_position_sensitivities(positions, md, registry, rb)
         if issues:
             with pytest.raises(SensitivityError) as excinfo:
