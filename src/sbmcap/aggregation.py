@@ -21,11 +21,14 @@ intra-bucket form collapses exactly to
 
     K_b^2 = (1 - rho) * sum_k WS_k^2 + rho * (sum_k WS_k)^2
 
-which is evaluated in O(F) with one rho lookup per bucket and scenario. A
-GIRR bucket is one curve with at most one factor per grid tenor, and its
-tenor correlations differ pair by pair, so it keeps the pairwise sum. Its
-rhos come as a mapping from ordered pairs of factor positions to rho, built
-per bucket and scenario before the sum.
+which is evaluated in O(F). Only rho depends on the scenario, so each such
+bucket is prepared once per call: one risk weight lookup, its factor rows,
+and sum_k WS_k and sum_k WS_k^2 each summed once. A scenario then costs one
+rho lookup and the closed form per bucket. A GIRR bucket is one curve with
+at most one factor per grid tenor, weighted per tenor, and its tenor
+correlations differ pair by pair, so it keeps the pairwise sum. Its rhos
+come as a mapping from ordered pairs of factor positions to rho, built per
+bucket and scenario before the sum.
 
 cross_bucket_delta takes the gammas of one class and scenario as a mapping
 from ordered bucket pairs to gamma. Both correlations are symmetric
@@ -39,8 +42,8 @@ capital report: ScenarioResult (total, classes by risk class token) holds
 ClassResult (charge, fallback flag, buckets, cross-bucket correlations used),
 which holds BucketResult (K_b, net and effective S_b, factors), which holds
 FactorRow (s_k, RW_k, WS_k). Field names are the keys of the report's
-hierarchical form. Each factor is weighted once per run and the same rows
-are aggregated under every scenario.
+hierarchical form. Each factor is weighted once per run and every scenario
+shares the same tuple of rows.
 
 A quadratic form that is NaN or infinite raises AggregationError: flooring it
 at zero would silently drop the bucket or class from capital.
@@ -116,7 +119,7 @@ class ScenarioResult:
     classes: dict[str, ClassResult] = field(metadata={"json_key": "risk_classes"})
 
 
-WeightedBuckets = list[tuple[int, list[FactorRow]]]
+WeightedBuckets = list[tuple]  # as _weighted_buckets prepares them
 
 
 def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> FactorRow:
@@ -131,7 +134,7 @@ def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> FactorRow:
 def _pairwise_position(
     risk_class: RiskClass,
     bucket: int,
-    rows: list[FactorRow],
+    rows: Sequence[FactorRow],
     rho: Mapping[tuple[int, int], float],
     scenario: CorrelationScenario,
 ) -> BucketResult:
@@ -142,29 +145,22 @@ def _pairwise_position(
     return _bucket_result(risk_class, bucket, rows, _fsum(terms), _fsum(ws), scenario)
 
 
-def _uniform_rho_position(
-    risk_class: RiskClass, bucket: int, rows: list[FactorRow], rb: Rulebook, scenario: CorrelationScenario
-) -> BucketResult:
-    """K_b of a non-GIRR bucket through the one-rho identity, in O(F).
+def _uniform_rho_position(risk_class: RiskClass, prepared: tuple, rb: Rulebook, scenario: CorrelationScenario) -> BucketResult:
+    """K_b of a non-GIRR bucket, as _weighted_buckets prepared it, through the one-rho identity.
 
-    Exact only when every factor has its own name, so duplicate names raise.
     rho is looked up once, on the first two names, and only when the bucket
     holds two or more factors: a one-name bucket needs no tabulated rho.
     """
-    ws = [r.weighted_sensitivity for r in rows]
-    s_b = _fsum(ws)
-    sum_sq = _fsum(x * x for x in ws)
+    bucket, rows, s_b, sum_sq = prepared
     if len(rows) == 1:
         return _bucket_result(risk_class, bucket, rows, sum_sq, s_b, scenario)
-    if len({r.name for r in rows}) != len(rows):
-        raise AggregationError(f"duplicate factor keys in {risk_class.value} bucket {bucket}; net the records first")
     first, second = rows[0], rows[1]
     rho = rb.intra_correlation(risk_class, bucket, (first.name, first.tenor), (second.name, second.tenor), scenario)
     return _bucket_result(risk_class, bucket, rows, _fsum(((1.0 - rho) * sum_sq, rho * s_b * s_b)), s_b, scenario)
 
 
 def _bucket_result(
-    risk_class: RiskClass, bucket: int, rows: list[FactorRow], quad: float, s_b: float, scenario: CorrelationScenario
+    risk_class: RiskClass, bucket: int, rows: Sequence[FactorRow], quad: float, s_b: float, scenario: CorrelationScenario
 ) -> BucketResult:
     if not math.isfinite(quad):
         raise AggregationError(
@@ -230,14 +226,31 @@ def cross_bucket_delta(
 
 
 def _weighted_buckets(records: list[SensitivityRecord], rb: Rulebook) -> tuple[RiskClass, WeightedBuckets]:
-    """The records' one risk class and their factor rows per bucket, in bucket order."""
+    """The records' one risk class and its buckets in bucket order, prepared for every scenario.
+
+    A GIRR bucket is (bucket, rows), weighted per tenor. Any other bucket is
+    (bucket, rows, S_b, sum of WS_k^2), weighted by one risk weight lookup;
+    its names must be distinct, as the one-rho identity needs.
+    """
     classes = {rec.key.risk_class for rec in records}
     if len(classes) > 1:
         raise AggregationError(f"records span several risk classes: {sorted(rc.value for rc in classes)}")
-    by_bucket: dict[int, list[FactorRow]] = {}
+    risk_class = records[0].key.risk_class
+    by_bucket: dict[int, list[SensitivityRecord]] = {}
     for rec in records:
-        by_bucket.setdefault(rec.key.bucket, []).append(weight_sensitivity(rec, rb))
-    return records[0].key.risk_class, sorted(by_bucket.items())
+        by_bucket.setdefault(rec.key.bucket, []).append(rec)
+    buckets = sorted(by_bucket.items())
+    if risk_class is RiskClass.GIRR:
+        return risk_class, [(bucket, tuple([weight_sensitivity(r, rb) for r in recs])) for bucket, recs in buckets]
+    prepared: WeightedBuckets = []
+    for bucket, recs in buckets:
+        rw = rb.risk_weight(risk_class, bucket)
+        rows = tuple([FactorRow(r.key.name, None, r.value, rw, rw * r.value) for r in recs])
+        if len(rows) > 1 and len({r.name for r in rows}) != len(rows):
+            raise AggregationError(f"duplicate factor keys in {risk_class.value} bucket {bucket}; net the records first")
+        ws = [r.weighted_sensitivity for r in rows]
+        prepared.append((bucket, rows, _fsum(ws), _fsum(x * x for x in ws)))
+    return risk_class, prepared
 
 
 def _class_result(
@@ -253,8 +266,8 @@ def _class_result(
             )
             positions.append(_pairwise_position(risk_class, bucket, rows, rho, scenario))
     else:
-        positions = [_uniform_rho_position(risk_class, bucket, rows, rb, scenario) for bucket, rows in weighted]
-    gamma = _both_orders([b for b, _ in weighted], lambda b, c: rb.cross_correlation(risk_class, b, c, scenario))
+        positions = [_uniform_rho_position(risk_class, prepared, rb, scenario) for prepared in weighted]
+    gamma = _both_orders([b[0] for b in weighted], lambda b, c: rb.cross_correlation(risk_class, b, c, scenario))
     return cross_bucket_delta(risk_class, positions, gamma, scenario)
 
 
@@ -278,7 +291,7 @@ def scenario_envelope(
 
     The portfolio total under one scenario is the plain sum of risk-class
     charges; the capital requirement is the maximum total across scenarios.
-    Each class's records are weighted once, and the same factor rows are
+    Each class's buckets are prepared once (see _weighted_buckets) and
     aggregated under every scenario.
     """
     weighted = [_weighted_buckets(records_by_class[rc], rb) for rc in RiskClass if records_by_class.get(rc)]

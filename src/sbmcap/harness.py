@@ -33,6 +33,7 @@ from .portfolio import (
     IssuerInfo,
     MarketData,
     Portfolio,
+    PortfolioError,
     assign_bucket,
     instrument_from_dict,
     instrument_to_dict,
@@ -418,7 +419,7 @@ def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
             scenario=CorrelationScenario(data.get("scenario", "medium")),
             cases=cases,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PortfolioError) as exc:
         raise HarnessError(f"malformed case set: {exc}") from None
 
 

@@ -220,11 +220,7 @@ def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebo
         info = registry.get(instr.issuer_id)
         if info is None:
             return _residual_or_error(rb, RiskClass.EQUITY, f"issuer {instr.issuer_id!r} not in registry")
-        for b in rb.buckets_for(RiskClass.EQUITY):
-            if b.residual:
-                continue
-            if b.economy != info.economy or b.size != info.size:
-                continue
+        for b in rb.equity_buckets_for(info.economy, info.size):
             if b.sectors is None or info.sector in b.sectors:
                 return b.bucket_id, None
         return _residual_or_error(
@@ -254,20 +250,16 @@ def load_market_data(path: str | Path) -> MarketData:
     data = read_json_object(path, PortfolioParseError)
     curve_raw = data.get("zero_curve", [])
     try:
-        tenors = tuple(float(p[0]) for p in curve_raw)
-        rates = tuple(float(p[1]) for p in curve_raw)
-    except (TypeError, ValueError, IndexError):
+        tenors = tuple(_numbers(path, "zero_curve", {i: p[0] for i, p in enumerate(curve_raw)}).values())
+        rates = tuple(_numbers(path, "zero_curve", {i: p[1] for i, p in enumerate(curve_raw)}).values())
+    except (TypeError, KeyError, IndexError):
         raise PortfolioParseError(f"{path}: zero_curve must be a list of [tenor, rate] pairs") from None
-    _require_finite(path, "zero_curve", dict(enumerate(tenors)))
-    _require_finite(path, "zero_curve", dict(enumerate(rates)))
 
     def quotes(section: str) -> dict[str, float]:
         raw = data.get(section, {})
         if not isinstance(raw, dict):
             raise PortfolioParseError(f"{path}: {section} must be an object mapping names to numbers, got {raw!r}")
-        numbers = {str(k): float(v) for k, v in raw.items()}
-        _require_finite(path, section, numbers)
-        return numbers
+        return _numbers(path, section, raw)
 
     try:
         return MarketData(
@@ -333,21 +325,21 @@ def instrument_from_dict(row: dict[str, Any]) -> Instrument:
     kind = row["type"]
     if kind == "bond":
         return Bond(
-            notional=_finite(row["notional"], "notional"),
-            coupon_rate=_finite(row.get("coupon_rate", 0.0), "coupon_rate"),
-            maturity=_finite(row["maturity"], "maturity"),
-            frequency=int(row.get("frequency", 2)),
+            notional=_number(row["notional"], "notional"),
+            coupon_rate=_number(row.get("coupon_rate", 0.0), "coupon_rate"),
+            maturity=_number(row["maturity"], "maturity"),
+            frequency=_frequency(row.get("frequency", 2)),
             currency=str(row["currency"]),
             label=str(row.get("id", "")),
         )
     if kind == "equity":
-        return CashEquity(issuer_id=str(row["issuer_id"]), shares=_finite(row["shares"], "shares"))
+        return CashEquity(issuer_id=str(row["issuer_id"]), shares=_number(row["shares"], "shares"))
     if kind == "fx":
-        return FXPosition(foreign_currency=str(row["currency"]), signed_notional=_finite(row["notional"], "notional"))
+        return FXPosition(foreign_currency=str(row["currency"]), signed_notional=_number(row["notional"], "notional"))
     if kind == "commodity":
         return CommodityFuture(
             commodity_id=str(row["commodity_id"]),
-            quantity=_finite(row["quantity"], "quantity"),
+            quantity=_number(row["quantity"], "quantity"),
             unit=str(row.get("unit", "")),
         )
     raise PortfolioParseError(f"unknown position type {kind!r}")
@@ -391,7 +383,7 @@ def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
             notional=signed,
             coupon_rate=_finite(coupon_raw, "coupon") if coupon_raw else 0.0,
             maturity=_required_float(row, "maturity"),
-            frequency=int(_finite(frequency_raw, "frequency")) if frequency_raw else 2,
+            frequency=_frequency(_finite(frequency_raw, "frequency")) if frequency_raw else 2,
             currency=_required_str(row, "currency"),
             label=ident,
         )
@@ -446,11 +438,36 @@ def _finite(raw: Any, label: str) -> float:
     return number
 
 
-def _require_finite(path: str | Path, section: str, numbers: dict[Any, float]) -> None:
-    # Checked after conversion, so the error text is only formatted on failure.
-    for key, number in numbers.items():
-        if not math.isfinite(number):
-            raise PortfolioParseError(f"{path}: {section}[{key!r}] must be a finite number, got {number!r}")
+def _number(raw: Any, label: str) -> float:
+    # _finite of a JSON number field, where float() would also read true as 1.0 and "12" as 12.0.
+    if type(raw) is not float and type(raw) is not int:
+        raise PortfolioParseError(f"{label} must be a number, got {raw!r}")
+    try:
+        number = float(raw)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
+    return number
+
+
+def _numbers(path: str | Path, section: str, raw: dict[Any, Any]) -> dict[Any, float]:
+    # _number of each value, its label formatted only for a value that is not a finite float.
+    numbers = {}
+    for key, value in raw.items():
+        finite = type(value) is float and math.isfinite(value)
+        numbers[key] = value if finite else _number(value, f"{path}: {section}[{key!r}]")
+    return numbers
+
+
+def _frequency(raw: Any) -> int:
+    # int() would turn 2.7 into 2 and true into 1 with no message; Bond checks that an int is 1, 2 or 4.
+    if type(raw) is int:
+        return raw
+    number = _number(raw, "frequency")
+    if not number.is_integer():
+        raise PortfolioParseError(f"frequency must be 1, 2 or 4, got {number!r}")
+    return int(number)
 
 
 def _list_section(path: str | Path, data: dict[str, Any], section: str) -> list[Any]:

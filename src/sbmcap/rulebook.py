@@ -129,15 +129,20 @@ class Rulebook:
     # the first is found; validation rejects such duplicates anyway.
     _by_id: dict[tuple[RiskClass, int], Bucket] = field(init=False, repr=False, compare=False)
     _by_class: dict[RiskClass, tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
+    _equity_by_profile: dict[tuple[str | None, str | None], tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[tuple[RiskClass, int], Bucket] = {}
         by_class: dict[RiskClass, list[Bucket]] = {rc: [] for rc in RiskClass}
+        by_profile: dict[tuple[str | None, str | None], list[Bucket]] = {}
         for b in self.buckets:
             by_id.setdefault((b.risk_class, b.bucket_id), b)
             by_class[b.risk_class].append(b)
+            if b.risk_class is RiskClass.EQUITY and not b.residual:
+                by_profile.setdefault((b.economy, b.size), []).append(b)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_class", {rc: tuple(bs) for rc, bs in by_class.items()})
+        object.__setattr__(self, "_equity_by_profile", {k: tuple(bs) for k, bs in by_profile.items()})
 
     # -- bucket lookups ----------------------------------------------------
 
@@ -149,6 +154,10 @@ class Rulebook:
             return self._by_id[(risk_class, bucket_id)]
         except KeyError:
             raise RulebookQueryError(f"no {risk_class.value} bucket with id {bucket_id}") from None
+
+    def equity_buckets_for(self, economy: str, size: str) -> tuple[Bucket, ...]:
+        """The non-residual equity buckets of an (economy, size) pair, in rulebook order."""
+        return self._equity_by_profile.get((economy, size), ())
 
     def residual_bucket(self, risk_class: RiskClass) -> Bucket | None:
         return next((b for b in self._by_class[risk_class] if b.residual), None)
@@ -309,8 +318,8 @@ def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
                 description=str(row.get("description", "")),
                 risk_weight=rw,
                 risk_weights_by_tenor=by_tenor,
-                economy=row.get("economy"),
-                size=row.get("size"),
+                economy=_typed(row, "economy", str, where, violations, None),
+                size=_typed(row, "size", str, where, violations, None),
                 sectors=tuple(sectors) if sectors is not None else None,
                 currencies=tuple(_typed(row, "currencies", list, where, violations, ())),
                 commodities=tuple(_typed(row, "commodities", list, where, violations, ())),
@@ -320,7 +329,7 @@ def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
     return tuple(buckets)
 
 
-_JSON_TYPES = {list: "a list", dict: "an object", bool: "true or false"}
+_JSON_TYPES = {list: "a list", dict: "an object", bool: "true or false", str: "a string"}
 
 
 def _typed(row: dict[str, Any], name: str, kind: type, where: str, violations: list[str], default: Any) -> Any:

@@ -10,6 +10,9 @@ faster way, or a convenience only the tests need:
 - ``tenor_rho``: the rulebook's GIRR tenor correlation as such a callback.
 - ``risk_class_delta``: one risk class under one scenario, through
   ``scenario_envelope``.
+- ``assign_equity_bucket_by_scan``: an issuer's equity bucket found by
+  scanning every equity bucket in rulebook order; ``assign_bucket``, which
+  reads an (economy, size) index, must give its bucket, note and error.
 - ``bond_value`` and ``parallel_bumped``: a bond's present value by
   discounting every cash flow on the curve, and a parallel-shifted curve.
 - ``render_hierarchical``: the hierarchical report as ``json.dumps`` writes
@@ -36,7 +39,15 @@ from sbmcap.aggregation import (
     scenario_envelope,
 )
 from sbmcap.engine import CapitalReport
-from sbmcap.portfolio import Bond, MarketData, MarketDataError, ZeroCurve
+from sbmcap.portfolio import (
+    Bond,
+    BucketAssignmentError,
+    CashEquity,
+    IssuerInfo,
+    MarketData,
+    MarketDataError,
+    ZeroCurve,
+)
 from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook
 from sbmcap.sensitivities import SensitivityRecord
 
@@ -82,6 +93,28 @@ def risk_class_delta(records: list[SensitivityRecord], rb: Rulebook, scenario: C
     risk_class = records[0].key.risk_class if records else RiskClass.EQUITY
     _, results = scenario_envelope({risk_class: records}, rb, (scenario,))
     return results[scenario.value].classes.get(risk_class.value, ClassResult(0.0, False, (), ()))
+
+
+def assign_equity_bucket_by_scan(
+    instr: CashEquity, registry: dict[str, IssuerInfo], rb: Rulebook
+) -> tuple[int, str | None]:
+    """The first non-residual equity bucket matching the issuer's economy, size and sector, else the residual one."""
+    info = registry.get(instr.issuer_id)
+    if info is None:
+        why = f"issuer {instr.issuer_id!r} not in registry"
+    else:
+        for b in rb.buckets_for(RiskClass.EQUITY):
+            if b.residual:
+                continue
+            if b.economy != info.economy or b.size != info.size:
+                continue
+            if b.sectors is None or info.sector in b.sectors:
+                return b.bucket_id, None
+        why = f"issuer {instr.issuer_id!r} ({info.economy}/{info.size}/{info.sector}) matches no equity bucket"
+    residual = rb.residual_bucket(RiskClass.EQUITY)
+    if residual is None:
+        raise BucketAssignmentError(f"{why}, and the rulebook has no equity residual bucket")
+    return residual.bucket_id, f"{why}; assigned to residual bucket {residual.bucket_id}"
 
 
 def bond_value(bond: Bond, md: MarketData) -> float:

@@ -21,7 +21,7 @@ from sbmcap.aggregation import (
     weight_sensitivity,
 )
 from sbmcap.engine import compute_capital
-from sbmcap.portfolio import Bond, CashEquity, IssuerInfo, MarketData, Portfolio
+from sbmcap.portfolio import Bond, CashEquity, CommodityFuture, FXPosition, IssuerInfo, MarketData, Portfolio
 from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import RiskFactorKey, SensitivityRecord, collect_sensitivities
 
@@ -333,6 +333,35 @@ class TestScenarioEnvelope:
         assert len(report.scenarios) == 3
         assert len(calls) == len(netted) == 8
 
+    def test_one_risk_weight_lookup_per_bucket_and_per_girr_factor(self, rb, market, registry, monkeypatch):
+        # 300 names in equity bucket 8 (advanced, large, technology), names in other equity buckets, an FX, a
+        # commodity and a bond position: one lookup per non-GIRR bucket, one per GIRR tenor.
+        names = [f"W{i:03d}" for i in range(300)]
+        wide_registry = {**registry, **{n: IssuerInfo(n, "technology", "advanced", "large") for n in names}}
+        md = replace(market, equity_prices={**market.equity_prices, **{n: 10.0 + i for i, n in enumerate(names)}})
+        positions = (
+            *(CashEquity(n, 100 if i % 3 else -250) for i, n in enumerate(names)),
+            CashEquity("XOM", 50), CashEquity("PBR", -20), FXPosition("EUR", 1e6), CommodityFuture("gold", 10, "oz"),
+            Bond(notional=1e6, coupon_rate=0.05, maturity=7.3, frequency=2, currency="USD"),
+        )
+        calls = []
+        original = Rulebook.risk_weight
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Rulebook, "risk_weight", counting)
+        report = compute_capital(Portfolio(positions=positions), md, wide_registry, rb)
+        classes = report.scenarios["medium"].classes
+        (wide,) = [b for b in classes["equity"].buckets if b.bucket == 8]
+        assert len(wide.factors) >= 300
+        (girr,) = classes["girr"].buckets
+        expected = [(RiskClass(token), b.bucket) for token, c in classes.items() if token != "girr" for b in c.buckets]
+        expected += [(GIRR, girr.bucket, f.tenor) for f in girr.factors]
+        assert sorted(calls) == sorted(expected)
+        assert calls.count((EQUITY, 8)) == 1
+
     def test_each_gamma_is_looked_up_once_per_unordered_pair(self, rb, market, registry, monkeypatch):
         # Six equity names in six buckets: 15 bucket pairs under each of 3 scenarios.
         names = ("XOM", "T", "MSFT", "PBR", "NWCO", "RGNL")
@@ -474,6 +503,16 @@ class TestUniformRhoBucket:
         records = [SensitivityRecord(eq_key("A", bucket=1), 1.0), SensitivityRecord(eq_key("A", bucket=1), 2.0)]
         with pytest.raises(AggregationError, match="duplicate factor keys in equity bucket 1"):
             risk_class_delta(records, one_bucket_rulebook(0.5), MEDIUM)
+
+    def test_duplicate_name_raises_naming_its_bucket_before_any_scenario(self, rb, monkeypatch):
+        # Bucket 7 is clean; bucket 8 holds "B" twice. The check runs once, while the buckets are prepared.
+        records = [SensitivityRecord(eq_key(name, bucket), 1.0) for name, bucket in (("A", 7), ("C", 7), ("B", 8), ("B", 8))]
+        calls = []
+        original = Rulebook.intra_correlation
+        monkeypatch.setattr(Rulebook, "intra_correlation", lambda self, *args: calls.append(args) or original(self, *args))
+        with pytest.raises(AggregationError, match="^duplicate factor keys in equity bucket 8; net the records first$"):
+            scenario_envelope({EQUITY: records}, rb)
+        assert calls == []
 
 
 class TestNonFiniteForms:

@@ -269,6 +269,9 @@ class TestWrongTypedSections:
             ("girr", "currencies", "USD", "{where}: currencies must be a list, got 'USD'"),
             ("commodity", "commodities", 5, "{where}: commodities must be a list, got 5"),
             ("equity", "residual", "false", "{where}: residual must be true or false, got 'false'"),
+            # The equity bucket index is keyed by (economy, size), so neither may be a list.
+            ("equity", "economy", ["advanced"], "{where}: economy must be a string, got ['advanced']"),
+            ("equity", "size", 5, "{where}: size must be a string, got 5"),
         ],
     )
     def test_rulebook_field_is_a_violation(self, paths, capsys, tmp_path, risk_class, field, bad, violation):
@@ -339,6 +342,85 @@ class TestWrongTypedSections:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {path}: as_of must be a string, got {bad!r}\n"
+
+    @pytest.mark.parametrize(
+        "source, where, bad, message",
+        [
+            ("json_portfolio", ("positions", 4, "shares"), True, "positions[4]: shares must be a number, got True"),
+            ("json_portfolio", ("positions", 4, "shares"), "12", "positions[4]: shares must be a number, got '12'"),
+            ("json_portfolio", ("positions", 6, "notional"), False, "positions[6]: notional must be a number, got False"),
+            ("json_portfolio", ("positions", 2, "quantity"), "600", "positions[2]: quantity must be a number, got '600'"),
+            ("json_portfolio", ("positions", 0, "maturity"), "5", "positions[0]: maturity must be a number, got '5'"),
+            ("json_portfolio", ("positions", 0, "coupon_rate"), True, "positions[0]: coupon_rate must be a number, got True"),
+            ("json_portfolio", ("positions", 0, "frequency"), True, "positions[0]: frequency must be a number, got True"),
+            ("market", ("equity_prices", "XOM"), True, "equity_prices['XOM'] must be a number, got True"),
+            ("market", ("fx_spots", "EUR"), "1.08", "fx_spots['EUR'] must be a number, got '1.08'"),
+            ("market", ("commodity_prices", "gold"), False, "commodity_prices['gold'] must be a number, got False"),
+            ("market", ("zero_curve", 0, 0), True, "zero_curve[0] must be a number, got True"),
+            ("market", ("zero_curve", 2, 1), "0.04", "zero_curve[2] must be a number, got '0.04'"),
+            # An integer beyond the float range used to end in an OverflowError traceback here, and to be named
+            # "int too large to convert to float" in a position.
+            pytest.param("json_portfolio", ("positions", 5, "shares"), 10**400,
+                         f"positions[5]: shares must be a finite number, got {10**400!r}", id="shares-beyond-float-range"),
+            pytest.param("market", ("equity_prices", "T"), 10**400,
+                         f"equity_prices['T'] must be a finite number, got {10**400!r}", id="integer-beyond-float-range"),
+        ],
+    )
+    def test_number_field_that_is_not_a_json_number_is_an_input_error(
+        self, paths, capsys, tmp_path, source, where, bad, message
+    ):
+        # float() used to read true as 1.0 and "12" as 12.0.
+        data = json.loads(Path(paths[source]).read_text())
+        *parents, last = where
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = bad
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        given = {**paths, source: str(path)}
+        code = main(["compute", *market_args(given), "--portfolio", given["json_portfolio"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("loader", ["json", "csv"])
+    @pytest.mark.parametrize("bad", ["2.7", "0.5", "1.0000001"])
+    def test_fractional_bond_frequency_is_an_input_error(self, paths, capsys, tmp_path, loader, bad):
+        # int() used to truncate 2.7 to 2 and change the cash flows with no message.
+        if loader == "json":
+            data = json.loads(Path(paths["json_portfolio"]).read_text())
+            data["positions"][0]["frequency"] = float(bad)
+            path, where = tmp_path / "portfolio.json", "positions[0]"
+            path.write_text(json.dumps(data))
+        else:
+            lines = Path(paths["portfolio"]).read_text().splitlines(keepends=True)
+            lines[1] = lines[1].replace(",5,1,USD,", f",5,{bad},USD,")
+            path, where = tmp_path / "portfolio.csv", "line 2"
+            path.write_text("".join(lines))
+        code = main(["compute", *market_args(paths), "--portfolio", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {path}: {where}: frequency must be 1, 2 or 4, got {bad}\n"
+
+    @pytest.mark.parametrize("loader", ["json", "csv"])
+    def test_integral_float_frequency_reads_as_the_integer(self, paths, capsys, tmp_path, loader):
+        source = "json_portfolio" if loader == "json" else "portfolio"
+        assert main(["compute", *market_args(paths), "--portfolio", paths[source]]) == 0
+        expected = capsys.readouterr().out
+        if loader == "json":
+            data = json.loads(Path(paths[source]).read_text())
+            for row in data["positions"]:
+                if row["type"] == "bond":
+                    row["frequency"] = float(row["frequency"])
+            path = tmp_path / "portfolio.json"
+            path.write_text(json.dumps(data))
+        else:
+            path = tmp_path / "portfolio.csv"
+            path.write_text(Path(paths[source]).read_text().replace(",1,USD,", ",1.0,USD,"))
+        assert main(["compute", *market_args(paths), "--portfolio", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_null_as_of_falls_back_to_the_market_date(self, paths, capsys, tmp_path):
         data = json.loads(Path(paths["json_portfolio"]).read_text())

@@ -183,6 +183,19 @@ class TestCapitalProperties:
         assert report.total_capital in totals
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(book=st.lists(BOOK_POSITIONS, max_size=12))
+    def test_each_envelope_scenario_is_its_single_scenario_result_bit_for_bit(self, rb, market, registry, book):
+        # The envelope prepares each bucket once for three scenarios; a pinned scenario prepares it for one.
+        p = Portfolio(positions=tuple(book))
+        envelope = compute_capital(p, market, registry, rb)
+        for sc in CorrelationScenario:
+            single = compute_capital(p, market, registry, rb, scenario=sc)
+            assert list(single.scenarios) == [sc.value]
+            # repr writes every float exactly, so equal text means equal bits.
+            assert repr(single.scenarios[sc.value]) == repr(envelope.scenarios[sc.value])
+
+
 # Finite numbers of every magnitude, zeros of both signs included.
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     (0.0, -0.0, 1e-300, 1e154, 1e200, 1e306, 1.7e308, -1.7e308)
@@ -525,11 +538,40 @@ class TestHierarchicalWriter:
             assert render_report(report, "hierarchical") == render_hierarchical(report), book.name
 
 
+class TestBenchmarkReferences:
+    """The benchmark checks its stored capital only in full-size runs; these are its default-seed books."""
+
+    @pytest.mark.parametrize("workload", ["equity-concentrated", "bond-ladder"])
+    def test_default_seed_books_match_the_stored_reference(self, perfbench_gen, perfbench_oracle, workload, tmp_path):
+        reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))[workload]
+        inputs = perfbench_gen.write_inputs(workload, 1, tmp_path)
+        rb = load_rulebook(inputs.rulebook)
+        md, registry = load_market_data(inputs.market), load_registry(inputs.registry)
+        assert sorted(reference) == [book.name for book in inputs.books]
+        for book in inputs.books:
+            total = compute_capital(load_portfolio(book), md, registry, rb).total_capital
+            assert total == pytest.approx(reference[book.name], rel=1e-9, abs=0.0), book.name
+            if workload == "equity-concentrated":
+                expected = perfbench_oracle.equity_capital(inputs.rulebook, inputs.market, inputs.registry, book)
+                assert total == pytest.approx(expected, rel=1e-9, abs=0.0), book.name
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench_oracle():
+    """The benchmark's capital oracle for equity books, loaded from its file and left unchanged."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", PERFBENCH / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def perfbench_gen():
     """The benchmark's input generator, loaded from its file and left unchanged."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     try:

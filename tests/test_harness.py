@@ -307,6 +307,15 @@ class TestCandidateFiles:
         with pytest.raises(HarnessError, match=f"malformed case set: {message}"):
             case_set_from_dict(data)
 
+    @pytest.mark.parametrize("bad, message", [(True, "must be a number, got True"), (1e400, "must be a finite number")])
+    def test_position_number_that_is_not_a_finite_json_number_rejected(self, case_set, bad, message):
+        # The position's own error used to leave the loader without the "malformed case set" prefix.
+        data = case_set.to_dict()
+        row = next(p for c in data["cases"] for p in c["positions"] if p["type"] == "equity")
+        row["shares"] = bad
+        with pytest.raises(HarnessError, match=f"^malformed case set: shares {message}"):
+            case_set_from_dict(data)
+
     @pytest.mark.parametrize("field_name", ["risk_weight", "correlation"])
     @pytest.mark.parametrize("bad", [-0.01, 1.51, 73.0])
     def test_out_of_band_fraction_rejected(self, tmp_path, field_name, bad):

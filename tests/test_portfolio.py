@@ -7,8 +7,10 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bond_value, fixture_rulebook_data
+from oracles import assign_equity_bucket_by_scan, bond_value, fixture_rulebook_data
 from sbmcap.portfolio import (
     Bond,
     BucketAssignmentError,
@@ -30,7 +32,7 @@ from sbmcap.portfolio import (
     load_registry,
     value,
 )
-from sbmcap.rulebook import rulebook_from_dict
+from sbmcap.rulebook import Rulebook, rulebook_from_dict
 from sbmcap.sensitivities import collect_sensitivities
 
 REL_TOL = 1e-12
@@ -109,7 +111,7 @@ class TestLoaders:
             ({"type": "bond", "notional": 100, "maturity": 5, "coupon_rate": float("nan"), "currency": "USD"},
              "positions[1]: coupon_rate must be a finite number"),
             ({"type": "bond", "notional": 100, "maturity": 5, "frequency": float("inf"), "currency": "USD"},
-             "positions[1]: cannot convert float infinity to integer"),
+             "positions[1]: frequency must be a finite number"),
         ],
     )
     def test_json_non_finite_number_rejected(self, tmp_path, position, message):
@@ -329,7 +331,96 @@ class TestValuation:
             ZeroCurve(tenors, (0.03, 0.035, 0.04))
 
 
+ECONOMIES = ("advanced", "emerging")
+SIZES = ("large", "small")
+SECTORS = ("energy", "technology", "financials", "utilities")
+
+
+def equity_rulebook(rows: list[dict]) -> Rulebook:
+    """Equity buckets only, each with a rho, under one cross default."""
+    return rulebook_from_dict({
+        "schema_version": 1,
+        "version": "equity-only",
+        "tenor_grid": [1.0],
+        "buckets": rows,
+        "intra_correlations": {"equity": {str(row["id"]): 0.2 for row in rows}},
+        "cross_correlations": {"equity": {"default": 0.15}},
+    })
+
+
+def equity_bucket(bucket_id: int, economy: str, size: str, sectors: list[str] | None, residual: bool = False) -> dict:
+    row = {"risk_class": "equity", "id": bucket_id, "description": f"bucket {bucket_id}", "economy": economy,
+           "size": size, "residual": residual, "risk_weight": 0.5}
+    if sectors is not None:
+        row["sectors"] = sectors
+    return row
+
+
+@st.composite
+def overlapping_equity_rulebooks(draw) -> Rulebook:
+    """Buckets that share economy and size, with overlapping or absent sector lists, in an order other than by id."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [
+        equity_bucket(
+            bucket_id,
+            draw(st.sampled_from(ECONOMIES)),
+            draw(st.sampled_from(SIZES)),
+            draw(st.none() | st.lists(st.sampled_from(SECTORS), min_size=1, max_size=3, unique=True)),
+        )
+        for bucket_id in draw(st.permutations(range(1, n + 1)))
+    ]
+    if draw(st.booleans()):
+        # A residual bucket may carry an economy and size that issuers match; it is only ever the fallback.
+        residual = equity_bucket(n + 1, draw(st.sampled_from(ECONOMIES)), draw(st.sampled_from(SIZES)), None, True)
+        rows.insert(draw(st.integers(min_value=0, max_value=n)), residual)
+    return equity_rulebook(rows)
+
+
+def assignment(assign, instr, registry, rb):
+    """(bucket, note), or the message of the BucketAssignmentError raised."""
+    try:
+        return assign(instr, registry, rb)
+    except BucketAssignmentError as exc:
+        return str(exc)
+
+
 class TestBucketAssignment:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rb=overlapping_equity_rulebooks(),
+        profiles=st.lists(
+            st.tuples(
+                st.sampled_from(SECTORS + ("other",)),
+                st.sampled_from(ECONOMIES + ("frontier",)),
+                st.sampled_from(SIZES + ("mid",)),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_equity_index_agrees_with_the_scan(self, rb, profiles):
+        registry = {f"I{i}": IssuerInfo(f"I{i}", *profile) for i, profile in enumerate(profiles)}
+        for issuer in [*registry, "UNREGISTERED"]:
+            instr = CashEquity(issuer, 1.0)
+            expected = assignment(assign_equity_bucket_by_scan, instr, registry, rb)
+            assert assignment(assign_bucket, instr, registry, rb) == expected
+
+    def test_first_matching_bucket_in_rulebook_order_wins(self):
+        rb = equity_rulebook([
+            equity_bucket(5, "advanced", "large", ["energy"]),
+            equity_bucket(2, "advanced", "large", None),
+            equity_bucket(3, "advanced", "large", None, residual=True),
+        ])
+        registry = {
+            "OIL": IssuerInfo("OIL", "energy", "advanced", "large"),
+            "SOFT": IssuerInfo("SOFT", "technology", "advanced", "large"),
+            "EM": IssuerInfo("EM", "energy", "emerging", "large"),
+        }
+        assert assign_bucket(CashEquity("OIL", 1), registry, rb) == (5, None)
+        assert assign_bucket(CashEquity("SOFT", 1), registry, rb) == (2, None)
+        assert assign_bucket(CashEquity("EM", 1), registry, rb) == (
+            3, "issuer 'EM' (emerging/large/energy) matches no equity bucket; assigned to residual bucket 3"
+        )
+
     @pytest.mark.parametrize(
         ("issuer", "expected"),
         [
