@@ -24,18 +24,20 @@ intra-bucket form collapses exactly to
 which is evaluated in O(F). Only rho depends on the scenario, so each such
 bucket is prepared once per call: one risk weight lookup, its factor rows,
 and sum_k WS_k and sum_k WS_k^2 each summed once. A scenario then costs one
-rho lookup and the closed form per bucket. A GIRR bucket is one curve with
+rho read and the closed form per bucket. A GIRR bucket is one curve with
 at most one factor per grid tenor, weighted per tenor, and its tenor
 correlations differ pair by pair, so it keeps the pairwise sum. Its rhos
 come as a mapping from ordered pairs of factor positions to rho, built per
-bucket and scenario before the sum.
+bucket and scenario before the sum; rho_kl = rho_lk by the tenor formula,
+so each is computed once per unordered pair and stored under both orders:
+45 for a full 10-tenor GIRR bucket, per scenario.
 
-cross_bucket_delta takes the gammas of one class and scenario as a mapping
-from ordered bucket pairs to gamma. Both correlations are symmetric
-(rho_kl = rho_lk by the tenor formula, gamma_bc = gamma_cb because the
-rulebook loader rejects asymmetric duplicates), so each rho or gamma is
-looked up once per unordered pair and stored under both orders: 45 rho
-lookups for a full 10-tenor GIRR bucket, per scenario.
+The rulebook resolves its tabulated correlations, scenario-adjusted, once
+when it is built. Per scenario, a class reads the rhos of its buckets of two
+or more names with one ``Rulebook.intra_correlations`` call, and its gammas
+with one ``Rulebook.cross_correlations`` call: a mapping from ordered bucket
+pairs to gamma, which cross_bucket_delta takes. gamma_bc = gamma_cb because
+the rulebook loader rejects asymmetric duplicates.
 
 The results form one frozen hierarchy, which is also the audit trail of the
 capital report: ScenarioResult (total, classes by risk class token) holds
@@ -145,18 +147,19 @@ def _pairwise_position(
     return _bucket_result(risk_class, bucket, rows, _fsum(terms), _fsum(ws), scenario)
 
 
-def _uniform_rho_position(risk_class: RiskClass, prepared: tuple, rb: Rulebook, scenario: CorrelationScenario) -> BucketResult:
+def _uniform_rho_position(
+    risk_class: RiskClass, prepared: tuple, rho: Mapping[int, float], scenario: CorrelationScenario
+) -> BucketResult:
     """K_b of a non-GIRR bucket, as _weighted_buckets prepared it, through the one-rho identity.
 
-    rho is looked up once, on the first two names, and only when the bucket
-    holds two or more factors: a one-name bucket needs no tabulated rho.
+    ``rho`` maps each bucket of two or more factors to its rho; a one-name
+    bucket needs no tabulated rho.
     """
     bucket, rows, s_b, sum_sq = prepared
     if len(rows) == 1:
         return _bucket_result(risk_class, bucket, rows, sum_sq, s_b, scenario)
-    first, second = rows[0], rows[1]
-    rho = rb.intra_correlation(risk_class, bucket, (first.name, first.tenor), (second.name, second.tenor), scenario)
-    return _bucket_result(risk_class, bucket, rows, _fsum(((1.0 - rho) * sum_sq, rho * s_b * s_b)), s_b, scenario)
+    r = rho[bucket]
+    return _bucket_result(risk_class, bucket, rows, _fsum(((1.0 - r) * sum_sq, r * s_b * s_b)), s_b, scenario)
 
 
 def _bucket_result(
@@ -230,7 +233,8 @@ def _weighted_buckets(records: list[SensitivityRecord], rb: Rulebook) -> tuple[R
 
     A GIRR bucket is (bucket, rows), weighted per tenor. Any other bucket is
     (bucket, rows, S_b, sum of WS_k^2), weighted by one risk weight lookup;
-    its names must be distinct, as the one-rho identity needs.
+    its names must be distinct, as the one-rho identity needs, and carry no
+    tenor, which would otherwise be dropped.
     """
     classes = {rec.key.risk_class for rec in records}
     if len(classes) > 1:
@@ -244,6 +248,10 @@ def _weighted_buckets(records: list[SensitivityRecord], rb: Rulebook) -> tuple[R
         return risk_class, [(bucket, tuple([weight_sensitivity(r, rb) for r in recs])) for bucket, recs in buckets]
     prepared: WeightedBuckets = []
     for bucket, recs in buckets:
+        if any(r.key.tenor is not None for r in recs):
+            raise AggregationError(
+                f"{risk_class.value} bucket {bucket}: a factor carries a tenor; only GIRR factors have tenors"
+            )
         rw = rb.risk_weight(risk_class, bucket)
         rows = tuple([FactorRow(r.key.name, None, r.value, rw, rw * r.value) for r in recs])
         if len(rows) > 1 and len({r.name for r in rows}) != len(rows):
@@ -266,8 +274,9 @@ def _class_result(
             )
             positions.append(_pairwise_position(risk_class, bucket, rows, rho, scenario))
     else:
-        positions = [_uniform_rho_position(risk_class, prepared, rb, scenario) for prepared in weighted]
-    gamma = _both_orders([b[0] for b in weighted], lambda b, c: rb.cross_correlation(risk_class, b, c, scenario))
+        rho = rb.intra_correlations(risk_class, [b[0] for b in weighted if len(b[1]) > 1], scenario)
+        positions = [_uniform_rho_position(risk_class, prepared, rho, scenario) for prepared in weighted]
+    gamma = rb.cross_correlations(risk_class, [b[0] for b in weighted], scenario)
     return cross_bucket_delta(risk_class, positions, gamma, scenario)
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 
 class RiskClass(str, Enum):
@@ -130,6 +131,10 @@ class Rulebook:
     _by_id: dict[tuple[RiskClass, int], Bucket] = field(init=False, repr=False, compare=False)
     _by_class: dict[RiskClass, tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
     _equity_by_profile: dict[tuple[str | None, str | None], tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
+    # Scenario-adjusted correlations, built once from ``correlations`` and ``scenario_rules``.
+    _adjusted: dict[tuple[RiskClass, CorrelationScenario], _AdjustedCorrelations] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         by_id: dict[tuple[RiskClass, int], Bucket] = {}
@@ -143,6 +148,7 @@ class Rulebook:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_class", {rc: tuple(bs) for rc, bs in by_class.items()})
         object.__setattr__(self, "_equity_by_profile", {k: tuple(bs) for k, bs in by_profile.items()})
+        object.__setattr__(self, "_adjusted", _adjusted_correlations(self.correlations, self.scenario_rules))
 
     # -- bucket lookups ----------------------------------------------------
 
@@ -214,14 +220,28 @@ class Rulebook:
             return apply_scenario(base, scenario, self.scenario_rules)
         if k[0] == l[0]:
             return apply_scenario(1.0, scenario, self.scenario_rules)
-        self.bucket(risk_class, bucket_id)  # existence check
-        try:
-            base = self.correlations.intra[(risk_class, bucket_id)]
-        except KeyError:
-            raise RulebookQueryError(
-                f"no intra-bucket correlation tabulated for {risk_class.value} bucket {bucket_id}"
-            ) from None
-        return apply_scenario(base, scenario, self.scenario_rules)
+        return self.intra_correlations(risk_class, (bucket_id,), scenario)[bucket_id]
+
+    def intra_correlations(
+        self,
+        risk_class: RiskClass,
+        bucket_ids: Iterable[int],
+        scenario: CorrelationScenario = CorrelationScenario.MEDIUM,
+    ) -> dict[int, float]:
+        """The one rho of two distinct names in each non-GIRR bucket of ``bucket_ids``, by bucket id."""
+        ids = list(bucket_ids)
+        for bucket_id in ids:
+            self.bucket(risk_class, bucket_id)  # existence check
+        intra = self._adjusted_for(risk_class, scenario).intra
+        rho = {}
+        for bucket_id in ids:
+            try:
+                rho[bucket_id] = intra[bucket_id]
+            except KeyError:
+                raise RulebookQueryError(
+                    f"no intra-bucket correlation tabulated for {risk_class.value} bucket {bucket_id}"
+                ) from None
+        return rho
 
     def cross_correlation(
         self,
@@ -231,19 +251,71 @@ class Rulebook:
         scenario: CorrelationScenario = CorrelationScenario.MEDIUM,
     ) -> float:
         """Cross-bucket correlation gamma_bc for two distinct buckets."""
-        if bucket_b == bucket_c:
+        return self.cross_correlations(risk_class, (bucket_b, bucket_c), scenario)[bucket_b, bucket_c]
+
+    def cross_correlations(
+        self,
+        risk_class: RiskClass,
+        bucket_ids: Iterable[int],
+        scenario: CorrelationScenario = CorrelationScenario.MEDIUM,
+    ) -> dict[tuple[int, int], float]:
+        """gamma_bc for every ordered pair (b, c) of distinct buckets in ``bucket_ids``.
+
+        For each unordered pair the gamma of (b, c), with b listed first, is
+        stored under both orders; the loader rejects asymmetric duplicates.
+        """
+        ids = list(bucket_ids)
+        if len(set(ids)) != len(ids):
             raise RulebookQueryError("cross correlation is defined for distinct buckets only")
-        self.bucket(risk_class, bucket_b)
-        self.bucket(risk_class, bucket_c)
-        pairs = self.correlations.cross_pairs
-        base = pairs.get((risk_class, bucket_b, bucket_c), pairs.get((risk_class, bucket_c, bucket_b)))
-        if base is None:
-            base = self.correlations.cross_default.get(risk_class)
-        if base is None:
-            raise RulebookQueryError(
-                f"no cross-bucket correlation for {risk_class.value} buckets ({bucket_b}, {bucket_c})"
+        for bucket_id in ids:
+            self.bucket(risk_class, bucket_id)
+        adjusted = self._adjusted_for(risk_class, scenario)
+        pairs, default = adjusted.cross_pairs, adjusted.cross_default
+        gamma: dict[tuple[int, int], float] = {}
+        for i, b in enumerate(ids):
+            for c in ids[i + 1 :]:
+                value = pairs.get((b, c), default)
+                if value is None:
+                    raise RulebookQueryError(f"no cross-bucket correlation for {risk_class.value} buckets ({b}, {c})")
+                gamma[b, c] = gamma[c, b] = value
+        return gamma
+
+    def _adjusted_for(self, risk_class: RiskClass, scenario: CorrelationScenario) -> _AdjustedCorrelations:
+        # A str scenario token would find its member's table; apply_scenario rejects it, and so does this.
+        if not isinstance(scenario, CorrelationScenario):
+            raise RulebookQueryError(f"unknown scenario {scenario!r}")
+        return self._adjusted[risk_class, scenario]
+
+
+class _AdjustedCorrelations(NamedTuple):
+    """The tabulated correlations of one risk class, adjusted to one scenario."""
+
+    cross_default: float | None
+    cross_pairs: dict[tuple[int, int], float]  # every tabulated pair, under both orders
+    intra: dict[int, float]  # bucket id -> rho
+
+
+def _adjusted_correlations(
+    table: CorrelationTable, rules: ScenarioRules
+) -> dict[tuple[RiskClass, CorrelationScenario], _AdjustedCorrelations]:
+    # One apply_scenario call per tabulated value and scenario; no bucket pair is enumerated.
+    # A pair tabulated under both orders keeps each order's own value. Every risk class has
+    # a table, and so does any other class key a rulebook built in Python tabulates.
+    classes = {*RiskClass, *table.cross_default, *(key[0] for key in table.cross_pairs), *(key[0] for key in table.intra)}
+    adjusted: dict[tuple[RiskClass, CorrelationScenario], _AdjustedCorrelations] = {}
+    for scenario in CorrelationScenario:
+        for rc in classes:
+            default = table.cross_default.get(rc)
+            adjusted[rc, scenario] = _AdjustedCorrelations(
+                None if default is None else apply_scenario(default, scenario, rules), {}, {}
             )
-        return apply_scenario(base, scenario, self.scenario_rules)
+        for (rc, b, c), value in table.cross_pairs.items():
+            pairs = adjusted[rc, scenario].cross_pairs
+            pairs[b, c] = gamma = apply_scenario(value, scenario, rules)
+            pairs.setdefault((c, b), gamma)
+        for (rc, bucket_id), value in table.intra.items():
+            adjusted[rc, scenario].intra[bucket_id] = apply_scenario(value, scenario, rules)
+    return adjusted
 
 
 def girr_tenor_correlation(t_k: float, t_l: float, params: GirrTenorParams = GirrTenorParams()) -> float:
@@ -552,12 +624,18 @@ def load_rulebook(path: str | Path) -> Rulebook:
 def read_json_object(path: str | Path, error_cls: type[Exception], what: str = "top level") -> dict[str, Any]:
     """The JSON object in the file at ``path``; invalid JSON or another top-level type raises ``error_cls``.
 
-    Every input loader reads its file through this; both messages name the path.
+    Every input loader reads its file through this; each message names the path.
     """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error_cls(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # The one other ValueError: int() refuses a literal of more digits than the interpreter's limit.
+        raise error_cls(
+            f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(data, dict):
         raise error_cls(f"{path}: {what} must be a JSON object")
     return data

@@ -41,6 +41,12 @@ quote once per call; a position then costs one float, not a snapshot and a
 record. All deltas, bond tenor deltas included, go into one list per factor,
 netted by one exactly rounded ``fsum``, so term order does not change a sum.
 
+Factor keys and records are ``NamedTuple``s: a key costs one tuple, and it
+compares equal to, and hashes like, the plain tuple of its fields. The
+netted records are sorted in plain tuple order, which is (risk class,
+bucket, name, tenor): after netting the keys are distinct, and only GIRR
+keys carry a tenor.
+
 A NaN or infinite delta (from non-finite inputs passed in through the API;
 the loaders reject them) fails its position at the valuation stage.
 
@@ -112,11 +118,12 @@ class InstrumentIssue:
         return f"position {self.index} ({self.stage}): {self.message}"
 
 
-@dataclass(frozen=True)
-class RiskFactorKey:
+class RiskFactorKey(NamedTuple):
     """Identity of one delta risk factor.
 
     ``tenor`` is present exactly for GIRR factors; spot factors carry None.
+    The aggregation enforces that: a GIRR risk weight needs a tenor, and a
+    non-GIRR record with one is rejected.
     """
 
     risk_class: RiskClass
@@ -124,13 +131,8 @@ class RiskFactorKey:
     name: str
     tenor: float | None = None
 
-    def __post_init__(self) -> None:
-        if (self.tenor is not None) != (self.risk_class is RiskClass.GIRR):
-            raise ValueError("tenor must be set for GIRR factors and only for GIRR factors")
 
-
-@dataclass(frozen=True)
-class SensitivityRecord:
+class SensitivityRecord(NamedTuple):
     key: RiskFactorKey
     value: float
 
@@ -405,6 +407,8 @@ def _net(factors: Iterable[tuple[RiskFactorKey, list[float]]]) -> list[Sensitivi
             netted.append(SensitivityRecord(key, math.fsum(terms)))
         except OverflowError:
             raise FactorOverflowError(key) from None
-    # RiskClass is a str enum, so its members order as their values do.
-    netted.sort(key=lambda rec: (rec.key.risk_class, rec.key.bucket, rec.key.name, rec.key.tenor or -1.0))
+    # Keys are distinct here and only GIRR keys carry a tenor, so the tuple order
+    # is (risk class, bucket, name, tenor); RiskClass is a str enum, so its
+    # members order as their values do.
+    netted.sort()
     return netted

@@ -8,6 +8,11 @@ faster way, or a convenience only the tests need:
   against a numpy quadratic form; the GIRR aggregation, which reads its rhos
   from a tenor-pair mapping, must match it bit for bit.
 - ``tenor_rho``: the rulebook's GIRR tenor correlation as such a callback.
+- ``cross_correlation_per_pair`` and ``intra_rho_per_pair``: one gamma or
+  rho read from the rulebook's raw correlation table and scenario-adjusted
+  on the spot; ``PerPairRulebook`` answers the rulebook's per-class table
+  reads with them, pair by pair. The tables the rulebook resolves when it
+  is built must give the same numbers, and the same errors, bit for bit.
 - ``risk_class_delta``: one risk class under one scenario, through
   ``scenario_envelope``.
 - ``assign_equity_bucket_by_scan``: an issuer's equity bucket found by
@@ -48,7 +53,7 @@ from sbmcap.portfolio import (
     MarketDataError,
     ZeroCurve,
 )
-from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook
+from sbmcap.rulebook import CorrelationScenario, RiskClass, Rulebook, RulebookQueryError, apply_scenario
 from sbmcap.sensitivities import SensitivityRecord
 
 RhoProvider = Callable[[FactorRow, FactorRow, CorrelationScenario], float]
@@ -86,6 +91,54 @@ def tenor_rho(rb: Rulebook, bucket: int) -> RhoProvider:
         return rb.intra_correlation(RiskClass.GIRR, bucket, (k.name, k.tenor), (l.name, l.tenor), sc)
 
     return rho
+
+
+def cross_correlation_per_pair(
+    rb: Rulebook, risk_class: RiskClass, bucket_b: int, bucket_c: int, scenario: CorrelationScenario
+) -> float:
+    """gamma_bc: the tabulated (b, c), else (c, b), else the class default, scenario-adjusted."""
+    if bucket_b == bucket_c:
+        raise RulebookQueryError("cross correlation is defined for distinct buckets only")
+    rb.bucket(risk_class, bucket_b)
+    rb.bucket(risk_class, bucket_c)
+    pairs = rb.correlations.cross_pairs
+    base = pairs.get((risk_class, bucket_b, bucket_c), pairs.get((risk_class, bucket_c, bucket_b)))
+    if base is None:
+        base = rb.correlations.cross_default.get(risk_class)
+    if base is None:
+        raise RulebookQueryError(f"no cross-bucket correlation for {risk_class.value} buckets ({bucket_b}, {bucket_c})")
+    return apply_scenario(base, scenario, rb.scenario_rules)
+
+
+def intra_rho_per_pair(rb: Rulebook, risk_class: RiskClass, bucket: int, scenario: CorrelationScenario) -> float:
+    """The tabulated rho of two distinct names in a non-GIRR bucket, scenario-adjusted."""
+    rb.bucket(risk_class, bucket)
+    try:
+        base = rb.correlations.intra[(risk_class, bucket)]
+    except KeyError:
+        raise RulebookQueryError(f"no intra-bucket correlation tabulated for {risk_class.value} bucket {bucket}") from None
+    return apply_scenario(base, scenario, rb.scenario_rules)
+
+
+@dataclasses.dataclass(frozen=True)
+class PerPairRulebook(Rulebook):
+    """A rulebook whose per-class correlation reads look each rho and gamma up pair by pair."""
+
+    def intra_correlations(self, risk_class, bucket_ids, scenario=CorrelationScenario.MEDIUM):
+        return {b: intra_rho_per_pair(self, risk_class, b, scenario) for b in bucket_ids}
+
+    def cross_correlations(self, risk_class, bucket_ids, scenario=CorrelationScenario.MEDIUM):
+        ids = list(bucket_ids)
+        gamma = {}
+        for i, b in enumerate(ids):
+            for c in ids[i + 1 :]:
+                gamma[b, c] = gamma[c, b] = cross_correlation_per_pair(self, risk_class, b, c, scenario)
+        return gamma
+
+
+def per_pair(rb: Rulebook) -> PerPairRulebook:
+    """``rb`` with the per-pair correlation reads."""
+    return PerPairRulebook(**{f.name: getattr(rb, f.name) for f in dataclasses.fields(rb) if f.init})
 
 
 def risk_class_delta(records: list[SensitivityRecord], rb: Rulebook, scenario: CorrelationScenario) -> ClassResult:

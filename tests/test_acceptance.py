@@ -187,7 +187,7 @@ def test_criterion_4_homogeneity_and_collapse(rb):
 
             for lam in (0.5, 2.0, 10.0):
                 scaled = risk_class_delta(
-                    [dataclasses.replace(r, value=r.value * lam) for r in records], rb, MEDIUM
+                    [r._replace(value=r.value * lam) for r in records], rb, MEDIUM
                 )
                 assert scaled.charge == pytest.approx(lam * base.charge, rel=1e-12)
                 for b_base, b_scaled in zip(base.buckets, scaled.buckets):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bucket_risk_position, fixture_rulebook_data, risk_class_delta, tenor_rho
+from oracles import (
+    bucket_risk_position,
+    cross_correlation_per_pair,
+    fixture_rulebook_data,
+    per_pair,
+    risk_class_delta,
+    tenor_rho,
+)
 from sbmcap.aggregation import (
     AggregationError,
     CrossCorrelation,
@@ -362,27 +369,79 @@ class TestScenarioEnvelope:
         assert sorted(calls) == sorted(expected)
         assert calls.count((EQUITY, 8)) == 1
 
-    def test_each_gamma_is_looked_up_once_per_unordered_pair(self, rb, market, registry, monkeypatch):
-        # Six equity names in six buckets: 15 bucket pairs under each of 3 scenarios.
+    def test_gammas_are_read_once_per_class_and_scenario(self, rb, market, registry, monkeypatch):
+        # Six equity names in six buckets: one table read per scenario gives all 15 bucket pairs.
         names = ("XOM", "T", "MSFT", "PBR", "NWCO", "RGNL")
         calls = []
-        original = Rulebook.cross_correlation
+        original = Rulebook.cross_correlations
 
-        def counting(self, risk_class, b, c, scenario):
-            calls.append((risk_class, b, c, scenario))
-            return original(self, risk_class, b, c, scenario)
+        def counting(self, risk_class, bucket_ids, scenario):
+            calls.append((risk_class, list(bucket_ids), scenario))
+            return original(self, risk_class, bucket_ids, scenario)
 
-        monkeypatch.setattr(Rulebook, "cross_correlation", counting)
+        monkeypatch.setattr(Rulebook, "cross_correlations", counting)
         report = compute_capital(Portfolio(positions=tuple(CashEquity(n, 100) for n in names)), market, registry, rb)
         buckets = [b.bucket for b in report.scenarios["medium"].classes["equity"].buckets]
         assert len(buckets) == 6
+        assert calls == [(EQUITY, buckets, sc) for sc in CorrelationScenario]
         pairs = [(b, c) for i, b in enumerate(buckets) for c in buckets[i + 1 :]]
-        assert sorted(calls) == sorted((EQUITY, b, c, sc) for sc in CorrelationScenario for b, c in pairs)
         for token, outcome in report.scenarios.items():
             used = outcome.classes["equity"].cross_correlations
             assert [(g.bucket_b, g.bucket_c, g.gamma) for g in used] == [
-                (b, c, original(rb, EQUITY, c, b, CorrelationScenario(token))) for b, c in pairs
+                (b, c, cross_correlation_per_pair(rb, EQUITY, c, b, CorrelationScenario(token))) for b, c in pairs
             ]
+
+
+MIXED_QUANTITIES = st.floats(min_value=-1e7, max_value=1e7) | st.integers(min_value=-10**6, max_value=10**6).map(float)
+MIXED_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "T", "MSFT", "JPM", "WMT", "BA", "PBR", "VALE", "NWCO", "RGNL")),
+              MIXED_QUANTITIES),
+    st.builds(FXPosition, st.sampled_from(("EUR", "JPY", "GBP", "CHF")), MIXED_QUANTITIES),
+    st.builds(CommodityFuture, st.sampled_from(("gold", "silver", "crude_oil", "natural_gas", "copper", "wheat")),
+              MIXED_QUANTITIES, st.just("")),
+    st.builds(Bond, notional=st.floats(min_value=-1e8, max_value=1e8), coupon_rate=st.sampled_from((0.0, 0.03)),
+              maturity=st.sampled_from((0.5, 4.0, 7.3, 30.0)), frequency=st.sampled_from((1, 2)),
+              currency=st.just("USD")),
+)
+
+
+# Two names in one bucket in every class but GIRR (MSFT and JPM share equity bucket 8), and several buckets per class.
+SHARED_BUCKETS = (CashEquity("MSFT", 100.0), CashEquity("JPM", -50.0), CommodityFuture("gold", 10.0, ""),
+                  CommodityFuture("silver", -300.0, ""), FXPosition("EUR", 1e5), FXPosition("JPY", -1e6))
+
+
+@pytest.fixture(scope="module")
+def custom_scenario_rulebook():
+    """The fixture rulebook with custom scenario rules, its cross pairs in the other order, and some nonzero pairs."""
+    data = fixture_rulebook_data()
+    for block in data["cross_correlations"].values():
+        for row in block.get("pairs", []):
+            row["b"], row["c"] = row["c"], row["b"]
+    for token, b, c, value in (("equity", 8, 7, 0.3), ("commodity", 2, 7, 0.25), ("fx", 2, 1, 0.7)):
+        data["cross_correlations"][token].setdefault("pairs", []).append({"b": b, "c": c, "value": value})
+    data["scenario_rules"] = {"high": {"scale": 1.4, "cap": 0.95}, "low": {"scale": 0.6, "affine_scale": 2.5,
+                                                                           "affine_shift": -1.2}}
+    return rulebook_from_dict(data)
+
+
+class TestAgainstThePerPairLookups:
+    @settings(max_examples=100, deadline=None)
+    @given(positions=st.lists(MIXED_POSITIONS, max_size=30), custom=st.booleans())
+    def test_scenario_results_are_unchanged(self, rb, custom_scenario_rulebook, market, registry, positions, custom):
+        # Resolved tables and per-pair lookups give the same scenario results, to the last digit of each repr.
+        if custom:
+            rb = custom_scenario_rulebook
+        positions = (*SHARED_BUCKETS, *positions)
+        records, _ = collect_sensitivities(Portfolio(positions=positions), market, registry, rb)
+        by_class: dict = {}
+        for rec in records:
+            by_class.setdefault(rec.key.risk_class, []).append(rec)
+        capital, results = scenario_envelope(by_class, rb)
+        expected_capital, expected = scenario_envelope(by_class, per_pair(rb))
+        assert repr(capital) == repr(expected_capital)
+        assert {token: repr(result) for token, result in results.items()} == {
+            token: repr(result) for token, result in expected.items()
+        }
 
 
 GIRR = RiskClass.GIRR
@@ -471,23 +530,23 @@ class TestUniformRhoBucket:
             closed.k_b**2 - pairwise.k_b**2
         ) <= REL_TOL * scale
 
-    def test_one_lookup_per_scenario_for_a_wide_bucket(self, rb, monkeypatch):
+    def test_one_rho_read_per_scenario_for_a_wide_bucket(self, rb, monkeypatch):
         names = [f"W{i:03d}" for i in range(300)]
         registry = {n: IssuerInfo(n, "technology", "advanced", "large") for n in names}
         md = MarketData(reporting_currency="USD", equity_prices={n: 10.0 + i for i, n in enumerate(names)})
         p = Portfolio(positions=tuple(CashEquity(n, 100 if i % 3 else -250) for i, n in enumerate(names)))
         calls = []
-        original = Rulebook.intra_correlation
+        original = Rulebook.intra_correlations
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
+        def counting(self, risk_class, bucket_ids, scenario):
+            calls.append((risk_class, list(bucket_ids), scenario))
+            return original(self, risk_class, bucket_ids, scenario)
 
-        monkeypatch.setattr(Rulebook, "intra_correlation", counting)
+        monkeypatch.setattr(Rulebook, "intra_correlations", counting)
         report = compute_capital(p, md, registry, rb)
         (bucket,) = report.scenarios["medium"].classes["equity"].buckets
         assert len(bucket.factors) == 300
-        assert len(calls) <= 3
+        assert calls == [(EQUITY, [bucket.bucket], sc) for sc in CorrelationScenario]
 
     def test_one_name_bucket_needs_no_tabulated_rho(self):
         result = risk_class_delta([SensitivityRecord(eq_key("A", bucket=1), -250.0)], one_bucket_rulebook(None), MEDIUM)
@@ -508,8 +567,8 @@ class TestUniformRhoBucket:
         # Bucket 7 is clean; bucket 8 holds "B" twice. The check runs once, while the buckets are prepared.
         records = [SensitivityRecord(eq_key(name, bucket), 1.0) for name, bucket in (("A", 7), ("C", 7), ("B", 8), ("B", 8))]
         calls = []
-        original = Rulebook.intra_correlation
-        monkeypatch.setattr(Rulebook, "intra_correlation", lambda self, *args: calls.append(args) or original(self, *args))
+        original = Rulebook.intra_correlations
+        monkeypatch.setattr(Rulebook, "intra_correlations", lambda self, *args: calls.append(args) or original(self, *args))
         with pytest.raises(AggregationError, match="^duplicate factor keys in equity bucket 8; net the records first$"):
             scenario_envelope({EQUITY: records}, rb)
         assert calls == []

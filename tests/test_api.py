@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sbmcap
+import sbmcap.engine
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "sbmcap"
@@ -66,12 +69,18 @@ def test_engine_reports_diagnostics_without_the_warnings_module():
     assert found == []
 
 
-def test_every_benchmark_boundary_resolves(monkeypatch):
-    # The benchmark's traced runs wrap these names; one deleted or renamed here would read 0 there.
+@pytest.fixture()
+def layers(monkeypatch):
+    """The benchmark's boundary wrappers (perfbench/layers.py), loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_layers", BENCHMARK_LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look their module up there
-    spec.loader.exec_module(layers)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_boundary_resolves(layers):
+    # The benchmark's traced runs wrap these names; one deleted or renamed here would read 0 there.
     assert layers.BOUNDARIES
     missing = []
     for module_name, attr, _ in layers.BOUNDARIES:
@@ -81,6 +90,22 @@ def test_every_benchmark_boundary_resolves(monkeypatch):
         if not callable(holder):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_compute_capital_passes_each_spanned_layer_once(layers, rb, market, registry, reference_portfolio):
+    # The traced run splits a compute_capital call into collect, envelope and the rest by these spans;
+    # a second pass through either, or a bypass, would make that split meaningless.
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        sbmcap.engine.compute_capital(reference_portfolio, market, registry, rb)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    spans = [name for name, *_ in tracer.spans]
+    assert spans == ["engine.compute_capital", "sensitivities.collect_sensitivities", "aggregation.scenario_envelope"]
+    assert [parent for *_, parent in tracer.spans] == [-1, 0, 0]
+    assert tracer.calls["rulebook.risk_weight"] == 8  # one per netted factor: six spot buckets, two GIRR tenors
 
 
 def test_benchmark_self_test_passes():

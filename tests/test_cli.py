@@ -433,6 +433,7 @@ class TestWrongTypedSections:
 
 
 GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases_seed7_n8.json"
+GOLDEN_SENSITIVITIES = Path(__file__).resolve().parent / "golden" / "fixture_sensitivities.csv"
 
 # Each JSON input file the CLI reads: the command that reads it from ``path``, and what its top level is called.
 JSON_INPUTS = {
@@ -452,14 +453,19 @@ JSON_INPUTS = {
 }
 
 
+HUGE = "1" * 5001  # more digits than Python turns into an int by default (4300)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ('{\n  "a":\n}', "invalid JSON at line 3 column 1: Expecting value"),
         ("[1, 2]", "{what} must be a JSON object"),
         ('"text"', "{what} must be a JSON object"),
+        (f'{{"schema_version": {HUGE}}}', f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"),
+        (f'{{"a": [1,, {HUGE}]}}', "invalid JSON at line 1 column 10: Expecting value"),
     ],
-    ids=["invalid", "list", "string"],
+    ids=["invalid", "list", "string", "huge integer", "invalid before a huge integer"],
 )
 @pytest.mark.parametrize("source", list(JSON_INPUTS))
 def test_unreadable_json_input_is_an_input_error_naming_the_file(paths, capsys, tmp_path, source, text, message):
@@ -575,6 +581,13 @@ class TestRenderPrompt:
 
 
 class TestDumpSensitivities:
+    def test_fixture_json_book_gives_the_golden_bytes(self, paths, capsys):
+        code = main(["dump-sensitivities", *market_args(paths), "--portfolio", paths["json_portfolio"]])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.encode("utf-8") == GOLDEN_SENSITIVITIES.read_bytes()
+
     def test_csv_has_one_row_per_factor(self, paths, capsys):
         code = main(["dump-sensitivities", *market_args(paths), "--portfolio", paths["portfolio"]])
         out = capsys.readouterr().out

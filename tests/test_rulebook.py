@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fixture_rulebook_data
+from oracles import cross_correlation_per_pair, fixture_rulebook_data, intra_rho_per_pair
 from sbmcap.rulebook import (
+    Bucket,
     CorrelationScenario,
+    CorrelationTable,
     GirrTenorParams,
     RiskClass,
+    Rulebook,
     RulebookParseError,
     RulebookQueryError,
     RulebookValidationError,
@@ -134,6 +138,135 @@ class TestCorrelationQueries:
     def test_girr_intra_requires_tenors(self, rb):
         with pytest.raises(RulebookQueryError, match="tenor"):
             rb.intra_correlation(RiskClass.GIRR, 1, ("USD", None), ("USD", 5.0), MEDIUM)
+
+
+def outcome(fn, *args):
+    """A correlation query's floats as hex strings (bit for bit), or its RulebookQueryError message."""
+    try:
+        got = fn(*args)
+    except RulebookQueryError as exc:
+        return "error", str(exc)
+    if isinstance(got, dict):
+        return "value", {key: float.hex(value) for key, value in got.items()}
+    return "value", float.hex(got)
+
+
+def cross_correlations_per_pair(rb: Rulebook, risk_class: RiskClass, ids: list[int], scenario) -> dict:
+    """The gamma of each pair (b, c) of ``ids``, b listed first, under both orders, looked up pair by pair."""
+    gamma = {}
+    for i, b in enumerate(ids):
+        for c in ids[i + 1 :]:
+            gamma[b, c] = gamma[c, b] = cross_correlation_per_pair(rb, risk_class, b, c, scenario)
+    return gamma
+
+
+def assert_tables_match_the_per_pair_path(rb: Rulebook, risk_class: RiskClass, ids: list[int]) -> None:
+    """Every correlation query on ``ids`` (plus an unknown id) against the per-pair oracle, in every scenario."""
+    queried = [*ids, 99]
+    for sc in CorrelationScenario:
+        for b, c in itertools.product(queried, queried):
+            assert outcome(rb.cross_correlation, risk_class, b, c, sc) == outcome(
+                cross_correlation_per_pair, rb, risk_class, b, c, sc
+            )
+        for order in (ids, ids[::-1]):
+            assert outcome(rb.cross_correlations, risk_class, order, sc) == outcome(
+                cross_correlations_per_pair, rb, risk_class, order, sc
+            )
+        # Each id is checked before any pair is read.
+        unknown = ("error", f"no {risk_class.value} bucket with id 99")
+        assert outcome(rb.cross_correlations, risk_class, queried, sc) == unknown
+        for bucket in queried if risk_class is not RiskClass.GIRR else ():  # GIRR rhos come from the tenor formula
+            expected = outcome(intra_rho_per_pair, rb, risk_class, bucket, sc)
+            assert outcome(rb.intra_correlation, risk_class, bucket, ("A", None), ("B", None), sc) == expected
+            got = outcome(rb.intra_correlations, risk_class, [bucket], sc)
+            assert got == (expected if expected[0] == "error" else ("value", {bucket: expected[1]}))
+
+
+CORRELATIONS = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from((0.0, -0.0, 1.0, 0.15))
+SCENARIO_RULES = st.just(ScenarioRules()) | st.builds(
+    ScenarioRules,
+    high_scale=st.floats(min_value=0.5, max_value=2.0),
+    high_cap=st.floats(min_value=0.5, max_value=1.0),
+    low_scale=st.floats(min_value=0.1, max_value=1.0),
+    low_affine_scale=st.floats(min_value=0.5, max_value=3.0),
+    low_affine_shift=st.floats(min_value=-2.0, max_value=0.0),
+)
+
+
+class TestResolvedTables:
+    """The scenario-adjusted tables built with a rulebook give what the per-pair lookups gave, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_api_built_rulebooks(self, data):
+        # Unvalidated rulebooks: pairs under either order or both (with different values), missing rhos and
+        # gammas, with or without a class default, and rulebooks rebuilt from another with dataclasses.replace.
+        risk_class = data.draw(st.sampled_from([RiskClass.EQUITY, RiskClass.FX, RiskClass.COMMODITY]), label="class")
+        ids = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6, unique=True), label="ids")
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+        pairs = data.draw(st.dictionaries(pair, CORRELATIONS, max_size=8), label="pairs") if len(ids) > 1 else {}
+        intra = data.draw(st.dictionaries(st.sampled_from(ids), CORRELATIONS), label="intra")
+        default = data.draw(st.none() | CORRELATIONS, label="default")
+        table = CorrelationTable(
+            intra={(risk_class, b): v for b, v in intra.items()},
+            cross_default={} if default is None else {risk_class: default},
+            cross_pairs={(risk_class, b, c): v for (b, c), v in pairs.items()},
+        )
+        rules = data.draw(SCENARIO_RULES, label="rules")
+        buckets = tuple(Bucket(risk_class, b, f"bucket {b}", risk_weight=0.5) for b in ids)
+        rb = Rulebook("api", 1, TENOR_GRID, buckets, table, GirrTenorParams(), rules)
+        if data.draw(st.booleans(), label="rebuilt"):
+            other = CorrelationTable(cross_default={risk_class: 0.3}, cross_pairs={})
+            rb = dataclasses.replace(
+                Rulebook("other", 1, TENOR_GRID, buckets, other, GirrTenorParams(), ScenarioRules(high_scale=1.5)),
+                correlations=table, scenario_rules=rules,
+            )
+        assert_tables_match_the_per_pair_path(rb, risk_class, ids)
+
+    @settings(max_examples=30, deadline=None)
+    @given(swap=st.lists(st.booleans(), min_size=64, max_size=64), rules=SCENARIO_RULES)
+    def test_loaded_rulebooks_with_pairs_in_either_order(self, swap, rules):
+        data = fixture_rulebook_data()
+        flips = iter(swap)
+        for block in data["cross_correlations"].values():
+            for row in block.get("pairs", []):
+                if next(flips):
+                    row["b"], row["c"] = row["c"], row["b"]
+        data["scenario_rules"] = {
+            "high": {"scale": rules.high_scale, "cap": rules.high_cap},
+            "low": {"scale": rules.low_scale, "affine_scale": rules.low_affine_scale, "affine_shift": rules.low_affine_shift},
+        }
+        rb = rulebook_from_dict(data)
+        assert rb.scenario_rules == rules
+        for risk_class in (RiskClass.EQUITY, RiskClass.FX, RiskClass.COMMODITY, RiskClass.GIRR):
+            assert_tables_match_the_per_pair_path(rb, risk_class, [b.bucket_id for b in rb.buckets_for(risk_class)])
+
+    def test_a_removed_gamma_or_rho_is_a_named_query_error(self, rb):
+        pairs = {key: v for key, v in rb.correlations.cross_pairs.items() if key[0] is not RiskClass.COMMODITY}
+        gapped = dataclasses.replace(
+            rb,
+            correlations=CorrelationTable(
+                intra={key: v for key, v in rb.correlations.intra.items() if key != (RiskClass.EQUITY, 7)},
+                cross_default={rc: v for rc, v in rb.correlations.cross_default.items() if rc is not RiskClass.COMMODITY},
+                cross_pairs=pairs,
+            ),
+        )
+        ids = [b.bucket_id for b in rb.buckets_for(RiskClass.COMMODITY)]
+        with pytest.raises(RulebookQueryError, match=rf"^no cross-bucket correlation for commodity buckets \({ids[0]}, {ids[1]}\)$"):
+            gapped.cross_correlations(RiskClass.COMMODITY, ids, MEDIUM)
+        with pytest.raises(RulebookQueryError, match="^no intra-bucket correlation tabulated for equity bucket 7$"):
+            gapped.intra_correlations(RiskClass.EQUITY, [6, 7], HIGH)
+        assert rb.cross_correlations(RiskClass.COMMODITY, ids[:2], MEDIUM) == {
+            (ids[0], ids[1]): rb.cross_correlation(RiskClass.COMMODITY, ids[0], ids[1], MEDIUM),
+            (ids[1], ids[0]): rb.cross_correlation(RiskClass.COMMODITY, ids[0], ids[1], MEDIUM),
+        }
+
+    def test_unknown_scenario_is_a_named_query_error(self, rb):
+        for query in (lambda: rb.cross_correlations(RiskClass.EQUITY, [6, 7], "medium"),
+                      lambda: rb.intra_correlations(RiskClass.EQUITY, [7], "medium"),
+                      lambda: rb.cross_correlation(RiskClass.EQUITY, 6, 7, "medium")):
+            with pytest.raises(RulebookQueryError, match="^unknown scenario 'medium'$"):
+                query()
 
 
 class TestGirrTenorCorrelation:

@@ -28,7 +28,8 @@ from sbmcap.portfolio import (
     assign_bucket,
     value,
 )
-from sbmcap.rulebook import RiskClass, RulebookError, rulebook_from_dict
+from sbmcap.aggregation import AggregationError, scenario_envelope
+from sbmcap.rulebook import RiskClass, RulebookError, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import (
     GIRR_BUMP,
     REL_BUMP,
@@ -489,16 +490,6 @@ class TestGirrDeltas:
             tent_bumped_curve(market.zero_curve, rb.tenor_grid, 7.0, GIRR_BUMP)
 
 
-class TestRiskFactorKey:
-    def test_tenor_required_for_girr(self):
-        with pytest.raises(ValueError, match="tenor"):
-            RiskFactorKey(RiskClass.GIRR, 1, "USD")
-
-    def test_tenor_forbidden_for_spot_classes(self):
-        with pytest.raises(ValueError, match="tenor"):
-            RiskFactorKey(RiskClass.EQUITY, 7, "XOM", tenor=5.0)
-
-
 class TestCollectAndNet:
     def test_reference_portfolio_collects_eight_factors(self, reference_portfolio, market, registry, rb):
         records, _ = collect_sensitivities(reference_portfolio, market, registry, rb)
@@ -866,3 +857,62 @@ class TestNonFiniteDeltas:
             collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond, bond)), md, registry, rb)
         assert [(i.index, i.stage, i.message) for i in excinfo.value.issues] == [(1, "valuation", message),
                                                                                  (2, "valuation", message)]
+
+
+# Books of every class that classify, price and net: the spot names the fixtures know, bonds at and off grid tenors.
+MIXED_POSITIONS = st.one_of(
+    st.builds(CashEquity, st.sampled_from(("XOM", "T", "MSFT", "PBR", "NWCO", "RGNL")), ORDINARY),
+    st.builds(FXPosition, st.sampled_from(("EUR", "JPY", "GBP", "CHF")), ORDINARY),
+    st.builds(CommodityFuture, st.sampled_from(("gold", "crude_oil", "silver")), ORDINARY, st.just("")),
+    st.builds(Bond, notional=st.floats(min_value=-1e8, max_value=1e8), coupon_rate=st.sampled_from((0.0, 0.03)),
+              maturity=st.sampled_from((0.5, 4.0, 7.3, 30.0, 41.0)), frequency=st.sampled_from((1, 2)),
+              currency=st.just("USD")),
+)
+
+
+class TestFactorKeyTenor:
+    """A key carries a tenor exactly for GIRR; the aggregation rejects a record that breaks this."""
+
+    def test_girr_record_without_tenor_has_no_risk_weight(self, rb):
+        record = SensitivityRecord(RiskFactorKey(RiskClass.GIRR, 1, "USD"), 1.0)
+        with pytest.raises(RulebookQueryError, match="^GIRR risk weight lookup requires a tenor$"):
+            scenario_envelope({RiskClass.GIRR: [record]}, rb)
+
+    @pytest.mark.parametrize("risk_class, bucket, name", [(RiskClass.EQUITY, 7, "XOM"), (RiskClass.FX, 1, "EUR"),
+                                                          (RiskClass.COMMODITY, 7, "gold")])
+    def test_spot_record_with_tenor_raises_naming_its_bucket(self, rb, risk_class, bucket, name):
+        records = [SensitivityRecord(RiskFactorKey(risk_class, bucket, name, 5.0), 1.0)]
+        with pytest.raises(AggregationError, match=rf"^{risk_class.value} bucket {bucket}: a factor carries a tenor"):
+            scenario_envelope({risk_class: records}, rb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(positions=st.lists(MIXED_POSITIONS, min_size=1, max_size=12))
+    def test_collected_keys_carry_a_grid_tenor_exactly_for_girr(self, rb, registry, market, positions):
+        records, _ = collect_sensitivities(Portfolio(positions=tuple(positions)), market, registry, rb)
+        for rec in records:
+            if rec.key.risk_class is RiskClass.GIRR:
+                assert rec.key.tenor in rb.tenor_grid
+            else:
+                assert rec.key.tenor is None
+
+
+def old_netting_order(key: RiskFactorKey) -> tuple:
+    """The sort key the netted records were ordered by when factor keys were dataclasses."""
+    return key.risk_class, key.bucket, key.name, key.tenor or -1.0
+
+
+FACTOR_KEYS = st.one_of(
+    st.builds(RiskFactorKey, st.sampled_from((RiskClass.EQUITY, RiskClass.FX, RiskClass.COMMODITY)),
+              st.integers(min_value=1, max_value=3), st.sampled_from(("A", "B", "EUR", "gold", "XOM")), st.none()),
+    st.builds(RiskFactorKey, st.just(RiskClass.GIRR), st.integers(min_value=1, max_value=3),
+              st.sampled_from(("USD", "EUR")), st.sampled_from(FIXTURE_GRID)),
+)
+
+
+class TestNettingOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(factors=st.lists(st.tuples(FACTOR_KEYS, st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3)),
+                            unique_by=lambda f: f[0]))
+    def test_plain_tuple_order_is_the_old_key_order(self, factors):
+        netted = sensitivities._net(factors)
+        assert [rec.key for rec in netted] == sorted((key for key, _ in factors), key=old_netting_order)
