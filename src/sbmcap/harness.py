@@ -329,6 +329,14 @@ def _case_pools(rb: Rulebook, md: MarketData, registry: dict[str, IssuerInfo]) -
     }
 
 
+# The position a spot case holds in one quote, its size drawn from the case's generator.
+_SPOT_POSITION = {
+    RiskClass.EQUITY: lambda name, rng: CashEquity(issuer_id=name, shares=100 * rng.randint(1, 200)),
+    RiskClass.FX: lambda name, rng: FXPosition(foreign_currency=name, signed_notional=10_000 * rng.randint(1, 100)),
+    RiskClass.COMMODITY: lambda name, rng: CommodityFuture(commodity_id=name, quantity=rng.randint(1, 500), unit="lot"),
+}
+
+
 def _generate_case(
     case_id: str,
     risk_class: RiskClass,
@@ -341,47 +349,26 @@ def _generate_case(
 ) -> Case:
     if len(pool) < 2:
         raise HarnessError(_SHORT_POOL[risk_class])
-    if risk_class is RiskClass.EQUITY:
-        first, second = rng.sample(pool, 2)
-        positions: tuple[Instrument, ...] = (
-            CashEquity(issuer_id=first, shares=100 * rng.randint(1, 200)),
-            CashEquity(issuer_id=second, shares=100 * rng.randint(1, 200)),
-        )
-        bucket_1, _ = assign_bucket(positions[0], registry, rb)
-        bucket_2, _ = assign_bucket(positions[1], registry, rb)
-        factors = (FactorRef(first), FactorRef(second))
-        tenor = None
-    elif risk_class is RiskClass.FX:
-        first, second = rng.sample(pool, 2)
-        positions = (
-            FXPosition(foreign_currency=first, signed_notional=10_000 * rng.randint(1, 100)),
-            FXPosition(foreign_currency=second, signed_notional=10_000 * rng.randint(1, 100)),
-        )
-        bucket_1 = rb.currency_bucket(RiskClass.FX, first).bucket_id
-        bucket_2 = rb.currency_bucket(RiskClass.FX, second).bucket_id
-        factors = (FactorRef(first), FactorRef(second))
-        tenor = None
-    elif risk_class is RiskClass.COMMODITY:
-        first, second = rng.sample(pool, 2)
-        positions = (
-            CommodityFuture(commodity_id=first, quantity=rng.randint(1, 500), unit="lot"),
-            CommodityFuture(commodity_id=second, quantity=rng.randint(1, 500), unit="lot"),
-        )
-        bucket_1, _ = assign_bucket(positions[0], registry, rb)
-        bucket_2, _ = assign_bucket(positions[1], registry, rb)
-        factors = (FactorRef(first), FactorRef(second))
-        tenor = None
-    else:
-        t_1, t_2 = rng.sample(pool, 2)
+    first, second = rng.sample(pool, 2)
+    # Each position draws its size in turn: the first, then the second.
+    if risk_class is RiskClass.GIRR:
         ccy = md.reporting_currency
         # Zero-coupon bonds maturing on grid tenors load exactly one tenor each.
-        positions = (
-            Bond(notional=1_000 * rng.randint(1, 100), coupon_rate=0.0, maturity=t_1, frequency=1, currency=ccy),
-            Bond(notional=1_000 * rng.randint(1, 100), coupon_rate=0.0, maturity=t_2, frequency=1, currency=ccy),
+        positions: tuple[Instrument, ...] = tuple(
+            Bond(notional=1_000 * rng.randint(1, 100), coupon_rate=0.0, maturity=t, frequency=1, currency=ccy)
+            for t in (first, second)
         )
         bucket_1 = bucket_2 = rb.currency_bucket(RiskClass.GIRR, ccy).bucket_id
-        factors = (FactorRef(ccy, t_1), FactorRef(ccy, t_2))
-        tenor = t_1
+        factors = (FactorRef(ccy, first), FactorRef(ccy, second))
+        tenor = first
+    else:
+        positions = tuple(_SPOT_POSITION[risk_class](name, rng) for name in (first, second))
+        if risk_class is RiskClass.FX:
+            bucket_1, bucket_2 = (rb.currency_bucket(RiskClass.FX, name).bucket_id for name in (first, second))
+        else:
+            bucket_1, bucket_2 = (assign_bucket(p, registry, rb)[0] for p in positions)
+        factors = (FactorRef(first), FactorRef(second))
+        tenor = None
 
     if bucket_1 == bucket_2:
         correlation = rb.intra_correlation(
@@ -487,19 +474,9 @@ def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
     if fmt != "human":
         raise HarnessError(f"unknown score report format {fmt!r}")
     lines = [f"Extraction score over {report.n_cases} case(s)"]
-    names = {
-        "bucket": "bucket",
-        "risk_weight": "risk weight",
-        "correlation": "correlation",
-        "mcr_value": "capital requirement",
-    }
-    values = {
-        "bucket": report.bucket_accuracy,
-        "risk_weight": report.risk_weight_accuracy,
-        "correlation": report.correlation_accuracy,
-        "mcr_value": report.mcr_accuracy,
-    }
-    for axis in AXES:
+    names = ("bucket", "risk weight", "correlation", "capital requirement")
+    values = (report.bucket_accuracy, report.risk_weight_accuracy, report.correlation_accuracy, report.mcr_accuracy)
+    for axis, name, value in zip(AXES, names, values):
         correct, scored = report.counts.get(axis, (0, 0))
-        lines.append(f"  {names[axis]:<20} {values[axis]:6.1f}%  ({correct}/{scored})")
+        lines.append(f"  {name:<20} {value:6.1f}%  ({correct}/{scored})")
     return "\n".join(lines) + "\n"

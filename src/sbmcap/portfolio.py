@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
-from .rulebook import RiskClass, Rulebook, read_json_object
+from .rulebook import RiskClass, Rulebook, _make_through_new, read_json_object, read_text
 
 CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity", "frequency", "currency", "sign")
 
@@ -51,10 +50,7 @@ class BucketAssignmentError(PortfolioError):
     """An instrument cannot be mapped to any rulebook bucket."""
 
 
-@dataclass(frozen=True)
-class Bond:
-    """Fixed-coupon bullet bond in the reporting currency."""
-
+class _BondFields(NamedTuple):
     notional: float
     coupon_rate: float
     maturity: float
@@ -62,7 +58,14 @@ class Bond:
     currency: str
     label: str = ""
 
-    def __post_init__(self) -> None:
+
+class Bond(_BondFields):
+    """Fixed-coupon bullet bond in the reporting currency; every construction, ``_replace`` included, checks it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Bond:
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.maturity):
             # A NaN maturity yields no cash flows and an infinite one never ends them.
             raise PortfolioParseError(f"bond maturity must be a finite number, got {self.maturity}")
@@ -72,6 +75,9 @@ class Bond:
             raise PortfolioParseError(f"bond maturity must be at most {MAX_MATURITY:g} years, got {self.maturity}")
         if self.frequency not in (1, 2, 4):
             raise PortfolioParseError(f"bond frequency must be 1, 2 or 4, got {self.frequency}")
+        return self
+
+    _make = classmethod(_make_through_new)
 
     def cash_flows(self) -> list[tuple[float, float]]:
         """(time, amount) pairs, coupon dates counted back from maturity."""
@@ -88,36 +94,32 @@ class Bond:
         return flows
 
 
-@dataclass(frozen=True)
-class CashEquity:
+class CashEquity(NamedTuple):
     issuer_id: str
     shares: float
 
 
-@dataclass(frozen=True)
-class FXPosition:
+class FXPosition(NamedTuple):
     foreign_currency: str
     signed_notional: float
 
 
-@dataclass(frozen=True)
-class CommodityFuture:
+class CommodityFuture(NamedTuple):
     commodity_id: str
     quantity: float
     unit: str
 
 
+# Instruments are tuples, so two of different types but equal fields compare equal: compare types too.
 Instrument = Union[Bond, CashEquity, FXPosition, CommodityFuture]
 
 
-@dataclass(frozen=True)
-class Portfolio:
+class Portfolio(NamedTuple):
     positions: tuple[Instrument, ...]
     as_of: str | None = None
 
 
-@dataclass(frozen=True)
-class IssuerInfo:
+class IssuerInfo(NamedTuple):
     """Classification attributes for a single equity issuer."""
 
     issuer_id: str
@@ -127,14 +129,18 @@ class IssuerInfo:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class ZeroCurve:
-    """Piecewise-linear zero curve with flat extrapolation."""
-
+class _ZeroCurveFields(NamedTuple):
     tenors: tuple[float, ...]
     rates: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class ZeroCurve(_ZeroCurveFields):
+    """Piecewise-linear zero curve with flat extrapolation; every construction, ``_replace`` included, checks it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> ZeroCurve:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.tenors) != len(self.rates):
             raise MarketDataError("zero curve tenors and rates differ in length")
         if not all(math.isfinite(t) for t in self.tenors):
@@ -142,6 +148,9 @@ class ZeroCurve:
             raise MarketDataError(f"zero curve tenors must be finite numbers, got {self.tenors}")
         if any(a >= b for a, b in zip(self.tenors, self.tenors[1:])):
             raise MarketDataError("zero curve tenors must be strictly increasing")
+        return self
+
+    _make = classmethod(_make_through_new)
 
     def rate(self, t: float) -> float:
         """Zero rate at t, held flat outside the pillars.
@@ -162,16 +171,29 @@ class ZeroCurve:
         return r0 + (r1 - r0) * (t - t0) / (t1 - t0)
 
 
-@dataclass(frozen=True)
-class MarketData:
-    """Market snapshot: spot quotes plus one reporting-currency zero curve."""
-
+class _MarketDataFields(NamedTuple):
     reporting_currency: str
-    equity_prices: dict[str, float] = field(default_factory=dict)
-    fx_spots: dict[str, float] = field(default_factory=dict)
-    commodity_prices: dict[str, float] = field(default_factory=dict)
-    zero_curve: ZeroCurve = ZeroCurve((), ())
-    as_of: str | None = None
+    equity_prices: dict[str, float]
+    fx_spots: dict[str, float]
+    commodity_prices: dict[str, float]
+    zero_curve: ZeroCurve
+    as_of: str | None
+
+
+class MarketData(_MarketDataFields):
+    """Market snapshot: spot quotes plus one reporting-currency zero curve; a quote dict left out is a new one."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, reporting_currency: str, equity_prices: dict[str, float] | None = None,
+        fx_spots: dict[str, float] | None = None, commodity_prices: dict[str, float] | None = None,
+        zero_curve: ZeroCurve = ZeroCurve((), ()), as_of: str | None = None,
+    ) -> MarketData:
+        quotes = [{} if q is None else q for q in (equity_prices, fx_spots, commodity_prices)]
+        return super().__new__(cls, reporting_currency, *quotes, zero_curve, as_of)
+
+    _make = classmethod(_make_through_new)
 
     def equity_price(self, issuer_id: str) -> float:
         try:
@@ -349,7 +371,7 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
     import csv
     import io
 
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, PortfolioParseError)
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         return Portfolio(positions=())

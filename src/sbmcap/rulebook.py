@@ -15,10 +15,10 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
 class RiskClass(str, Enum):
@@ -59,8 +59,7 @@ class RulebookQueryError(RulebookError):
     """A lookup asked for something the rulebook does not define."""
 
 
-@dataclass(frozen=True)
-class ScenarioRules:
+class ScenarioRules(NamedTuple):
     """Data-driven scenario adjustment of a base correlation.
 
     high: min(high_scale * rho, high_cap)
@@ -75,16 +74,18 @@ class ScenarioRules:
     low_affine_shift: float = -1.0
 
 
-@dataclass(frozen=True)
-class GirrTenorParams:
+class GirrTenorParams(NamedTuple):
     """Parameters of the GIRR tenor-gap correlation formula."""
 
     theta: float = 0.03
     floor: float = 0.40
 
 
-@dataclass(frozen=True)
-class Bucket:
+# The default of every mapping field: empty, and read-only, so no two values share a mutable default.
+_EMPTY: Mapping[Any, Any] = MappingProxyType({})
+
+
+class Bucket(NamedTuple):
     """One rulebook bucket.
 
     Non-GIRR buckets carry a single scalar ``risk_weight``; GIRR buckets carry
@@ -97,7 +98,7 @@ class Bucket:
     bucket_id: int
     description: str
     risk_weight: float | None = None
-    risk_weights_by_tenor: dict[float, float] = field(default_factory=dict)
+    risk_weights_by_tenor: Mapping[float, float] = _EMPTY
     economy: str | None = None
     size: str | None = None
     sectors: tuple[str, ...] | None = None
@@ -106,19 +107,20 @@ class Bucket:
     residual: bool = False
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
+class CorrelationTable(NamedTuple):
     """Tabulated correlations, keyed by class and bucket ids."""
 
-    intra: dict[tuple[RiskClass, int], float] = field(default_factory=dict)
-    cross_default: dict[RiskClass, float] = field(default_factory=dict)
-    cross_pairs: dict[tuple[RiskClass, int, int], float] = field(default_factory=dict)
+    intra: Mapping[tuple[RiskClass, int], float] = _EMPTY
+    cross_default: Mapping[RiskClass, float] = _EMPTY
+    cross_pairs: Mapping[tuple[RiskClass, int, int], float] = _EMPTY
 
 
-@dataclass(frozen=True)
-class Rulebook:
-    """Validated rulebook ready for queries."""
+def _make_through_new(cls: type, iterable: Iterable[Any]) -> Any:
+    # NamedTuple._make, which _replace calls, builds the tuple without calling __new__; this one calls it.
+    return cls(*iterable)
 
+
+class _RulebookFields(NamedTuple):
     version: str
     schema_version: int
     tenor_grid: tuple[float, ...]
@@ -126,29 +128,37 @@ class Rulebook:
     correlations: CorrelationTable
     girr_tenor_params: GirrTenorParams
     scenario_rules: ScenarioRules
-    # Bucket indexes built once from ``buckets``. Of two buckets with one id
-    # the first is found; validation rejects such duplicates anyway.
-    _by_id: dict[tuple[RiskClass, int], Bucket] = field(init=False, repr=False, compare=False)
-    _by_class: dict[RiskClass, tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
-    _equity_by_profile: dict[tuple[str | None, str | None], tuple[Bucket, ...]] = field(init=False, repr=False, compare=False)
-    # Scenario-adjusted correlations, built once from ``correlations`` and ``scenario_rules``.
-    _adjusted: dict[tuple[RiskClass, CorrelationScenario], _AdjustedCorrelations] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        by_id: dict[tuple[RiskClass, int], Bucket] = {}
-        by_class: dict[RiskClass, list[Bucket]] = {rc: [] for rc in RiskClass}
+
+class Rulebook(_RulebookFields):
+    """Validated rulebook ready for queries.
+
+    Each construction, ``_replace`` included, indexes the buckets and scenario-adjusts the correlations
+    once. Those tables are not fields, so equality ignores them; no attribute can be assigned.
+    """
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Rulebook:
+        self = super().__new__(cls, *args, **kwargs)
+        by_class = {rc: tuple(b for b in self.buckets if b.risk_class is rc) for rc in RiskClass}
         by_profile: dict[tuple[str | None, str | None], list[Bucket]] = {}
-        for b in self.buckets:
-            by_id.setdefault((b.risk_class, b.bucket_id), b)
-            by_class[b.risk_class].append(b)
-            if b.risk_class is RiskClass.EQUITY and not b.residual:
+        for b in by_class[RiskClass.EQUITY]:
+            if not b.residual:
                 by_profile.setdefault((b.economy, b.size), []).append(b)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_class", {rc: tuple(bs) for rc, bs in by_class.items()})
-        object.__setattr__(self, "_equity_by_profile", {k: tuple(bs) for k, bs in by_profile.items()})
-        object.__setattr__(self, "_adjusted", _adjusted_correlations(self.correlations, self.scenario_rules))
+        vars(self).update(
+            # Of two buckets with one id the first is found; validation rejects such duplicates anyway.
+            _by_id={(b.risk_class, b.bucket_id): b for b in reversed(self.buckets)},
+            _by_class=by_class,
+            _equity_by_profile={k: tuple(bs) for k, bs in by_profile.items()},
+            _adjusted=_adjusted_correlations(self.correlations, self.scenario_rules),
+        )
+        return self
+
+    _make = classmethod(_make_through_new)
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"a Rulebook is immutable; {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
 
     # -- bucket lookups ----------------------------------------------------
 
@@ -365,20 +375,20 @@ def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
             continue
         try:
             bucket_id = int(row["id"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             violations.append(f"{where}: missing or non-integer id")
             continue
         # A field of the wrong type is named and then treated as absent.
         by_tenor: dict[float, float] = {}
         for key, value in _typed(row, "risk_weights_by_tenor", dict, where, violations, {}).items():
             try:
-                by_tenor[float(key)] = float(value)
+                by_tenor[float(key)] = _float(value)
             except (TypeError, ValueError):
                 violations.append(f"{where}: bad tenor weight entry {key!r}")
         rw = row.get("risk_weight")
         if rw is not None:
             try:
-                rw = float(rw)
+                rw = _float(rw)
             except (TypeError, ValueError):
                 violations.append(f"{where}: risk_weight must be a number, got {rw!r}")
                 rw = None
@@ -399,6 +409,14 @@ def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
             )
         )
     return tuple(buckets)
+
+
+def _float(value: Any) -> float:
+    # float(), but an integer past the float range is an infinity, as 1e400 is, and validation names it.
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 _JSON_TYPES = {list: "a list", dict: "an object", bool: "true or false", str: "a string"}
@@ -429,7 +447,7 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
             continue
         for bucket_key, value in per_bucket.items():
             try:
-                intra[(rc, int(bucket_key))] = float(value)
+                intra[(rc, int(bucket_key))] = _float(value)
             except (TypeError, ValueError):
                 violations.append(f"intra_correlations[{rc_token}][{bucket_key}]: not a number")
     cross_default: dict[RiskClass, float] = {}
@@ -445,15 +463,15 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
             continue
         if "default" in spec_block:
             try:
-                cross_default[rc] = float(spec_block["default"])
+                cross_default[rc] = _float(spec_block["default"])
             except (TypeError, ValueError):
                 violations.append(f"cross_correlations[{rc_token}].default: not a number")
         pairs = _typed(spec_block, "pairs", list, f"cross_correlations[{rc_token}]", violations, ())
         for pos, pair in enumerate(pairs):
             where = f"cross_correlations[{rc_token}].pairs[{pos}]"
             try:
-                b_id, c_id, value = int(pair["b"]), int(pair["c"]), float(pair["value"])
-            except (KeyError, TypeError, ValueError):
+                b_id, c_id, value = int(pair["b"]), int(pair["c"]), _float(pair["value"])
+            except (KeyError, TypeError, ValueError, OverflowError):
                 violations.append(f"{where}: needs integer b, c and numeric value")
                 continue
             if b_id == c_id:
@@ -573,33 +591,34 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
         raise RulebookParseError("rulebook document must be a JSON object")
     violations: list[str] = []
     try:
-        grid = tuple(float(t) for t in data.get("tenor_grid", ()))
+        grid = tuple(_float(t) for t in data.get("tenor_grid", ()))
     except (TypeError, ValueError):
         raise RulebookParseError("tenor_grid must be a list of numbers") from None
     buckets = _parse_buckets(data.get("buckets", []), violations)
     correlations = _parse_correlations(data, violations)
     tenor_raw = data.get("girr_tenor_params", {})
     scenario_raw = data.get("scenario_rules", {})
+    tenor_default, rules_default = GirrTenorParams(), ScenarioRules()
     try:
         tenor_params = GirrTenorParams(
-            theta=float(tenor_raw.get("theta", GirrTenorParams.theta)),
-            floor=float(tenor_raw.get("floor", GirrTenorParams.floor)),
+            theta=_float(tenor_raw.get("theta", tenor_default.theta)),
+            floor=_float(tenor_raw.get("floor", tenor_default.floor)),
         )
         high = scenario_raw.get("high", {})
         low = scenario_raw.get("low", {})
         scenario_rules = ScenarioRules(
-            high_scale=float(high.get("scale", ScenarioRules.high_scale)),
-            high_cap=float(high.get("cap", ScenarioRules.high_cap)),
-            low_scale=float(low.get("scale", ScenarioRules.low_scale)),
-            low_affine_scale=float(low.get("affine_scale", ScenarioRules.low_affine_scale)),
-            low_affine_shift=float(low.get("affine_shift", ScenarioRules.low_affine_shift)),
+            high_scale=_float(high.get("scale", rules_default.high_scale)),
+            high_cap=_float(high.get("cap", rules_default.high_cap)),
+            low_scale=_float(low.get("scale", rules_default.low_scale)),
+            low_affine_scale=_float(low.get("affine_scale", rules_default.low_affine_scale)),
+            low_affine_shift=_float(low.get("affine_shift", rules_default.low_affine_shift)),
         )
     except (TypeError, ValueError, AttributeError):
         raise RulebookParseError("girr_tenor_params and scenario_rules must hold numeric fields") from None
     schema_version = data.get("schema_version", 1)
     try:
         schema_version = int(schema_version)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         violations.append(f"schema_version must be an integer, got {schema_version!r}")
     rb = Rulebook(
         version=str(data.get("version", "")),
@@ -624,9 +643,9 @@ def load_rulebook(path: str | Path) -> Rulebook:
 def read_json_object(path: str | Path, error_cls: type[Exception], what: str = "top level") -> dict[str, Any]:
     """The JSON object in the file at ``path``; invalid JSON or another top-level type raises ``error_cls``.
 
-    Every input loader reads its file through this; each message names the path.
+    Every JSON input loader reads its file through this; each message names the path.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, error_cls)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -636,6 +655,17 @@ def read_json_object(path: str | Path, error_cls: type[Exception], what: str = "
         raise error_cls(
             f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
+    except RecursionError:
+        raise error_cls(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise error_cls(f"{path}: {what} must be a JSON object")
     return data
+
+
+def read_text(path: str | Path, error_cls: type[Exception]) -> str:
+    """The UTF-8 text of the file at ``path`` as ``Path.read_text`` gives it; a bad byte raises ``error_cls``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .portfolio import (
@@ -106,8 +105,7 @@ class FactorOverflowError(SensitivityError):
         )
 
 
-@dataclass(frozen=True)
-class InstrumentIssue:
+class InstrumentIssue(NamedTuple):
     """Where in the portfolio a computation failed and why."""
 
     index: int

@@ -21,15 +21,14 @@ faster way, or a convenience only the tests need:
 - ``bond_value`` and ``parallel_bumped``: a bond's present value by
   discounting every cash flow on the curve, and a parallel-shifted curve.
 - ``render_hierarchical``: the hierarchical report as ``json.dumps`` writes
-  ``dataclasses.asdict`` of the report; the engine's own JSON writer must
-  give its bytes.
+  it once each result record is a dict of its fields; the engine's own JSON
+  writer must give its bytes.
 - ``fixture_rulebook_data``: a fresh dict of the fixture rulebook file, for
   tests that edit a rulebook and build it with ``rulebook_from_dict``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Callable
@@ -120,7 +119,6 @@ def intra_rho_per_pair(rb: Rulebook, risk_class: RiskClass, bucket: int, scenari
     return apply_scenario(base, scenario, rb.scenario_rules)
 
 
-@dataclasses.dataclass(frozen=True)
 class PerPairRulebook(Rulebook):
     """A rulebook whose per-class correlation reads look each rho and gamma up pair by pair."""
 
@@ -138,7 +136,7 @@ class PerPairRulebook(Rulebook):
 
 def per_pair(rb: Rulebook) -> PerPairRulebook:
     """``rb`` with the per-pair correlation reads."""
-    return PerPairRulebook(**{f.name: getattr(rb, f.name) for f in dataclasses.fields(rb) if f.init})
+    return PerPairRulebook(*rb)
 
 
 def risk_class_delta(records: list[SensitivityRecord], rb: Rulebook, scenario: CorrelationScenario) -> ClassResult:
@@ -185,14 +183,20 @@ def parallel_bumped(curve: ZeroCurve, size: float) -> ZeroCurve:
 
 
 def render_hierarchical(report: CapitalReport) -> str:
-    """The hierarchical report text, through dataclasses.asdict and json.dumps."""
-    data = dataclasses.asdict(report, dict_factory=_report_keys)
-    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The hierarchical report text, through json.dumps of the report as plain dicts and lists."""
+    return json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _report_keys(fields: list[tuple[str, Any]]) -> dict[str, Any]:
+def _plain(value: Any) -> Any:
+    # Each result record as the dict of its fields (json.dumps would write a NamedTuple as a list).
     # The report's one renamed field: ScenarioResult.classes is written as "risk_classes".
-    return {"risk_classes" if name == "classes" else name: value for name, value in fields}
+    if hasattr(value, "_fields"):
+        return {"risk_classes" if name == "classes" else name: _plain(v) for name, v in value._asdict().items()}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 FIXTURE_RULEBOOK = Path(__file__).resolve().parent.parent / "fixtures" / "rulebook.json"

@@ -221,7 +221,7 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 girr, _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
                 assert {r.key.bucket for r in girr} == {bucket}
                 tenor_sum = math.fsum(r.value for r in girr)
-                bumped = dataclasses.replace(market, zero_curve=parallel_bumped(market.zero_curve, GIRR_BUMP))
+                bumped = market._replace(zero_curve=parallel_bumped(market.zero_curve, GIRR_BUMP))
                 parallel = (bond_value(instr, bumped) - bond_value(instr, market)) / GIRR_BUMP
                 assert tenor_sum == pytest.approx(parallel, rel=1e-6)
                 bonds += 1

@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -87,7 +86,7 @@ def one_bucket_rulebook(rho: float | None):
         }
     )
     if rho is None:
-        rb = replace(rb, correlations=replace(rb.correlations, intra={}))
+        rb = rb._replace(correlations=rb.correlations._replace(intra={}))
     return rb
 
 
@@ -345,7 +344,7 @@ class TestScenarioEnvelope:
         # commodity and a bond position: one lookup per non-GIRR bucket, one per GIRR tenor.
         names = [f"W{i:03d}" for i in range(300)]
         wide_registry = {**registry, **{n: IssuerInfo(n, "technology", "advanced", "large") for n in names}}
-        md = replace(market, equity_prices={**market.equity_prices, **{n: 10.0 + i for i, n in enumerate(names)}})
+        md = market._replace(equity_prices={**market.equity_prices, **{n: 10.0 + i for i, n in enumerate(names)}})
         positions = (
             *(CashEquity(n, 100 if i % 3 else -250) for i, n in enumerate(names)),
             CashEquity("XOM", 50), CashEquity("PBR", -20), FXPosition("EUR", 1e6), CommodityFuture("gold", 10, "oz"),
@@ -519,16 +518,20 @@ class TestUniformRhoBucket:
         ),
         rho=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     )
+    @example(amounts=[1.0601711442206303e-161] * 2, rho=1.0)  # the unscaled oracle's squares are subnormal
     def test_matches_pairwise_sum(self, amounts, rho):
         records = [SensitivityRecord(eq_key(f"N{i}", bucket=1), a) for i, a in enumerate(amounts)]
         closed = risk_class_delta(records, one_bucket_rulebook(rho), MEDIUM).buckets[0]
         pairwise = position([ws(f"N{i}", a) for i, a in enumerate(amounts)], rho_const(rho), bucket=1)
         assert closed.s_b_net == pairwise.s_b_net
+        # K_b is homogeneous in the amounts, so the oracle's K_b is taken on the amounts scaled by the power
+        # of two of the largest one, where no square underflows, and scaled back exactly.
+        _, exp = math.frexp(max(abs(a) for a in amounts))
+        scaled = position([ws(f"N{i}", math.ldexp(a, -exp)) for i, a in enumerate(amounts)], rho_const(rho), bucket=1)
+        k_b = math.ldexp(scaled.k_b, exp)
         # Near zero the two forms differ by rounding only: bound that by sum |WS|^2.
         scale = math.fsum(a * a for a in amounts)
-        assert abs(closed.k_b - pairwise.k_b) <= REL_TOL * pairwise.k_b or abs(
-            closed.k_b**2 - pairwise.k_b**2
-        ) <= REL_TOL * scale
+        assert abs(closed.k_b - k_b) <= REL_TOL * k_b or abs(closed.k_b**2 - k_b**2) <= REL_TOL * scale
 
     def test_one_rho_read_per_scenario_for_a_wide_bucket(self, rb, monkeypatch):
         names = [f"W{i:03d}" for i in range(300)]

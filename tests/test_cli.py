@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,15 @@ def test_importing_the_cli_does_not_load_the_harness():
     assert "sbmcap.cli" in loaded
     assert "sbmcap.harness" not in loaded
     assert "csv" not in loaded
+
+
+def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
+    # The engine's types are NamedTuples; dataclasses, and the inspect it imports, would add to every CLI run.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, sbmcap.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestHelp:
@@ -209,6 +219,60 @@ class TestValidateRulebook:
             "  - girr_tenor_params.theta must be a finite number, got inf\n"
             "  - scenario_rules.high.scale must be a finite number, got nan\n"
         )
+
+    # A JSON integer past the float range, or Infinity where an integer belongs: each is named, as 1e400 is.
+    HUGE_NUMBERS = {
+        "bucket risk weight": (
+            lambda d: d["buckets"][1].update(risk_weight=10**400),
+            "equity bucket 1: risk weight inf outside [0, 1] (enter fractions, not percent)",
+        ),
+        "tenor risk weight": (
+            lambda d: d["buckets"][0]["risk_weights_by_tenor"].update({"1": -(10**400)}),
+            "girr bucket 1: risk weight -inf at tenor 1.0 outside [0, 1] (enter fractions, not percent)",
+        ),
+        "bucket id": (lambda d: d["buckets"][1].update(id=math.inf), "buckets[1]: missing or non-integer id"),
+        "intra correlation": (
+            lambda d: d["intra_correlations"]["equity"].update({"7": 10**400}),
+            "intra correlation for equity bucket 7 outside [-1, 1]: inf",
+        ),
+        "cross default": (
+            lambda d: d["cross_correlations"]["equity"].update(default=10**400),
+            "cross default for equity outside [-1, 1]: inf",
+        ),
+        "cross pair value": (
+            lambda d: d["cross_correlations"]["fx"]["pairs"].append({"b": 1, "c": 2, "value": 10**400}),
+            "cross correlation for fx buckets (1,2) outside [-1, 1]: inf",
+        ),
+        "cross pair bucket": (
+            lambda d: d["cross_correlations"]["fx"]["pairs"].append({"b": math.inf, "c": 2, "value": 0.5}),
+            "cross_correlations[fx].pairs[0]: needs integer b, c and numeric value",
+        ),
+        "tenor grid": (lambda d: d["tenor_grid"].__setitem__(0, 10**400), "tenor_grid[0] must be a finite number, got inf"),
+        "scenario rule": (
+            lambda d: d["scenario_rules"]["high"].update(scale=10**400),
+            "scenario_rules.high.scale must be a finite number, got inf",
+        ),
+        "tenor parameter": (
+            lambda d: d["girr_tenor_params"].update(theta=-(10**400)),
+            "girr_tenor_params.theta must be a finite number, got -inf",
+        ),
+        "schema version": (lambda d: d.update(schema_version=math.inf), "schema_version must be an integer, got inf"),
+    }
+
+    @pytest.mark.parametrize("where", list(HUGE_NUMBERS))
+    def test_number_past_the_float_range_exits_two_naming_it(self, paths, capsys, tmp_path, where):
+        edit, violation = self.HUGE_NUMBERS[where]
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        data["cross_correlations"]["fx"]["pairs"] = []
+        edit(data)
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))  # 10**400 as its 401 digits, math.inf as Infinity
+        code = main(["validate-rulebook", "--rulebook", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("rulebook validation failed:\n")
+        assert f"  - {violation}\n" in captured.err
 
     @pytest.mark.parametrize(
         "gap, violation",
@@ -464,8 +528,9 @@ HUGE = "1" * 5001  # more digits than Python turns into an int by default (4300)
         ('"text"', "{what} must be a JSON object"),
         (f'{{"schema_version": {HUGE}}}', f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"),
         (f'{{"a": [1,, {HUGE}]}}', "invalid JSON at line 1 column 10: Expecting value"),
+        ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
     ],
-    ids=["invalid", "list", "string", "huge integer", "invalid before a huge integer"],
+    ids=["invalid", "list", "string", "huge integer", "invalid before a huge integer", "deep nesting"],
 )
 @pytest.mark.parametrize("source", list(JSON_INPUTS))
 def test_unreadable_json_input_is_an_input_error_naming_the_file(paths, capsys, tmp_path, source, text, message):
@@ -478,6 +543,23 @@ def test_unreadable_json_input_is_an_input_error_naming_the_file(paths, capsys, 
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message.format(what=what)}\n"
+
+
+@pytest.mark.parametrize("source", [*JSON_INPUTS, "csv portfolio"])
+def test_input_that_is_not_utf8_is_an_input_error_naming_the_byte(paths, capsys, tmp_path, source):
+    # A Latin-1 "é" in a CSV row, a 0xff byte in a JSON string: the message names the first bad byte.
+    if source == "csv portfolio":
+        path, head, bad = tmp_path / "input.csv", Path(paths["portfolio"]).read_bytes() + b"equity,caf", 0xE9
+        command = ["compute", *market_args(paths), "--portfolio", str(path)]
+    else:
+        path, head, bad = tmp_path / "input.json", b'{"name": "', 0xFF
+        command = JSON_INPUTS[source][0](paths, str(path))
+    path.write_bytes(head + bytes([bad]) + b'"}\n')
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text: byte 0x{bad:02x} at offset {len(head)}\n"
 
 
 class TestScoringFlow:

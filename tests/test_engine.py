@@ -9,7 +9,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,11 +106,9 @@ class TestComputeCapital:
         assert excinfo.value.issues[0].index == 0
 
     def test_as_of_prefers_portfolio_then_market(self, rb, market, registry, fixtures_dir):
-        from dataclasses import replace
-
         from sbmcap.portfolio import load_portfolio
 
-        dated = replace(load_portfolio(fixtures_dir / "portfolio.json"), as_of="2024-07-15")
+        dated = load_portfolio(fixtures_dir / "portfolio.json")._replace(as_of="2024-07-15")
         report = compute_capital(dated, market, registry, rb, scenario=MEDIUM)
         assert report.as_of == "2024-07-15"
         csv_portfolio = load_portfolio(fixtures_dir / "portfolio.csv")
@@ -161,7 +158,7 @@ class TestCapitalProperties:
         cuts = data.draw(st.lists(st.integers(min_value=1, max_value=size - 1), min_size=1, max_size=3, unique=True),
                          label="cuts")
         bounds = [0, *sorted(cuts), size]
-        parts = [replace(instr, **{attr: math.copysign(hi - lo, whole)}) for lo, hi in zip(bounds, bounds[1:])]
+        parts = [instr._replace(**{attr: math.copysign(hi - lo, whole)}) for lo, hi in zip(bounds, bounds[1:])]
         assert math.fsum(getattr(part, attr) for part in parts) == whole
         split = (*book[:index], *parts, *book[index + 1:])
         before = compute_capital(Portfolio(positions=tuple(book)), market, registry, rb)
@@ -223,7 +220,7 @@ class TestFiniteInputs:
         rates=st.lists(RATES, min_size=3, max_size=3),
     )
     def test_finite_capital_or_a_named_error(self, rb, market, registry, book, quote, rates):
-        md = replace(market, equity_prices={**market.equity_prices, "XOM": quote},
+        md = market._replace(equity_prices={**market.equity_prices, "XOM": quote},
                      zero_curve=ZeroCurve((0.5, 5.0, 30.0), tuple(rates)))
         try:
             report = compute_capital(Portfolio(positions=tuple(book)), md, registry, rb)
@@ -487,7 +484,7 @@ SINGLE_SCENARIO_REPORT = CapitalReport(
 
 
 class TestHierarchicalWriter:
-    """The engine's JSON writer gives the bytes of json.dumps over dataclasses.asdict of the report."""
+    """The engine's JSON writer gives the bytes of json.dumps over the report as plain dicts and lists."""
 
     @settings(max_examples=100, deadline=None)
     @given(report=capital_reports())
@@ -498,7 +495,7 @@ class TestHierarchicalWriter:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises_as_the_oracle_does(self, bad):
-        report = replace(SINGLE_SCENARIO_REPORT, total_capital=bad)
+        report = SINGLE_SCENARIO_REPORT._replace(total_capital=bad)
         with pytest.raises(ValueError) as expected:
             render_hierarchical(report)
         with pytest.raises(ValueError) as got:
@@ -508,8 +505,8 @@ class TestHierarchicalWriter:
     @pytest.mark.parametrize(
         "report",
         [
-            replace(EMPTY_REPORT, warnings=(object(),)),
-            replace(EMPTY_REPORT, scenarios={"high": ScenarioResult(0.0, {("equity",): ClassResult(0.0, False, (), ())})}),
+            EMPTY_REPORT._replace(warnings=(object(),)),
+            EMPTY_REPORT._replace(scenarios={"high": ScenarioResult(0.0, {("equity",): ClassResult(0.0, False, (), ())})}),
         ],
         ids=["value", "key"],
     )
@@ -523,7 +520,7 @@ class TestHierarchicalWriter:
     @pytest.mark.parametrize("keys", [(2, 10), (1.5, -0.0), (None,), (True, 3)])
     def test_non_string_keys_are_written_as_the_oracle_writes_them(self, keys):
         cls = SINGLE_SCENARIO_REPORT.scenarios["high"].classes["equity"]
-        report = replace(EMPTY_REPORT, scenarios={"high": ScenarioResult(1.0, {key: cls for key in keys})})
+        report = EMPTY_REPORT._replace(scenarios={"high": ScenarioResult(1.0, {key: cls for key in keys})})
         assert render_report(report, "hierarchical") == render_hierarchical(report)
 
     @pytest.mark.parametrize("workload", ["equity-concentrated", "bond-ladder"])
@@ -609,7 +606,7 @@ class TestBondBookGolden:
     """A multi-bond book's envelope report, byte for byte: netted GIRR deltas and extrapolation warnings."""
 
     def test_rendered_bytes_match_golden(self, rb, market, registry):
-        md = replace(market, zero_curve=BOND_BOOK_CURVE)
+        md = market._replace(zero_curve=BOND_BOOK_CURVE)
         report = compute_capital(bond_book(), md, registry, rb)
         golden = (GOLDEN_DIR / "bond_book_envelope.json").read_bytes()
         assert render_report(report, "hierarchical").encode("utf-8") == golden

@@ -84,6 +84,11 @@ class TestPromptRendering:
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def position_types(cs: CaseSet) -> list[list[type]]:
+    # Positions are tuples, and one of another type with equal fields would compare equal.
+    return [[type(p) for p in case.positions] for case in cs.cases]
+
+
 @pytest.fixture(scope="module")
 def case_set(rb, market, registry):
     return generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
@@ -93,6 +98,7 @@ class TestCaseGeneration:
     def test_identical_seeds_give_identical_sets(self, rb, market, registry, case_set):
         again = generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
         assert again == case_set
+        assert position_types(again) == position_types(case_set)
 
     def test_different_seeds_differ(self, rb, market, registry, case_set):
         other = generate_cases(seed=8, n=12, rb=rb, md=market, registry=registry)
@@ -135,11 +141,15 @@ class TestCaseGeneration:
     def test_file_round_trip(self, case_set, tmp_path):
         path = tmp_path / "cases.json"
         path.write_text(json.dumps(case_set.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        assert load_cases(path) == case_set
+        loaded = load_cases(path)
+        assert loaded == case_set
+        assert position_types(loaded) == position_types(case_set)
 
     def test_dict_round_trip_preserves_scenario(self, rb, market, registry):
         cs = generate_cases(seed=3, n=4, rb=rb, md=market, registry=registry, scenario=CorrelationScenario.HIGH)
-        assert case_set_from_dict(cs.to_dict()) == cs
+        parsed = case_set_from_dict(cs.to_dict())
+        assert parsed == cs
+        assert position_types(parsed) == position_types(cs)
 
     def test_case_set_matches_golden(self, rb, market, registry):
         # Pins the order of the RNG draws, and so every generated case.
@@ -147,7 +157,7 @@ class TestCaseGeneration:
         assert generate_cases(seed=7, n=8, rb=rb, md=market, registry=registry).to_dict() == golden
 
     def test_short_pool_fails_at_the_first_case_of_its_class(self, rb, market, registry):
-        md = dataclasses.replace(market, equity_prices={"XOM": market.equity_prices["XOM"]})
+        md = market._replace(equity_prices={"XOM": market.equity_prices["XOM"]})
         assert len(generate_cases(seed=1, n=1, rb=rb, md=md, registry=registry).cases) == 1  # one GIRR case
         with pytest.raises(HarnessError, match="^need at least two priced issuers to build equity cases$"):
             generate_cases(seed=1, n=2, rb=rb, md=md, registry=registry)

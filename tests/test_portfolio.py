@@ -53,8 +53,16 @@ class TestLoaders:
 
     def test_csv_and_json_forms_agree(self, fixtures_dir, reference_portfolio):
         from_json = load_portfolio(fixtures_dir / "portfolio.json")
-        assert from_json.positions == reference_portfolio.positions
+        # Positions are tuples, and one of another type with equal fields would compare equal.
+        assert [(type(p), p) for p in from_json.positions] == [(type(p), p) for p in reference_portfolio.positions]
         assert from_json.as_of == "2024-06-28"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_csv_line_endings_read_as_newlines(self, fixtures_dir, reference_portfolio, tmp_path, newline):
+        path = tmp_path / "portfolio.csv"
+        path.write_bytes((fixtures_dir / "portfolio.csv").read_bytes().replace(b"\n", newline))
+        loaded = load_portfolio(path).positions
+        assert [(type(p), p) for p in loaded] == [(type(p), p) for p in reference_portfolio.positions]
 
     def test_header_only_csv_is_empty_portfolio(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -169,7 +177,7 @@ class TestLoaders:
             encoding="utf-8",
         )
         (bond,) = load_portfolio(path).positions
-        assert bond == Bond(notional=5000.0, coupon_rate=0.0, maturity=7.0, frequency=2, currency="USD", label="CORP-7Y")
+        assert type(bond) is Bond and bond == Bond(notional=5000.0, coupon_rate=0.0, maturity=7.0, frequency=2, currency="USD", label="CORP-7Y")
 
     def test_sign_column_flips_quantity(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -179,7 +187,7 @@ class TestLoaders:
             encoding="utf-8",
         )
         (pos,) = load_portfolio(path).positions
-        assert pos == FXPosition(foreign_currency="GBP", signed_notional=-5000.0)
+        assert type(pos) is FXPosition and pos == FXPosition(foreign_currency="GBP", signed_notional=-5000.0)
 
     def test_invalid_sign_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -193,7 +201,7 @@ class TestLoaders:
 
     def test_portfolio_dict_round_trip(self, reference_portfolio):
         rebuilt = tuple(instrument_from_dict(instrument_to_dict(i)) for i in reference_portfolio.positions)
-        assert rebuilt == reference_portfolio.positions
+        assert [(type(p), p) for p in rebuilt] == [(type(p), p) for p in reference_portfolio.positions]
 
     def test_registry_loads(self, registry):
         assert registry["XOM"] == IssuerInfo(issuer_id="XOM", sector="energy", economy="advanced", size="large", name="Exxon Mobil Corp")
@@ -209,6 +217,52 @@ class TestLoaders:
         )
         with pytest.raises(PortfolioParseError, match="duplicate issuer_id"):
             load_registry(path)
+
+
+BOND = Bond(notional=1_000.0, coupon_rate=0.05, maturity=5.0, frequency=2, currency="USD", label="B")
+CURVE = ZeroCurve((1.0, 5.0, 30.0), (0.03, 0.035, 0.04))
+
+
+class TestValueTypes:
+    """Bond, ZeroCurve and MarketData check or fill in their fields on every construction path."""
+
+    @pytest.mark.parametrize(
+        "instance, name",
+        [(BOND, "maturity"), (BOND, "extra"), (CURVE, "rates"), (CURVE, "extra"),
+         (MarketData("USD"), "equity_prices"), (MarketData("USD"), "extra")],
+    )
+    def test_attributes_cannot_be_assigned(self, instance, name):
+        with pytest.raises(AttributeError):
+            setattr(instance, name, 1.0)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"maturity": math.nan}, "finite"), ({"maturity": -1.0}, "positive"), ({"frequency": 3}, "frequency")],
+    )
+    def test_a_rebuilt_bond_is_checked(self, changes, message):
+        with pytest.raises(PortfolioParseError, match=message):
+            BOND._replace(**changes)
+        with pytest.raises(PortfolioParseError, match=message):
+            Bond(**{**BOND._asdict(), **changes})
+
+    def test_a_rebuilt_curve_is_checked(self):
+        with pytest.raises(MarketDataError, match="strictly increasing"):
+            CURVE._replace(tenors=(5.0, 1.0, 30.0))
+        with pytest.raises(MarketDataError, match="differ in length"):
+            CURVE._replace(rates=(0.03,))
+
+    def test_default_quote_dicts_are_not_shared(self):
+        first, second = MarketData("USD"), MarketData("USD")
+        for name in ("equity_prices", "fx_spots", "commodity_prices"):
+            assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
+        first.equity_prices["XOM"] = 110.0
+        assert second.equity_prices == {} and MarketData("USD").equity_prices == {}
+        assert first._replace(fx_spots=None).fx_spots == {}
+
+    def test_equal_exactly_when_the_fields_are(self):
+        assert BOND == Bond(**BOND._asdict()) and BOND != BOND._replace(label="C")
+        assert CURVE == ZeroCurve(CURVE.tenors, CURVE.rates) and CURVE != CURVE._replace(rates=(0.03, 0.035, 0.05))
+        assert MarketData("USD", {"XOM": 1.0}) == MarketData("USD", {"XOM": 1.0}) != MarketData("USD", {"XOM": 2.0})
 
 
 class TestValuation:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -200,7 +199,7 @@ class TestResolvedTables:
     @given(data=st.data())
     def test_api_built_rulebooks(self, data):
         # Unvalidated rulebooks: pairs under either order or both (with different values), missing rhos and
-        # gammas, with or without a class default, and rulebooks rebuilt from another with dataclasses.replace.
+        # gammas, with or without a class default, and rulebooks rebuilt from another with _replace.
         risk_class = data.draw(st.sampled_from([RiskClass.EQUITY, RiskClass.FX, RiskClass.COMMODITY]), label="class")
         ids = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6, unique=True), label="ids")
         pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
@@ -217,10 +216,8 @@ class TestResolvedTables:
         rb = Rulebook("api", 1, TENOR_GRID, buckets, table, GirrTenorParams(), rules)
         if data.draw(st.booleans(), label="rebuilt"):
             other = CorrelationTable(cross_default={risk_class: 0.3}, cross_pairs={})
-            rb = dataclasses.replace(
-                Rulebook("other", 1, TENOR_GRID, buckets, other, GirrTenorParams(), ScenarioRules(high_scale=1.5)),
-                correlations=table, scenario_rules=rules,
-            )
+            other_rb = Rulebook("other", 1, TENOR_GRID, buckets, other, GirrTenorParams(), ScenarioRules(high_scale=1.5))
+            rb = other_rb._replace(correlations=table, scenario_rules=rules)
         assert_tables_match_the_per_pair_path(rb, risk_class, ids)
 
     @settings(max_examples=30, deadline=None)
@@ -243,8 +240,7 @@ class TestResolvedTables:
 
     def test_a_removed_gamma_or_rho_is_a_named_query_error(self, rb):
         pairs = {key: v for key, v in rb.correlations.cross_pairs.items() if key[0] is not RiskClass.COMMODITY}
-        gapped = dataclasses.replace(
-            rb,
+        gapped = rb._replace(
             correlations=CorrelationTable(
                 intra={key: v for key, v in rb.correlations.intra.items() if key != (RiskClass.EQUITY, 7)},
                 cross_default={rc: v for rc, v in rb.correlations.cross_default.items() if rc is not RiskClass.COMMODITY},
@@ -267,6 +263,41 @@ class TestResolvedTables:
                       lambda: rb.cross_correlation(RiskClass.EQUITY, 6, 7, "medium")):
             with pytest.raises(RulebookQueryError, match="^unknown scenario 'medium'$"):
                 query()
+
+
+class TestRulebookValue:
+    """A Rulebook is immutable, and each construction builds its own indexes and adjusted tables."""
+
+    @pytest.mark.parametrize("name", ["version", "scenario_rules", "_adjusted", "_by_id", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, rb, name):
+        with pytest.raises(AttributeError):
+            setattr(rb, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rb, name)
+
+    def test_a_rebuilt_rulebook_reads_its_own_adjusted_tables(self, rb):
+        rules = ScenarioRules(high_scale=1.5, high_cap=0.95, low_scale=0.5)
+        rebuilt = rb._replace(scenario_rules=rules)
+        assert rebuilt.scenario_rules == rules
+        for scenario in (LOW, HIGH):
+            rhos = rebuilt.intra_correlations(RiskClass.EQUITY, [5, 9], scenario)
+            assert rhos == {b: intra_rho_per_pair(rebuilt, RiskClass.EQUITY, b, scenario) for b in (5, 9)}
+            assert rhos != rb.intra_correlations(RiskClass.EQUITY, [5, 9], scenario)
+            gamma = rebuilt.cross_correlation(RiskClass.EQUITY, 5, 9, scenario)
+            assert gamma == cross_correlation_per_pair(rebuilt, RiskClass.EQUITY, 5, 9, scenario)
+            assert gamma != rb.cross_correlation(RiskClass.EQUITY, 5, 9, scenario)
+
+    def test_a_rebuilt_rulebook_indexes_its_own_buckets(self, rb):
+        rebuilt = rb._replace(buckets=tuple(b for b in rb.buckets if b.risk_class is not RiskClass.COMMODITY))
+        assert rebuilt.buckets_for(RiskClass.COMMODITY) == ()
+        with pytest.raises(RulebookQueryError, match="no commodity bucket with id 1"):
+            rebuilt.bucket(RiskClass.COMMODITY, 1)
+        assert rb.bucket(RiskClass.COMMODITY, 1).bucket_id == 1
+
+    def test_equal_exactly_when_the_fields_are(self, rb):
+        assert rb == rulebook_from_dict(fixture_rulebook_data())
+        assert rb != rb._replace(version="other")
+        assert rb != rb._replace(scenario_rules=ScenarioRules(high_cap=0.9))
 
 
 class TestGirrTenorCorrelation:

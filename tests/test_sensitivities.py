@@ -5,7 +5,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -70,7 +69,7 @@ def spot_quote(instr, md, bucket):
     """
     risk_class, name_attr, getter, quotes = SPOT_QUOTES[type(instr)]
     name = getattr(instr, name_attr)
-    bumped = replace(md, **{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
+    bumped = md._replace(**{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
     return RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), bumped
 
 
@@ -91,7 +90,7 @@ RESIDUAL_SPOTS = (CashEquity("ACME", 10.0), CommodityFuture("unobtainium", 2.0, 
 
 def with_residual_quotes(md):
     """The snapshot with quotes for the residual names ACME, ZETA (equities) and unobtainium."""
-    return replace(md, equity_prices={**md.equity_prices, "ACME": 50.0, "ZETA": 20.0},
+    return md._replace(equity_prices={**md.equity_prices, "ACME": 50.0, "ZETA": 20.0},
                    commodity_prices={**md.commodity_prices, "unobtainium": 7.0})
 
 
@@ -112,7 +111,7 @@ def whole_curve_girr_deltas(bond, md, grid):
     base = bond_value(bond, md)
     out = {}
     for tenor in grid:
-        bumped = bond_value(bond, replace(md, zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
+        bumped = bond_value(bond, md._replace(zero_curve=tent_bumped_curve(md.zero_curve, grid, tenor, GIRR_BUMP)))
         s = (bumped - base) / GIRR_BUMP
         if s != 0.0:
             out[tenor] = s
@@ -326,8 +325,8 @@ class TestGirrDeltas:
         curve=st.sampled_from(("fixture", "off_grid", "short")),
     )
     def test_matches_whole_curve_revaluation(self, rb, market, maturity, frequency, coupon, notional, curve):
-        md = {"fixture": market, "off_grid": replace(market, zero_curve=OFF_GRID_CURVE),
-              "short": replace(market, zero_curve=SHORT_CURVE)}[curve]
+        md = {"fixture": market, "off_grid": market._replace(zero_curve=OFF_GRID_CURVE),
+              "short": market._replace(zero_curve=SHORT_CURVE)}[curve]
         bond = Bond(notional=notional, coupon_rate=coupon, maturity=maturity, frequency=frequency, currency="USD")
         records = girr_deltas(bond, md, rb.tenor_grid, bucket=1)
         got = {rec.key.tenor: rec.value for rec in records}
@@ -396,9 +395,9 @@ class TestGirrDeltas:
                       "one pillar": ONE_PILLAR_CURVE, "empty": ZeroCurve((), ())}[curve]
         if rates is not None:
             zero_curve = ZeroCurve(zero_curve.tenors, tuple(rates[: len(zero_curve.tenors)]))
-        md = replace(with_residual_quotes(market), zero_curve=zero_curve)
+        md = with_residual_quotes(market)._replace(zero_curve=zero_curve)
         if odd_grid:
-            rb = replace(rb, tenor_grid=ODD_GRID)
+            rb = rb._replace(tenor_grid=ODD_GRID)
         expected_records, expected_notes, expected_issues = [], [], []
         for index, instr in enumerate(positions):
             if not isinstance(instr, Bond):
@@ -441,7 +440,7 @@ class TestGirrDeltas:
             return original(curve, t)
 
         monkeypatch.setattr(ZeroCurve, "rate", counting)
-        md = replace(market, zero_curve=SHORT_CURVE)
+        md = market._replace(zero_curve=SHORT_CURVE)
         bonds = tuple(Bond(notional=1e6, coupon_rate=0.03, maturity=m, frequency=4, currency="USD") for m in (0.3, 7.3, 26.0))
         records, messages = collect_sensitivities(Portfolio(positions=bonds), md, registry, rb)
         flows = [t for bond in bonds for t, _ in bond.cash_flows()]
@@ -452,7 +451,7 @@ class TestGirrDeltas:
 
     def test_foreign_bond_fails_at_valuation_with_the_value_message(self, rb, registry, market):
         # USD has a GIRR bucket, so classification passes; the EUR snapshot has no USD curve.
-        md = replace(market, reporting_currency="EUR")
+        md = market._replace(reporting_currency="EUR")
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="USD")
         with pytest.raises(MarketDataError) as from_value:
             bond_value(bond, md)
@@ -463,7 +462,7 @@ class TestGirrDeltas:
     def test_extrapolation_warnings_name_only_the_market_curve(self, rb, registry, market):
         # The curve ends at 20y, the grid at 30y: every flow past 20y is noted once,
         # against the market's last pillar, not against the 30y grid end.
-        md = replace(market, zero_curve=SHORT_CURVE)
+        md = market._replace(zero_curve=SHORT_CURVE)
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=40.0, frequency=1, currency="USD")
         _, messages = collect_sensitivities(Portfolio(positions=(bond,)), md, registry, rb)
         assert messages == tuple(
@@ -472,7 +471,7 @@ class TestGirrDeltas:
 
     def test_extrapolation_and_residual_warnings_in_position_and_flow_order(self, rb, registry, market, reference_portfolio):
         # Fixture curve: the last pillar is the last grid tenor, as in the benchmark.
-        md = replace(market, equity_prices={**market.equity_prices, "ACME": 50.0})
+        md = market._replace(equity_prices={**market.equity_prices, "ACME": 50.0})
         bonds = tuple(
             Bond(notional=1e6, coupon_rate=0.03, maturity=m, frequency=f, currency="USD")
             for m, f in ((31.3, 4), (30.7, 2), (34.9, 1))
@@ -621,7 +620,7 @@ class TestPerQuoteResolution:
     def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
         # An issuer id may spell a currency code; its equity price is another quote.
         registry = {**registry, "EUR": IssuerInfo("EUR", "energy", "advanced", "large")}
-        md = replace(market, equity_prices={**market.equity_prices, "EUR": 10.0})
+        md = market._replace(equity_prices={**market.equity_prices, "EUR": 10.0})
         positions = (FXPosition("EUR", 100_000), CashEquity("EUR", 1_000))
         records, _ = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
         assert [(r.key.risk_class, r.value) for r in records] == [
@@ -663,7 +662,7 @@ class TestPerQuoteResolution:
     )
     def test_missing_quote_fails_each_position_at_valuation_with_the_value_message(self, market, registry, rb, unquoted):
         registry = {**registry, "NOPRICE": IssuerInfo("NOPRICE", "energy", "advanced", "large")}
-        md = replace(market, fx_spots={k: v for k, v in market.fx_spots.items() if k != "CHF"},
+        md = market._replace(fx_spots={k: v for k, v in market.fx_spots.items() if k != "CHF"},
                      commodity_prices={k: v for k, v in market.commodity_prices.items() if k != "silver"})
         with pytest.raises(MarketDataError) as from_value:
             value(unquoted, md)
@@ -673,7 +672,7 @@ class TestPerQuoteResolution:
         assert issues == [(0, "valuation", str(from_value.value)), (2, "valuation", str(from_value.value))]
 
     def test_residual_warning_once_in_first_seen_order(self, market, registry, rb):
-        md = replace(market, equity_prices={**market.equity_prices, "ACME": 50.0, "ZETA": 20.0})
+        md = market._replace(equity_prices={**market.equity_prices, "ACME": 50.0, "ZETA": 20.0})
         positions = (CashEquity("ZETA", 1), CashEquity("ACME", 1), CashEquity("ZETA", 2), CashEquity("ACME", 3))
         _, messages = collect_sensitivities(Portfolio(positions=positions), md, registry, rb)
         assert messages == (
@@ -769,16 +768,16 @@ class TestAgainstThePerPositionOracle:
         self, rb, registry, market, positions, reporting, quotes, residual
     ):
         registry = {**registry, "NOPRICE": IssuerInfo("NOPRICE", "energy", "advanced", "large")}
-        md = replace(market, reporting_currency=reporting,
+        md = market._replace(reporting_currency=reporting,
                      equity_prices={**market.equity_prices, "ACME": 50.0},
                      commodity_prices={**market.commodity_prices, "unobtainium": 7.0})
         if quotes == "nan XOM":
-            md = replace(md, equity_prices={**md.equity_prices, "XOM": math.nan})
+            md = md._replace(equity_prices={**md.equity_prices, "XOM": math.nan})
         elif quotes == "huge T":
             # 1.01 times this quote overflows, so every T delta is infinite or NaN.
-            md = replace(md, equity_prices={**md.equity_prices, "T": 1.79e308})
+            md = md._replace(equity_prices={**md.equity_prices, "T": 1.79e308})
         elif quotes == "no CHF or silver":
-            md = replace(md, fx_spots={k: v for k, v in md.fx_spots.items() if k != "CHF"},
+            md = md._replace(fx_spots={k: v for k, v in md.fx_spots.items() if k != "CHF"},
                          commodity_prices={k: v for k, v in md.commodity_prices.items() if k != "silver"})
         if not residual:
             rb = without_equity_residual()
@@ -824,7 +823,7 @@ class TestNonFiniteDeltas:
         assert issue.message == f"{message}; a quantity, price or rate of this position is not finite or too large"
 
     def test_nan_price_fails_every_position_reading_it(self, reference_portfolio, market, registry, rb):
-        md = replace(market, equity_prices={**market.equity_prices, "XOM": math.nan})
+        md = market._replace(equity_prices={**market.equity_prices, "XOM": math.nan})
         positions = (*reference_portfolio.positions, CashEquity("XOM", -2_000))
         xom = [i for i, instr in enumerate(positions) if getattr(instr, "issuer_id", None) == "XOM"]
         with pytest.raises(SensitivityError) as excinfo:
@@ -834,7 +833,7 @@ class TestNonFiniteDeltas:
 
     def test_nan_curve_rate_fails_the_bond(self, market, registry, rb):
         curve = market.zero_curve
-        md = replace(market, zero_curve=ZeroCurve(curve.tenors, (math.nan, *curve.rates[1:])))
+        md = market._replace(zero_curve=ZeroCurve(curve.tenors, (math.nan, *curve.rates[1:])))
         bond = Bond(notional=100.0, coupon_rate=0.0, maturity=0.1, frequency=1, currency="USD")
         with pytest.raises(SensitivityError) as excinfo:
             collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond)), md, registry, rb)
@@ -851,7 +850,7 @@ class TestNonFiniteDeltas:
         ],
     )
     def test_rate_without_a_finite_discount_factor_fails_the_bond(self, market, registry, rb, rate, maturity, message):
-        md = replace(market, zero_curve=ZeroCurve((0.5, 30.0), (rate, rate)))
+        md = market._replace(zero_curve=ZeroCurve((0.5, 30.0), (rate, rate)))
         bond = Bond(notional=100.0, coupon_rate=0.03, maturity=maturity, frequency=1, currency="USD")
         with pytest.raises(SensitivityError) as excinfo:
             collect_sensitivities(Portfolio(positions=(CashEquity("XOM", 1), bond, bond)), md, registry, rb)
