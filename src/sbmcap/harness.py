@@ -38,7 +38,10 @@ from .portfolio import (
     instrument_from_dict,
     instrument_to_dict,
 )
-from .rulebook import CorrelationScenario, RiskClass, Rulebook, read_json_object
+from .rulebook import (
+    CorrelationScenario, JSONFieldError, RiskClass, Rulebook,
+    read_finite, read_integer, read_json_object, read_list, read_object, read_string,
+)
 
 AXES = ("bucket", "risk_weight", "correlation", "mcr_value")
 
@@ -390,28 +393,28 @@ def _generate_case(
 
 def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
     try:
-        cases = tuple(
-            Case(
-                case_id=str(raw["case_id"]),
-                risk_class=RiskClass(raw["risk_class"]),
-                positions=tuple(instrument_from_dict(p) for p in raw["positions"]),
-                factors=tuple(FactorRef(name=str(f["name"]), tenor=f.get("tenor")) for f in raw["factors"]),  # type: ignore[arg-type]
-                reference=_answer_from_dict(str(raw["case_id"]), raw["reference"]),
-            )
-            for raw in data["cases"]
-        )
-        return CaseSet(
-            seed=int(data["seed"]),
-            n=int(data["n"]),
-            scenario=CorrelationScenario(data.get("scenario", "medium")),
-            cases=cases,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, PortfolioError) as exc:
+        cases = []
+        for raw in read_list(data["cases"], "cases"):
+            case_id = read_string(read_object(raw, "case")["case_id"], "case_id")
+            positions = tuple(instrument_from_dict(p) for p in read_list(raw["positions"], "positions"))
+            factors = []
+            for factor in read_list(raw["factors"], "factors"):
+                tenor = read_object(factor, "factor").get("tenor")
+                factors.append(FactorRef(read_string(factor["name"], "name"), None if tenor is None else read_finite(tenor, "tenor")))
+            reference = _answer_from_dict(case_id, raw["reference"])
+            cases.append(Case(case_id, RiskClass(raw["risk_class"]), positions, tuple(factors), reference))  # type: ignore[arg-type]
+        seed, n = read_integer(data["seed"], "seed"), read_integer(data["n"], "n")
+        return CaseSet(seed, n, CorrelationScenario(data.get("scenario", "medium")), tuple(cases))
+    except (KeyError, TypeError, ValueError, JSONFieldError, PortfolioError) as exc:
         raise HarnessError(f"malformed case set: {exc}") from None
 
 
 def load_cases(path: str | Path) -> CaseSet:
-    return case_set_from_dict(read_json_object(path, HarnessError))
+    data = read_json_object(path, HarnessError)
+    try:
+        return case_set_from_dict(data)
+    except HarnessError as exc:
+        raise HarnessError(f"{path}: {exc}") from None
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
@@ -428,12 +431,9 @@ def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = 
 
 def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
     data = read_json_object(path, HarnessError)
-    raw = data.get("answers")
-    if not isinstance(raw, dict):
-        raise HarnessError(f"{path}: candidate file needs an 'answers' object keyed by case id")
     try:
-        answers = {str(case_id): _answer_from_dict(str(case_id), row) for case_id, row in raw.items()}
-    except (ValueError, OverflowError) as exc:
+        answers = {case_id: _answer_from_dict(case_id, row) for case_id, row in read_object(data.get("answers"), "answers").items()}
+    except (JSONFieldError, ValueError) as exc:
         raise HarnessError(f"{path}: malformed candidate answers: {exc}") from None
     for case_id, answer in answers.items():
         # Sanity band: a fraction outside [0, 1.5] is a garbled extraction,
@@ -453,17 +453,17 @@ def reference_candidate(case_set: CaseSet) -> dict[str, ExtractionAnswer]:
 
 
 def _answer_from_dict(case_id: str, row: Any) -> ExtractionAnswer:
-    """One answer row; a JSON boolean or string is not a number and raises ValueError naming the case and axis."""
-    if not isinstance(row, dict):
-        raise ValueError(f"case {case_id}: each answer must be an object, got {row!r}")
-    values = {}
-    for axis in AXES:
-        value = row.get(axis)
-        if value is not None and type(value) not in (int, float):
-            raise ValueError(f"case {case_id}: {axis} must be a number, got {value!r}")
-        values[axis] = value if value is None or axis == "bucket" else float(value)
+    """One answer row: a finite number or null per axis, and a bucket of integral value as an int.
+
+    A row or value of another kind raises ValueError naming the case and the axis.
+    """
+    try:
+        answer = read_object(row, "answer")
+        values = {axis: None if answer.get(axis) is None else read_finite(answer[axis], axis) for axis in AXES}
+    except JSONFieldError as exc:
+        raise ValueError(f"case {case_id}: {exc}") from None
     bucket = values["bucket"]
-    if isinstance(bucket, float) and bucket.is_integer():
+    if bucket is not None and bucket.is_integer():
         values["bucket"] = int(bucket)
     return ExtractionAnswer(**values)
 

@@ -22,7 +22,10 @@ import math
 from pathlib import Path
 from typing import Any, NamedTuple, Union
 
-from .rulebook import RiskClass, Rulebook, _make_through_new, read_json_object, read_text
+from .rulebook import (
+    JSONFieldError, RiskClass, Rulebook, _make_through_new,
+    read_finite, read_finite_values, read_integer, read_json_object, read_list, read_object, read_string, read_text,
+)
 
 CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity", "frequency", "currency", "sign")
 
@@ -270,31 +273,24 @@ def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[i
 
 def load_market_data(path: str | Path) -> MarketData:
     data = read_json_object(path, PortfolioParseError)
-    curve_raw = data.get("zero_curve", [])
     try:
-        tenors = tuple(_numbers(path, "zero_curve", {i: p[0] for i, p in enumerate(curve_raw)}).values())
-        rates = tuple(_numbers(path, "zero_curve", {i: p[1] for i, p in enumerate(curve_raw)}).values())
-    except (TypeError, KeyError, IndexError):
-        raise PortfolioParseError(f"{path}: zero_curve must be a list of [tenor, rate] pairs") from None
-
-    def quotes(section: str) -> dict[str, float]:
-        raw = data.get(section, {})
-        if not isinstance(raw, dict):
-            raise PortfolioParseError(f"{path}: {section} must be an object mapping names to numbers, got {raw!r}")
-        return _numbers(path, section, raw)
-
-    try:
+        curve = [read_list(pair, "zero_curve", i) for i, pair in enumerate(read_list(data.get("zero_curve", []), "zero_curve"))]
         return MarketData(
-            reporting_currency=str(data["reporting_currency"]),
-            equity_prices=quotes("equity_prices"),
-            fx_spots=quotes("fx_spots"),
-            commodity_prices=quotes("commodity_prices"),
-            zero_curve=ZeroCurve(tenors, rates),
-            as_of=_as_of(path, data),
+            read_string(data["reporting_currency"], "reporting_currency"),
+            read_finite_values(data.get("equity_prices", {}), "equity_prices"),
+            read_finite_values(data.get("fx_spots", {}), "fx_spots"),
+            read_finite_values(data.get("commodity_prices", {}), "commodity_prices"),
+            ZeroCurve(
+                tuple(read_finite(tenor, "zero_curve", i) for i, (tenor, _) in enumerate(curve)),
+                tuple(read_finite(rate, "zero_curve", i) for i, (_, rate) in enumerate(curve)),
+            ),
+            None if data.get("as_of") is None else read_string(data["as_of"], "as_of"),
         )
+    except ValueError:  # a pair of other than two entries
+        raise PortfolioParseError(f"{path}: zero_curve must be a list of [tenor, rate] pairs") from None
     except KeyError as exc:
         raise PortfolioParseError(f"{path}: missing market data field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except JSONFieldError as exc:
         raise PortfolioParseError(f"{path}: {exc}") from None
 
 
@@ -302,19 +298,23 @@ def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
     """Issuer registry as a dict keyed by issuer id."""
     data = read_json_object(path, PortfolioParseError)
     registry: dict[str, IssuerInfo] = {}
-    for pos, row in enumerate(_list_section(path, data, "issuers")):
-        if not isinstance(row, dict):
-            raise PortfolioParseError(f"{path}: issuers[{pos}]: each issuer must be an object, got {row!r}")
+    try:
+        rows = read_list(data.get("issuers", []), "issuers")
+    except JSONFieldError as exc:
+        raise PortfolioParseError(f"{path}: {exc}") from None
+    for pos, row in enumerate(rows):
         try:
             info = IssuerInfo(
-                issuer_id=str(row["issuer_id"]),
-                sector=str(row["sector"]),
-                economy=str(row["economy"]),
-                size=str(row["size"]),
-                name=str(row.get("name", "")),
+                read_string(read_object(row, "issuer")["issuer_id"], "issuer_id"),
+                read_string(row["sector"], "sector"),
+                read_string(row["economy"], "economy"),
+                read_string(row["size"], "size"),
+                read_string(row.get("name", ""), "name"),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise PortfolioParseError(f"{path}: issuers[{pos}]: missing field {exc}") from None
+        except JSONFieldError as exc:
+            raise PortfolioParseError(f"{path}: issuers[{pos}]: {exc}") from None
         if info.issuer_id in registry:
             raise PortfolioParseError(f"{path}: duplicate issuer_id {info.issuer_id!r}")
         registry[info.issuer_id] = info
@@ -331,38 +331,41 @@ def load_portfolio(path: str | Path) -> Portfolio:
 
 def _portfolio_from_json(path: Path) -> Portfolio:
     data = read_json_object(path, PortfolioParseError)
+    try:
+        rows = read_list(data.get("positions", []), "positions")
+        as_of = None if data.get("as_of") is None else read_string(data["as_of"], "as_of")
+    except JSONFieldError as exc:
+        raise PortfolioParseError(f"{path}: {exc}") from None
     positions: list[Instrument] = []
-    for pos, row in enumerate(_list_section(path, data, "positions")):
-        if not isinstance(row, dict) or "type" not in row:
-            raise PortfolioParseError(f"{path}: positions[{pos}]: each position needs a 'type' field")
+    for pos, row in enumerate(rows):
         try:
             positions.append(instrument_from_dict(row))
-        except (PortfolioParseError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (JSONFieldError, PortfolioParseError, KeyError) as exc:
             raise PortfolioParseError(f"{path}: positions[{pos}]: {exc}") from None
-    return Portfolio(positions=tuple(positions), as_of=_as_of(path, data))
+    return Portfolio(tuple(positions), as_of)
 
 
-def instrument_from_dict(row: dict[str, Any]) -> Instrument:
-    """Parse one position from its JSON-schema row."""
-    kind = row["type"]
+def instrument_from_dict(row: Any) -> Instrument:
+    """Parse one position from its JSON-schema row; a wrongly typed field raises ``JSONFieldError``."""
+    kind = read_object(row, "position").get("type")
     if kind == "bond":
         return Bond(
-            notional=_number(row["notional"], "notional"),
-            coupon_rate=_number(row.get("coupon_rate", 0.0), "coupon_rate"),
-            maturity=_number(row["maturity"], "maturity"),
-            frequency=_frequency(row.get("frequency", 2)),
-            currency=str(row["currency"]),
-            label=str(row.get("id", "")),
+            read_finite(row["notional"], "notional"),
+            read_finite(row.get("coupon_rate", 0.0), "coupon_rate"),
+            read_finite(row["maturity"], "maturity"),
+            read_integer(row.get("frequency", 2), "frequency"),
+            read_string(row["currency"], "currency"),
+            read_string(row.get("id", ""), "id"),
         )
     if kind == "equity":
-        return CashEquity(issuer_id=str(row["issuer_id"]), shares=_number(row["shares"], "shares"))
+        return CashEquity(read_string(row["issuer_id"], "issuer_id"), read_finite(row["shares"], "shares"))
     if kind == "fx":
-        return FXPosition(foreign_currency=str(row["currency"]), signed_notional=_number(row["notional"], "notional"))
+        return FXPosition(read_string(row["currency"], "currency"), read_finite(row["notional"], "notional"))
     if kind == "commodity":
         return CommodityFuture(
-            commodity_id=str(row["commodity_id"]),
-            quantity=_number(row["quantity"], "quantity"),
-            unit=str(row.get("unit", "")),
+            read_string(row["commodity_id"], "commodity_id"),
+            read_finite(row["quantity"], "quantity"),
+            read_string(row.get("unit", ""), "unit"),
         )
     raise PortfolioParseError(f"unknown position type {kind!r}")
 
@@ -383,9 +386,7 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
         line = reader.line_num
         try:
             positions.append(_instrument_from_csv_row(row))
-        except PortfolioParseError as exc:
-            raise PortfolioParseError(f"{path}: line {line}: {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (PortfolioParseError, JSONFieldError, TypeError, ValueError) as exc:
             raise PortfolioParseError(f"{path}: line {line}: {exc}") from None
     return Portfolio(positions=tuple(positions))
 
@@ -405,7 +406,7 @@ def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
             notional=signed,
             coupon_rate=_finite(coupon_raw, "coupon") if coupon_raw else 0.0,
             maturity=_required_float(row, "maturity"),
-            frequency=_frequency(_finite(frequency_raw, "frequency")) if frequency_raw else 2,
+            frequency=read_integer(_finite(frequency_raw, "frequency"), "frequency") if frequency_raw else 2,
             currency=_required_str(row, "currency"),
             label=ident,
         )
@@ -453,57 +454,11 @@ def _required_float(row: dict[str, str], column: str) -> float:
 
 
 def _finite(raw: Any, label: str) -> float:
-    # float() accepts "nan", "inf" and JSON NaN/Infinity; none is a usable quantity or quote.
+    # float() of a CSV cell accepts "nan" and "inf"; neither is a usable quantity.
     number = float(raw)
     if not math.isfinite(number):
         raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
     return number
-
-
-def _number(raw: Any, label: str) -> float:
-    # _finite of a JSON number field, where float() would also read true as 1.0 and "12" as 12.0.
-    if type(raw) is not float and type(raw) is not int:
-        raise PortfolioParseError(f"{label} must be a number, got {raw!r}")
-    try:
-        number = float(raw)
-    except OverflowError:  # an int past the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
-    return number
-
-
-def _numbers(path: str | Path, section: str, raw: dict[Any, Any]) -> dict[Any, float]:
-    # _number of each value, its label formatted only for a value that is not a finite float.
-    numbers = {}
-    for key, value in raw.items():
-        finite = type(value) is float and math.isfinite(value)
-        numbers[key] = value if finite else _number(value, f"{path}: {section}[{key!r}]")
-    return numbers
-
-
-def _frequency(raw: Any) -> int:
-    # int() would turn 2.7 into 2 and true into 1 with no message; Bond checks that an int is 1, 2 or 4.
-    if type(raw) is int:
-        return raw
-    number = _number(raw, "frequency")
-    if not number.is_integer():
-        raise PortfolioParseError(f"frequency must be 1, 2 or 4, got {number!r}")
-    return int(number)
-
-
-def _list_section(path: str | Path, data: dict[str, Any], section: str) -> list[Any]:
-    rows = data.get(section, [])
-    if not isinstance(rows, list):
-        raise PortfolioParseError(f"{path}: {section} must be a list, got {rows!r}")
-    return rows
-
-
-def _as_of(path: str | Path, data: dict[str, Any]) -> str | None:
-    as_of = data.get("as_of")
-    if as_of is not None and not isinstance(as_of, str):
-        raise PortfolioParseError(f"{path}: as_of must be a string, got {as_of!r}")
-    return as_of
 
 
 def _required_str(row: dict[str, str], column: str) -> str:

@@ -5,6 +5,11 @@ engine uses (bucket definitions, risk weights, intra- and cross-bucket
 correlations, tenor-correlation parameters, correlation-scenario rules) lives
 in the file, not in code, so a parameter update is a data edit.
 
+Every JSON input file is read through the field readers at the end of this
+module, so one rule types them all: ``true`` and ``"0.5"`` are not numbers, and
+an integer is a number of integral value. The rulebook loader reports each value
+a reader rejects as a violation.
+
 Reference parameter set: BCBS "Minimum capital requirements for market risk",
 January 2016 (bis.org/bcbs/publ/d352.pdf), delta risk only.
 """
@@ -18,7 +23,7 @@ import sys
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class RiskClass(str, Enum):
@@ -358,129 +363,113 @@ def apply_scenario(
     raise RulebookQueryError(f"unknown scenario {scenario!r}")
 
 
-def _parse_buckets(raw: Any, violations: list[str]) -> tuple[Bucket, ...]:
+# The risk class of each token. RiskClass(token) would find it too, through the Enum machinery at 30 times the cost.
+_RISK_CLASSES = {rc.value: rc for rc in RiskClass}
+
+
+def _parse_buckets(rows: list[Any], violations: list[str]) -> tuple[Bucket, ...]:
     buckets: list[Bucket] = []
-    if not isinstance(raw, list):
-        violations.append("'buckets' must be a list")
-        return ()
-    for pos, row in enumerate(raw):
-        where = f"buckets[{pos}]"
-        if not isinstance(row, dict):
-            violations.append(f"{where}: bucket entries must be objects")
-            continue
+    for pos, row in enumerate(rows):
+        where = f"buckets[{pos}]: "
         try:
-            rc = RiskClass(row["risk_class"])
-        except (KeyError, ValueError):
-            violations.append(f"{where}: missing or unknown risk_class")
+            rc = _RISK_CLASSES[read_object(row, "bucket").get("risk_class")]
+            bucket_id = read_integer(row.get("id"), "id")
+        except (KeyError, TypeError):  # TypeError: a list or object is no key
+            violations.append(f"{where}missing or unknown risk_class")
             continue
-        try:
-            bucket_id = int(row["id"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            violations.append(f"{where}: missing or non-integer id")
+        except JSONFieldError as exc:
+            violations.append(where + str(exc))
             continue
-        # A field of the wrong type is named and then treated as absent.
         by_tenor: dict[float, float] = {}
-        for key, value in _typed(row, "risk_weights_by_tenor", dict, where, violations, {}).items():
+        for key, value in _field(read_object, row, "risk_weights_by_tenor", where, violations, {}).items():
             try:
-                by_tenor[float(key)] = _float(value)
-            except (TypeError, ValueError):
-                violations.append(f"{where}: bad tenor weight entry {key!r}")
-        rw = row.get("risk_weight")
-        if rw is not None:
-            try:
-                rw = _float(rw)
-            except (TypeError, ValueError):
-                violations.append(f"{where}: risk_weight must be a number, got {rw!r}")
-                rw = None
-        sectors = _typed(row, "sectors", list, where, violations, None)
+                by_tenor[float(key)] = read_number(value, "risk_weights_by_tenor", key)
+            except ValueError:
+                violations.append(f"{where}risk_weights_by_tenor: tenor {key!r} is not a number")
+            except JSONFieldError as exc:
+                violations.append(where + str(exc))
         buckets.append(
             Bucket(
-                risk_class=rc,
-                bucket_id=bucket_id,
-                description=str(row.get("description", "")),
-                risk_weight=rw,
-                risk_weights_by_tenor=by_tenor,
-                economy=_typed(row, "economy", str, where, violations, None),
-                size=_typed(row, "size", str, where, violations, None),
-                sectors=tuple(sectors) if sectors is not None else None,
-                currencies=tuple(_typed(row, "currencies", list, where, violations, ())),
-                commodities=tuple(_typed(row, "commodities", list, where, violations, ())),
-                residual=_typed(row, "residual", bool, where, violations, False),
+                rc,
+                bucket_id,
+                _field(read_string, row, "description", where, violations, ""),
+                _field(read_number, row, "risk_weight", where, violations),
+                by_tenor,
+                _field(read_string, row, "economy", where, violations),
+                _field(read_string, row, "size", where, violations),
+                _field(_strings, row, "sectors", where, violations),
+                _field(_strings, row, "currencies", where, violations, ()),
+                _field(_strings, row, "commodities", where, violations, ()),
+                _field(read_bool, row, "residual", where, violations, False),
             )
         )
     return tuple(buckets)
 
 
-def _float(value: Any) -> float:
-    # float(), but an integer past the float range is an infinity, as 1e400 is, and validation names it.
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-_JSON_TYPES = {list: "a list", dict: "an object", bool: "true or false", str: "a string"}
-
-
-def _typed(row: dict[str, Any], name: str, kind: type, where: str, violations: list[str], default: Any) -> Any:
-    # row[name] if it is a ``kind`` from _JSON_TYPES, else ``default``; a value of another type is a violation.
+def _field(reader: Callable[[Any, str], Any], row: dict[str, Any], name: str, where: str, violations: list[str],
+           default: Any = None) -> Any:
+    # reader of row[name], or ``default`` where it is absent or null, or rejected: a violation then names it.
     value = row.get(name)
     if value is None:
         return default
-    if not isinstance(value, kind):
-        label = f"{where}: {name}" if where else name
-        violations.append(f"{label} must be {_JSON_TYPES[kind]}, got {value!r}")
+    try:
+        return reader(value, name)
+    except JSONFieldError as exc:
+        violations.append(where + str(exc))
         return default
-    return value
+
+
+def _strings(value: Any, field: str) -> tuple[str, ...]:
+    return tuple([read_string(item, field, i) for i, item in enumerate(read_list(value, field))])
+
+
+def _by_class(data: dict[str, Any], name: str, violations: list[str]) -> Iterator[tuple[RiskClass, str, dict[str, Any]]]:
+    # (risk class, label, object) of each entry of the object ``name``, which is keyed by risk class token.
+    for rc_token, table in _field(read_object, data, name, "", violations, {}).items():
+        label = f"{name}[{rc_token}]"
+        try:
+            rc, table = _RISK_CLASSES[rc_token], read_object(table, label)
+        except KeyError:
+            violations.append(f"{name}: unknown risk class {rc_token!r}")
+            continue
+        except JSONFieldError as exc:
+            violations.append(str(exc))
+            continue
+        yield rc, label, table
 
 
 def _parse_correlations(data: dict[str, Any], violations: list[str]) -> CorrelationTable:
     intra: dict[tuple[RiskClass, int], float] = {}
-    for rc_token, per_bucket in _typed(data, "intra_correlations", dict, "", violations, {}).items():
-        try:
-            rc = RiskClass(rc_token)
-        except ValueError:
-            violations.append(f"intra_correlations: unknown risk class {rc_token!r}")
-            continue
-        if not isinstance(per_bucket, dict):
-            violations.append(f"intra_correlations[{rc_token}]: must map bucket id to value")
-            continue
+    for rc, label, per_bucket in _by_class(data, "intra_correlations", violations):
         for bucket_key, value in per_bucket.items():
             try:
-                intra[(rc, int(bucket_key))] = _float(value)
-            except (TypeError, ValueError):
-                violations.append(f"intra_correlations[{rc_token}][{bucket_key}]: not a number")
+                intra[(rc, int(bucket_key))] = read_number(value, label, bucket_key)
+            except ValueError:
+                violations.append(f"{label}: bucket id {bucket_key!r} is not an integer")
+            except JSONFieldError as exc:
+                violations.append(str(exc))
     cross_default: dict[RiskClass, float] = {}
     cross_pairs: dict[tuple[RiskClass, int, int], float] = {}
-    for rc_token, spec_block in _typed(data, "cross_correlations", dict, "", violations, {}).items():
-        try:
-            rc = RiskClass(rc_token)
-        except ValueError:
-            violations.append(f"cross_correlations: unknown risk class {rc_token!r}")
-            continue
-        if not isinstance(spec_block, dict):
-            violations.append(f"cross_correlations[{rc_token}]: must be an object")
-            continue
-        if "default" in spec_block:
+    for rc, label, spec_block in _by_class(data, "cross_correlations", violations):
+        default = _field(read_number, spec_block, "default", f"{label}.", violations)
+        if default is not None:
+            cross_default[rc] = default
+        for pos, pair in enumerate(_field(read_list, spec_block, "pairs", f"{label}.", violations, ())):
+            where = f"{label}.pairs[{pos}]: "
             try:
-                cross_default[rc] = _float(spec_block["default"])
-            except (TypeError, ValueError):
-                violations.append(f"cross_correlations[{rc_token}].default: not a number")
-        pairs = _typed(spec_block, "pairs", list, f"cross_correlations[{rc_token}]", violations, ())
-        for pos, pair in enumerate(pairs):
-            where = f"cross_correlations[{rc_token}].pairs[{pos}]"
-            try:
-                b_id, c_id, value = int(pair["b"]), int(pair["c"]), _float(pair["value"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                violations.append(f"{where}: needs integer b, c and numeric value")
+                b_id = read_integer(read_object(pair, "pair").get("b"), "b")
+                c_id = read_integer(pair.get("c"), "c")
+                value = read_number(pair.get("value"), "value")
+            except JSONFieldError as exc:
+                violations.append(where + str(exc))
                 continue
             if b_id == c_id:
-                violations.append(f"{where}: b and c must differ")
+                violations.append(f"{where}b and c must differ")
                 continue
             existing = cross_pairs.get((rc, b_id, c_id), cross_pairs.get((rc, c_id, b_id)))
             if existing is not None and existing != value:
                 violations.append(
-                    f"{where}: asymmetric duplicate, ({b_id},{c_id}) already tabulated as {existing} but found {value}"
+                    f"{where}asymmetric duplicate, ({b_id},{c_id}) already tabulated as {existing} but found {value}"
                 )
                 continue
             key = (rc, b_id, c_id) if (rc, b_id, c_id) in cross_pairs or (rc, c_id, b_id) not in cross_pairs else (rc, c_id, b_id)
@@ -584,50 +573,41 @@ def _validate(rb: Rulebook, violations: list[str]) -> None:
 def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
     """Build and validate a Rulebook from the file schema.
 
-    Raises RulebookParseError for structural problems and
-    RulebookValidationError with the full violation list for semantic ones.
+    Raises RulebookParseError if ``data`` is no object, else RulebookValidationError naming every violation.
     """
     if not isinstance(data, dict):
         raise RulebookParseError("rulebook document must be a JSON object")
     violations: list[str] = []
-    try:
-        grid = tuple(_float(t) for t in data.get("tenor_grid", ()))
-    except (TypeError, ValueError):
-        raise RulebookParseError("tenor_grid must be a list of numbers") from None
-    buckets = _parse_buckets(data.get("buckets", []), violations)
+    grid = []
+    for i, value in enumerate(_field(read_list, data, "tenor_grid", "", violations, ())):
+        try:
+            grid.append(read_number(value, "tenor_grid", i))
+        except JSONFieldError as exc:
+            violations.append(str(exc))
+    buckets = _parse_buckets(_field(read_list, data, "buckets", "", violations, ()), violations)
     correlations = _parse_correlations(data, violations)
-    tenor_raw = data.get("girr_tenor_params", {})
-    scenario_raw = data.get("scenario_rules", {})
-    tenor_default, rules_default = GirrTenorParams(), ScenarioRules()
-    try:
-        tenor_params = GirrTenorParams(
-            theta=_float(tenor_raw.get("theta", tenor_default.theta)),
-            floor=_float(tenor_raw.get("floor", tenor_default.floor)),
-        )
-        high = scenario_raw.get("high", {})
-        low = scenario_raw.get("low", {})
-        scenario_rules = ScenarioRules(
-            high_scale=_float(high.get("scale", rules_default.high_scale)),
-            high_cap=_float(high.get("cap", rules_default.high_cap)),
-            low_scale=_float(low.get("scale", rules_default.low_scale)),
-            low_affine_scale=_float(low.get("affine_scale", rules_default.low_affine_scale)),
-            low_affine_shift=_float(low.get("affine_shift", rules_default.low_affine_shift)),
-        )
-    except (TypeError, ValueError, AttributeError):
-        raise RulebookParseError("girr_tenor_params and scenario_rules must hold numeric fields") from None
-    schema_version = data.get("schema_version", 1)
-    try:
-        schema_version = int(schema_version)
-    except (TypeError, ValueError, OverflowError):
-        violations.append(f"schema_version must be an integer, got {schema_version!r}")
+    tenor_raw = _field(read_object, data, "girr_tenor_params", "", violations, {})
+    scenario_raw = _field(read_object, data, "scenario_rules", "", violations, {})
+    high = _field(read_object, scenario_raw, "high", "scenario_rules.", violations, {})
+    low = _field(read_object, scenario_raw, "low", "scenario_rules.", violations, {})
+    tenor, rules = GirrTenorParams(), ScenarioRules()
     rb = Rulebook(
-        version=str(data.get("version", "")),
-        schema_version=schema_version,
-        tenor_grid=grid,
-        buckets=buckets,
-        correlations=correlations,
-        girr_tenor_params=tenor_params,
-        scenario_rules=scenario_rules,
+        _field(read_string, data, "version", "", violations, ""),
+        _field(read_integer, data, "schema_version", "", violations, 1),
+        tuple(grid),
+        buckets,
+        correlations,
+        GirrTenorParams(
+            _field(read_number, tenor_raw, "theta", "girr_tenor_params.", violations, tenor.theta),
+            _field(read_number, tenor_raw, "floor", "girr_tenor_params.", violations, tenor.floor),
+        ),
+        ScenarioRules(
+            _field(read_number, high, "scale", "scenario_rules.high.", violations, rules.high_scale),
+            _field(read_number, high, "cap", "scenario_rules.high.", violations, rules.high_cap),
+            _field(read_number, low, "scale", "scenario_rules.low.", violations, rules.low_scale),
+            _field(read_number, low, "affine_scale", "scenario_rules.low.", violations, rules.low_affine_scale),
+            _field(read_number, low, "affine_shift", "scenario_rules.low.", violations, rules.low_affine_shift),
+        ),
     )
     _validate(rb, violations)
     if violations:
@@ -669,3 +649,67 @@ def read_text(path: str | Path, error_cls: type[Exception]) -> str:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise error_cls(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
+
+
+class JSONFieldError(Exception):
+    """A JSON value is not what its field takes: ``<field> must be <kind>, got <value!r>``.
+
+    Every JSON input loader reads each value through the ``read_*`` functions below and turns this into its own error.
+    ``key`` names an entry of a list or object field, ``field[key]``; no label is formatted unless a value is rejected.
+    """
+
+    def __init__(self, field: str, kind: str, value: Any, key: Any = None):
+        super().__init__(f"{field if key is None else f'{field}[{key!r}]'} must be {kind}, got {value!r}")
+
+
+def read_number(value: Any, field: str, key: Any = None) -> float:
+    """A JSON number, not a bool, as a float; an integer past the float range is the infinity of its sign."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise JSONFieldError(field, "a number", value, key)
+
+
+def read_finite(value: Any, field: str, key: Any = None) -> float:
+    """A JSON number that is neither NaN nor infinite, as a float."""
+    number = value if type(value) is float else read_number(value, field, key)
+    if number - number != 0.0:
+        raise JSONFieldError(field, "a finite number", value, key)
+    return number
+
+
+def read_finite_values(value: Any, field: str) -> dict[str, float]:
+    """A JSON object of finite numbers, each as a float; ``field[key]`` names a value of another kind."""
+    numbers = read_object(value, field)
+    for number in numbers.values():
+        if type(number) is not float or number - number != 0.0:
+            return {key: read_finite(number, field, key) for key, number in numbers.items()}
+    return numbers
+
+
+def read_integer(value: Any, field: str, key: Any = None) -> int:
+    """A JSON integer, or a number of integral value such as 2.0; not a bool, a fraction or an infinity."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise JSONFieldError(field, "an integer", value, key)
+
+
+def _reader(json_type: type, kind: str) -> Callable[..., Any]:
+    def read(value: Any, field: str, key: Any = None) -> Any:
+        if type(value) is json_type:
+            return value
+        raise JSONFieldError(field, kind, value, key)
+
+    return read
+
+
+read_string: Callable[..., str] = _reader(str, "a string")
+read_bool: Callable[..., bool] = _reader(bool, "true or false")
+read_list: Callable[..., list[Any]] = _reader(list, "a list")
+read_object: Callable[..., dict[str, Any]] = _reader(dict, "an object")

@@ -17,6 +17,7 @@ import pytest
 from sbmcap import compute_capital, load_market_data, load_portfolio, load_registry, load_rulebook
 from sbmcap.cli import main
 from sbmcap.engine import parse_report
+from sbmcap.harness import candidate_to_dict, load_cases, reference_candidate
 
 
 @pytest.fixture()
@@ -230,7 +231,7 @@ class TestValidateRulebook:
             lambda d: d["buckets"][0]["risk_weights_by_tenor"].update({"1": -(10**400)}),
             "girr bucket 1: risk weight -inf at tenor 1.0 outside [0, 1] (enter fractions, not percent)",
         ),
-        "bucket id": (lambda d: d["buckets"][1].update(id=math.inf), "buckets[1]: missing or non-integer id"),
+        "bucket id": (lambda d: d["buckets"][1].update(id=math.inf), "buckets[1]: id must be an integer, got inf"),
         "intra correlation": (
             lambda d: d["intra_correlations"]["equity"].update({"7": 10**400}),
             "intra correlation for equity bucket 7 outside [-1, 1]: inf",
@@ -245,7 +246,7 @@ class TestValidateRulebook:
         ),
         "cross pair bucket": (
             lambda d: d["cross_correlations"]["fx"]["pairs"].append({"b": math.inf, "c": 2, "value": 0.5}),
-            "cross_correlations[fx].pairs[0]: needs integer b, c and numeric value",
+            "cross_correlations[fx].pairs[0]: b must be an integer, got inf",
         ),
         "tenor grid": (lambda d: d["tenor_grid"].__setitem__(0, 10**400), "tenor_grid[0] must be a finite number, got inf"),
         "scenario rule": (
@@ -336,13 +337,63 @@ class TestWrongTypedSections:
             # The equity bucket index is keyed by (economy, size), so neither may be a list.
             ("equity", "economy", ["advanced"], "{where}: economy must be a string, got ['advanced']"),
             ("equity", "size", 5, "{where}: size must be a string, got 5"),
+            # float(), int() and str() used to read false as 0, "0.55" as 0.55, 1.7 as 1 and 5 as "5".
+            ("equity", "risk_weight", False, "{where}: risk_weight must be a number, got False"),
+            ("equity", "risk_weight", "0.55", "{where}: risk_weight must be a number, got '0.55'"),
+            ("equity", "id", False, "{where}: id must be an integer, got False"),
+            ("equity", "id", "7", "{where}: id must be an integer, got '7'"),
+            ("equity", "id", 1.7, "{where}: id must be an integer, got 1.7"),
+            ("equity", "description", 5, "{where}: description must be a string, got 5"),
+            ("equity", "sectors", ["energy", 5], "{where}: sectors[1] must be a string, got 5"),
+            ("girr", "currencies", [True], "{where}: currencies[0] must be a string, got True"),
+            ("commodity", "commodities", [None], "{where}: commodities[0] must be a string, got None"),
+            (None, ("buckets", 0, "risk_weights_by_tenor", "5"), False,
+             "buckets[0]: risk_weights_by_tenor['5'] must be a number, got False"),
+            (None, ("buckets", 0, "risk_weights_by_tenor", "5"), "0.55",
+             "buckets[0]: risk_weights_by_tenor['5'] must be a number, got '0.55'"),
+            (None, ("intra_correlations", "equity", "7"), False, "intra_correlations[equity]['7'] must be a number, got False"),
+            (None, ("intra_correlations", "equity", "7"), "0.55",
+             "intra_correlations[equity]['7'] must be a number, got '0.55'"),
+            (None, ("cross_correlations", "equity", "default"), False,
+             "cross_correlations[equity].default must be a number, got False"),
+            (None, ("cross_correlations", "equity", "default"), "0.55",
+             "cross_correlations[equity].default must be a number, got '0.55'"),
+            (None, ("cross_correlations", "equity", "pairs", 0, "b"), 1.7,
+             "cross_correlations[equity].pairs[0]: b must be an integer, got 1.7"),
+            (None, ("cross_correlations", "equity", "pairs", 0, "c"), False,
+             "cross_correlations[equity].pairs[0]: c must be an integer, got False"),
+            (None, ("cross_correlations", "equity", "pairs", 0, "c"), "1",
+             "cross_correlations[equity].pairs[0]: c must be an integer, got '1'"),
+            (None, ("cross_correlations", "equity", "pairs", 0, "value"), False,
+             "cross_correlations[equity].pairs[0]: value must be a number, got False"),
+            (None, ("cross_correlations", "equity", "pairs", 0, "value"), "0.55",
+             "cross_correlations[equity].pairs[0]: value must be a number, got '0.55'"),
+            (None, ("tenor_grid", 0), False, "tenor_grid[0] must be a number, got False"),
+            (None, ("tenor_grid", 0), "0.25", "tenor_grid[0] must be a number, got '0.25'"),
+            (None, ("girr_tenor_params", "theta"), True, "girr_tenor_params.theta must be a number, got True"),
+            (None, ("girr_tenor_params", "theta"), "0.03", "girr_tenor_params.theta must be a number, got '0.03'"),
+            (None, ("scenario_rules", "high", "scale"), False, "scenario_rules.high.scale must be a number, got False"),
+            (None, ("scenario_rules", "low", "affine_shift"), "-1",
+             "scenario_rules.low.affine_shift must be a number, got '-1'"),
+            (None, ("scenario_rules", "high"), 5, "scenario_rules.high must be an object, got 5"),
+            (None, "schema_version", False, "schema_version must be an integer, got False"),
+            (None, "schema_version", 1.7, "schema_version must be an integer, got 1.7"),
+            (None, "version", 5, "version must be a string, got 5"),
+            (None, "tenor_grid", 0.25, "tenor_grid must be a list, got 0.25"),
+            (None, "buckets", 5, "buckets must be a list, got 5"),
+            (None, ("buckets", 3), "equity", "buckets[3]: bucket must be an object, got 'equity'"),
         ],
     )
     def test_rulebook_field_is_a_violation(self, paths, capsys, tmp_path, risk_class, field, bad, violation):
         data = json.loads(Path(paths["rulebook"]).read_text())
         where = ""
         if risk_class is None:
-            data[field] = bad
+            # A field of the top level, or the path to any value.
+            *parents, last = field if isinstance(field, tuple) else (field,)
+            target = data
+            for key in parents:
+                target = target[key]
+            target[last] = bad
         else:
             pos = next(i for i, b in enumerate(data["buckets"]) if b["risk_class"] == risk_class)
             data["buckets"][pos][field] = bad
@@ -364,7 +415,7 @@ class TestWrongTypedSections:
         code = main(["compute", *market_args({**paths, "market": str(path)}), "--portfolio", paths["portfolio"]])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: {section} must be an object mapping names to numbers, got {bad!r}\n"
+            f"error: {path}: {section} must be an object, got {bad!r}\n"
         )
 
     @pytest.mark.parametrize("bad", [5, {"XOM": {}}, "XOM"])
@@ -381,7 +432,7 @@ class TestWrongTypedSections:
         path.write_text(json.dumps({"schema_version": 1, "issuers": [bad]}))
         code = main(["compute", *market_args({**paths, "registry": str(path)}), "--portfolio", paths["portfolio"]])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {path}: issuers[0]: each issuer must be an object, got {bad!r}\n"
+        assert capsys.readouterr().err == f"error: {path}: issuers[0]: issuer must be an object, got {bad!r}\n"
 
     @pytest.mark.parametrize("bad", [5, {"type": "equity"}, "equity"])
     def test_portfolio_positions_is_an_input_error(self, paths, capsys, tmp_path, bad):
@@ -416,7 +467,7 @@ class TestWrongTypedSections:
             ("json_portfolio", ("positions", 2, "quantity"), "600", "positions[2]: quantity must be a number, got '600'"),
             ("json_portfolio", ("positions", 0, "maturity"), "5", "positions[0]: maturity must be a number, got '5'"),
             ("json_portfolio", ("positions", 0, "coupon_rate"), True, "positions[0]: coupon_rate must be a number, got True"),
-            ("json_portfolio", ("positions", 0, "frequency"), True, "positions[0]: frequency must be a number, got True"),
+            ("json_portfolio", ("positions", 0, "frequency"), True, "positions[0]: frequency must be an integer, got True"),
             ("market", ("equity_prices", "XOM"), True, "equity_prices['XOM'] must be a number, got True"),
             ("market", ("fx_spots", "EUR"), "1.08", "fx_spots['EUR'] must be a number, got '1.08'"),
             ("market", ("commodity_prices", "gold"), False, "commodity_prices['gold'] must be a number, got False"),
@@ -428,6 +479,12 @@ class TestWrongTypedSections:
                          f"positions[5]: shares must be a finite number, got {10**400!r}", id="shares-beyond-float-range"),
             pytest.param("market", ("equity_prices", "T"), 10**400,
                          f"equity_prices['T'] must be a finite number, got {10**400!r}", id="integer-beyond-float-range"),
+            # A string field takes only a string: str() used to read null as "None" and 5 as "5".
+            ("registry", ("issuers", 0, "sector"), None, "issuers[0]: sector must be a string, got None"),
+            ("registry", ("issuers", 0, "issuer_id"), 5, "issuers[0]: issuer_id must be a string, got 5"),
+            ("market", ("reporting_currency",), None, "reporting_currency must be a string, got None"),
+            ("json_portfolio", ("positions", 6, "currency"), 5, "positions[6]: currency must be a string, got 5"),
+            ("json_portfolio", ("positions", 4, "issuer_id"), None, "positions[4]: issuer_id must be a string, got None"),
         ],
     )
     def test_number_field_that_is_not_a_json_number_is_an_input_error(
@@ -449,6 +506,19 @@ class TestWrongTypedSections:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
+    def test_false_risk_weight_is_a_violation_not_a_zero_weight(self, paths, capsys, tmp_path):
+        # float(False) is 0.0: compute used to exit 0 with 377,269.05 where the fixture book needs 772,695.14.
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        pos = next(i for i, b in enumerate(data["buckets"]) if (b["risk_class"], b["id"]) == ("equity", 7))
+        data["buckets"][pos]["risk_weight"] = False
+        path = tmp_path / "rulebook.json"
+        path.write_text(json.dumps(data))
+        code = main(["compute", *market_args({**paths, "rulebook": str(path)}), "--portfolio", paths["portfolio"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"  - buckets[{pos}]: risk_weight must be a number, got False\n" in captured.err
+
     @pytest.mark.parametrize("loader", ["json", "csv"])
     @pytest.mark.parametrize("bad", ["2.7", "0.5", "1.0000001"])
     def test_fractional_bond_frequency_is_an_input_error(self, paths, capsys, tmp_path, loader, bad):
@@ -466,7 +536,7 @@ class TestWrongTypedSections:
         code = main(["compute", *market_args(paths), "--portfolio", str(path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: {path}: {where}: frequency must be 1, 2 or 4, got {bad}\n"
+        assert captured.err == f"error: {path}: {where}: frequency must be an integer, got {bad}\n"
 
     @pytest.mark.parametrize("loader", ["json", "csv"])
     def test_integral_float_frequency_reads_as_the_integer(self, paths, capsys, tmp_path, loader):
@@ -560,6 +630,70 @@ def test_input_that_is_not_utf8_is_an_input_error_naming_the_byte(paths, capsys,
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {path}: not UTF-8 text: byte 0x{bad:02x} at offset {len(head)}\n"
+
+
+def json_leaves(value, path=()):
+    """(path, value) of each number and string in a JSON document, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_leaves(item, (*path, i))
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        yield path, value
+
+
+# Top-level fields no loader reads, so a value of any type passes.
+UNREAD_FIELDS = {
+    ("market", ("schema_version",)),
+    ("registry", ("schema_version",)),
+    ("json_portfolio", ("schema_version",)),
+    ("cases", ("schema_version",)),
+    ("candidate", ("schema_version",)),
+    ("candidate", ("source_label",)),
+}
+
+
+def test_every_json_value_of_the_wrong_type_is_an_input_error_or_a_violation(paths, capsys, tmp_path):
+    # Each number of each JSON input becomes true and each string 5, one at a time; float(), int() and str()
+    # would read true as 1 and 5 as "5". Every loader must refuse each, naming the file or the violation.
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps(candidate_to_dict(reference_candidate(load_cases(GOLDEN_CASES)))))
+    commands = {
+        "rulebook": lambda path: ["validate-rulebook", "--rulebook", path],
+        "market": lambda path: ["compute", *market_args({**paths, "market": path}), "--portfolio", paths["json_portfolio"]],
+        "registry": lambda path: ["compute", *market_args({**paths, "registry": path}), "--portfolio", paths["json_portfolio"]],
+        "json_portfolio": lambda path: ["compute", *market_args(paths), "--portfolio", path],
+        "cases": lambda path: ["score", "--cases", path, "--candidate", str(candidate)],
+        "candidate": lambda path: ["score", "--cases", str(GOLDEN_CASES), "--candidate", path],
+    }
+    sources = {**paths, "cases": str(GOLDEN_CASES), "candidate": str(candidate)}
+    accepted = set()
+    for source, command in commands.items():
+        original = json.loads(Path(sources[source]).read_text())
+        assert main(command(sources[source])) == 0, source
+        capsys.readouterr()
+        path = tmp_path / f"{source}.json"
+        for where, value in json_leaves(original):
+            data = json.loads(json.dumps(original))
+            target = data
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = 5 if isinstance(value, str) else True
+            path.write_text(json.dumps(data))
+            code = main(command(str(path)))
+            captured = capsys.readouterr()
+            if code == 0:
+                accepted.add((source, where))
+                continue
+            assert captured.out == "", (source, where)
+            if code == 2:
+                assert source == "rulebook" and captured.err.startswith("rulebook validation failed:\n  - "), where
+            else:
+                assert code == 1 and captured.err.startswith(f"error: {path}: "), (source, where, captured.err)
+                assert captured.err.count("\n") == 1, (source, where)
+    assert accepted == UNREAD_FIELDS
 
 
 class TestScoringFlow:

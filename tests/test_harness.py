@@ -297,23 +297,32 @@ class TestCandidateFiles:
         with pytest.raises(HarnessError) as excinfo:
             load_candidate(path)
         assert str(excinfo.value) == (
-            f"{path}: malformed candidate answers: case case-001: each answer must be an object, got {row!r}"
+            f"{path}: malformed candidate answers: case case-001: answer must be an object, got {row!r}"
         )
 
     def test_integer_too_large_for_a_float_rejected(self, tmp_path):
         path = tmp_path / "candidate.json"
         path.write_text('{"answers": {"case-001": {"mcr_value": 1' + "0" * 400 + "}}}")
-        with pytest.raises(HarnessError, match="malformed candidate answers: int too large to convert to float"):
+        with pytest.raises(HarnessError, match="malformed candidate answers: case case-001: mcr_value must be a finite number, got 10{400}$"):
             load_candidate(path)
 
     @pytest.mark.parametrize(
         "axis, bad, message",
         [("bucket", True, "case case-001: bucket must be a number, got True"),
-         ("mcr_value", 10**400, "int too large to convert to float")],
+         ("mcr_value", 10**400, "case case-001: mcr_value must be a finite number, got 10{400}$"),
+         # Or a path to another field of the case set: int() used to read "7" as 7 and true as 1, float() "5" as 5.0.
+         (("seed",), "7", "seed must be an integer, got '7'"),
+         (("n",), True, "n must be an integer, got True"),
+         (("cases", 0, "factors", 0, "tenor"), "5", "tenor must be a number, got '5'"),
+         (("cases", 0, "case_id"), 5, "case_id must be a string, got 5")],
     )
     def test_reference_answer_that_is_not_a_float_rejected(self, case_set, axis, bad, message):
         data = case_set.to_dict()
-        data["cases"][0]["reference"][axis] = bad
+        *parents, last = ("cases", 0, "reference", axis) if isinstance(axis, str) else axis
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = bad
         with pytest.raises(HarnessError, match=f"malformed case set: {message}"):
             case_set_from_dict(data)
 

@@ -119,7 +119,7 @@ class TestLoaders:
             ({"type": "bond", "notional": 100, "maturity": 5, "coupon_rate": float("nan"), "currency": "USD"},
              "positions[1]: coupon_rate must be a finite number"),
             ({"type": "bond", "notional": 100, "maturity": 5, "frequency": float("inf"), "currency": "USD"},
-             "positions[1]: frequency must be a finite number"),
+             "positions[1]: frequency must be an integer, got inf"),
         ],
     )
     def test_json_non_finite_number_rejected(self, tmp_path, position, message):
