@@ -12,16 +12,20 @@ Scoring rules:
   - capital requirement: relative tolerance (default 1%)
   - a missing answer for an asked question counts as incorrect
   - per-axis accuracy is 100 * correct / number of cases that carry a
-    reference answer for that axis
+    reference answer for that axis; ScoreReport.counts holds one AxisScore
+    (correct, scored) per axis, and the accuracy is derived from it
+
+Every harness record is a NamedTuple, like the engine's records: derive a
+changed copy with ``_replace`` and a plain dict with ``_asdict``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .engine import compute_capital
 from .portfolio import (
@@ -43,8 +47,6 @@ from .rulebook import (
     read_finite, read_integer, read_json_object, read_list, read_object, read_string,
 )
 
-AXES = ("bucket", "risk_weight", "correlation", "mcr_value")
-
 
 class HarnessError(Exception):
     pass
@@ -58,8 +60,7 @@ class PromptValidationError(HarnessError):
         super().__init__(f"prompt element {field_name!r} must be a non-empty string")
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Comparison tolerances for candidate answers."""
 
     weight_tol: float = 0.005
@@ -67,8 +68,7 @@ class Tolerances:
     mcr_rel_tol: float = 0.01
 
 
-@dataclass(frozen=True)
-class ExtractionAnswer:
+class ExtractionAnswer(NamedTuple):
     """Answers to the four per-case questions; None means not answered."""
 
     bucket: int | float | None = None
@@ -77,16 +77,18 @@ class ExtractionAnswer:
     mcr_value: float | None = None
 
 
-@dataclass(frozen=True)
-class FactorRef:
-    """A factor a case question points at; tenor set for GIRR only."""
+# The scored axes, in the order of every per-axis listing.
+AXES = ExtractionAnswer._fields
+
+
+class FactorRef(NamedTuple):
+    """A factor a case question points at, as the (name, tenor) key the rulebook takes; tenor set for GIRR only."""
 
     name: str
     tenor: float | None = None
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One scoring case: two positions, two factors, four reference answers.
 
     The questions are fixed by construction: bucket and risk weight refer to
@@ -102,14 +104,14 @@ class Case:
     reference: ExtractionAnswer
 
 
-@dataclass(frozen=True)
-class CaseSet:
+class CaseSet(NamedTuple):
     seed: int
     n: int
     scenario: CorrelationScenario
     cases: tuple[Case, ...]
 
     def to_dict(self) -> dict[str, Any]:
+        # Not derived from the fields: position rows carry their instrument tag, and a null tenor is left out.
         return {
             "schema_version": 1,
             "seed": self.seed,
@@ -124,53 +126,53 @@ class CaseSet:
                         {"name": f.name, "tenor": f.tenor} if f.tenor is not None else {"name": f.name}
                         for f in c.factors
                     ],
-                    "reference": asdict(c.reference),
+                    "reference": c.reference._asdict(),
                 }
                 for c in self.cases
             ],
         }
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
-    """Per-axis outcome for one case: correct, incorrect, missing, or n/a."""
-
-    case_id: str
-    bucket: str
-    risk_weight: str
-    correlation: str
-    mcr_value: str
+CaseVerdict = NamedTuple("CaseVerdict", [("case_id", str), *((axis, str) for axis in AXES)])
+CaseVerdict.__doc__ = "Per-axis outcome for one case: correct, incorrect, missing, or n/a."
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    """Per-axis accuracies in percent plus per-case verdicts."""
+class AxisScore(NamedTuple):
+    """Of the cases whose reference answers one axis, how many the candidate got right."""
+
+    correct: int
+    scored: int
+
+    @property
+    def accuracy(self) -> float:
+        """Percent correct; 0 when no case is scored."""
+        return 100.0 * self.correct / self.scored if self.scored else 0.0
+
+
+class ScoreReport(NamedTuple):
+    """One AxisScore per axis, keyed by axis name in AXES order, plus per-case verdicts."""
 
     n_cases: int
-    bucket_accuracy: float
-    risk_weight_accuracy: float
-    correlation_accuracy: float
-    mcr_accuracy: float
-    counts: dict[str, tuple[int, int]] = field(default_factory=dict)
-    verdicts: tuple[CaseVerdict, ...] = ()
+    counts: dict[str, AxisScore]
+    verdicts: tuple[CaseVerdict, ...]
+
+    # perfbench/run.py reads each axis's accuracy under these names.
+    bucket_accuracy = property(lambda self: self.counts["bucket"].accuracy)
+    risk_weight_accuracy = property(lambda self: self.counts["risk_weight"].accuracy)
+    correlation_accuracy = property(lambda self: self.counts["correlation"].accuracy)
+    mcr_accuracy = property(lambda self: self.counts["mcr_value"].accuracy)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": 1,
             "n_cases": self.n_cases,
-            "accuracy": {
-                "bucket": self.bucket_accuracy,
-                "risk_weight": self.risk_weight_accuracy,
-                "correlation": self.correlation_accuracy,
-                "mcr_value": self.mcr_accuracy,
-            },
-            "counts": {axis: {"correct": c, "scored": d} for axis, (c, d) in self.counts.items()},
-            "verdicts": [asdict(v) for v in self.verdicts],
+            "accuracy": {axis: score.accuracy for axis, score in self.counts.items()},
+            "counts": {axis: score._asdict() for axis, score in self.counts.items()},
+            "verdicts": [v._asdict() for v in self.verdicts],
         }
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(NamedTuple):
     """Five-element prompt: role, input, goal, method, significance."""
 
     role: str
@@ -181,31 +183,18 @@ class PromptSpec:
 
 
 def render_prompt(spec: PromptSpec) -> str:
-    """Render the five labeled sections in fixed order.
-
-    Raises PromptValidationError naming the first empty element.
-    """
-    sections = [
-        ("Role", spec.role),
-        ("Input", spec.input),
-        ("Goal", spec.goal),
-        ("Method", spec.method),
-        ("Significance", spec.significance),
-    ]
-    for header, body in sections:
-        if not isinstance(body, str) or not body.strip():
-            raise PromptValidationError(header.lower())
-    return "\n\n".join(f"{header}: {body.strip()}" for header, body in sections) + "\n"
+    """Render the five labeled sections in fixed order; raises PromptValidationError naming the first empty element."""
+    spec = prompt_spec_from_dict(spec._asdict())
+    return "\n\n".join(f"{name.capitalize()}: {body.strip()}" for name, body in zip(spec._fields, spec)) + "\n"
 
 
 def prompt_spec_from_dict(data: dict[str, Any]) -> PromptSpec:
-    fields = {}
-    for name in ("role", "input", "goal", "method", "significance"):
+    """The five elements of ``data``; raises PromptValidationError naming the first missing or empty one."""
+    for name in PromptSpec._fields:
         value = data.get(name)
         if not isinstance(value, str) or not value.strip():
             raise PromptValidationError(name)
-        fields[name] = value
-    return PromptSpec(**fields)
+    return PromptSpec(*(data[name] for name in PromptSpec._fields))
 
 
 # -- scoring ------------------------------------------------------------------
@@ -231,39 +220,25 @@ def score_extraction(
 
     correct = dict.fromkeys(AXES, 0)
     scored = dict.fromkeys(AXES, 0)
-    verdicts: list[CaseVerdict] = []
+    verdicts = []
     for case in reference.cases:
         answer = candidate.get(case.case_id, ExtractionAnswer())
-        outcome: dict[str, str] = {}
-        for axis in AXES:
-            ref_value = getattr(case.reference, axis)
+        outcome = []
+        for axis, ref_value, cand_value in zip(AXES, case.reference, answer):
             if ref_value is None:
-                outcome[axis] = "n/a"
+                outcome.append("n/a")
                 continue
             scored[axis] += 1
-            cand_value = getattr(answer, axis)
             if cand_value is None:
-                outcome[axis] = "missing"
-                continue
-            if _axis_match(axis, cand_value, ref_value, tolerances):
+                outcome.append("missing")
+            elif _axis_match(axis, cand_value, ref_value, tolerances):
                 correct[axis] += 1
-                outcome[axis] = "correct"
+                outcome.append("correct")
             else:
-                outcome[axis] = "incorrect"
-        verdicts.append(CaseVerdict(case_id=case.case_id, **outcome))
-
-    def accuracy(axis: str) -> float:
-        return 100.0 * correct[axis] / scored[axis] if scored[axis] else 0.0
-
-    return ScoreReport(
-        n_cases=len(reference.cases),
-        bucket_accuracy=accuracy("bucket"),
-        risk_weight_accuracy=accuracy("risk_weight"),
-        correlation_accuracy=accuracy("correlation"),
-        mcr_accuracy=accuracy("mcr_value"),
-        counts={axis: (correct[axis], scored[axis]) for axis in AXES},
-        verdicts=tuple(verdicts),
-    )
+                outcome.append("incorrect")
+        verdicts.append(CaseVerdict(case.case_id, *outcome))
+    counts = {axis: AxisScore(correct[axis], scored[axis]) for axis in AXES}
+    return ScoreReport(len(reference.cases), counts, tuple(verdicts))
 
 
 def _axis_match(axis: str, cand: float, ref: float, tol: Tolerances) -> bool:
@@ -303,7 +278,7 @@ def generate_cases(
         risk_class = order[(i - 1) % len(order)]
         case_id = f"case-{i:0{width}d}"
         cases.append(_generate_case(case_id, risk_class, pools[risk_class], rng, rb, md, registry, scenario))
-    return CaseSet(seed=seed, n=n, scenario=scenario, cases=tuple(cases))
+    return CaseSet(seed, n, scenario, tuple(cases))
 
 
 # Raised when a class's pool has fewer than the two entries a case draws.
@@ -374,47 +349,69 @@ def _generate_case(
         tenor = None
 
     if bucket_1 == bucket_2:
-        correlation = rb.intra_correlation(
-            risk_class, bucket_1, (factors[0].name, factors[0].tenor), (factors[1].name, factors[1].tenor), scenario
-        )
+        correlation = rb.intra_correlation(risk_class, bucket_1, *factors, scenario)
     else:
         correlation = rb.cross_correlation(risk_class, bucket_1, bucket_2, scenario)
     reference = ExtractionAnswer(
-        bucket=bucket_1,
-        risk_weight=rb.risk_weight(risk_class, bucket_1, tenor),
-        correlation=correlation,
-        mcr_value=compute_capital(Portfolio(positions=positions), md, registry, rb, scenario=scenario).total_capital,
+        bucket_1,
+        rb.risk_weight(risk_class, bucket_1, tenor),
+        correlation,
+        compute_capital(Portfolio(positions), md, registry, rb, scenario=scenario).total_capital,
     )
-    return Case(case_id=case_id, risk_class=risk_class, positions=positions, factors=factors, reference=reference)
+    return Case(case_id, risk_class, positions, factors, reference)
 
 
 # -- file round-trips ----------------------------------------------------------
 
 
 def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
+    """The case set ``data`` holds; raises HarnessError naming the case, the factor or position, and the field."""
+    return _prefixed("malformed case set", _case_set, data)
+
+
+def _case_set(data: dict[str, Any]) -> CaseSet:
+    cases = _each(data, "cases", _case)
+    scenario = _read_token(CorrelationScenario, data.get("scenario", "medium"), "scenario")
+    return CaseSet(read_integer(data["seed"], "seed"), read_integer(data["n"], "n"), scenario, cases)
+
+
+def _case(raw: Any) -> Case:
+    case_id = read_string(read_object(raw, "case")["case_id"], "case_id")
+    risk_class = _read_token(RiskClass, raw["risk_class"], "risk_class")
+    reference = _prefixed("reference", _answer_from_dict, raw["reference"])
+    return Case(case_id, risk_class, _each(raw, "positions", instrument_from_dict), _each(raw, "factors", _factor), reference)
+
+
+def _factor(raw: Any) -> FactorRef:
+    tenor = read_object(raw, "factor").get("tenor")
+    return FactorRef(read_string(raw["name"], "name"), None if tenor is None else read_finite(tenor, "tenor"))
+
+
+def _each(row: dict[str, Any], field: str, read: Callable[[Any], Any]) -> tuple[Any, ...]:
+    """``read`` of each item of the list ``row[field]``, the errors of item i prefixed ``field[i]: ``."""
+    return tuple(_prefixed(f"{field}[{i}]", read, item) for i, item in enumerate(read_list(row[field], field)))
+
+
+def _read_token(enum: type[Enum], value: Any, field: str) -> Any:
+    """The member of ``enum`` whose token is ``value``; JSONFieldError listing the tokens otherwise."""
     try:
-        cases = []
-        for raw in read_list(data["cases"], "cases"):
-            case_id = read_string(read_object(raw, "case")["case_id"], "case_id")
-            positions = tuple(instrument_from_dict(p) for p in read_list(raw["positions"], "positions"))
-            factors = []
-            for factor in read_list(raw["factors"], "factors"):
-                tenor = read_object(factor, "factor").get("tenor")
-                factors.append(FactorRef(read_string(factor["name"], "name"), None if tenor is None else read_finite(tenor, "tenor")))
-            reference = _answer_from_dict(case_id, raw["reference"])
-            cases.append(Case(case_id, RiskClass(raw["risk_class"]), positions, tuple(factors), reference))  # type: ignore[arg-type]
-        seed, n = read_integer(data["seed"], "seed"), read_integer(data["n"], "n")
-        return CaseSet(seed, n, CorrelationScenario(data.get("scenario", "medium")), tuple(cases))
-    except (KeyError, TypeError, ValueError, JSONFieldError, PortfolioError) as exc:
-        raise HarnessError(f"malformed case set: {exc}") from None
+        return enum(value)
+    except ValueError:
+        raise JSONFieldError(field, "one of " + ", ".join(member.value for member in enum), value) from None
+
+
+def _prefixed(label: str, read: Callable[[Any], Any], raw: Any) -> Any:
+    """``read(raw)``; malformed input it rejects becomes a HarnessError whose message starts ``label: ``."""
+    try:
+        return read(raw)
+    except KeyError as exc:
+        raise HarnessError(f"{label}: missing field {exc}") from None
+    except (JSONFieldError, PortfolioError, HarnessError) as exc:
+        raise HarnessError(f"{label}: {exc}") from None
 
 
 def load_cases(path: str | Path) -> CaseSet:
-    data = read_json_object(path, HarnessError)
-    try:
-        return case_set_from_dict(data)
-    except HarnessError as exc:
-        raise HarnessError(f"{path}: {exc}") from None
+    return _prefixed(str(path), case_set_from_dict, read_json_object(path, HarnessError))
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
@@ -425,15 +422,16 @@ def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = 
     return {
         "schema_version": 1,
         "source_label": source_label,
-        "answers": {case_id: asdict(answer) for case_id, answer in sorted(answers.items())},
+        "answers": {case_id: answer._asdict() for case_id, answer in sorted(answers.items())},
     }
 
 
 def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
     data = read_json_object(path, HarnessError)
     try:
-        answers = {case_id: _answer_from_dict(case_id, row) for case_id, row in read_object(data.get("answers"), "answers").items()}
-    except (JSONFieldError, ValueError) as exc:
+        rows = read_object(data.get("answers"), "answers")
+        answers = {case_id: _prefixed(f"case {case_id}", _answer_from_dict, row) for case_id, row in rows.items()}
+    except (JSONFieldError, HarnessError) as exc:
         raise HarnessError(f"{path}: malformed candidate answers: {exc}") from None
     for case_id, answer in answers.items():
         # Sanity band: a fraction outside [0, 1.5] is a garbled extraction,
@@ -452,20 +450,16 @@ def reference_candidate(case_set: CaseSet) -> dict[str, ExtractionAnswer]:
     return {c.case_id: c.reference for c in case_set.cases}
 
 
-def _answer_from_dict(case_id: str, row: Any) -> ExtractionAnswer:
+def _answer_from_dict(row: Any) -> ExtractionAnswer:
     """One answer row: a finite number or null per axis, and a bucket of integral value as an int.
 
-    A row or value of another kind raises ValueError naming the case and the axis.
+    A row or value of another kind raises JSONFieldError naming the axis.
     """
-    try:
-        answer = read_object(row, "answer")
-        values = {axis: None if answer.get(axis) is None else read_finite(answer[axis], axis) for axis in AXES}
-    except JSONFieldError as exc:
-        raise ValueError(f"case {case_id}: {exc}") from None
-    bucket = values["bucket"]
+    answer = read_object(row, "answer")
+    bucket, *rest = (None if answer.get(axis) is None else read_finite(answer[axis], axis) for axis in AXES)
     if bucket is not None and bucket.is_integer():
-        values["bucket"] = int(bucket)
-    return ExtractionAnswer(**values)
+        bucket = int(bucket)
+    return ExtractionAnswer(bucket, *rest)
 
 
 def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
@@ -475,8 +469,7 @@ def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
         raise HarnessError(f"unknown score report format {fmt!r}")
     lines = [f"Extraction score over {report.n_cases} case(s)"]
     names = ("bucket", "risk weight", "correlation", "capital requirement")
-    values = (report.bucket_accuracy, report.risk_weight_accuracy, report.correlation_accuracy, report.mcr_accuracy)
-    for axis, name, value in zip(AXES, names, values):
-        correct, scored = report.counts.get(axis, (0, 0))
-        lines.append(f"  {name:<20} {value:6.1f}%  ({correct}/{scored})")
+    for axis, name in zip(AXES, names):
+        score = report.counts[axis]
+        lines.append(f"  {name:<20} {score.accuracy:6.1f}%  ({score.correct}/{score.scored})")
     return "\n".join(lines) + "\n"

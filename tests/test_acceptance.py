@@ -10,7 +10,6 @@ dense-matrix oracle; none is an unexplained constant.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -323,7 +322,7 @@ def test_criterion_7_scoring_harness(rb, market, registry):
         corrupted = dict(reference_candidate(case_set))
         for case_id in sorted(corrupted)[:6]:
             answer = corrupted[case_id]
-            corrupted[case_id] = dataclasses.replace(answer, bucket=answer.bucket + 1)
+            corrupted[case_id] = answer._replace(bucket=answer.bucket + 1)
         assert score_extraction(corrupted, case_set).bucket_accuracy == 85.0
 
         axes = ("bucket", "risk_weight", "correlation", "mcr_value")
@@ -351,9 +350,7 @@ def test_criterion_7_scoring_harness(rb, market, registry):
             case_id = rng.choice(ids)
             axis = rng.choice(axes)
             before = score_extraction(candidate, case_set)
-            fixed = dataclasses.replace(
-                candidate[case_id], **{axis: getattr(reference[case_id], axis)}
-            )
+            fixed = candidate[case_id]._replace(**{axis: getattr(reference[case_id], axis)})
             improved = {**candidate, case_id: fixed}
             after = score_extraction(improved, case_set)
             for attr in ("bucket_accuracy", "risk_weight_accuracy", "correlation_accuracy", "mcr_accuracy"):

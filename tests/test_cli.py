@@ -51,10 +51,11 @@ def test_importing_the_cli_does_not_load_the_harness():
 
 
 def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
-    # The engine's types are NamedTuples; dataclasses, and the inspect it imports, would add to every CLI run.
+    # The package's types are NamedTuples; dataclasses, and the inspect it imports, would add to every CLI run,
+    # and the harness is imported by every gen-cases, score and render-prompt run.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, sbmcap.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, sbmcap.cli, sbmcap.harness; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 
@@ -567,6 +568,7 @@ class TestWrongTypedSections:
 
 
 GOLDEN_CASES = Path(__file__).resolve().parent / "golden" / "cases_seed7_n8.json"
+GOLDEN_CANDIDATE = Path(__file__).resolve().parent / "golden" / "candidate_seed7_n8.json"
 GOLDEN_SENSITIVITIES = Path(__file__).resolve().parent / "golden" / "fixture_sensitivities.csv"
 
 # Each JSON input file the CLI reads: the command that reads it from ``path``, and what its top level is called.
@@ -712,6 +714,23 @@ class TestScoringFlow:
         assert code == 0
         accuracy = json.loads(capsys.readouterr().out)["accuracy"]
         assert all(accuracy[axis] == 100.0 for axis in ("bucket", "risk_weight", "correlation", "mcr_value"))
+
+    def test_gen_cases_gives_the_golden_bytes(self, paths, capsys, tmp_path):
+        candidate = tmp_path / "candidate.json"
+        code = main(["gen-cases", *market_args(paths), "--seed", "7", "--n", "8", "--emit-reference-candidate", str(candidate)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.encode("utf-8") == GOLDEN_CASES.read_bytes()
+        assert candidate.read_bytes() == GOLDEN_CANDIDATE.read_bytes()
+
+    @pytest.mark.parametrize("fmt, golden", [("human", "score_seed7_n8.txt"), ("hierarchical", "score_seed7_n8.json")])
+    def test_score_gives_the_golden_bytes(self, capsys, fmt, golden):
+        code = main(["score", "--cases", str(GOLDEN_CASES), "--candidate", str(GOLDEN_CANDIDATE), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.encode("utf-8") == (GOLDEN_CASES.parent / golden).read_bytes()
 
     def test_gen_cases_stdout_is_deterministic(self, paths, capsys):
         main(["gen-cases", *market_args(paths), "--seed", "11", "--n", "4"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -51,24 +50,24 @@ class TestPromptRendering:
         assert text.endswith("\n")
 
     def test_bodies_are_stripped(self):
-        spec = dataclasses.replace(PROMPT, role="  padded  ")
+        spec = PROMPT._replace(role="  padded  ")
         assert "Role: padded\n" in render_prompt(spec)
 
     @pytest.mark.parametrize("field_name", ["role", "input", "goal", "method", "significance"])
     @pytest.mark.parametrize("bad", ["", "   "])
     def test_empty_element_is_named(self, field_name, bad):
-        spec = dataclasses.replace(PROMPT, **{field_name: bad})
+        spec = PROMPT._replace(**{field_name: bad})
         with pytest.raises(PromptValidationError) as excinfo:
             render_prompt(spec)
         assert excinfo.value.field_name == field_name
 
     def test_spec_from_dict_round_trip(self):
-        data = dataclasses.asdict(PROMPT)
+        data = PROMPT._asdict()
         assert prompt_spec_from_dict(data) == PROMPT
 
     @pytest.mark.parametrize("field_name", ["role", "input", "goal", "method", "significance"])
     def test_spec_from_dict_names_missing_field(self, field_name):
-        data = dataclasses.asdict(PROMPT)
+        data = PROMPT._asdict()
         del data[field_name]
         with pytest.raises(PromptValidationError) as excinfo:
             prompt_spec_from_dict(data)
@@ -82,6 +81,7 @@ class TestPromptRendering:
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DROP = object()  # as a replacement value: delete the key instead
 
 
 def position_types(cs: CaseSet) -> list[list[type]]:
@@ -192,7 +192,7 @@ class TestScoring:
         wrong = 0
         for case_id in sorted(candidate)[:3]:
             answer = candidate[case_id]
-            candidate[case_id] = dataclasses.replace(answer, bucket=answer.bucket + 1)
+            candidate[case_id] = answer._replace(bucket=answer.bucket + 1)
             wrong += 1
         report = score_extraction(candidate, case_set)
         assert report.bucket_accuracy == 100.0 * (case_set.n - wrong) / case_set.n
@@ -201,8 +201,8 @@ class TestScoring:
     def test_weight_tolerance_boundary(self, case_set):
         case = case_set.cases[0]
         base = reference_candidate(case_set)
-        inside = dataclasses.replace(case.reference, risk_weight=case.reference.risk_weight + 0.0049)
-        outside = dataclasses.replace(case.reference, risk_weight=case.reference.risk_weight + 0.0051)
+        inside = case.reference._replace(risk_weight=case.reference.risk_weight + 0.0049)
+        outside = case.reference._replace(risk_weight=case.reference.risk_weight + 0.0051)
         report_in = score_extraction({**base, case.case_id: inside}, case_set)
         report_out = score_extraction({**base, case.case_id: outside}, case_set)
         assert report_in.risk_weight_accuracy == 100.0
@@ -229,15 +229,15 @@ class TestScoring:
         case = next(c for c in case_set.cases if c.reference.mcr_value > 0)
         base = reference_candidate(case_set)
         ref = case.reference.mcr_value
-        inside = dataclasses.replace(case.reference, mcr_value=ref * 1.0099)
-        outside = dataclasses.replace(case.reference, mcr_value=ref * 1.02)
+        inside = case.reference._replace(mcr_value=ref * 1.0099)
+        outside = case.reference._replace(mcr_value=ref * 1.02)
         assert score_extraction({**base, case.case_id: inside}, case_set).mcr_accuracy == 100.0
         assert score_extraction({**base, case.case_id: outside}, case_set).mcr_accuracy < 100.0
 
     def test_custom_tolerances_respected(self, case_set):
         case = case_set.cases[0]
         base = reference_candidate(case_set)
-        off = dataclasses.replace(case.reference, correlation=case.reference.correlation + 0.04)
+        off = case.reference._replace(correlation=case.reference.correlation + 0.04)
         loose = Tolerances(corr_tol=0.05)
         assert score_extraction({**base, case.case_id: off}, case_set).correlation_accuracy < 100.0
         assert score_extraction({**base, case.case_id: off}, case_set, loose).correlation_accuracy == 100.0
@@ -245,13 +245,13 @@ class TestScoring:
     def test_missing_axis_counts_as_incorrect(self, case_set):
         base = reference_candidate(case_set)
         case = case_set.cases[0]
-        base[case.case_id] = dataclasses.replace(case.reference, correlation=None)
+        base[case.case_id] = case.reference._replace(correlation=None)
         report = score_extraction(base, case_set)
         assert report.correlation_accuracy == 100.0 * (case_set.n - 1) / case_set.n
         assert report.verdicts[0].correlation == "missing"
 
     def test_empty_case_set_rejected(self, case_set):
-        empty = dataclasses.replace(case_set, cases=(), n=0)
+        empty = case_set._replace(cases=(), n=0)
         with pytest.raises(HarnessError, match="empty"):
             score_extraction({}, empty)
 
@@ -308,13 +308,17 @@ class TestCandidateFiles:
 
     @pytest.mark.parametrize(
         "axis, bad, message",
-        [("bucket", True, "case case-001: bucket must be a number, got True"),
-         ("mcr_value", 10**400, "case case-001: mcr_value must be a finite number, got 10{400}$"),
+        [("bucket", True, "cases[0]: reference: bucket must be a number, got True"),
+         ("mcr_value", 10**400, "cases[0]: reference: mcr_value must be a finite number, got 1" + "0" * 400),
          # Or a path to another field of the case set: int() used to read "7" as 7 and true as 1, float() "5" as 5.0.
          (("seed",), "7", "seed must be an integer, got '7'"),
          (("n",), True, "n must be an integer, got True"),
-         (("cases", 0, "factors", 0, "tenor"), "5", "tenor must be a number, got '5'"),
-         (("cases", 0, "case_id"), 5, "case_id must be a string, got 5")],
+         (("cases", 0, "factors", 1, "tenor"), "5", "cases[0]: factors[1]: tenor must be a number, got '5'"),
+         (("cases", 0, "case_id"), 5, "cases[0]: case_id must be a string, got 5"),
+         # A bad token used to read "5 is not a valid RiskClass", and a dropped key as the bare key.
+         (("cases", 2, "risk_class"), 5, "cases[2]: risk_class must be one of girr, equity, fx, commodity, got 5"),
+         (("scenario",), "x", "scenario must be one of low, medium, high, got 'x'"),
+         (("cases", 1, "positions"), DROP, "cases[1]: missing field 'positions'")],
     )
     def test_reference_answer_that_is_not_a_float_rejected(self, case_set, axis, bad, message):
         data = case_set.to_dict()
@@ -322,17 +326,22 @@ class TestCandidateFiles:
         target = data
         for key in parents:
             target = target[key]
-        target[last] = bad
-        with pytest.raises(HarnessError, match=f"malformed case set: {message}"):
+        if bad is DROP:
+            del target[last]
+        else:
+            target[last] = bad
+        with pytest.raises(HarnessError) as excinfo:
             case_set_from_dict(data)
+        assert str(excinfo.value) == f"malformed case set: {message}"
 
     @pytest.mark.parametrize("bad, message", [(True, "must be a number, got True"), (1e400, "must be a finite number")])
     def test_position_number_that_is_not_a_finite_json_number_rejected(self, case_set, bad, message):
         # The position's own error used to leave the loader without the "malformed case set" prefix.
         data = case_set.to_dict()
-        row = next(p for c in data["cases"] for p in c["positions"] if p["type"] == "equity")
+        row = data["cases"][1]["positions"][0]
+        assert row["type"] == "equity"
         row["shares"] = bad
-        with pytest.raises(HarnessError, match=f"^malformed case set: shares {message}"):
+        with pytest.raises(HarnessError, match=rf"^malformed case set: cases\[1\]: positions\[0\]: shares {message}"):
             case_set_from_dict(data)
 
     @pytest.mark.parametrize("field_name", ["risk_weight", "correlation"])
