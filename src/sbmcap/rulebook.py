@@ -7,8 +7,10 @@ in the file, not in code, so a parameter update is a data edit.
 
 Every JSON input file is read through the field readers at the end of this
 module, so one rule types them all: ``true`` and ``"0.5"`` are not numbers, and
-an integer is a number of integral value. The rulebook loader reports each value
-a reader rejects as a violation.
+an integer is a number of integral value. The rulebook loader checks each value
+once, where it reads it, and reports each value it rejects as one violation; a
+rejected value is not reported again as missing. Only the rules that span fields
+run after that, and a Rulebook is built only from a document that breaks none.
 
 Reference parameter set: BCBS "Minimum capital requirements for market risk",
 January 2016 (bis.org/bcbs/publ/d352.pdf), delta risk only.
@@ -222,20 +224,14 @@ class Rulebook(_RulebookFields):
         ``k`` and ``l`` are (name, tenor) pairs; tenor is None outside GIRR.
         Self-correlation is exactly 1 under every scenario.
         """
+        if risk_class is not RiskClass.GIRR:  # a name is one factor
+            return 1.0 if k[0] == l[0] else self.intra_correlations(risk_class, (bucket_id,), scenario)[bucket_id]
         if k == l:
-            return apply_scenario(1.0, scenario, self.scenario_rules)
-        if risk_class is RiskClass.GIRR:
-            t_k, t_l = k[1], l[1]
-            if t_k is None or t_l is None:
-                raise RulebookQueryError("GIRR intra correlation requires tenors on both factors")
-            if k[0] == l[0] and t_k == t_l:
-                base = 1.0
-            else:
-                base = girr_tenor_correlation(t_k, t_l, self.girr_tenor_params)
-            return apply_scenario(base, scenario, self.scenario_rules)
-        if k[0] == l[0]:
-            return apply_scenario(1.0, scenario, self.scenario_rules)
-        return self.intra_correlations(risk_class, (bucket_id,), scenario)[bucket_id]
+            return 1.0
+        t_k, t_l = k[1], l[1]
+        if t_k is None or t_l is None:
+            raise RulebookQueryError("GIRR intra correlation requires tenors on both factors")
+        return apply_scenario(girr_tenor_correlation(t_k, t_l, self.girr_tenor_params), scenario, self.scenario_rules)
 
     def intra_correlations(
         self,
@@ -367,34 +363,42 @@ def apply_scenario(
 _RISK_CLASSES = {rc.value: rc for rc in RiskClass}
 
 
-def _parse_buckets(rows: list[Any], violations: list[str]) -> tuple[Bucket, ...]:
+class _Rejected(dict):
+    """Stands where the loader rejected a value, so that it does not read as absent: it holds every key and yields none.
+    A rule that asks whether a value is there finds it, and a rule that iterates compares nothing with it."""
+
+    def __contains__(self, key: Any) -> bool:
+        return True
+
+    def get(self, key: Any, default: Any = None) -> _Rejected:  # a field of a rejected object is rejected
+        return self
+
+
+_REJECTED = _Rejected()
+
+
+def _parse_buckets(rows: list[Any], violations: list[str]) -> tuple[list[Bucket], set[RiskClass]]:
+    # The buckets read, and the classes of the rows not read: any id of such a class may be the id of one of them.
     buckets: list[Bucket] = []
+    unlisted = set(RiskClass) if rows is _REJECTED else set()
     for pos, row in enumerate(rows):
         where = f"buckets[{pos}]: "
+        rc = None
         try:
             rc = _RISK_CLASSES[read_object(row, "bucket").get("risk_class")]
             bucket_id = read_integer(row.get("id"), "id")
-        except (KeyError, TypeError):  # TypeError: a list or object is no key
-            violations.append(f"{where}missing or unknown risk_class")
+        except (KeyError, TypeError, JSONFieldError) as exc:  # TypeError: a list or object is no key
+            violations.append(where + (str(exc) if isinstance(exc, JSONFieldError) else "missing or unknown risk_class"))
+            unlisted.update(RiskClass if rc is None else (rc,))
             continue
-        except JSONFieldError as exc:
-            violations.append(where + str(exc))
-            continue
-        by_tenor: dict[float, float] = {}
-        for key, value in _field(read_object, row, "risk_weights_by_tenor", where, violations, {}).items():
-            try:
-                by_tenor[float(key)] = read_number(value, "risk_weights_by_tenor", key)
-            except ValueError:
-                violations.append(f"{where}risk_weights_by_tenor: tenor {key!r} is not a number")
-            except JSONFieldError as exc:
-                violations.append(where + str(exc))
+        by_tenor = _field(read_object, row, "risk_weights_by_tenor", where, violations, {})
         buckets.append(
             Bucket(
                 rc,
                 bucket_id,
                 _field(read_string, row, "description", where, violations, ""),
-                _field(read_number, row, "risk_weight", where, violations),
-                by_tenor,
+                _field(_read_weight, row, "risk_weight", where, violations),
+                _keyed(by_tenor, float, "tenor", _read_weight, "risk_weights_by_tenor", where, violations),
                 _field(read_string, row, "economy", where, violations),
                 _field(read_string, row, "size", where, violations),
                 _field(_strings, row, "sectors", where, violations),
@@ -403,55 +407,75 @@ def _parse_buckets(rows: list[Any], violations: list[str]) -> tuple[Bucket, ...]
                 _field(read_bool, row, "residual", where, violations, False),
             )
         )
-    return tuple(buckets)
+    return buckets, unlisted
 
 
-def _field(reader: Callable[[Any, str], Any], row: dict[str, Any], name: str, where: str, violations: list[str],
-           default: Any = None) -> Any:
-    # reader of row[name], or ``default`` where it is absent or null, or rejected: a violation then names it.
-    value = row.get(name)
-    if value is None:
-        return default
+def _read(reader: Callable[..., Any], value: Any, field: str, where: str, violations: list[str], key: Any = None) -> Any:
+    # reader's value, or the placeholder where it rejects the value: a violation names it, unless it is the placeholder.
     try:
-        return reader(value, name)
+        return reader(value, field, key)
     except JSONFieldError as exc:
-        violations.append(where + str(exc))
-        return default
+        if value is not _REJECTED:
+            violations.append(where + str(exc))
+        return _REJECTED
 
 
-def _strings(value: Any, field: str) -> tuple[str, ...]:
+def _field(reader: Callable[..., Any], row: dict[str, Any], name: str, where: str, violations: list[str],
+           default: Any = None) -> Any:
+    # row[name] as ``reader`` reads it, or ``default`` where absent or null; a field of a rejected object is rejected.
+    value = row.get(name)
+    try:
+        return default if value is None else reader(value, name)
+    except JSONFieldError:  # _read reads it again to name it; an accepted value takes one call
+        return _read(reader, value, name, where, violations)
+
+
+def _keyed(table: dict[str, Any], key_type: type, what: str, reader: Callable[..., Any], label: str, where: str,
+           violations: list[str]) -> Any:
+    # The values of ``table`` by key as ``key_type`` reads it, which is lenient: "1", " 1" and "1.0" are one tenor.
+    # So a second key for one id or tenor is a violation naming both, and a table with a key not read is rejected.
+    entries, keys = {}, {}  # by key read: the value, and the key it was read from
+    rejected = table is _REJECTED
+    for key, value in table.items():
+        value = _read(reader, value, label, where, violations, key)
+        try:
+            parsed = key_type(key)
+        except ValueError:
+            violations.append(f"{where}{label}: {key!r} is not a {what}")
+            rejected = True
+            continue
+        if parsed in keys:
+            violations.append(f"{where}{label}: keys {keys[parsed]!r} and {key!r} name one {what}")
+        else:
+            entries[parsed], keys[parsed] = value, key
+    return _REJECTED if rejected else entries
+
+
+def _strings(value: Any, field: str, key: Any = None) -> tuple[str, ...]:
     return tuple([read_string(item, field, i) for i, item in enumerate(read_list(value, field))])
 
 
-def _by_class(data: dict[str, Any], name: str, violations: list[str]) -> Iterator[tuple[RiskClass, str, dict[str, Any]]]:
+def _by_class(data: dict[str, Any], name: str, violations: list[str]) -> Iterator[tuple[RiskClass, str, Any]]:
     # (risk class, label, object) of each entry of the object ``name``, which is keyed by risk class token.
-    for rc_token, table in _field(read_object, data, name, "", violations, {}).items():
+    section = _field(read_object, data, name, "", violations, {})
+    if section is _REJECTED:  # it stands for a rejected object of every class
+        section = dict.fromkeys(_RISK_CLASSES, section)
+    for rc_token, table in section.items():
         label = f"{name}[{rc_token}]"
-        try:
-            rc, table = _RISK_CLASSES[rc_token], read_object(table, label)
-        except KeyError:
+        if rc_token not in _RISK_CLASSES:
             violations.append(f"{name}: unknown risk class {rc_token!r}")
             continue
-        except JSONFieldError as exc:
-            violations.append(str(exc))
-            continue
-        yield rc, label, table
+        yield _RISK_CLASSES[rc_token], label, _read(read_object, table, label, "", violations)
 
 
-def _parse_correlations(data: dict[str, Any], violations: list[str]) -> CorrelationTable:
-    intra: dict[tuple[RiskClass, int], float] = {}
-    for rc, label, per_bucket in _by_class(data, "intra_correlations", violations):
-        for bucket_key, value in per_bucket.items():
-            try:
-                intra[(rc, int(bucket_key))] = read_number(value, label, bucket_key)
-            except ValueError:
-                violations.append(f"{label}: bucket id {bucket_key!r} is not an integer")
-            except JSONFieldError as exc:
-                violations.append(str(exc))
-    cross_default: dict[RiskClass, float] = {}
-    cross_pairs: dict[tuple[RiskClass, int, int], float] = {}
+def _parse_correlations(data: dict[str, Any], violations: list[str]) -> tuple[dict[RiskClass, Any], ...]:
+    # The rho table of each class, by bucket id; the gamma default of each class; and each gamma, by (class, b, c).
+    intra = {rc: _keyed(per_bucket, int, "bucket id", _read_correlation, label, "", violations)
+             for rc, label, per_bucket in _by_class(data, "intra_correlations", violations)}
+    cross_default: dict[RiskClass, Any] = {}
+    cross_pairs: dict[tuple[RiskClass, int, int], Any] = {}
     for rc, label, spec_block in _by_class(data, "cross_correlations", violations):
-        default = _field(read_number, spec_block, "default", f"{label}.", violations)
+        default = _field(_read_correlation, spec_block, "default", f"{label}.", violations)
         if default is not None:
             cross_default[rc] = default
         for pos, pair in enumerate(_field(read_list, spec_block, "pairs", f"{label}.", violations, ())):
@@ -459,160 +483,116 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> Correlat
             try:
                 b_id = read_integer(read_object(pair, "pair").get("b"), "b")
                 c_id = read_integer(pair.get("c"), "c")
-                value = read_number(pair.get("value"), "value")
             except JSONFieldError as exc:
                 violations.append(where + str(exc))
+                cross_default.setdefault(rc, _REJECTED)  # the pair not read may be any pair of the class
                 continue
+            value = _read(_read_correlation, pair.get("value"), "value", where, violations)
             if b_id == c_id:
                 violations.append(f"{where}b and c must differ")
                 continue
             existing = cross_pairs.get((rc, b_id, c_id), cross_pairs.get((rc, c_id, b_id)))
-            if existing is not None and existing != value:
+            if existing is None:
+                cross_pairs[rc, b_id, c_id] = value
+            elif existing != value and _REJECTED not in (existing, value):
                 violations.append(
                     f"{where}asymmetric duplicate, ({b_id},{c_id}) already tabulated as {existing} but found {value}"
                 )
-                continue
-            key = (rc, b_id, c_id) if (rc, b_id, c_id) in cross_pairs or (rc, c_id, b_id) not in cross_pairs else (rc, c_id, b_id)
-            cross_pairs[key] = value
-    return CorrelationTable(intra=intra, cross_default=cross_default, cross_pairs=cross_pairs)
+    return intra, cross_default, cross_pairs
 
 
-def _validate(rb: Rulebook, violations: list[str]) -> None:
-    # Range checks pass NaN (every comparison with it is false) and some pass
-    # infinities, so non-finite parameters are named first.
-    rules, tenor = rb.scenario_rules, rb.girr_tenor_params
-    parameters = [(f"tenor_grid[{i}]", t) for i, t in enumerate(rb.tenor_grid)] + [
-        ("girr_tenor_params.theta", tenor.theta),
-        ("girr_tenor_params.floor", tenor.floor),
-        ("scenario_rules.high.scale", rules.high_scale),
-        ("scenario_rules.high.cap", rules.high_cap),
-        ("scenario_rules.low.scale", rules.low_scale),
-        ("scenario_rules.low.affine_scale", rules.low_affine_scale),
-        ("scenario_rules.low.affine_shift", rules.low_affine_shift),
-    ]
-    violations.extend(f"{name} must be a finite number, got {v!r}" for name, v in parameters if not math.isfinite(v))
-    if not rb.tenor_grid:
+def _validate(grid: Any, buckets: list[Bucket], unlisted: set[RiskClass], intra: dict[RiskClass, Any],
+              cross_default: dict[RiskClass, Any], cross_pairs: dict[Any, Any], violations: list[str]) -> None:
+    # The rules that span fields; each value was checked where it was read, and each one rejected is the placeholder.
+    if _REJECTED in grid:  # a grid with a rejected entry is checked against nothing
+        grid = _REJECTED
+    elif not grid:
         violations.append("tenor_grid must be non-empty")
-    if any(t <= 0 for t in rb.tenor_grid):
-        violations.append("tenor_grid entries must be positive")
-    if any(a >= b for a, b in zip(rb.tenor_grid, rb.tenor_grid[1:])):
+    elif any(a >= b for a, b in itertools.pairwise(grid)):
         violations.append("tenor_grid must be strictly increasing")
 
-    seen: set[tuple[RiskClass, int]] = set()
-    for b in rb.buckets:
+    ids: dict[RiskClass, set[int]] = {rc: set() for rc in RiskClass}
+    for b in buckets:
         tag = f"{b.risk_class.value} bucket {b.bucket_id}"
-        if (b.risk_class, b.bucket_id) in seen:
+        if b.bucket_id in ids[b.risk_class]:
             violations.append(f"{tag}: duplicate bucket id within risk class")
-        seen.add((b.risk_class, b.bucket_id))
+        ids[b.risk_class].add(b.bucket_id)
         if b.risk_class is RiskClass.GIRR:
             if b.risk_weight is not None:
                 violations.append(f"{tag}: GIRR buckets use risk_weights_by_tenor, not a scalar weight")
-            missing = [t for t in rb.tenor_grid if t not in b.risk_weights_by_tenor]
+            missing = [t for t in grid if t not in b.risk_weights_by_tenor]
             if missing:
                 violations.append(f"{tag}: missing risk weight for tenor(s) {missing}")
-            extra = [t for t in b.risk_weights_by_tenor if t not in rb.tenor_grid]
+            extra = [t for t in b.risk_weights_by_tenor if t not in grid]
             if extra:
                 violations.append(f"{tag}: risk weight tabulated for off-grid tenor(s) {sorted(extra)}")
-            for t, w in sorted(b.risk_weights_by_tenor.items()):
-                if not 0.0 <= w <= 1.0:
-                    violations.append(f"{tag}: risk weight {w} at tenor {t} outside [0, 1] (enter fractions, not percent)")
         else:
             if b.risk_weights_by_tenor:
                 violations.append(f"{tag}: only GIRR buckets may carry tenor risk weights")
             if b.risk_weight is None:
                 violations.append(f"{tag}: missing risk_weight")
-            elif not 0.0 <= b.risk_weight <= 1.0:
-                violations.append(f"{tag}: risk weight {b.risk_weight} outside [0, 1] (enter fractions, not percent)")
     # residual_bucket returns one bucket per class; a second would silently take some issuers.
     for rc in RiskClass:
-        residual = [str(b.bucket_id) for b in rb.buckets_for(rc) if b.residual]
+        residual = [str(b.bucket_id) for b in buckets if b.risk_class is rc and b.residual]
         if len(residual) > 1:
             violations.append(f"{rc.value} buckets {', '.join(residual)}: more than one residual bucket in the class")
 
-    for (rc, bucket_id), value in sorted(rb.correlations.intra.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
-        if (rc, bucket_id) not in seen:
-            violations.append(f"intra correlation references unknown {rc.value} bucket {bucket_id}")
-        if not -1.0 <= value <= 1.0:
-            violations.append(f"intra correlation for {rc.value} bucket {bucket_id} outside [-1, 1]: {value}")
-    for rc, value in rb.correlations.cross_default.items():
-        if not -1.0 <= value <= 1.0:
-            violations.append(f"cross default for {rc.value} outside [-1, 1]: {value}")
-    for (rc, b_id, c_id), value in sorted(rb.correlations.cross_pairs.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])):
-        for ref in (b_id, c_id):
-            if (rc, ref) not in seen:
-                violations.append(f"cross correlation pair references unknown {rc.value} bucket {ref}")
-        if not -1.0 <= value <= 1.0:
-            violations.append(f"cross correlation for {rc.value} buckets ({b_id},{c_id}) outside [-1, 1]: {value}")
+    known = {rc: _REJECTED if rc in unlisted else ids[rc] for rc in RiskClass}
+    refs = [("intra correlation", rc, b) for rc, rhos in intra.items() for b in rhos]
+    refs += [("cross correlation pair", rc, b) for rc, *pair in cross_pairs for b in pair]
+    violations.extend(f"{name} references unknown {rc.value} bucket {b}" for name, rc, b in refs if b not in known[rc])
 
     # Completeness: a rho for every bucket that can hold two names, a gamma for every pair of buckets in a class.
     # GIRR tenors correlate by formula; an FX bucket holds two names only if it lists two currencies.
-    for b in rb.buckets:
-        if b.risk_class is RiskClass.GIRR or (b.risk_class, b.bucket_id) in rb.correlations.intra:
+    for b in buckets:
+        if b.risk_class is RiskClass.GIRR or b.bucket_id in intra.get(b.risk_class, ()):
             continue
         if b.risk_class is not RiskClass.FX or len(b.currencies) > 1:
             violations.append(f"{b.risk_class.value} bucket {b.bucket_id}: no intra-bucket correlation tabulated")
-    pairs = rb.correlations.cross_pairs
-    for rc in (rc for rc in RiskClass if rc not in rb.correlations.cross_default):
-        ids = sorted({b.bucket_id for b in rb.buckets_for(rc)})
+    for rc in (rc for rc in RiskClass if rc not in cross_default):
         violations.extend(
             f"{rc.value} buckets ({b_id}, {c_id}): no cross-bucket correlation, and no class default"
-            for b_id, c_id in itertools.combinations(ids, 2)
-            if (rc, b_id, c_id) not in pairs and (rc, c_id, b_id) not in pairs
+            for b_id, c_id in itertools.combinations(sorted(ids[rc]), 2)
+            if (rc, b_id, c_id) not in cross_pairs and (rc, c_id, b_id) not in cross_pairs
         )
-
-    if not 0.0 < rb.girr_tenor_params.floor < 1.0:
-        violations.append(f"girr tenor floor {rb.girr_tenor_params.floor} outside (0, 1)")
-    if rb.girr_tenor_params.theta <= 0:
-        violations.append(f"girr tenor theta {rb.girr_tenor_params.theta} must be positive")
-    if rb.scenario_rules.high_scale <= 0 or rb.scenario_rules.low_scale <= 0:
-        violations.append("scenario scales must be positive")
-    if rb.scenario_rules.high_cap > 1.0:
-        violations.append("scenario high cap must not exceed 1")
 
 
 def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
-    """Build and validate a Rulebook from the file schema.
+    """Validate the file schema and build a Rulebook from it.
 
     Raises RulebookParseError if ``data`` is no object, else RulebookValidationError naming every violation.
     """
     if not isinstance(data, dict):
         raise RulebookParseError("rulebook document must be a JSON object")
     violations: list[str] = []
-    grid = []
-    for i, value in enumerate(_field(read_list, data, "tenor_grid", "", violations, ())):
-        try:
-            grid.append(read_number(value, "tenor_grid", i))
-        except JSONFieldError as exc:
-            violations.append(str(exc))
-    buckets = _parse_buckets(_field(read_list, data, "buckets", "", violations, ()), violations)
-    correlations = _parse_correlations(data, violations)
+    version = _field(read_string, data, "version", "", violations, "")
+    schema_version = _field(read_integer, data, "schema_version", "", violations, 1)
+    grid = _field(read_list, data, "tenor_grid", "", violations, ())
+    if grid is not _REJECTED:
+        grid = tuple([_read(_read_positive, t, "tenor_grid", "", violations, i) for i, t in enumerate(grid)])
+    buckets, unlisted = _parse_buckets(_field(read_list, data, "buckets", "", violations, ()), violations)
+    intra, cross_default, cross_pairs = _parse_correlations(data, violations)
     tenor_raw = _field(read_object, data, "girr_tenor_params", "", violations, {})
-    scenario_raw = _field(read_object, data, "scenario_rules", "", violations, {})
+    tenor = GirrTenorParams(
+        _field(_read_positive, tenor_raw, "theta", "girr_tenor_params.", violations, GirrTenorParams().theta),
+        _field(_read_floor, tenor_raw, "floor", "girr_tenor_params.", violations, GirrTenorParams().floor),
+    )
+    rules, scenario_raw = ScenarioRules(), _field(read_object, data, "scenario_rules", "", violations, {})
     high = _field(read_object, scenario_raw, "high", "scenario_rules.", violations, {})
     low = _field(read_object, scenario_raw, "low", "scenario_rules.", violations, {})
-    tenor, rules = GirrTenorParams(), ScenarioRules()
-    rb = Rulebook(
-        _field(read_string, data, "version", "", violations, ""),
-        _field(read_integer, data, "schema_version", "", violations, 1),
-        tuple(grid),
-        buckets,
-        correlations,
-        GirrTenorParams(
-            _field(read_number, tenor_raw, "theta", "girr_tenor_params.", violations, tenor.theta),
-            _field(read_number, tenor_raw, "floor", "girr_tenor_params.", violations, tenor.floor),
-        ),
-        ScenarioRules(
-            _field(read_number, high, "scale", "scenario_rules.high.", violations, rules.high_scale),
-            _field(read_number, high, "cap", "scenario_rules.high.", violations, rules.high_cap),
-            _field(read_number, low, "scale", "scenario_rules.low.", violations, rules.low_scale),
-            _field(read_number, low, "affine_scale", "scenario_rules.low.", violations, rules.low_affine_scale),
-            _field(read_number, low, "affine_shift", "scenario_rules.low.", violations, rules.low_affine_shift),
-        ),
+    rules = ScenarioRules(
+        _field(_read_positive, high, "scale", "scenario_rules.high.", violations, rules.high_scale),
+        _field(_read_cap, high, "cap", "scenario_rules.high.", violations, rules.high_cap),
+        _field(_read_positive, low, "scale", "scenario_rules.low.", violations, rules.low_scale),
+        _field(_read_affine, low, "affine_scale", "scenario_rules.low.", violations, rules.low_affine_scale),
+        _field(_read_affine, low, "affine_shift", "scenario_rules.low.", violations, rules.low_affine_shift),
     )
-    _validate(rb, violations)
+    _validate(grid, buckets, unlisted, intra, cross_default, cross_pairs, violations)
     if violations:
         raise RulebookValidationError(violations)
-    return rb
+    rhos = {(rc, bucket_id): rho for rc, per_bucket in intra.items() for bucket_id, rho in per_bucket.items()}
+    return Rulebook(version, schema_version, grid, tuple(buckets), CorrelationTable(rhos, cross_default, cross_pairs),
+                    tenor, rules)
 
 
 def load_rulebook(path: str | Path) -> Rulebook:
@@ -698,6 +678,25 @@ def read_integer(value: Any, field: str, key: Any = None) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise JSONFieldError(field, "an integer", value, key)
+
+
+def _bounded(kind: str, low: float, high: float) -> Callable[..., float]:
+    # Numbers in [low, high], NaN aside; an open bound is the nearest float inside. A rejection names the float read.
+    def read(value: Any, field: str, key: Any = None) -> float:
+        number = value if type(value) is float else read_number(value, field, key)
+        if low <= number <= high:
+            return number
+        raise JSONFieldError(field, kind, number, key)
+
+    return read
+
+
+_read_weight = _bounded("in [0, 1] (enter fractions, not percent)", 0.0, 1.0)
+_read_correlation = _bounded("in [-1, 1]", -1.0, 1.0)
+_read_positive = _bounded("a finite number above 0", math.nextafter(0.0, 1.0), sys.float_info.max)
+_read_floor = _bounded("in (0, 1)", math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+_read_cap = _bounded("a finite number at most 1", -sys.float_info.max, 1.0)
+_read_affine = _bounded("a finite number", -sys.float_info.max, sys.float_info.max)
 
 
 def _reader(json_type: type, kind: str) -> Callable[..., Any]:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -218,45 +219,48 @@ class TestValidateRulebook:
         assert captured.out == ""
         assert captured.err == (
             "rulebook validation failed:\n"
-            "  - girr_tenor_params.theta must be a finite number, got inf\n"
-            "  - scenario_rules.high.scale must be a finite number, got nan\n"
+            "  - girr_tenor_params.theta must be a finite number above 0, got inf\n"
+            "  - scenario_rules.high.scale must be a finite number above 0, got nan\n"
         )
 
     # A JSON integer past the float range, or Infinity where an integer belongs: each is named, as 1e400 is.
     HUGE_NUMBERS = {
         "bucket risk weight": (
             lambda d: d["buckets"][1].update(risk_weight=10**400),
-            "equity bucket 1: risk weight inf outside [0, 1] (enter fractions, not percent)",
+            "buckets[1]: risk_weight must be in [0, 1] (enter fractions, not percent), got inf",
         ),
         "tenor risk weight": (
             lambda d: d["buckets"][0]["risk_weights_by_tenor"].update({"1": -(10**400)}),
-            "girr bucket 1: risk weight -inf at tenor 1.0 outside [0, 1] (enter fractions, not percent)",
+            "buckets[0]: risk_weights_by_tenor['1'] must be in [0, 1] (enter fractions, not percent), got -inf",
         ),
         "bucket id": (lambda d: d["buckets"][1].update(id=math.inf), "buckets[1]: id must be an integer, got inf"),
         "intra correlation": (
             lambda d: d["intra_correlations"]["equity"].update({"7": 10**400}),
-            "intra correlation for equity bucket 7 outside [-1, 1]: inf",
+            "intra_correlations[equity]['7'] must be in [-1, 1], got inf",
         ),
         "cross default": (
             lambda d: d["cross_correlations"]["equity"].update(default=10**400),
-            "cross default for equity outside [-1, 1]: inf",
+            "cross_correlations[equity].default must be in [-1, 1], got inf",
         ),
         "cross pair value": (
             lambda d: d["cross_correlations"]["fx"]["pairs"].append({"b": 1, "c": 2, "value": 10**400}),
-            "cross correlation for fx buckets (1,2) outside [-1, 1]: inf",
+            "cross_correlations[fx].pairs[0]: value must be in [-1, 1], got inf",
         ),
         "cross pair bucket": (
             lambda d: d["cross_correlations"]["fx"]["pairs"].append({"b": math.inf, "c": 2, "value": 0.5}),
             "cross_correlations[fx].pairs[0]: b must be an integer, got inf",
         ),
-        "tenor grid": (lambda d: d["tenor_grid"].__setitem__(0, 10**400), "tenor_grid[0] must be a finite number, got inf"),
+        "tenor grid": (
+            lambda d: d["tenor_grid"].__setitem__(0, 10**400),
+            "tenor_grid[0] must be a finite number above 0, got inf",
+        ),
         "scenario rule": (
             lambda d: d["scenario_rules"]["high"].update(scale=10**400),
-            "scenario_rules.high.scale must be a finite number, got inf",
+            "scenario_rules.high.scale must be a finite number above 0, got inf",
         ),
         "tenor parameter": (
             lambda d: d["girr_tenor_params"].update(theta=-(10**400)),
-            "girr_tenor_params.theta must be a finite number, got -inf",
+            "girr_tenor_params.theta must be a finite number above 0, got -inf",
         ),
         "schema version": (lambda d: d.update(schema_version=math.inf), "schema_version must be an integer, got inf"),
     }
@@ -660,6 +664,7 @@ UNREAD_FIELDS = {
 def test_every_json_value_of_the_wrong_type_is_an_input_error_or_a_violation(paths, capsys, tmp_path):
     # Each number of each JSON input becomes true and each string 5, one at a time; float(), int() and str()
     # would read true as 1 and 5 as "5". Every loader must refuse each, naming the file or the violation.
+    # A rulebook value is one violation that names it: a rejected value is not reported again as missing.
     candidate = tmp_path / "candidate.json"
     candidate.write_text(json.dumps(candidate_to_dict(reference_candidate(load_cases(GOLDEN_CASES)))))
     commands = {
@@ -692,6 +697,8 @@ def test_every_json_value_of_the_wrong_type_is_an_input_error_or_a_violation(pat
             assert captured.out == "", (source, where)
             if code == 2:
                 assert source == "rulebook" and captured.err.startswith("rulebook validation failed:\n  - "), where
+                leaf = ".*".join(re.escape(f"[{key}]" if isinstance(key, int) else key) for key in where)
+                assert captured.err.count("\n") == 2 and re.search(leaf, captured.err.splitlines()[1]), captured.err
             else:
                 assert code == 1 and captured.err.startswith(f"error: {path}: "), (source, where, captured.err)
                 assert captured.err.count("\n") == 1, (source, where)

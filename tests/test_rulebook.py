@@ -123,6 +123,16 @@ class TestCorrelationQueries:
         for scenario in CorrelationScenario:
             assert rb.intra_correlation(RiskClass.EQUITY, 7, ("XOM", None), ("XOM", None), scenario) == 1.0
 
+    def test_self_correlation_is_one_whatever_the_scenario_rules(self):
+        # Scenario-adjusted, a high cap of 0.9 would make a factor's correlation with itself 0.9.
+        data = fixture_rulebook_data()
+        data["scenario_rules"]["high"]["cap"] = 0.9
+        capped = rulebook_from_dict(data)
+        for scenario in CorrelationScenario:
+            assert capped.intra_correlation(RiskClass.EQUITY, 7, ("XOM", None), ("XOM", None), scenario) == 1.0
+            assert capped.intra_correlation(RiskClass.GIRR, 1, ("USD", 5.0), ("USD", 5.0), scenario) == 1.0
+        assert capped.intra_correlation(RiskClass.EQUITY, 7, ("XOM", None), ("CVX", None), HIGH) == 0.25 * 1.25
+
     def test_commodity_intra(self, rb):
         assert rb.intra_correlation(RiskClass.COMMODITY, 2, ("crude_oil", None), ("brent", None), MEDIUM) == 0.95
 
@@ -442,9 +452,9 @@ class TestValidation:
         with pytest.raises(RulebookValidationError) as excinfo:
             rulebook_from_dict(data)
         assert excinfo.value.violations[:4] == [
-            "tenor_grid[1] must be a finite number, got nan",
-            "girr_tenor_params.theta must be a finite number, got inf",
-            "scenario_rules.high.scale must be a finite number, got nan",
+            "tenor_grid[1] must be a finite number above 0, got nan",
+            "girr_tenor_params.theta must be a finite number above 0, got inf",
+            "scenario_rules.high.scale must be a finite number above 0, got nan",
             "scenario_rules.low.affine_shift must be a finite number, got -inf",
         ]
 
@@ -467,7 +477,7 @@ class TestValidation:
     def test_correlation_above_one_rejected(self):
         data = self._base()
         data["intra_correlations"]["equity"]["1"] = 1.3
-        with pytest.raises(RulebookValidationError, match=r"outside \[-1, 1\]"):
+        with pytest.raises(RulebookValidationError, match=r"must be in \[-1, 1\]"):
             rulebook_from_dict(data)
 
     def test_second_residual_bucket_in_a_class_rejected_naming_both(self):
@@ -516,7 +526,79 @@ class TestValidation:
         data["intra_correlations"]["equity"]["1"] = 1.3
         with pytest.raises(RulebookValidationError) as excinfo:
             rulebook_from_dict(data)
-        assert len(excinfo.value.violations) >= 3
+        assert excinfo.value.violations == [
+            "buckets[1]: risk_weight must be in [0, 1] (enter fractions, not percent), got 40.0",
+            "intra_correlations[equity]['1'] must be in [-1, 1], got 1.3",
+            "tenor_grid must be strictly increasing",
+        ]
+
+    @pytest.mark.parametrize("key", ["1.0", " 1", "1e0"])
+    def test_two_keys_for_one_tenor_rejected_naming_both(self, key):
+        # float() reads each as the 1y tenor: the later weight used to replace 0.0225 without a word.
+        data = fixture_rulebook_data()
+        data["buckets"][0]["risk_weights_by_tenor"][key] = 0.0
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [f"buckets[0]: risk_weights_by_tenor: keys '1' and {key!r} name one tenor"]
+
+    @pytest.mark.parametrize("key", [" 7", "+7", "0_7"])
+    def test_two_keys_for_one_bucket_rejected_naming_both(self, key):
+        data = fixture_rulebook_data()
+        data["intra_correlations"]["equity"][key] = 0.0
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [f"intra_correlations[equity]: keys '7' and {key!r} name one bucket id"]
+
+    @pytest.mark.parametrize(
+        "table, key, violation",
+        [
+            (("buckets", 0, "risk_weights_by_tenor"), "1", "buckets[0]: risk_weights_by_tenor: '1y' is not a tenor"),
+            (("intra_correlations", "equity"), "7", "intra_correlations[equity]: '7y' is not a bucket id"),
+        ],
+    )
+    def test_a_key_not_read_is_one_violation(self, table, key, violation):
+        # The entry it names is not known, so the table is not checked against the grid or the buckets.
+        root = data = fixture_rulebook_data()
+        for name in table:
+            data = data[name]
+        data[key + "y"] = data.pop(key)
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(root)
+        assert excinfo.value.violations == [violation]
+
+    @pytest.mark.parametrize(
+        "path, violation",
+        [
+            (("tenor_grid",), "tenor_grid must be a list, got 5"),
+            (("buckets",), "buckets must be a list, got 5"),
+            (("buckets", 0), "buckets[0]: bucket must be an object, got 5"),
+            (("buckets", 1, "risk_class"), "buckets[1]: missing or unknown risk_class"),
+            (("buckets", 0, "risk_weights_by_tenor"), "buckets[0]: risk_weights_by_tenor must be an object, got 5"),
+            (("intra_correlations",), "intra_correlations must be an object, got 5"),
+            (("intra_correlations", "equity"), "intra_correlations[equity] must be an object, got 5"),
+            (("cross_correlations",), "cross_correlations must be an object, got 5"),
+            (("cross_correlations", "equity"), "cross_correlations[equity] must be an object, got 5"),
+            (("cross_correlations", "equity", "pairs"), "cross_correlations[equity].pairs must be a list, got 5"),
+            (("girr_tenor_params",), "girr_tenor_params must be an object, got 5"),
+            (("scenario_rules",), "scenario_rules must be an object, got 5"),
+            (("scenario_rules", "high"), "scenario_rules.high must be an object, got 5"),
+        ],
+    )
+    def test_a_rejected_section_is_one_violation(self, path, violation):
+        # Its buckets, weights and correlations are not read, and not reported as missing either.
+        data = fixture_rulebook_data()
+        set_leaf(data, path, 5)
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [violation]
+
+    def test_a_rejected_pair_leaves_the_class_gammas_unchecked(self):
+        # The pair not read may be the one the class needs, so its absence is not reported.
+        data = self._base()
+        data["cross_correlations"]["equity"] = {"pairs": [{"b": True, "c": 2, "value": 0.15}]}
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == ["cross_correlations[equity].pairs[0]: b must be an integer, got True"]
 
     def test_parse_error_reports_location(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -564,3 +646,62 @@ class TestValidation:
         data = self._base()
         del data["cross_correlations"]["girr"]
         rulebook_from_dict(data)
+
+
+def set_leaf(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+def numeric_leaves(value, path=()):
+    """(path, number) for each number in a parsed JSON document; true and false are not numbers."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from numeric_leaves(item, (*path, i))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def leaf_label(path):
+    """How a violation names the rulebook value at ``path``."""
+    head, *rest = path
+    if head == "buckets":
+        pos, field, *key = rest
+        return f"buckets[{pos}]: {field}" + "".join(f"[{k!r}]" for k in key)
+    if head == "intra_correlations":
+        return f"intra_correlations[{rest[0]}][{rest[1]!r}]"
+    if head == "cross_correlations":
+        rc, *within = rest
+        return f"{head}[{rc}].default" if within == ["default"] else f"{head}[{rc}].pairs[{within[1]}]: {within[2]}"
+    if head == "tenor_grid":
+        return f"tenor_grid[{rest[0]}]"
+    return ".".join(path)
+
+
+# A finite number outside the range of each leaf that has one, by the nearest key on the leaf's path that names it.
+OUT_OF_RANGE = {"tenor_grid": 0.0, "risk_weight": 40.0, "risk_weights_by_tenor": 1.5, "intra_correlations": -1.5,
+                "default": 1.01, "value": -1.01, "theta": -0.03, "floor": 1.0, "scale": 0.0, "cap": 1.01}
+
+
+def test_each_rejected_number_is_one_violation_naming_it():
+    # NaN, an infinity or a number outside the leaf's range, in each numeric leaf of the fixture rulebook in turn.
+    original = fixture_rulebook_data()
+    edits = 0
+    for path, _ in numeric_leaves(original):
+        out_of_range = next((OUT_OF_RANGE[key] for key in reversed(path) if key in OUT_OF_RANGE), None)
+        for bad in (math.nan, math.inf, -math.inf, out_of_range):
+            if bad is None:
+                continue
+            data = fixture_rulebook_data()
+            set_leaf(data, path, bad)
+            with pytest.raises(RulebookValidationError) as excinfo:
+                rulebook_from_dict(data)
+            violations = excinfo.value.violations
+            assert len(violations) == 1, (path, bad, violations)
+            assert violations[0].startswith(f"{leaf_label(path)} must be "), (path, bad, violations)
+            edits += 1
+    assert edits > 500  # about 150 numeric leaves
