@@ -14,10 +14,11 @@ The report and its results are NamedTuples, and the hierarchical form is
 derived from their ``_fields``: each field is a key of the same name, except
 ScenarioResult.classes, written as "risk_classes" (``_JSON_KEYS``). Results
 become objects, other tuples lists, and scenario and class dicts keep their
-token keys. Parsing walks the same fields back with their annotations,
-checks each value's type, treats a field in ``_field_defaults`` as optional,
-and puts scenarios and classes in enum order. Rendering and parsing back
-gives an equal report, and identical inputs give byte-identical output.
+token keys. Parsing walks the same fields back with their annotations and
+the rulebook's typed readers, names the path of a value it rejects, treats
+a field in ``_field_defaults`` as optional, and puts scenarios and classes
+in enum order. Rendering and parsing back gives an equal report, and
+identical inputs give byte-identical output.
 
 This module's own JSON writer gives the bytes ``json.dumps(indent=2,
 sort_keys=True, allow_nan=False)`` gives for the report as plain dicts and
@@ -29,7 +30,6 @@ rows, and the writer writes each result once per render.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import typing
 from json.encoder import encode_basestring_ascii
@@ -38,7 +38,10 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .aggregation import ScenarioResult, scenario_envelope
 from .portfolio import IssuerInfo, MarketData, Portfolio
-from .rulebook import CorrelationScenario, RiskClass, Rulebook
+from .rulebook import (
+    CorrelationScenario, RiskClass, Rulebook, _parse_json_object, _prefixed,
+    read_bool, read_finite, read_integer, read_list, read_object, read_string,
+)
 from .sensitivities import collect_sensitivities
 
 REPORT_FORMATS = ("hierarchical", "tabular", "human")
@@ -72,44 +75,39 @@ _JSON_KEYS = {(ScenarioResult, "classes"): "risk_classes"}
 
 
 @functools.cache
-def _decoder(tp: Any) -> Callable[[Any], Any]:
-    """Function from the JSON form of a value of type ``tp`` to the value; raises KeyError or TypeError if malformed."""
-    origin = typing.get_origin(tp)
+def _decoder(tp: Any) -> Callable[..., Any]:
+    """Reader of the JSON form of a ``tp``, called as the rulebook's ``read_*`` are; a record prefixes its errors."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
-        item = _decoder(typing.get_args(tp)[0])
-        return lambda value: tuple(item(x) for x in _checked(value, (list,)))
+        item = _decoder(args[0])
+        return lambda value, field, key=None: tuple([item(x, field, i) for i, x in enumerate(read_list(value, field, key))])
     if origin is dict:
-        item = _decoder(typing.get_args(tp)[1])
-        return lambda value: {k: item(value[k]) for k in sorted(_checked(value, (dict,)), key=_token_rank)}
+        item = _decoder(args[1])
+        return lambda value, field, key=None: {
+            k: item(x, field, k) for k, x in sorted(read_object(value, field, key).items(), key=_member_rank)
+        }
     if hasattr(tp, "_fields"):
         hints = typing.get_type_hints(tp)
         optional = tp._field_defaults
         fields = [(name, _JSON_KEYS.get((tp, name), name), _decoder(hints[name]), name not in optional) for name in hints]
 
-        def decode(value: Any) -> Any:
-            _checked(value, (dict,))
-            return tp(**{name: dec(value[key]) for name, key, dec, required in fields if required or key in value})
+        def build(data: dict[str, Any]) -> Any:
+            return tp(**{name: dec(data[key], key) for name, key, dec, required in fields if required or key in data})
 
-        return decode
-    allowed = tuple(t for arg in typing.get_args(tp) or (tp,) for t in _SCALAR_TYPES[arg])
-    return lambda value: _checked(value, allowed)
+        errors = (ReportFormatError,)
+        return lambda value, field, key=None: _prefixed(field, build, read_object(value, field, key), errors, key)
+    if type(None) in args:  # X | None
+        read = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value, field, key=None: None if value is None else read(value, field, key)
+    return {float: read_finite, int: read_integer, str: read_string, bool: read_bool}[tp]
 
-
-# JSON types accepted for each scalar field type; JSON integers are valid floats.
-_SCALAR_TYPES = {float: (float, int), int: (int,), str: (str,), bool: (bool,), type(None): (type(None),)}
 
 # Scenario and class dicts are parsed back in enum order; unknown tokens go last.
 _TOKEN_RANK = {token.value: i for i, token in enumerate((*CorrelationScenario, *RiskClass))}
 
 
-def _token_rank(token: str) -> int:
-    return _TOKEN_RANK.get(token, len(_TOKEN_RANK))
-
-
-def _checked(value: Any, types: tuple[type, ...]) -> Any:
-    if type(value) not in types:
-        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
-    return value
+def _member_rank(member: tuple[str, Any]) -> int:
+    return _TOKEN_RANK.get(member[0], len(_TOKEN_RANK))
 
 
 def compute_capital(
@@ -237,17 +235,9 @@ def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
 
 
 def parse_report(text: str) -> CapitalReport:
-    """Inverse of the hierarchical renderer."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportFormatError(f"invalid report JSON: {exc.msg} at line {exc.lineno}") from None
-    if not isinstance(data, dict):
-        raise ReportFormatError("report text must be a JSON object")
-    try:
-        return _decoder(CapitalReport)(data)
-    except (KeyError, TypeError) as exc:
-        raise ReportFormatError(f"not a valid hierarchical capital report: {exc}") from None
+    """Inverse of the hierarchical renderer; each error names the path of the value it rejects."""
+    label = "not a valid hierarchical capital report"
+    return _decoder(CapitalReport)(_parse_json_object(text, ReportFormatError, label), label)
 
 
 def _render_tabular(report: CapitalReport) -> str:

@@ -25,7 +25,7 @@ import json
 import random
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .engine import compute_capital
 from .portfolio import (
@@ -44,7 +44,7 @@ from .portfolio import (
 )
 from .rulebook import (
     CorrelationScenario, JSONFieldError, RiskClass, Rulebook,
-    read_finite, read_integer, read_json_object, read_list, read_object, read_string,
+    _each, _prefixed, read_finite, read_integer, read_json_object, read_object, read_string,
 )
 
 
@@ -364,13 +364,17 @@ def _generate_case(
 # -- file round-trips ----------------------------------------------------------
 
 
+# Malformed input the readers of a case set or candidate file raise: each becomes a HarnessError naming the path.
+_ERRORS = (HarnessError, PortfolioError)
+
+
 def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
     """The case set ``data`` holds; raises HarnessError naming the case, the factor or position, and the field."""
-    return _prefixed("malformed case set", _case_set, data)
+    return _prefixed("malformed case set", _case_set, data, _ERRORS)
 
 
 def _case_set(data: dict[str, Any]) -> CaseSet:
-    cases = _each(data, "cases", _case)
+    cases = _each(data["cases"], "cases", _case, _ERRORS)
     scenario = _read_token(CorrelationScenario, data.get("scenario", "medium"), "scenario")
     return CaseSet(read_integer(data["seed"], "seed"), read_integer(data["n"], "n"), scenario, cases)
 
@@ -378,18 +382,14 @@ def _case_set(data: dict[str, Any]) -> CaseSet:
 def _case(raw: Any) -> Case:
     case_id = read_string(read_object(raw, "case")["case_id"], "case_id")
     risk_class = _read_token(RiskClass, raw["risk_class"], "risk_class")
-    reference = _prefixed("reference", _answer_from_dict, raw["reference"])
-    return Case(case_id, risk_class, _each(raw, "positions", instrument_from_dict), _each(raw, "factors", _factor), reference)
+    reference = _prefixed("reference", _answer_from_dict, raw["reference"], _ERRORS)
+    positions = _each(raw["positions"], "positions", instrument_from_dict, _ERRORS)
+    return Case(case_id, risk_class, positions, _each(raw["factors"], "factors", _factor, _ERRORS), reference)
 
 
 def _factor(raw: Any) -> FactorRef:
     tenor = read_object(raw, "factor").get("tenor")
     return FactorRef(read_string(raw["name"], "name"), None if tenor is None else read_finite(tenor, "tenor"))
-
-
-def _each(row: dict[str, Any], field: str, read: Callable[[Any], Any]) -> tuple[Any, ...]:
-    """``read`` of each item of the list ``row[field]``, the errors of item i prefixed ``field[i]: ``."""
-    return tuple(_prefixed(f"{field}[{i}]", read, item) for i, item in enumerate(read_list(row[field], field)))
 
 
 def _read_token(enum: type[Enum], value: Any, field: str) -> Any:
@@ -400,22 +400,12 @@ def _read_token(enum: type[Enum], value: Any, field: str) -> Any:
         raise JSONFieldError(field, "one of " + ", ".join(member.value for member in enum), value) from None
 
 
-def _prefixed(label: str, read: Callable[[Any], Any], raw: Any) -> Any:
-    """``read(raw)``; malformed input it rejects becomes a HarnessError whose message starts ``label: ``."""
-    try:
-        return read(raw)
-    except KeyError as exc:
-        raise HarnessError(f"{label}: missing field {exc}") from None
-    except (JSONFieldError, PortfolioError, HarnessError) as exc:
-        raise HarnessError(f"{label}: {exc}") from None
-
-
 def load_cases(path: str | Path) -> CaseSet:
-    return _prefixed(str(path), case_set_from_dict, read_json_object(path, HarnessError))
+    return _prefixed(str(path), case_set_from_dict, read_json_object(path, HarnessError), _ERRORS)
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
-    return prompt_spec_from_dict(read_json_object(path, HarnessError, "prompt spec"))
+    return _prefixed(str(path), prompt_spec_from_dict, read_json_object(path, HarnessError, "prompt spec"), _ERRORS)
 
 
 def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = "") -> dict[str, Any]:
@@ -427,12 +417,7 @@ def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = 
 
 
 def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
-    data = read_json_object(path, HarnessError)
-    try:
-        rows = read_object(data.get("answers"), "answers")
-        answers = {case_id: _prefixed(f"case {case_id}", _answer_from_dict, row) for case_id, row in rows.items()}
-    except (JSONFieldError, HarnessError) as exc:
-        raise HarnessError(f"{path}: malformed candidate answers: {exc}") from None
+    answers = _prefixed(f"{path}: malformed candidate answers", _answers, read_json_object(path, HarnessError), _ERRORS)
     for case_id, answer in answers.items():
         # Sanity band: a fraction outside [0, 1.5] is a garbled extraction,
         # not a wrong answer, so it is rejected rather than scored.
@@ -448,6 +433,11 @@ def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
 def reference_candidate(case_set: CaseSet) -> dict[str, ExtractionAnswer]:
     """The reference answers recast as a (perfect) candidate."""
     return {c.case_id: c.reference for c in case_set.cases}
+
+
+def _answers(data: dict[str, Any]) -> dict[str, ExtractionAnswer]:
+    rows = read_object(data["answers"], "answers")
+    return {case_id: _prefixed(f"case {case_id}", _answer_from_dict, row, _ERRORS) for case_id, row in rows.items()}
 
 
 def _answer_from_dict(row: Any) -> ExtractionAnswer:

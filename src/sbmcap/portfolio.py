@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, NamedTuple, Union
 
 from .rulebook import (
-    JSONFieldError, RiskClass, Rulebook, _make_through_new,
+    JSONFieldError, RiskClass, Rulebook, _each, _make_through_new, _prefixed,
     read_finite, read_finite_values, read_integer, read_json_object, read_list, read_object, read_string, read_text,
 )
 
@@ -271,83 +271,71 @@ def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[i
 # -- file loaders -----------------------------------------------------------
 
 
+# Malformed input the JSON readers below raise: each becomes a PortfolioParseError that names the file and the path.
+_ERRORS = (PortfolioParseError, PortfolioError)
+
+
 def load_market_data(path: str | Path) -> MarketData:
-    data = read_json_object(path, PortfolioParseError)
-    try:
-        curve = [read_list(pair, "zero_curve", i) for i, pair in enumerate(read_list(data.get("zero_curve", []), "zero_curve"))]
-        return MarketData(
-            read_string(data["reporting_currency"], "reporting_currency"),
-            read_finite_values(data.get("equity_prices", {}), "equity_prices"),
-            read_finite_values(data.get("fx_spots", {}), "fx_spots"),
-            read_finite_values(data.get("commodity_prices", {}), "commodity_prices"),
-            ZeroCurve(
-                tuple(read_finite(tenor, "zero_curve", i) for i, (tenor, _) in enumerate(curve)),
-                tuple(read_finite(rate, "zero_curve", i) for i, (_, rate) in enumerate(curve)),
-            ),
-            None if data.get("as_of") is None else read_string(data["as_of"], "as_of"),
-        )
-    except ValueError:  # a pair of other than two entries
-        raise PortfolioParseError(f"{path}: zero_curve must be a list of [tenor, rate] pairs") from None
-    except KeyError as exc:
-        raise PortfolioParseError(f"{path}: missing market data field {exc}") from None
-    except JSONFieldError as exc:
-        raise PortfolioParseError(f"{path}: {exc}") from None
+    return _prefixed(str(path), _market_from_dict, read_json_object(path, PortfolioParseError), _ERRORS)
+
+
+def _market_from_dict(data: dict[str, Any]) -> MarketData:
+    curve = [_pillar(pair, i) for i, pair in enumerate(read_list(data.get("zero_curve", []), "zero_curve"))]
+    return MarketData(
+        read_string(data["reporting_currency"], "reporting_currency"),
+        read_finite_values(data.get("equity_prices", {}), "equity_prices"),
+        read_finite_values(data.get("fx_spots", {}), "fx_spots"),
+        read_finite_values(data.get("commodity_prices", {}), "commodity_prices"),
+        ZeroCurve(tuple(tenor for tenor, _ in curve), tuple(rate for _, rate in curve)),
+        None if data.get("as_of") is None else read_string(data["as_of"], "as_of"),
+    )
+
+
+def _pillar(value: Any, i: int) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise JSONFieldError("zero_curve", "a [tenor, rate] pair", value, i)
+    return read_finite(value[0], "zero_curve", i), read_finite(value[1], "zero_curve", i)
 
 
 def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
     """Issuer registry as a dict keyed by issuer id."""
-    data = read_json_object(path, PortfolioParseError)
+    return _prefixed(str(path), _registry_from_dict, read_json_object(path, PortfolioParseError), _ERRORS)
+
+
+def _registry_from_dict(data: dict[str, Any]) -> dict[str, IssuerInfo]:
     registry: dict[str, IssuerInfo] = {}
-    try:
-        rows = read_list(data.get("issuers", []), "issuers")
-    except JSONFieldError as exc:
-        raise PortfolioParseError(f"{path}: {exc}") from None
-    for pos, row in enumerate(rows):
-        try:
-            info = IssuerInfo(
-                read_string(read_object(row, "issuer")["issuer_id"], "issuer_id"),
-                read_string(row["sector"], "sector"),
-                read_string(row["economy"], "economy"),
-                read_string(row["size"], "size"),
-                read_string(row.get("name", ""), "name"),
-            )
-        except KeyError as exc:
-            raise PortfolioParseError(f"{path}: issuers[{pos}]: missing field {exc}") from None
-        except JSONFieldError as exc:
-            raise PortfolioParseError(f"{path}: issuers[{pos}]: {exc}") from None
-        if info.issuer_id in registry:
-            raise PortfolioParseError(f"{path}: duplicate issuer_id {info.issuer_id!r}")
-        registry[info.issuer_id] = info
+    for info in _each(data.get("issuers", []), "issuers", _issuer, _ERRORS):
+        if registry.setdefault(info.issuer_id, info) is not info:
+            raise PortfolioParseError(f"duplicate issuer_id {info.issuer_id!r}")
     return registry
+
+
+def _issuer(row: Any) -> IssuerInfo:
+    return IssuerInfo(
+        read_string(read_object(row, "issuer")["issuer_id"], "issuer_id"),
+        read_string(row["sector"], "sector"),
+        read_string(row["economy"], "economy"),
+        read_string(row["size"], "size"),
+        read_string(row.get("name", ""), "name"),
+    )
 
 
 def load_portfolio(path: str | Path) -> Portfolio:
     """Load a portfolio from CSV or JSON (decided by file extension)."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return _portfolio_from_json(path)
+        return _prefixed(str(path), _portfolio_from_dict, read_json_object(path, PortfolioParseError), _ERRORS)
     return _portfolio_from_csv(path)
 
 
-def _portfolio_from_json(path: Path) -> Portfolio:
-    data = read_json_object(path, PortfolioParseError)
-    try:
-        rows = read_list(data.get("positions", []), "positions")
-        as_of = None if data.get("as_of") is None else read_string(data["as_of"], "as_of")
-    except JSONFieldError as exc:
-        raise PortfolioParseError(f"{path}: {exc}") from None
-    positions: list[Instrument] = []
-    for pos, row in enumerate(rows):
-        try:
-            positions.append(instrument_from_dict(row))
-        except (JSONFieldError, PortfolioParseError, KeyError) as exc:
-            raise PortfolioParseError(f"{path}: positions[{pos}]: {exc}") from None
-    return Portfolio(tuple(positions), as_of)
+def _portfolio_from_dict(data: dict[str, Any]) -> Portfolio:
+    positions = _each(data.get("positions", []), "positions", instrument_from_dict, _ERRORS)
+    return Portfolio(positions, None if data.get("as_of") is None else read_string(data["as_of"], "as_of"))
 
 
 def instrument_from_dict(row: Any) -> Instrument:
     """Parse one position from its JSON-schema row; a wrongly typed field raises ``JSONFieldError``."""
-    kind = read_object(row, "position").get("type")
+    kind = read_object(row, "position")["type"]
     if kind == "bond":
         return Bond(
             read_finite(row["notional"], "notional"),
@@ -367,7 +355,7 @@ def instrument_from_dict(row: Any) -> Instrument:
             read_finite(row["quantity"], "quantity"),
             read_string(row.get("unit", ""), "unit"),
         )
-    raise PortfolioParseError(f"unknown position type {kind!r}")
+    raise JSONFieldError("type", "one of bond, equity, fx, commodity", kind)
 
 
 def _portfolio_from_csv(path: Path) -> Portfolio:
@@ -381,14 +369,9 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
     missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
-    positions: list[Instrument] = []
-    for row in reader:
-        line = reader.line_num
-        try:
-            positions.append(_instrument_from_csv_row(row))
-        except (PortfolioParseError, JSONFieldError, TypeError, ValueError) as exc:
-            raise PortfolioParseError(f"{path}: line {line}: {exc}") from None
-    return Portfolio(positions=tuple(positions))
+    errors = (PortfolioParseError, TypeError, ValueError)  # float() of a cell that is not a number raises ValueError
+    return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, errors)
+                            for row in reader]))
 
 
 def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:

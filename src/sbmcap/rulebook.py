@@ -5,12 +5,12 @@ engine uses (bucket definitions, risk weights, intra- and cross-bucket
 correlations, tenor-correlation parameters, correlation-scenario rules) lives
 in the file, not in code, so a parameter update is a data edit.
 
-Every JSON input file is read through the field readers at the end of this
-module, so one rule types them all: ``true`` and ``"0.5"`` are not numbers, and
-an integer is a number of integral value. The rulebook loader checks each value
-once, where it reads it, and reports each value it rejects as one violation; a
-rejected value is not reported again as missing. Only the rules that span fields
-run after that, and a Rulebook is built only from a document that breaks none.
+Every JSON input, a capital report included, is read through the readers at the
+end of this module: ``true`` and ``"0.5"`` are not numbers, an integer is a number
+of integral value, and the other loaders stop at the first value they reject with
+``<file>: <path>: <reason>`` (``_prefixed``, ``_each``). The rulebook loader
+reports each value it rejects as one violation, not again as missing; only the
+rules that span fields run after that, and a Rulebook is built only if none fails.
 
 Reference parameter set: BCBS "Minimum capital requirements for market risk",
 January 2016 (bis.org/bcbs/publ/d352.pdf), delta risk only.
@@ -350,17 +350,19 @@ def apply_scenario(
     medium leaves the value untouched, high is min(1.25 * rho, 1), low is
     max(2 * rho - 1, 0.75 * rho) under the default rules.
     """
-    if scenario is CorrelationScenario.MEDIUM:
+    if scenario is _MEDIUM:
         return base
-    if scenario is CorrelationScenario.HIGH:
+    if scenario is _HIGH:
         return min(rules.high_scale * base, rules.high_cap)
-    if scenario is CorrelationScenario.LOW:
+    if scenario is _LOW:
         return max(rules.low_affine_scale * base + rules.low_affine_shift, rules.low_scale * base)
     raise RulebookQueryError(f"unknown scenario {scenario!r}")
 
 
-# The risk class of each token. RiskClass(token) would find it too, through the Enum machinery at 30 times the cost.
+# The risk class of each token, and each scenario, read once: RiskClass(token) would find a class too, through the Enum
+# machinery at 30 times the cost, and a member read through its Enum class costs about five reads of a global.
 _RISK_CLASSES = {rc.value: rc for rc in RiskClass}
+_LOW, _MEDIUM, _HIGH = CorrelationScenario
 
 
 class _Rejected(dict):
@@ -448,7 +450,7 @@ def _keyed(table: dict[str, Any], key_type: type, what: str, reader: Callable[..
             violations.append(f"{where}{label}: keys {keys[parsed]!r} and {key!r} name one {what}")
         else:
             entries[parsed], keys[parsed] = value, key
-    return _REJECTED if rejected else entries
+    return _REJECTED if rejected else MappingProxyType(entries) if entries else _EMPTY
 
 
 def _strings(value: Any, field: str, key: Any = None) -> tuple[str, ...]:
@@ -502,7 +504,8 @@ def _parse_correlations(data: dict[str, Any], violations: list[str]) -> tuple[di
 
 
 def _validate(grid: Any, buckets: list[Bucket], unlisted: set[RiskClass], intra: dict[RiskClass, Any],
-              cross_default: dict[RiskClass, Any], cross_pairs: dict[Any, Any], violations: list[str]) -> None:
+              cross_default: dict[RiskClass, Any], cross_pairs: dict[Any, Any], floor: Any, rules: ScenarioRules,
+              violations: list[str]) -> None:
     # The rules that span fields; each value was checked where it was read, and each one rejected is the placeholder.
     if _REJECTED in grid:  # a grid with a rejected entry is checked against nothing
         grid = _REJECTED
@@ -556,6 +559,24 @@ def _validate(grid: Any, buckets: list[Bucket], unlisted: set[RiskClass], intra:
             if (rc, b_id, c_id) not in cross_pairs and (rc, c_id, b_id) not in cross_pairs
         )
 
+    # Scenario-adjusted correlations stay in [-1, 1]. Both rules are non-decreasing in rho (no scale is negative), so
+    # a class's adjusted values lie between those of its range's ends; GIRR tenors range over [floor, 1].
+    if _REJECTED in rules:
+        return
+    values = {rc: [*rhos.values()] for rc, rhos in intra.items()}
+    for rc, gamma in [*cross_default.items(), *((key[0], gamma) for key, gamma in cross_pairs.items())]:
+        values.setdefault(rc, []).append(gamma)
+    values.setdefault(RiskClass.GIRR, []).extend((floor, 1.0))
+    for rc, rhos in values.items():
+        if _REJECTED in rhos:
+            continue
+        lo, hi = min(rhos), max(rhos)
+        for scenario in (_HIGH, _LOW):
+            worst = max(apply_scenario(lo, scenario, rules), apply_scenario(hi, scenario, rules), key=abs)
+            if abs(worst) > 1.0:
+                violations.append(f"{rc.value} correlations in [{lo!r}, {hi!r}] reach {worst!r} under scenario "
+                                  f"{scenario.value}; a scenario-adjusted correlation must stay in [-1, 1]")
+
 
 def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
     """Validate the file schema and build a Rulebook from it.
@@ -566,7 +587,7 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
         raise RulebookParseError("rulebook document must be a JSON object")
     violations: list[str] = []
     version = _field(read_string, data, "version", "", violations, "")
-    schema_version = _field(read_integer, data, "schema_version", "", violations, 1)
+    schema_version = _field(_read_schema_version, data, "schema_version", "", violations, 1)
     grid = _field(read_list, data, "tenor_grid", "", violations, ())
     if grid is not _REJECTED:
         grid = tuple([_read(_read_positive, t, "tenor_grid", "", violations, i) for i, t in enumerate(grid)])
@@ -584,15 +605,15 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
         _field(_read_positive, high, "scale", "scenario_rules.high.", violations, rules.high_scale),
         _field(_read_cap, high, "cap", "scenario_rules.high.", violations, rules.high_cap),
         _field(_read_positive, low, "scale", "scenario_rules.low.", violations, rules.low_scale),
-        _field(_read_affine, low, "affine_scale", "scenario_rules.low.", violations, rules.low_affine_scale),
+        _field(_read_slope, low, "affine_scale", "scenario_rules.low.", violations, rules.low_affine_scale),
         _field(_read_affine, low, "affine_shift", "scenario_rules.low.", violations, rules.low_affine_shift),
     )
-    _validate(grid, buckets, unlisted, intra, cross_default, cross_pairs, violations)
+    _validate(grid, buckets, unlisted, intra, cross_default, cross_pairs, tenor.floor, rules, violations)
     if violations:
         raise RulebookValidationError(violations)
     rhos = {(rc, bucket_id): rho for rc, per_bucket in intra.items() for bucket_id, rho in per_bucket.items()}
-    return Rulebook(version, schema_version, grid, tuple(buckets), CorrelationTable(rhos, cross_default, cross_pairs),
-                    tenor, rules)
+    table = CorrelationTable(*map(MappingProxyType, (rhos, cross_default, cross_pairs)))
+    return Rulebook(version, schema_version, grid, tuple(buckets), table, tenor, rules)
 
 
 def load_rulebook(path: str | Path) -> Rulebook:
@@ -601,25 +622,51 @@ def load_rulebook(path: str | Path) -> Rulebook:
 
 
 def read_json_object(path: str | Path, error_cls: type[Exception], what: str = "top level") -> dict[str, Any]:
-    """The JSON object in the file at ``path``; invalid JSON or another top-level type raises ``error_cls``.
+    """The JSON object in the file at ``path``, as every JSON input loader reads it; each error names the path."""
+    return _parse_json_object(read_text(path, error_cls), error_cls, str(path), what)
 
-    Every JSON input loader reads its file through this; each message names the path.
-    """
-    text = read_text(path, error_cls)
+
+def _parse_json_object(text: str, error_cls: type[Exception], label: str, what: str = "top level") -> dict[str, Any]:
+    # The JSON object ``text`` holds; invalid JSON or another top-level type raises ``error_cls``, prefixed ``label: ``.
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error_cls(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise error_cls(f"{label}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:
         # The one other ValueError: int() refuses a literal of more digits than the interpreter's limit.
         raise error_cls(
-            f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+            f"{label}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     except RecursionError:
-        raise error_cls(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
+        raise error_cls(f"{label}: invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
-        raise error_cls(f"{path}: {what} must be a JSON object")
+        raise error_cls(f"{label}: {what} must be a JSON object")
     return data
+
+
+def _prefixed(label: str, read: Callable[[Any], Any], raw: Any, errors: tuple[type[Exception], ...],
+              key: Any = None) -> Any:
+    """``read(raw)``; what it rejects is raised as ``errors[0]`` prefixed ``label: ``, or ``label[key!r]: `` with a key.
+
+    ``errors`` are the loader's error class and the others its readers raise; a KeyError reads ``missing field 'x'``.
+    """
+    try:
+        return read(raw)
+    except (KeyError, JSONFieldError, *errors) as exc:
+        label = label if key is None else f"{label}[{key!r}]"
+        raise errors[0](f"{label}: missing field {exc}" if isinstance(exc, KeyError) else f"{label}: {exc}") from None
+
+
+def _each(items: Any, field: str, read: Callable[[Any], Any], errors: tuple[type[Exception], ...]) -> tuple[Any, ...]:
+    """``read`` of each item of the list ``items``; item i's error is raised as by ``_prefixed``, as ``field[i]: ``."""
+    rows, done = read_list(items, field), []
+    try:
+        for row in rows:
+            done.append(read(row))
+    except (KeyError, JSONFieldError, *errors):  # a row read takes one call; _prefixed reads the rejected one again
+        _prefixed(field, read, rows[len(done)], errors, len(done))
+        raise
+    return tuple(done)
 
 
 def read_text(path: str | Path, error_cls: type[Exception]) -> str:
@@ -697,6 +744,13 @@ _read_positive = _bounded("a finite number above 0", math.nextafter(0.0, 1.0), s
 _read_floor = _bounded("in (0, 1)", math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
 _read_cap = _bounded("a finite number at most 1", -sys.float_info.max, 1.0)
 _read_affine = _bounded("a finite number", -sys.float_info.max, sys.float_info.max)
+_read_slope = _bounded("a finite number at least 0", 0.0, sys.float_info.max)
+
+
+def _read_schema_version(value: Any, field: str, key: Any = None) -> int:
+    if read_integer(value, field, key) != 1:
+        raise JSONFieldError(field, "1", value, key)
+    return 1
 
 
 def _reader(json_type: type, kind: str) -> Callable[..., Any]:

@@ -70,7 +70,8 @@ def gamma_const(value: float):
 def one_bucket_rulebook(rho: float | None):
     """Equity bucket 1 with risk weight 1 (WS equals s); rho None leaves the intra rho untabulated.
 
-    The loader rejects a bucket without a rho, so that rulebook is built in Python.
+    The loader rejects a bucket without a rho, and a rho below -0.8 (the high scenario takes it below -1), so the
+    rho is set in Python.
     """
     rb = rulebook_from_dict(
         {
@@ -81,13 +82,11 @@ def one_bucket_rulebook(rho: float | None):
                 {"risk_class": "equity", "id": 1, "description": "A", "economy": "advanced", "size": "large",
                  "sectors": ["energy"], "risk_weight": 1.0},
             ],
-            "intra_correlations": {"equity": {"1": 0.0 if rho is None else rho}},
+            "intra_correlations": {"equity": {"1": 0.0}},
             "cross_correlations": {"equity": {"default": 0.0}},
         }
     )
-    if rho is None:
-        rb = rb._replace(correlations=rb.correlations._replace(intra={}))
-    return rb
+    return rb._replace(correlations=rb.correlations._replace(intra={} if rho is None else {(RiskClass.EQUITY, 1): rho}))
 
 
 @pytest.fixture()
@@ -419,7 +418,7 @@ def custom_scenario_rulebook():
     for token, b, c, value in (("equity", 8, 7, 0.3), ("commodity", 2, 7, 0.25), ("fx", 2, 1, 0.7)):
         data["cross_correlations"][token].setdefault("pairs", []).append({"b": b, "c": c, "value": value})
     data["scenario_rules"] = {"high": {"scale": 1.4, "cap": 0.95}, "low": {"scale": 0.6, "affine_scale": 2.5,
-                                                                           "affine_shift": -1.2}}
+                                                                           "affine_shift": -1.5}}
     return rulebook_from_dict(data)
 
 

@@ -17,8 +17,9 @@ import pytest
 
 from sbmcap import compute_capital, load_market_data, load_portfolio, load_registry, load_rulebook
 from sbmcap.cli import main
-from sbmcap.engine import parse_report
-from sbmcap.harness import candidate_to_dict, load_cases, reference_candidate
+from sbmcap.engine import ReportFormatError, parse_report
+from sbmcap.rulebook import RiskClass
+from sbmcap.harness import AXES, candidate_to_dict, load_cases, reference_candidate
 
 
 @pytest.fixture()
@@ -206,6 +207,19 @@ class TestValidateRulebook:
         assert code == 2
         assert "rulebook validation failed" in err
         assert "asymmetric" in err
+
+    @pytest.mark.parametrize("version", [7, 10**400])
+    def test_schema_version_other_than_one_exits_two_naming_it(self, paths, capsys, tmp_path, version):
+        # A file written for another schema used to be read as this one: "rulebook OK", exit 0.
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        data["schema_version"] = version
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(data))
+        code = main(["validate-rulebook", "--rulebook", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"rulebook validation failed:\n  - schema_version must be 1, got {version!r}\n"
 
     def test_non_finite_parameters_exit_two_naming_the_fields(self, paths, capsys, tmp_path):
         data = json.loads(Path(paths["rulebook"]).read_text())
@@ -703,6 +717,126 @@ def test_every_json_value_of_the_wrong_type_is_an_input_error_or_a_violation(pat
                 assert code == 1 and captured.err.startswith(f"error: {path}: "), (source, where, captured.err)
                 assert captured.err.count("\n") == 1, (source, where)
     assert accepted == UNREAD_FIELDS
+
+
+def json_nodes(value, path=()):
+    """(path, value) of each object member and list item of a JSON document, in document order, parents first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key), item
+        yield from json_nodes(item, (*path, key))
+
+
+def dropped_or_nulled(document):
+    """(path, drop, edited copy) for each key of ``document`` dropped and each value nulled, one edit at a time."""
+    for where, _ in json_nodes(document):
+        for drop in (False, True) if isinstance(where[-1], str) else (False,):
+            data = json.loads(json.dumps(document))
+            target = data
+            for key in where[:-1]:
+                target = target[key]
+            if drop:
+                del target[where[-1]]
+            else:
+                target[where[-1]] = None
+            yield where, drop, data
+
+
+# The keys whose drop or null leaves a valid input, by input and edit: an optional field, a quote or answer the run
+# does not need, the gamma table of a class with one bucket, or a field no loader reads. The rulebook reads null as absent.
+RULEBOOK_OPTIONAL = {"version", "schema_version", "girr_tenor_params", "theta", "floor", "scenario_rules", "high", "low",
+                     "scale", "cap", "affine_scale", "affine_shift", "description", "economy", "size", "sectors",
+                     "currencies", "commodities", "residual", "pairs", "default"}
+UNUSED_QUOTES = {"MSFT", "JPM", "WMT", "BA", "PBR", "VALE", "NWCO", "RGNL", "GBP", "CHF", "silver", "natural_gas",
+                 "copper", "wheat", "coffee", "live_cattle"}
+ACCEPTED_EDITS = {
+    ("rulebook", "drop"): RULEBOOK_OPTIONAL | {"girr"},
+    ("rulebook", "null"): RULEBOOK_OPTIONAL,
+    ("market", "drop"): {"schema_version", "as_of", *UNUSED_QUOTES},
+    ("market", "null"): {"schema_version", "as_of"},
+    ("registry", "drop"): {"schema_version", "issuers", "name"},
+    ("registry", "null"): {"schema_version"},
+    ("json_portfolio", "drop"): {"schema_version", "as_of", "positions", "coupon_rate", "frequency", "id", "unit"},
+    ("json_portfolio", "null"): {"schema_version", "as_of"},
+    ("cases", "drop"): {"schema_version", "scenario", "tenor", "coupon_rate", "frequency", "unit", *AXES},
+    ("cases", "null"): {"schema_version", "tenor", *AXES},
+    ("candidate", "drop"): {"schema_version", "source_label", *AXES, *(f"case-{i:03d}" for i in range(1, 9))},
+    ("candidate", "null"): {"schema_version", "source_label", *AXES},
+}
+
+
+def test_every_dropped_key_or_null_value_is_an_input_error_or_a_violation(paths, capsys, tmp_path):
+    # Each key of each JSON input is dropped, and each value nulled, one at a time. A file that is no longer valid
+    # is exit 1 with one error naming the file and the path (a dropped key reads "missing field 'x'"), or for the
+    # rulebook exit 2 and its violations; never a traceback. A file still valid runs, if the key may be left out.
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps(candidate_to_dict(reference_candidate(load_cases(GOLDEN_CASES)))))
+    commands = {
+        "rulebook": lambda path: ["validate-rulebook", "--rulebook", path],
+        "market": lambda path: ["compute", *market_args({**paths, "market": path}), "--portfolio", paths["json_portfolio"]],
+        "registry": lambda path: ["compute", *market_args({**paths, "registry": path}), "--portfolio", paths["json_portfolio"]],
+        "json_portfolio": lambda path: ["compute", *market_args(paths), "--portfolio", path],
+        "cases": lambda path: ["score", "--cases", path, "--candidate", str(candidate)],
+        "candidate": lambda path: ["score", "--cases", str(GOLDEN_CASES), "--candidate", path],
+        "prompt": lambda path: ["render-prompt", "--spec", path],
+    }
+    sources = {**paths, "cases": str(GOLDEN_CASES), "candidate": str(candidate)}
+    accepted, edits = {}, 0
+    for source, command in commands.items():
+        original = json.loads(Path(sources[source]).read_text())
+        path = tmp_path / f"{source}.json"
+        for where, drop, data in dropped_or_nulled(original):
+            path.write_text(json.dumps(data))
+            code = main(command(str(path)))
+            captured = capsys.readouterr()
+            edit, edits = (source, where, "drop" if drop else "null"), edits + 1
+            if code == 0:
+                accepted.setdefault(edit[::2], set()).add(next(k for k in reversed(where) if isinstance(k, str)))
+                continue
+            assert captured.out == "", edit
+            if code == 2:
+                assert source == "rulebook" and captured.err.startswith("rulebook validation failed:\n  - "), edit
+                continue
+            assert code == 1 and captured.err.count("\n") == 1, (edit, captured.err)
+            if source == "market" and drop and where[0] != "reporting_currency" and "position(s) failed" in captured.err:
+                continue  # a valid snapshot without a quote the book needs fails at valuation
+            assert captured.err.startswith(f"error: {path}: "), (edit, captured.err)
+            # A [tenor, rate] pair is named by its index.
+            named = where[:2] if where[0] == "zero_curve" else where
+            leaf = ".*".join(re.escape(f"[{k}]" if isinstance(k, int) else k) for k in named)
+            if source == "prompt":  # a prompt element missing, null or blank is one error naming it
+                leaf = re.escape(f"prompt element '{where[-1]}' must be a non-empty string")
+            elif drop:
+                leaf = leaf[: -len(re.escape(where[-1]))] + re.escape(f"missing field '{where[-1]}'")
+            assert re.search(leaf, captured.err), (edit, captured.err)
+    assert accepted == ACCEPTED_EDITS
+    assert edits > 1000  # about 1,400
+
+
+def test_every_dropped_key_or_null_value_of_a_report_is_a_format_error_naming_it():
+    # The same walk over the golden envelope report, read back by parse_report: a report no longer valid raises
+    # ReportFormatError naming the path, field by field, list index by index and key by key.
+    original = json.loads((GOLDEN_CASES.parent / "fixture_envelope.json").read_text())
+    accepted, edits = set(), 0
+    for where, drop, data in dropped_or_nulled(original):
+        edits += 1
+        try:
+            parse_report(json.dumps(data))
+        except ReportFormatError as exc:
+            message = str(exc)
+        else:
+            accepted.add(("drop" if drop else "null", where[-1] if isinstance(where[-1], str) else where[-2]))
+            continue
+        assert message.startswith("not a valid hierarchical capital report: "), (where, message)
+        leaf = ".*".join(re.escape(f"[{k}]" if isinstance(k, int) else k) for k in where)
+        if drop:
+            leaf = leaf[: -len(re.escape(where[-1]))] + re.escape(f"missing field '{where[-1]}'") + "$"
+        assert re.search(leaf, message), (where, message)
+    # Optional fields, a null tenor, and a scenario or class left out of its dict.
+    assert accepted == {("drop", "as_of"), ("null", "as_of"), ("drop", "warnings"), ("drop", "schema_version"),
+                        ("null", "tenor"), *(("drop", token) for token in ("low", "medium", "high")),
+                        *(("drop", rc.value) for rc in RiskClass)}
+    assert edits > 600  # about 700
 
 
 class TestScoringFlow:

@@ -357,29 +357,51 @@ class TestDictForm:
         for step in path[:-1]:
             node = node[step]
         del node[path[-1]]
-        with pytest.raises(ReportFormatError, match=f"'{path[-1]}'"):
+        with pytest.raises(ReportFormatError, match=f"missing field '{path[-1]}'$"):
             parse_report(json.dumps(data))
 
     @pytest.mark.parametrize(
-        "path, bad",
+        "path, bad, message",
         [
-            (("total_capital",), "772695.14"),
-            (("warnings",), "none"),
-            (("scenarios", "medium", "risk_classes", "equity", "fallback_engaged"), 0),
-            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "bucket"), 6.0),
-            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors"), {}),
-            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors", 0, "tenor"), "5y"),
-            (("scenarios", "medium", "risk_classes"), []),
+            (("total_capital",), "772695.14", "total_capital must be a number, got '772695.14'"),
+            (("warnings",), "none", "warnings must be a list, got 'none'"),
+            (("scenarios", "medium", "risk_classes", "equity", "fallback_engaged"), 0,
+             "scenarios['medium']: risk_classes['equity']: fallback_engaged must be true or false, got 0"),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "bucket"), 6.5,
+             "scenarios['medium']: risk_classes['equity']: buckets[0]: bucket must be an integer, got 6.5"),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors"), {},
+             "scenarios['medium']: risk_classes['equity']: buckets[0]: factors must be a list, got {}"),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "factors", 0, "tenor"), "5y",
+             "scenarios['medium']: risk_classes['equity']: buckets[0]: factors[0]: tenor must be a number, got '5y'"),
+            (("scenarios", "medium", "risk_classes"), [], "scenarios['medium']: risk_classes must be an object, got []"),
+            (("scenarios", "medium"), 5, "scenarios['medium'] must be an object, got 5"),
+            (("warnings",), ["fine", None], "warnings[1] must be a string, got None"),
+            (("total_capital",), math.nan, "total_capital must be a finite number, got nan"),
+            (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "k_b"), -math.inf,
+             "scenarios['medium']: risk_classes['equity']: buckets[0]: k_b must be a finite number, got -inf"),
         ],
     )
-    def test_wrong_type_is_format_error(self, rb, equity_portfolio, market, registry, path, bad):
+    def test_wrong_type_is_format_error(self, rb, equity_portfolio, market, registry, path, bad, message):
+        # A NaN or infinity is a format error too: the writer could not render it back.
         data = json.loads(render_report(compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM)))
         node = data
         for step in path[:-1]:
             node = node[step]
         node[path[-1]] = bad
-        with pytest.raises(ReportFormatError, match="not a valid hierarchical capital report: expected"):
+        with pytest.raises(ReportFormatError) as excinfo:
             parse_report(json.dumps(data))
+        assert str(excinfo.value) == f"not a valid hierarchical capital report: {message}"
+
+    def test_an_integer_written_as_an_integral_float_reads_as_the_integer(self, rb, equity_portfolio, market, registry):
+        report = compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM)
+        data = json.loads(render_report(report))
+        data["schema_version"] = 1.0
+        for bucket in data["scenarios"]["medium"]["risk_classes"]["equity"]["buckets"]:
+            bucket["bucket"] = float(bucket["bucket"])
+        parsed = parse_report(json.dumps(data))
+        assert parsed == report
+        assert type(parsed.schema_version) is int
+        assert all(type(b.bucket) is int for b in parsed.scenarios["medium"].classes["equity"].buckets)
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -406,10 +428,14 @@ class TestGoldenOutput:
         assert render_report(parse_report(text), "human") == render_report(report, "human")
 
     def test_nan_in_a_report_fails_to_render_instead_of_emitting_nan(self, report):
-        data = json.loads(render_report(report, "hierarchical"))
-        data["scenarios"]["medium"]["risk_classes"]["equity"]["buckets"][0]["k_b"] = math.nan
+        # parse_report rejects a NaN, so the report that holds one is built in Python.
+        medium = report.scenarios["medium"]
+        equity = medium.classes["equity"]
+        bucket = equity.buckets[0]._replace(k_b=math.nan)
+        equity = equity._replace(buckets=(bucket, *equity.buckets[1:]))
+        scenarios = {**report.scenarios, "medium": medium._replace(classes={**medium.classes, "equity": equity})}
         with pytest.raises(ValueError, match="not JSON compliant"):
-            render_report(parse_report(json.dumps(data)), "hierarchical")
+            render_report(report._replace(scenarios=scenarios), "hierarchical")
 
     def test_hierarchical_render_uses_neither_json_dumps_nor_the_dict_form(self, report, monkeypatch):
         def forbidden(*args, **kwargs):

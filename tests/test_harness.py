@@ -22,6 +22,7 @@ from sbmcap.harness import (
     generate_cases,
     load_candidate,
     load_cases,
+    load_prompt_spec,
     prompt_spec_from_dict,
     reference_candidate,
     render_prompt,
@@ -72,6 +73,15 @@ class TestPromptRendering:
         with pytest.raises(PromptValidationError) as excinfo:
             prompt_spec_from_dict(data)
         assert excinfo.value.field_name == field_name
+
+    def test_spec_file_error_names_the_file(self, fixtures_dir, tmp_path):
+        data = json.loads((fixtures_dir / "prompt_mcr.json").read_text())
+        del data["goal"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(HarnessError) as excinfo:
+            load_prompt_spec(path)
+        assert str(excinfo.value) == f"{path}: prompt element 'goal' must be a non-empty string"
 
     def test_fixture_prompt_renders(self, fixtures_dir):
         data = json.loads((fixtures_dir / "prompt_mcr.json").read_text())

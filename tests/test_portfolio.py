@@ -207,6 +207,43 @@ class TestLoaders:
         assert registry["XOM"] == IssuerInfo(issuer_id="XOM", sector="energy", economy="advanced", size="large", name="Exxon Mobil Corp")
         assert len(registry) == 10
 
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            ({"type": "equity", "issuer_id": "T"}, "positions[1]: missing field 'shares'"),
+            ({"issuer_id": "T", "shares": 1}, "positions[1]: missing field 'type'"),
+            ({"type": "swap", "notional": 1}, "positions[1]: type must be one of bond, equity, fx, commodity, got 'swap'"),
+        ],
+    )
+    def test_json_position_error_names_the_file_and_the_field(self, tmp_path, position, message):
+        # A missing field used to read "positions[1]: 'shares'", and a missing type "unknown position type None".
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"positions": [{"type": "equity", "issuer_id": "XOM", "shares": 1}, position]}))
+        with pytest.raises(PortfolioParseError) as excinfo:
+            load_portfolio(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("reporting_currency"), "missing field 'reporting_currency'"),
+            (lambda d: d["zero_curve"].__setitem__(2, [2.0]), "zero_curve[2] must be a [tenor, rate] pair, got [2.0]"),
+            (lambda d: d["zero_curve"][2].append(0.1), "zero_curve[2] must be a [tenor, rate] pair, got [1, 0.032, 0.1]"),
+            (lambda d: d["zero_curve"].__setitem__(2, 5), "zero_curve[2] must be a [tenor, rate] pair, got 5"),
+            (lambda d: d["zero_curve"].reverse(), "zero curve tenors must be strictly increasing"),
+        ],
+    )
+    def test_market_error_names_the_file(self, fixtures_dir, tmp_path, edit, message):
+        # A pair of other than two entries used to read "zero_curve must be a list of [tenor, rate] pairs", a missing
+        # field "missing market data field 'x'", and an unsorted curve named no file.
+        data = json.loads((fixtures_dir / "market.json").read_text(encoding="utf-8"))
+        edit(data)
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(PortfolioParseError) as excinfo:
+            load_market_data(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     def test_registry_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(

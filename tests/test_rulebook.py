@@ -231,7 +231,9 @@ class TestResolvedTables:
         assert_tables_match_the_per_pair_path(rb, risk_class, ids)
 
     @settings(max_examples=30, deadline=None)
-    @given(swap=st.lists(st.booleans(), min_size=64, max_size=64), rules=SCENARIO_RULES)
+    # The loader rejects rules that lift a GIRR tenor rho of 1 above 1 under the low scenario.
+    @given(swap=st.lists(st.booleans(), min_size=64, max_size=64),
+           rules=SCENARIO_RULES.filter(lambda r: r.low_affine_scale + r.low_affine_shift <= 1.0))
     def test_loaded_rulebooks_with_pairs_in_either_order(self, swap, rules):
         data = fixture_rulebook_data()
         flips = iter(swap)
@@ -308,6 +310,18 @@ class TestRulebookValue:
         assert rb == rulebook_from_dict(fixture_rulebook_data())
         assert rb != rb._replace(version="other")
         assert rb != rb._replace(scenario_rules=ScenarioRules(high_cap=0.9))
+
+    def test_a_loaded_rulebook_is_read_only_all_the_way_down(self):
+        # A GIRR weight written through the bucket would lower every later GIRR charge on this rulebook.
+        rb = rulebook_from_dict(fixture_rulebook_data())
+        with pytest.raises(TypeError):
+            rb.bucket(RiskClass.GIRR, 1).risk_weights_by_tenor[1.0] = 0.0
+        assert rb.risk_weight(RiskClass.GIRR, 1, 1.0) == 0.0225
+        for table in rb.correlations:
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = 0.0
+        assert rb == rulebook_from_dict(fixture_rulebook_data())
 
 
 class TestGirrTenorCorrelation:
@@ -467,6 +481,65 @@ class TestValidation:
         data["scenario_rules"] = {section: {key: bad}}
         with pytest.raises(RulebookValidationError, match=rf"scenario_rules\.{section}\.{key} must be a finite number"):
             rulebook_from_dict(data)
+
+    def test_a_rho_the_high_scenario_takes_below_minus_one_is_a_violation(self):
+        data = fixture_rulebook_data()
+        data["intra_correlations"]["equity"]["1"] = -0.9
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [
+            "equity correlations in [-0.9, 0.25] reach -1.125 under scenario high; "
+            "a scenario-adjusted correlation must stay in [-1, 1]"
+        ]
+
+    def test_low_rules_that_lift_a_tenor_rho_above_one_are_a_violation(self):
+        # The 1y/2y tenor rho, 0.970, would become 2.44 under the low scenario; the tenor range [floor, 1] is checked.
+        data = fixture_rulebook_data()
+        data["scenario_rules"]["low"]["affine_shift"] = 0.5
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        suffix = "under scenario low; a scenario-adjusted correlation must stay in [-1, 1]"
+        assert excinfo.value.violations == [
+            f"commodity correlations in [0.0, 0.95] reach 2.4 {suffix}",
+            f"girr correlations in [0.4, 1.0] reach 2.5 {suffix}",
+            f"fx correlations in [0.6, 0.6] reach 1.7 {suffix}",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rules=st.builds(
+            ScenarioRules,
+            high_scale=st.floats(min_value=0.1, max_value=3.0),
+            high_cap=st.floats(min_value=-1.5, max_value=1.0),
+            low_scale=st.floats(min_value=0.1, max_value=3.0),
+            low_affine_scale=st.floats(min_value=0.0, max_value=3.0),
+            low_affine_shift=st.floats(min_value=-3.0, max_value=3.0),
+        ),
+        rhos=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=4),
+    )
+    def test_every_correlation_a_loaded_rulebook_adjusts_stays_in_range(self, rules, rhos):
+        # The check adjusts only the ends of each class's range; if the rulebook loads, every tabulated rho and gamma
+        # and every grid tenor pair stays in [-1, 1] under each scenario.
+        data = fixture_rulebook_data()
+        for bucket_id, rho in zip(data["intra_correlations"]["equity"], rhos):
+            data["intra_correlations"]["equity"][bucket_id] = rho
+        data["scenario_rules"] = {
+            "high": {"scale": rules.high_scale, "cap": rules.high_cap},
+            "low": {"scale": rules.low_scale, "affine_scale": rules.low_affine_scale, "affine_shift": rules.low_affine_shift},
+        }
+        try:
+            rb = rulebook_from_dict(data)
+        except RulebookValidationError as exc:
+            assert all(v.endswith("a scenario-adjusted correlation must stay in [-1, 1]") for v in exc.violations)
+            return
+        for scenario in CorrelationScenario:
+            values = [rb.intra_correlation(RiskClass.GIRR, 1, ("USD", t), ("USD", u), scenario)
+                      for t, u in itertools.combinations(rb.tenor_grid, 2)]
+            for rc in RiskClass:
+                ids = [b.bucket_id for b in rb.buckets_for(rc)]
+                values += rb.cross_correlations(rc, ids, scenario).values()
+                values += rb.intra_correlations(rc, [i for i in ids if (rc, i) in rb.correlations.intra], scenario).values()
+            assert all(-1.0 <= v <= 1.0 for v in values), (scenario, rules, rhos)
 
     def test_percent_style_weight_rejected(self):
         data = self._base()
@@ -684,7 +757,8 @@ def leaf_label(path):
 
 # A finite number outside the range of each leaf that has one, by the nearest key on the leaf's path that names it.
 OUT_OF_RANGE = {"tenor_grid": 0.0, "risk_weight": 40.0, "risk_weights_by_tenor": 1.5, "intra_correlations": -1.5,
-                "default": 1.01, "value": -1.01, "theta": -0.03, "floor": 1.0, "scale": 0.0, "cap": 1.01}
+                "default": 1.01, "value": -1.01, "theta": -0.03, "floor": 1.0, "scale": 0.0, "cap": 1.01,
+                "affine_scale": -0.5, "schema_version": 7}
 
 
 def test_each_rejected_number_is_one_violation_naming_it():
