@@ -9,7 +9,6 @@ which, when set, prefixes relative --out paths.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -180,12 +179,9 @@ def _cmd_gen_cases(args: argparse.Namespace) -> int:
     md = load_market_data(args.market)
     registry = load_registry(args.registry)
     case_set = harness.generate_cases(args.seed, args.n, rb, md, registry)
-    text = json.dumps(case_set.to_dict(), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit(harness.render_case_set(case_set), args.out)
     if args.emit_reference_candidate:
-        answers = harness.reference_candidate(case_set)
-        candidate_text = json.dumps(harness.candidate_to_dict(answers, "reference"), indent=2, sort_keys=True) + "\n"
-        _emit(candidate_text, args.emit_reference_candidate)
+        _emit(harness.render_candidate(harness.reference_candidate(case_set), "reference"), args.emit_reference_candidate)
     return EXIT_OK
 
 

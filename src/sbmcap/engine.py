@@ -20,6 +20,12 @@ a field in ``_field_defaults`` as optional, and puts scenarios and classes
 in enum order. Rendering and parsing back gives an equal report, and
 identical inputs give byte-identical output.
 
+The harness reads its case sets and candidate files with the same reader
+(``_decoder``), which raises the error class its caller names, and writes
+them with the same writer (``_json_text``). Three annotations occur only
+there: an Enum field reads its token, an ``int | float`` field a finite
+number kept as an int when integral, and an Instrument a portfolio-file row.
+
 This module's own JSON writer gives the bytes ``json.dumps(indent=2,
 sort_keys=True, allow_nan=False)`` gives for the report as plain dicts and
 lists: keys sorted, floats as ``float.__repr__``, strings escaped to ASCII,
@@ -32,14 +38,15 @@ from __future__ import annotations
 import functools
 import math
 import typing
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .aggregation import ScenarioResult, scenario_envelope
-from .portfolio import IssuerInfo, MarketData, Portfolio
+from .portfolio import Instrument, IssuerInfo, MarketData, Portfolio, PortfolioError, instrument_from_dict
 from .rulebook import (
-    CorrelationScenario, RiskClass, Rulebook, _parse_json_object, _prefixed,
+    CorrelationScenario, JSONFieldError, RiskClass, Rulebook, _parse_json_object, _prefixed,
     read_bool, read_finite, read_integer, read_list, read_object, read_string,
 )
 from .sensitivities import collect_sensitivities
@@ -75,30 +82,54 @@ _JSON_KEYS = {(ScenarioResult, "classes"): "risk_classes"}
 
 
 @functools.cache
-def _decoder(tp: Any) -> Callable[..., Any]:
-    """Reader of the JSON form of a ``tp``, called as the rulebook's ``read_*`` are; a record prefixes its errors."""
+def _decoder(tp: Any, error: type[Exception]) -> Callable[..., Any]:
+    """Reader of the JSON form of a ``tp``, called as the rulebook's ``read_*`` are; a record prefixes its errors.
+
+    What a reader rejects is raised as ``error``, each path prefix added on the way out.
+    """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp == Instrument:  # a position is its portfolio-file row
+        errors = (error, PortfolioError)
+        return lambda value, field, key=None: _prefixed(field, instrument_from_dict, value, errors, key)
     if origin is tuple:
-        item = _decoder(args[0])
+        item = _decoder(args[0], error)
         return lambda value, field, key=None: tuple([item(x, field, i) for i, x in enumerate(read_list(value, field, key))])
     if origin is dict:
-        item = _decoder(args[1])
+        item = _decoder(args[1], error)
         return lambda value, field, key=None: {
             k: item(x, field, k) for k, x in sorted(read_object(value, field, key).items(), key=_member_rank)
         }
     if hasattr(tp, "_fields"):
         hints = typing.get_type_hints(tp)
         optional = tp._field_defaults
-        fields = [(name, _JSON_KEYS.get((tp, name), name), _decoder(hints[name]), name not in optional) for name in hints]
+        fields = [(name, _JSON_KEYS.get((tp, name), name), _decoder(hints[name], error), name not in optional)
+                  for name in hints]
 
         def build(data: dict[str, Any]) -> Any:
             return tp(**{name: dec(data[key], key) for name, key, dec, required in fields if required or key in data})
 
-        errors = (ReportFormatError,)
+        errors = (error,)
         return lambda value, field, key=None: _prefixed(field, build, read_object(value, field, key), errors, key)
     if type(None) in args:  # X | None
-        read = _decoder(next(arg for arg in args if arg is not type(None)))
+        rest = tuple(arg for arg in args if arg is not type(None))
+        read = _decoder(rest[0] if len(rest) == 1 else typing.Union[rest], error)
         return lambda value, field, key=None: None if value is None else read(value, field, key)
+    if args == (int, float):  # a finite number, kept as an int when integral
+        def read_number(value: Any, field: str, key: Any = None) -> int | float:
+            number = read_finite(value, field, key)
+            return int(number) if number.is_integer() else number
+
+        return read_number
+    if isinstance(tp, type) and issubclass(tp, Enum):  # a member, read from its token
+        kind = "one of " + ", ".join(member.value for member in tp)
+
+        def read_token(value: Any, field: str, key: Any = None) -> Any:
+            try:
+                return tp(value)
+            except ValueError:
+                raise JSONFieldError(field, kind, value, key) from None
+
+        return read_token
     return {float: read_finite, int: read_integer, str: read_string, bool: read_bool}[tp]
 
 
@@ -237,7 +268,7 @@ def _json_fields(cls: type) -> tuple[tuple[str, str], ...]:
 def parse_report(text: str) -> CapitalReport:
     """Inverse of the hierarchical renderer; each error names the path of the value it rejects."""
     label = "not a valid hierarchical capital report"
-    return _decoder(CapitalReport)(_parse_json_object(text, ReportFormatError, label), label)
+    return _decoder(CapitalReport, ReportFormatError)(_parse_json_object(text, ReportFormatError, label), label)
 
 
 def _render_tabular(report: CapitalReport) -> str:

@@ -15,19 +15,24 @@ Scoring rules:
     reference answer for that axis; ScoreReport.counts holds one AxisScore
     (correct, scored) per axis, and the accuracy is derived from it
 
-Every harness record is a NamedTuple, like the engine's records: derive a
-changed copy with ``_replace`` and a plain dict with ``_asdict``.
+Every harness record is a NamedTuple, like the engine's records, and its
+file is its fields: case sets, candidate answers and hierarchical score
+reports are read with the engine's report reader and written with its JSON
+writer, keys sorted, as ``json.dumps(indent=2, sort_keys=True)`` writes
+them. Two layouts of the case set file are not a record's fields: a position
+is written as its portfolio-file row, and a factor without a tenor leaves
+the key out. A candidate file is read for its answers; its schema_version
+and source_label are written, not read. A score report adds each axis's
+accuracy and a schema_version to its fields.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from enum import Enum
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .engine import compute_capital
+from .engine import _decoder, _json_text, compute_capital
 from .portfolio import (
     Bond,
     CashEquity,
@@ -37,15 +42,10 @@ from .portfolio import (
     IssuerInfo,
     MarketData,
     Portfolio,
-    PortfolioError,
     assign_bucket,
-    instrument_from_dict,
     instrument_to_dict,
 )
-from .rulebook import (
-    CorrelationScenario, JSONFieldError, RiskClass, Rulebook,
-    _each, _prefixed, read_finite, read_integer, read_json_object, read_object, read_string,
-)
+from .rulebook import CorrelationScenario, RiskClass, Rulebook, _prefixed, read_json_object
 
 
 class HarnessError(Exception):
@@ -109,28 +109,7 @@ class CaseSet(NamedTuple):
     n: int
     scenario: CorrelationScenario
     cases: tuple[Case, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        # Not derived from the fields: position rows carry their instrument tag, and a null tenor is left out.
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "n": self.n,
-            "scenario": self.scenario.value,
-            "cases": [
-                {
-                    "case_id": c.case_id,
-                    "risk_class": c.risk_class.value,
-                    "positions": [instrument_to_dict(p) for p in c.positions],
-                    "factors": [
-                        {"name": f.name, "tenor": f.tenor} if f.tenor is not None else {"name": f.name}
-                        for f in c.factors
-                    ],
-                    "reference": c.reference._asdict(),
-                }
-                for c in self.cases
-            ],
-        }
+    schema_version: int = 1
 
 
 CaseVerdict = NamedTuple("CaseVerdict", [("case_id", str), *((axis, str) for axis in AXES)])
@@ -161,15 +140,6 @@ class ScoreReport(NamedTuple):
     risk_weight_accuracy = property(lambda self: self.counts["risk_weight"].accuracy)
     correlation_accuracy = property(lambda self: self.counts["correlation"].accuracy)
     mcr_accuracy = property(lambda self: self.counts["mcr_value"].accuracy)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": 1,
-            "n_cases": self.n_cases,
-            "accuracy": {axis: score.accuracy for axis, score in self.counts.items()},
-            "counts": {axis: score._asdict() for axis, score in self.counts.items()},
-            "verdicts": [v._asdict() for v in self.verdicts],
-        }
 
 
 class PromptSpec(NamedTuple):
@@ -336,17 +306,13 @@ def _generate_case(
             Bond(notional=1_000 * rng.randint(1, 100), coupon_rate=0.0, maturity=t, frequency=1, currency=ccy)
             for t in (first, second)
         )
-        bucket_1 = bucket_2 = rb.currency_bucket(RiskClass.GIRR, ccy).bucket_id
         factors = (FactorRef(ccy, first), FactorRef(ccy, second))
         tenor = first
     else:
         positions = tuple(_SPOT_POSITION[risk_class](name, rng) for name in (first, second))
-        if risk_class is RiskClass.FX:
-            bucket_1, bucket_2 = (rb.currency_bucket(RiskClass.FX, name).bucket_id for name in (first, second))
-        else:
-            bucket_1, bucket_2 = (assign_bucket(p, registry, rb)[0] for p in positions)
         factors = (FactorRef(first), FactorRef(second))
         tenor = None
+    bucket_1, bucket_2 = (assign_bucket(p, registry, rb)[0] for p in positions)
 
     if bucket_1 == bucket_2:
         correlation = rb.intra_correlation(risk_class, bucket_1, *factors, scenario)
@@ -364,60 +330,49 @@ def _generate_case(
 # -- file round-trips ----------------------------------------------------------
 
 
-# Malformed input the readers of a case set or candidate file raise: each becomes a HarnessError naming the path.
-_ERRORS = (HarnessError, PortfolioError)
-
-
 def case_set_from_dict(data: dict[str, Any]) -> CaseSet:
-    """The case set ``data`` holds; raises HarnessError naming the case, the factor or position, and the field."""
-    return _prefixed("malformed case set", _case_set, data, _ERRORS)
-
-
-def _case_set(data: dict[str, Any]) -> CaseSet:
-    cases = _each(data["cases"], "cases", _case, _ERRORS)
-    scenario = _read_token(CorrelationScenario, data.get("scenario", "medium"), "scenario")
-    return CaseSet(read_integer(data["seed"], "seed"), read_integer(data["n"], "n"), scenario, cases)
-
-
-def _case(raw: Any) -> Case:
-    case_id = read_string(read_object(raw, "case")["case_id"], "case_id")
-    risk_class = _read_token(RiskClass, raw["risk_class"], "risk_class")
-    reference = _prefixed("reference", _answer_from_dict, raw["reference"], _ERRORS)
-    positions = _each(raw["positions"], "positions", instrument_from_dict, _ERRORS)
-    return Case(case_id, risk_class, positions, _each(raw["factors"], "factors", _factor, _ERRORS), reference)
-
-
-def _factor(raw: Any) -> FactorRef:
-    tenor = read_object(raw, "factor").get("tenor")
-    return FactorRef(read_string(raw["name"], "name"), None if tenor is None else read_finite(tenor, "tenor"))
-
-
-def _read_token(enum: type[Enum], value: Any, field: str) -> Any:
-    """The member of ``enum`` whose token is ``value``; JSONFieldError listing the tokens otherwise."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise JSONFieldError(field, "one of " + ", ".join(member.value for member in enum), value) from None
+    """The case set ``data`` holds; raises HarnessError naming the path to the value it rejects."""
+    return _decoder(CaseSet, HarnessError)(data, "malformed case set")
 
 
 def load_cases(path: str | Path) -> CaseSet:
-    return _prefixed(str(path), case_set_from_dict, read_json_object(path, HarnessError), _ERRORS)
+    return _prefixed(str(path), case_set_from_dict, read_json_object(path, HarnessError), (HarnessError,))
+
+
+def render_case_set(case_set: CaseSet) -> str:
+    """The case set file: its fields, keys sorted, but for the two layouts that are not a record's.
+
+    A position is written as its portfolio-file row, and a factor without a
+    tenor leaves the key out.
+    """
+    cases = [
+        case._replace(
+            positions=[instrument_to_dict(p) for p in case.positions],
+            factors=[f if f.tenor is not None else {"name": f.name} for f in case.factors],
+        )
+        for case in case_set.cases
+    ]
+    return _json_text(case_set._replace(cases=cases), "\n", {}) + "\n"
 
 
 def load_prompt_spec(path: str | Path) -> PromptSpec:
-    return _prefixed(str(path), prompt_spec_from_dict, read_json_object(path, HarnessError, "prompt spec"), _ERRORS)
+    spec = read_json_object(path, HarnessError, "prompt spec")
+    return _prefixed(str(path), prompt_spec_from_dict, spec, (HarnessError,))
 
 
-def candidate_to_dict(answers: dict[str, ExtractionAnswer], source_label: str = "") -> dict[str, Any]:
-    return {
-        "schema_version": 1,
-        "source_label": source_label,
-        "answers": {case_id: answer._asdict() for case_id, answer in sorted(answers.items())},
-    }
+class _CandidateFile(NamedTuple):
+    # What a candidate file is read for; its schema_version and source_label are written, not read.
+    answers: dict[str, ExtractionAnswer]
+
+
+def render_candidate(answers: dict[str, ExtractionAnswer], source_label: str = "") -> str:
+    """The candidate file of ``answers``, keys sorted; ``source_label`` says where the answers came from."""
+    return _json_text({"answers": answers, "schema_version": 1, "source_label": source_label}, "\n", {}) + "\n"
 
 
 def load_candidate(path: str | Path) -> dict[str, ExtractionAnswer]:
-    answers = _prefixed(f"{path}: malformed candidate answers", _answers, read_json_object(path, HarnessError), _ERRORS)
+    read = _decoder(_CandidateFile, HarnessError)
+    answers = read(read_json_object(path, HarnessError), f"{path}: malformed candidate answers").answers
     for case_id, answer in answers.items():
         # Sanity band: a fraction outside [0, 1.5] is a garbled extraction,
         # not a wrong answer, so it is rejected rather than scored.
@@ -435,26 +390,10 @@ def reference_candidate(case_set: CaseSet) -> dict[str, ExtractionAnswer]:
     return {c.case_id: c.reference for c in case_set.cases}
 
 
-def _answers(data: dict[str, Any]) -> dict[str, ExtractionAnswer]:
-    rows = read_object(data["answers"], "answers")
-    return {case_id: _prefixed(f"case {case_id}", _answer_from_dict, row, _ERRORS) for case_id, row in rows.items()}
-
-
-def _answer_from_dict(row: Any) -> ExtractionAnswer:
-    """One answer row: a finite number or null per axis, and a bucket of integral value as an int.
-
-    A row or value of another kind raises JSONFieldError naming the axis.
-    """
-    answer = read_object(row, "answer")
-    bucket, *rest = (None if answer.get(axis) is None else read_finite(answer[axis], axis) for axis in AXES)
-    if bucket is not None and bucket.is_integer():
-        bucket = int(bucket)
-    return ExtractionAnswer(bucket, *rest)
-
-
 def render_score_report(report: ScoreReport, fmt: str = "human") -> str:
     if fmt == "hierarchical":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        accuracy = {axis: score.accuracy for axis, score in report.counts.items()}
+        return _json_text({**report._asdict(), "accuracy": accuracy, "schema_version": 1}, "\n", {}) + "\n"
     if fmt != "human":
         raise HarnessError(f"unknown score report format {fmt!r}")
     lines = [f"Extraction score over {report.n_cases} case(s)"]

@@ -235,12 +235,17 @@ def value(instr: Instrument, md: MarketData) -> float:
 
 
 def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebook) -> tuple[int, str | None]:
-    """Rulebook bucket id for an equity or commodity instrument, and a note or None.
+    """Rulebook bucket id for an instrument, and a note or None.
 
-    Unmatched instruments fall through to the residual bucket when the
-    rulebook defines one, and the note says why; otherwise they raise
-    BucketAssignmentError.
+    A bond takes the GIRR bucket of its currency and an FX position the FX
+    bucket of its foreign currency. Unmatched equities and commodities fall
+    through to the residual bucket when the rulebook defines one, and the
+    note says why; otherwise they raise BucketAssignmentError.
     """
+    if isinstance(instr, Bond):
+        return rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id, None
+    if isinstance(instr, FXPosition):
+        return rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id, None
     if isinstance(instr, CashEquity):
         info = registry.get(instr.issuer_id)
         if info is None:
@@ -258,7 +263,7 @@ def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebo
             if instr.commodity_id in b.commodities:
                 return b.bucket_id, None
         return _residual_or_error(rb, RiskClass.COMMODITY, f"commodity {instr.commodity_id!r} matches no bucket")
-    raise BucketAssignmentError(f"bucket assignment applies to equities and commodities, not {type(instr).__name__}")
+    raise BucketAssignmentError(f"cannot assign a bucket to an instrument of type {type(instr).__name__}")
 
 
 def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[int, str]:
@@ -304,7 +309,7 @@ def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
 
 def _registry_from_dict(data: dict[str, Any]) -> dict[str, IssuerInfo]:
     registry: dict[str, IssuerInfo] = {}
-    for info in _each(data.get("issuers", []), "issuers", _issuer, _ERRORS):
+    for info in _each(data["issuers"], "issuers", _issuer, _ERRORS):
         if registry.setdefault(info.issuer_id, info) is not info:
             raise PortfolioParseError(f"duplicate issuer_id {info.issuer_id!r}")
     return registry
@@ -329,7 +334,7 @@ def load_portfolio(path: str | Path) -> Portfolio:
 
 
 def _portfolio_from_dict(data: dict[str, Any]) -> Portfolio:
-    positions = _each(data.get("positions", []), "positions", instrument_from_dict, _ERRORS)
+    positions = _each(data["positions"], "positions", instrument_from_dict, _ERRORS)
     return Portfolio(positions, None if data.get("as_of") is None else read_string(data["as_of"], "as_of"))
 
 
@@ -364,9 +369,7 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
 
     text = read_text(path, PortfolioParseError)
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        return Portfolio(positions=())
-    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]  # an empty file has no header
     if missing:
         raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
     errors = (PortfolioParseError, TypeError, ValueError)  # float() of a cell that is not a number raises ValueError

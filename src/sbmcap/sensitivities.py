@@ -318,7 +318,7 @@ def collect_sensitivities(
             continue
         stage = "classification"
         try:
-            bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
+            bucket = assign_bucket(instr, registry, rb)[0]
             stage = "valuation"
             if girr is None:
                 girr = _GirrKernel(md, rb.tenor_grid)
@@ -361,12 +361,9 @@ def _resolve_quote(
     stage = "classification"
     try:
         name = getattr(instr, spot.name_attr)
-        if spot.risk_class is RiskClass.FX:
-            bucket = rb.currency_bucket(RiskClass.FX, name).bucket_id
-        else:
-            bucket, note = assign_bucket(instr, registry, rb)
-            if note is not None:
-                notes.append(note)
+        bucket, note = assign_bucket(instr, registry, rb)
+        if note is not None:
+            notes.append(note)
         stage = "valuation"
         x = getattr(md, spot.getter)(name)  # fx_spot rejects the reporting currency
         return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []

@@ -18,8 +18,9 @@ import pytest
 from sbmcap import compute_capital, load_market_data, load_portfolio, load_registry, load_rulebook
 from sbmcap.cli import main
 from sbmcap.engine import ReportFormatError, parse_report
+from sbmcap.portfolio import CSV_COLUMNS
 from sbmcap.rulebook import RiskClass
-from sbmcap.harness import AXES, candidate_to_dict, load_cases, reference_candidate
+from sbmcap.harness import AXES, load_cases, reference_candidate, render_candidate
 
 
 @pytest.fixture()
@@ -185,6 +186,29 @@ class TestCompute:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:")
+
+    # Each of these used to print "Capital requirement: 0.00 USD" and exit 0.
+    def test_json_portfolio_without_positions_is_input_error(self, paths, capsys, tmp_path):
+        book = tmp_path / "book.json"
+        book.write_text("{}", encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {book}: missing field 'positions'\n")
+
+    def test_registry_without_issuers_is_input_error(self, paths, capsys, tmp_path):
+        registry = tmp_path / "issuers.json"
+        registry.write_text('{"schema_version": 1}', encoding="utf-8")
+        code = main(["compute", *market_args({**paths, "registry": str(registry)}), "--portfolio", paths["portfolio"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {registry}: missing field 'issuers'\n")
+
+    def test_empty_csv_portfolio_is_input_error(self, paths, capsys, tmp_path):
+        book = tmp_path / "book.csv"
+        book.write_bytes(b"")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {book}: header missing column(s) {list(CSV_COLUMNS)}\n"
 
 
 class TestValidateRulebook:
@@ -669,7 +693,6 @@ UNREAD_FIELDS = {
     ("market", ("schema_version",)),
     ("registry", ("schema_version",)),
     ("json_portfolio", ("schema_version",)),
-    ("cases", ("schema_version",)),
     ("candidate", ("schema_version",)),
     ("candidate", ("source_label",)),
 }
@@ -680,7 +703,7 @@ def test_every_json_value_of_the_wrong_type_is_an_input_error_or_a_violation(pat
     # would read true as 1 and 5 as "5". Every loader must refuse each, naming the file or the violation.
     # A rulebook value is one violation that names it: a rejected value is not reported again as missing.
     candidate = tmp_path / "candidate.json"
-    candidate.write_text(json.dumps(candidate_to_dict(reference_candidate(load_cases(GOLDEN_CASES)))))
+    candidate.write_text(render_candidate(reference_candidate(load_cases(GOLDEN_CASES))))
     commands = {
         "rulebook": lambda path: ["validate-rulebook", "--rulebook", path],
         "market": lambda path: ["compute", *market_args({**paths, "market": path}), "--portfolio", paths["json_portfolio"]],
@@ -754,12 +777,12 @@ ACCEPTED_EDITS = {
     ("rulebook", "null"): RULEBOOK_OPTIONAL,
     ("market", "drop"): {"schema_version", "as_of", *UNUSED_QUOTES},
     ("market", "null"): {"schema_version", "as_of"},
-    ("registry", "drop"): {"schema_version", "issuers", "name"},
+    ("registry", "drop"): {"schema_version", "name"},
     ("registry", "null"): {"schema_version"},
-    ("json_portfolio", "drop"): {"schema_version", "as_of", "positions", "coupon_rate", "frequency", "id", "unit"},
+    ("json_portfolio", "drop"): {"schema_version", "as_of", "coupon_rate", "frequency", "id", "unit"},
     ("json_portfolio", "null"): {"schema_version", "as_of"},
-    ("cases", "drop"): {"schema_version", "scenario", "tenor", "coupon_rate", "frequency", "unit", *AXES},
-    ("cases", "null"): {"schema_version", "tenor", *AXES},
+    ("cases", "drop"): {"schema_version", "tenor", "coupon_rate", "frequency", "unit", *AXES},
+    ("cases", "null"): {"tenor", *AXES},
     ("candidate", "drop"): {"schema_version", "source_label", *AXES, *(f"case-{i:03d}" for i in range(1, 9))},
     ("candidate", "null"): {"schema_version", "source_label", *AXES},
 }
@@ -770,7 +793,7 @@ def test_every_dropped_key_or_null_value_is_an_input_error_or_a_violation(paths,
     # is exit 1 with one error naming the file and the path (a dropped key reads "missing field 'x'"), or for the
     # rulebook exit 2 and its violations; never a traceback. A file still valid runs, if the key may be left out.
     candidate = tmp_path / "candidate.json"
-    candidate.write_text(json.dumps(candidate_to_dict(reference_candidate(load_cases(GOLDEN_CASES)))))
+    candidate.write_text(render_candidate(reference_candidate(load_cases(GOLDEN_CASES))))
     commands = {
         "rulebook": lambda path: ["validate-rulebook", "--rulebook", path],
         "market": lambda path: ["compute", *market_args({**paths, "market": path}), "--portfolio", paths["json_portfolio"]],
@@ -901,7 +924,7 @@ class TestScoringFlow:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == (
-            f"error: {candidate}: malformed candidate answers: case case-001: bucket must be a number, got True\n"
+            f"error: {candidate}: malformed candidate answers: answers['case-001']: bucket must be a number, got True\n"
         )
 
     def test_score_tolerance_flags_are_honored(self, paths, capsys, tmp_path):

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmcap.engine import compute_capital
 from sbmcap.harness import (
@@ -17,7 +19,6 @@ from sbmcap.harness import (
     PromptSpec,
     PromptValidationError,
     Tolerances,
-    candidate_to_dict,
     case_set_from_dict,
     generate_cases,
     load_candidate,
@@ -25,6 +26,8 @@ from sbmcap.harness import (
     load_prompt_spec,
     prompt_spec_from_dict,
     reference_candidate,
+    render_candidate,
+    render_case_set,
     render_prompt,
     render_score_report,
     score_extraction,
@@ -104,6 +107,11 @@ def case_set(rb, market, registry):
     return generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
 
 
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("harness_files")
+
+
 class TestCaseGeneration:
     def test_identical_seeds_give_identical_sets(self, rb, market, registry, case_set):
         again = generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
@@ -150,21 +158,47 @@ class TestCaseGeneration:
 
     def test_file_round_trip(self, case_set, tmp_path):
         path = tmp_path / "cases.json"
-        path.write_text(json.dumps(case_set.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(render_case_set(case_set), encoding="utf-8")
         loaded = load_cases(path)
         assert loaded == case_set
         assert position_types(loaded) == position_types(case_set)
 
     def test_dict_round_trip_preserves_scenario(self, rb, market, registry):
         cs = generate_cases(seed=3, n=4, rb=rb, md=market, registry=registry, scenario=CorrelationScenario.HIGH)
-        parsed = case_set_from_dict(cs.to_dict())
+        parsed = case_set_from_dict(json.loads(render_case_set(cs)))
         assert parsed == cs
         assert position_types(parsed) == position_types(cs)
 
     def test_case_set_matches_golden(self, rb, market, registry):
         # Pins the order of the RNG draws, and so every generated case.
-        golden = json.loads((GOLDEN_DIR / "cases_seed7_n8.json").read_text(encoding="utf-8"))
-        assert generate_cases(seed=7, n=8, rb=rb, md=market, registry=registry).to_dict() == golden
+        golden = (GOLDEN_DIR / "cases_seed7_n8.json").read_text(encoding="utf-8")
+        assert render_case_set(generate_cases(seed=7, n=8, rb=rb, md=market, registry=registry)) == golden
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64), n=st.integers(min_value=1, max_value=50),
+           scenario=st.sampled_from(CorrelationScenario))
+    def test_written_files_read_back_equal_and_rewrite_to_the_same_bytes(
+        self, rb, market, registry, files_dir, seed, n, scenario
+    ):
+        case_set = generate_cases(seed, n, rb, market, registry, scenario)
+        answers = reference_candidate(case_set)
+        cases_text, candidate_text = render_case_set(case_set), render_candidate(answers, "reference")
+        cases, candidate = files_dir / "cases.json", files_dir / "candidate.json"
+        cases.write_text(cases_text, encoding="utf-8")
+        candidate.write_text(candidate_text, encoding="utf-8")
+        loaded, loaded_answers = load_cases(cases), load_candidate(candidate)
+        assert loaded == case_set
+        assert position_types(loaded) == position_types(case_set)
+        assert loaded_answers == answers
+        assert render_candidate(loaded_answers, "reference") == candidate_text
+        # Generated positions hold integer quantities, which read back as floats (6000 as 6000.0), so the
+        # fixed point is the reloaded set: written and read again, it gives the same record and the same bytes.
+        reloaded_text = render_case_set(loaded)
+        cases.write_text(reloaded_text, encoding="utf-8")
+        again = load_cases(cases)
+        assert again == loaded
+        assert position_types(again) == position_types(loaded)
+        assert render_case_set(again) == reloaded_text
 
     def test_short_pool_fails_at_the_first_case_of_its_class(self, rb, market, registry):
         md = market._replace(equity_prices={"XOM": market.equity_prices["XOM"]})
@@ -276,7 +310,7 @@ class TestCandidateFiles:
     def test_candidate_file_round_trip(self, case_set, tmp_path):
         answers = reference_candidate(case_set)
         path = tmp_path / "candidate.json"
-        path.write_text(json.dumps(candidate_to_dict(answers, "unit test"), indent=2))
+        path.write_text(render_candidate(answers, "unit test"))
         loaded = load_candidate(path)
         assert loaded == answers
 
@@ -297,7 +331,7 @@ class TestCandidateFiles:
         with pytest.raises(HarnessError) as excinfo:
             load_candidate(path)
         assert str(excinfo.value) == (
-            f"{path}: malformed candidate answers: case case-001: {axis} must be a number, got {bad!r}"
+            f"{path}: malformed candidate answers: answers['case-001']: {axis} must be a number, got {bad!r}"
         )
 
     @pytest.mark.parametrize("row", [5, None, [0.15], "bucket"])
@@ -307,13 +341,13 @@ class TestCandidateFiles:
         with pytest.raises(HarnessError) as excinfo:
             load_candidate(path)
         assert str(excinfo.value) == (
-            f"{path}: malformed candidate answers: case case-001: answer must be an object, got {row!r}"
+            f"{path}: malformed candidate answers: answers['case-001'] must be an object, got {row!r}"
         )
 
     def test_integer_too_large_for_a_float_rejected(self, tmp_path):
         path = tmp_path / "candidate.json"
         path.write_text('{"answers": {"case-001": {"mcr_value": 1' + "0" * 400 + "}}}")
-        with pytest.raises(HarnessError, match="malformed candidate answers: case case-001: mcr_value must be a finite number, got 10{400}$"):
+        with pytest.raises(HarnessError, match=r"malformed candidate answers: answers\['case-001'\]: mcr_value must be a finite number, got 10{400}$"):
             load_candidate(path)
 
     @pytest.mark.parametrize(
@@ -328,10 +362,17 @@ class TestCandidateFiles:
          # A bad token used to read "5 is not a valid RiskClass", and a dropped key as the bare key.
          (("cases", 2, "risk_class"), 5, "cases[2]: risk_class must be one of girr, equity, fx, commodity, got 5"),
          (("scenario",), "x", "scenario must be one of low, medium, high, got 'x'"),
-         (("cases", 1, "positions"), DROP, "cases[1]: missing field 'positions'")],
+         (("cases", 1, "positions"), DROP, "cases[1]: missing field 'positions'"),
+         # A case set without a scenario used to be read as the medium scenario; gen-cases always writes one.
+         (("scenario",), DROP, "missing field 'scenario'"),
+         # The rows a case set reads: a row of the wrong kind used to be named "case", "factor" or "answer".
+         (("cases", 0), 5, "cases[0] must be an object, got 5"),
+         (("cases", 0, "factors", 1), [], "cases[0]: factors[1] must be an object, got []"),
+         (("cases", 0, "reference"), 0.5, "cases[0]: reference must be an object, got 0.5"),
+         (("cases", 1, "positions", 0), "x", "cases[1]: positions[0]: position must be an object, got 'x'")],
     )
     def test_reference_answer_that_is_not_a_float_rejected(self, case_set, axis, bad, message):
-        data = case_set.to_dict()
+        data = json.loads(render_case_set(case_set))
         *parents, last = ("cases", 0, "reference", axis) if isinstance(axis, str) else axis
         target = data
         for key in parents:
@@ -347,7 +388,7 @@ class TestCandidateFiles:
     @pytest.mark.parametrize("bad, message", [(True, "must be a number, got True"), (1e400, "must be a finite number")])
     def test_position_number_that_is_not_a_finite_json_number_rejected(self, case_set, bad, message):
         # The position's own error used to leave the loader without the "malformed case set" prefix.
-        data = case_set.to_dict()
+        data = json.loads(render_case_set(case_set))
         row = data["cases"][1]["positions"][0]
         assert row["type"] == "equity"
         row["shares"] = bad

@@ -32,7 +32,7 @@ from sbmcap.portfolio import (
     load_registry,
     value,
 )
-from sbmcap.rulebook import Rulebook, rulebook_from_dict
+from sbmcap.rulebook import RiskClass, Rulebook, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import collect_sensitivities
 
 REL_TOL = 1e-12
@@ -69,10 +69,26 @@ class TestLoaders:
         path.write_text("type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n", encoding="utf-8")
         assert load_portfolio(path).positions == ()
 
-    def test_blank_file_is_empty_portfolio(self, tmp_path):
+    def test_blank_file_is_rejected_naming_the_missing_header(self, tmp_path):
+        # A file with no header row used to load as an empty portfolio, and so as zero capital.
         path = tmp_path / "blank.csv"
         path.write_text("", encoding="utf-8")
-        assert load_portfolio(path).positions == ()
+        with pytest.raises(PortfolioParseError, match=f"^{re.escape(str(path))}: header missing column"):
+            load_portfolio(path)
+
+    def test_empty_lists_are_valid_empty_inputs(self, tmp_path):
+        book, issuers = tmp_path / "book.json", tmp_path / "issuers.json"
+        book.write_text('{"positions": []}', encoding="utf-8")
+        issuers.write_text('{"issuers": []}', encoding="utf-8")
+        assert load_portfolio(book).positions == ()
+        assert load_registry(issuers) == {}
+
+    @pytest.mark.parametrize("name, field", [("book.json", "positions"), ("issuers.json", "issuers")])
+    def test_file_without_its_list_is_rejected_naming_it(self, tmp_path, name, field):
+        path = tmp_path / name
+        path.write_text('{"schema_version": 1}', encoding="utf-8")
+        with pytest.raises(PortfolioParseError, match=f"^{re.escape(str(path))}: missing field '{field}'$"):
+            load_portfolio(path) if name == "book.json" else load_registry(path)
 
     def test_bad_quantity_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -553,10 +569,23 @@ class TestBucketAssignment:
         with pytest.raises(BucketAssignmentError, match="no equity residual bucket"):
             assign_bucket(CashEquity("UNKNOWN", 1), registry, stripped)
 
-    def test_bond_has_no_bucket_assignment(self, rb, registry):
+    def test_bond_gets_the_girr_bucket_of_its_currency(self, rb, registry):
         bond = Bond(notional=1.0, coupon_rate=0.0, maturity=1.0, frequency=1, currency="USD")
-        with pytest.raises(BucketAssignmentError, match="equities and commodities"):
-            assign_bucket(bond, registry, rb)
+        assert assign_bucket(bond, registry, rb) == (rb.currency_bucket(RiskClass.GIRR, "USD").bucket_id, None)
+
+    def test_fx_position_gets_the_fx_bucket_of_its_currency(self, rb, registry):
+        expected = rb.currency_bucket(RiskClass.FX, "EUR").bucket_id
+        assert assign_bucket(FXPosition("EUR", -5.0), registry, rb) == (expected, None)
+
+    @pytest.mark.parametrize("instr", [Bond(1.0, 0.0, 1.0, 1, "XYZ"), FXPosition("XYZ", 1.0)])
+    def test_uncovered_currency_is_a_rulebook_query_error(self, rb, registry, instr):
+        token = "girr" if isinstance(instr, Bond) else "fx"
+        with pytest.raises(RulebookQueryError, match=f"^no {token} bucket covers currency 'XYZ'$"):
+            assign_bucket(instr, registry, rb)
+
+    def test_object_that_is_no_instrument_has_no_bucket(self, rb, registry):
+        with pytest.raises(BucketAssignmentError, match="^cannot assign a bucket to an instrument of type str$"):
+            assign_bucket("XOM", registry, rb)
 
     def test_multiple_positions_same_issuer_allowed(self, rb, registry, market):
         p = Portfolio(positions=(CashEquity("XOM", 100), CashEquity("XOM", -40)))

@@ -610,12 +610,12 @@ class TestPerQuoteResolution:
             monkeypatch.setattr(MarketData, getter, counting("quote reads", getattr(MarketData, getter)))
         monkeypatch.setattr(sensitivities, "SensitivityRecord", counting("records", SensitivityRecord))
         records, _ = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
-        # Equities XOM, T, MSFT and commodities gold, crude_oil go through
-        # assign_bucket; EUR is classified by its currency. Each of the 6 quotes
-        # is read once, no position is revalued, and the only records built are
-        # one per netted factor, the bonds' tenors included.
+        # Each of the 6 quotes (XOM, T, MSFT, EUR, gold, crude_oil) is classified
+        # and read once, and each of the 2 bonds is classified; no position is
+        # revalued, and the only records built are one per netted factor, the
+        # bonds' tenors included.
         assert any(rec.key.risk_class is RiskClass.GIRR for rec in records)
-        assert counts == {"assign_bucket": 5, "value": 0, "quote reads": 6, "records": len(records)}
+        assert counts == {"assign_bucket": 6 + 2, "value": 0, "quote reads": 6, "records": len(records)}
 
     def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
         # An issuer id may spell a currency code; its equity price is another quote.
