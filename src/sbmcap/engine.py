@@ -16,8 +16,9 @@ ScenarioResult.classes, written as "risk_classes" (``_JSON_KEYS``). Results
 become objects, other tuples lists, and scenario and class dicts keep their
 token keys. Parsing walks the same fields back with their annotations and
 the rulebook's typed readers, names the path of a value it rejects, treats
-a field in ``_field_defaults`` as optional, and puts scenarios and classes
-in enum order. Rendering and parsing back gives an equal report, and
+a field in ``_field_defaults`` as optional, reads a ``Literal[1]`` field
+(the ``schema_version``) as that integer alone, and puts scenarios and
+classes in enum order. Rendering and parsing back gives an equal report, and
 identical inputs give byte-identical output.
 
 The harness reads its case sets and candidate files with the same reader
@@ -41,12 +42,12 @@ import typing
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Literal, NamedTuple
 
 from .aggregation import ScenarioResult, scenario_envelope
 from .portfolio import Instrument, IssuerInfo, MarketData, Portfolio, PortfolioError, instrument_from_dict
 from .rulebook import (
-    CorrelationScenario, JSONFieldError, RiskClass, Rulebook, _parse_json_object, _prefixed,
+    CorrelationScenario, JSONFieldError, RiskClass, Rulebook, _parse_json_object, _prefixed, _read_literal,
     read_bool, read_finite, read_integer, read_list, read_object, read_string,
 )
 from .sensitivities import collect_sensitivities
@@ -68,7 +69,7 @@ class CapitalReport(NamedTuple):
     total_capital: float
     as_of: str | None = None
     warnings: tuple[str, ...] = ()
-    schema_version: int = 1
+    schema_version: Literal[1] = 1
 
 
 # dataclasses.replace(report, **changes), which the benchmark's self-test calls, reads the name, init and
@@ -114,6 +115,8 @@ def _decoder(tp: Any, error: type[Exception]) -> Callable[..., Any]:
         rest = tuple(arg for arg in args if arg is not type(None))
         read = _decoder(rest[0] if len(rest) == 1 else typing.Union[rest], error)
         return lambda value, field, key=None: None if value is None else read(value, field, key)
+    if origin is Literal:  # the one integer the field takes, such as a schema_version of 1
+        return functools.partial(_read_literal, literal=args[0])
     if args == (int, float):  # a finite number, kept as an int when integral
         def read_number(value: Any, field: str, key: Any = None) -> int | float:
             number = read_finite(value, field, key)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Literal, NamedTuple
 
 from .engine import _decoder, _json_text, compute_capital
 from .portfolio import (
@@ -109,7 +109,7 @@ class CaseSet(NamedTuple):
     n: int
     scenario: CorrelationScenario
     cases: tuple[Case, ...]
-    schema_version: int = 1
+    schema_version: Literal[1] = 1
 
 
 CaseVerdict = NamedTuple("CaseVerdict", [("case_id", str), *((axis, str) for axis in AXES)])
@@ -279,9 +279,9 @@ def _case_pools(rb: Rulebook, md: MarketData, registry: dict[str, IssuerInfo]) -
 
 # The position a spot case holds in one quote, its size drawn from the case's generator.
 _SPOT_POSITION = {
-    RiskClass.EQUITY: lambda name, rng: CashEquity(issuer_id=name, shares=100 * rng.randint(1, 200)),
-    RiskClass.FX: lambda name, rng: FXPosition(foreign_currency=name, signed_notional=10_000 * rng.randint(1, 100)),
-    RiskClass.COMMODITY: lambda name, rng: CommodityFuture(commodity_id=name, quantity=rng.randint(1, 500), unit="lot"),
+    RiskClass.EQUITY: lambda name, rng: CashEquity(name, shares=100.0 * rng.randint(1, 200)),
+    RiskClass.FX: lambda name, rng: FXPosition(name, signed_notional=10_000.0 * rng.randint(1, 100)),
+    RiskClass.COMMODITY: lambda name, rng: CommodityFuture(name, quantity=float(rng.randint(1, 500)), unit="lot"),
 }
 
 
@@ -303,7 +303,7 @@ def _generate_case(
         ccy = md.reporting_currency
         # Zero-coupon bonds maturing on grid tenors load exactly one tenor each.
         positions: tuple[Instrument, ...] = tuple(
-            Bond(notional=1_000 * rng.randint(1, 100), coupon_rate=0.0, maturity=t, frequency=1, currency=ccy)
+            Bond(notional=1_000.0 * rng.randint(1, 100), coupon_rate=0.0, maturity=t, frequency=1, currency=ccy)
             for t in (first, second)
         )
         factors = (FactorRef(ccy, first), FactorRef(ccy, second))

@@ -10,7 +10,8 @@ Conventions:
     piecewise-linear interpolation of zero rates between pillars and flat
     extrapolation outside.
   - Coupon dates run backwards from maturity in steps of 1/frequency, so the
-    final flow falls exactly at maturity.
+    final flow falls exactly at maturity. A zero-coupon bond pays only at
+    maturity: its one cash flow is (maturity, notional).
   - FX positions are signed notionals of the foreign currency; positive means
     long the foreign currency against the reporting currency.
 """
@@ -83,13 +84,15 @@ class Bond(_BondFields):
     _make = classmethod(_make_through_new)
 
     def cash_flows(self) -> list[tuple[float, float]]:
-        """(time, amount) pairs, coupon dates counted back from maturity."""
+        """(time, amount) pairs, coupon dates counted back from maturity; a zero-coupon bond pays only at maturity."""
         flows: list[tuple[float, float]] = []
         coupon = self.notional * self.coupon_rate / self.frequency
+        # A zero-coupon bond has no coupon dates: one step back from maturity ends its schedule.
+        step = 1.0 / self.frequency if self.coupon_rate else self.maturity
         t = self.maturity
         while t > _TIME_EPS:
             flows.append((t, coupon))
-            t -= 1.0 / self.frequency
+            t -= step
         flows.reverse()
         if flows:
             t_final, amount = flows[-1]
@@ -368,45 +371,46 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
     import io
 
     text = read_text(path, PortfolioParseError)
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(text), restval="")  # a short row's missing cells are blank
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]  # an empty file has no header
     if missing:
         raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
-    errors = (PortfolioParseError, TypeError, ValueError)  # float() of a cell that is not a number raises ValueError
+    errors = (PortfolioParseError, ValueError)  # float() of a cell that is not a number raises ValueError
     return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, errors)
                             for row in reader]))
 
 
+# The row key of each CSV column a position type reads, in the order its row reader reads them.
+_CSV_KEYS = {
+    "bond": {"quantity": "notional", "coupon": "coupon_rate", "maturity": "maturity", "frequency": "frequency",
+             "currency": "currency", "issuer_or_id": "id"},
+    "equity": {"issuer_or_id": "issuer_id", "quantity": "shares"},
+    "fx": {"currency": "currency", "quantity": "notional"},
+    "commodity": {"issuer_or_id": "commodity_id", "quantity": "quantity", "unit": "unit"},
+}
+_CSV_NUMBERS = ("quantity", "coupon", "maturity", "frequency")
+
+
 def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
-    kind = (row.get("type") or "").strip().lower()
-    ident = (row.get("issuer_or_id") or "").strip()
-    quantity = _required_float(row, "quantity")
-    sign = (row.get("sign") or "").strip()
-    if sign not in ("", "+", "-"):
-        raise PortfolioParseError(f"sign must be '+', '-' or empty, got {sign!r}")
-    signed = -quantity if sign == "-" else quantity
-    if kind == "bond":
-        coupon_raw = (row.get("coupon") or "").strip()
-        frequency_raw = (row.get("frequency") or "").strip()
-        return Bond(
-            notional=signed,
-            coupon_rate=_finite(coupon_raw, "coupon") if coupon_raw else 0.0,
-            maturity=_required_float(row, "maturity"),
-            frequency=read_integer(_finite(frequency_raw, "frequency"), "frequency") if frequency_raw else 2,
-            currency=_required_str(row, "currency"),
-            label=ident,
-        )
-    if kind == "equity":
-        if not ident:
-            raise PortfolioParseError("equity rows need an issuer id in issuer_or_id")
-        return CashEquity(issuer_id=ident, shares=signed)
-    if kind == "fx":
-        return FXPosition(foreign_currency=_required_str(row, "currency"), signed_notional=signed)
-    if kind == "commodity":
-        if not ident:
-            raise PortfolioParseError("commodity rows need a commodity id in issuer_or_id")
-        return CommodityFuture(commodity_id=ident, quantity=signed, unit=(row.get("unit") or "").strip())
-    raise PortfolioParseError(f"unknown position type {kind!r}")
+    # The row's portfolio-file row, read by instrument_from_dict.
+    kind = row["type"].strip().lower()
+    columns = _CSV_KEYS.get(kind, {})  # an unknown type reads no cell: the row reader rejects the type
+    position: dict[str, Any] = {"type": kind}
+    for column, key in columns.items():
+        cell = row[column].strip()
+        if not cell:
+            continue  # a blank cell is an absent key
+        position[key] = _finite(cell, column) if column in _CSV_NUMBERS else cell
+        if column == "quantity":  # the sign column applies to the quantity
+            sign = row["sign"].strip()
+            if sign not in ("", "+", "-"):
+                raise PortfolioParseError(f"sign must be '+', '-' or empty, got {sign!r}")
+            position[key] = -position[key] if sign == "-" else position[key]
+    try:
+        return instrument_from_dict(position)
+    except KeyError as exc:
+        column = next(column for column, key in columns.items() if key == exc.args[0])
+        raise PortfolioParseError(f"column {column!r} is required for this row type") from None
 
 
 def instrument_to_dict(instr: Instrument) -> dict[str, Any]:
@@ -432,23 +436,9 @@ def instrument_to_dict(instr: Instrument) -> dict[str, Any]:
     raise PortfolioError(f"cannot serialize instrument of type {type(instr).__name__}")
 
 
-def _required_float(row: dict[str, str], column: str) -> float:
-    raw = (row.get(column) or "").strip()
-    if not raw:
-        raise PortfolioParseError(f"column {column!r} is required for this row type")
-    return _finite(raw, column)
-
-
 def _finite(raw: Any, label: str) -> float:
     # float() of a CSV cell accepts "nan" and "inf"; neither is a usable quantity.
     number = float(raw)
     if not math.isfinite(number):
         raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
     return number
-
-
-def _required_str(row: dict[str, str], column: str) -> str:
-    raw = (row.get(column) or "").strip()
-    if not raw:
-        raise PortfolioParseError(f"column {column!r} is required for this row type")
-    return raw

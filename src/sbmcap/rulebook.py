@@ -587,7 +587,7 @@ def rulebook_from_dict(data: dict[str, Any]) -> Rulebook:
         raise RulebookParseError("rulebook document must be a JSON object")
     violations: list[str] = []
     version = _field(read_string, data, "version", "", violations, "")
-    schema_version = _field(_read_schema_version, data, "schema_version", "", violations, 1)
+    schema_version = _field(_read_literal, data, "schema_version", "", violations, 1)
     grid = _field(read_list, data, "tenor_grid", "", violations, ())
     if grid is not _REJECTED:
         grid = tuple([_read(_read_positive, t, "tenor_grid", "", violations, i) for i, t in enumerate(grid)])
@@ -747,10 +747,11 @@ _read_affine = _bounded("a finite number", -sys.float_info.max, sys.float_info.m
 _read_slope = _bounded("a finite number at least 0", 0.0, sys.float_info.max)
 
 
-def _read_schema_version(value: Any, field: str, key: Any = None) -> int:
-    if read_integer(value, field, key) != 1:
-        raise JSONFieldError(field, "1", value, key)
-    return 1
+def _read_literal(value: Any, field: str, key: Any = None, literal: int = 1) -> int:
+    # The one integer a field takes, such as a schema_version of 1.
+    if read_integer(value, field, key) != literal:
+        raise JSONFieldError(field, str(literal), value, key)
+    return literal
 
 
 def _reader(json_type: type, kind: str) -> Callable[..., Any]:

@@ -280,7 +280,8 @@ def collect_sensitivities(
 
     Every position is attempted; failures are gathered and raised together as
     a SensitivityError tagged with position index and stage. Each distinct
-    spot quote is classified, keyed and bumped once (see the module docstring).
+    spot quote is classified, keyed and bumped once (see the module docstring),
+    and the bonds of one currency are classified once.
     The messages are the residual-bucket and curve-extrapolation notes, each
     once, in first-seen order.
     """
@@ -293,6 +294,7 @@ def collect_sensitivities(
     # terms, or the issue the first position reading that quote raised.
     quotes: dict[tuple[type, str], tuple[RiskFactorKey, float, float, list[float]] | InstrumentIssue] = {}
     girr: _GirrKernel | None = None  # built when the first bond is seen
+    bond_buckets: dict[str, int] = {}  # GIRR bucket by currency, of the bonds classified so far
     for index, instr in enumerate(p.positions):
         spot = _SPOT_TYPES.get(type(instr))
         if spot is not None:
@@ -318,7 +320,9 @@ def collect_sensitivities(
             continue
         stage = "classification"
         try:
-            bucket = assign_bucket(instr, registry, rb)[0]
+            bucket = bond_buckets.get(instr.currency)
+            if bucket is None:
+                bucket = bond_buckets[instr.currency] = assign_bucket(instr, registry, rb)[0]
             stage = "valuation"
             if girr is None:
                 girr = _GirrKernel(md, rb.tenor_grid)

@@ -14,6 +14,12 @@ def fixtures_dir() -> Path:
     return FIXTURES_DIR
 
 
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory) -> Path:
+    """A directory a hypothesis test rewrites its files in, example after example."""
+    return tmp_path_factory.mktemp("files")
+
+
 @pytest.fixture(scope="session")
 def rb():
     return load_rulebook(FIXTURES_DIR / "rulebook.json")

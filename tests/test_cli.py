@@ -8,12 +8,16 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sbmcap import compute_capital, load_market_data, load_portfolio, load_registry, load_rulebook
 from sbmcap.cli import main
@@ -61,6 +65,24 @@ def test_importing_the_cli_does_not_load_dataclasses_or_inspect():
     code = "import sys, sbmcap.cli, sbmcap.harness; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_readme_command_line_examples_run_on_the_fixtures(fixtures_dir, monkeypatch, capsys, tmp_path):
+    # Every command of every sh block in the README's "Command line" section, in order and in a directory that holds
+    # a copy of fixtures/, so score reads the files gen-cases wrote.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    commands = [shlex.split(line) for block in blocks for line in block.replace("\\\n", " ").splitlines() if line]
+    assert [command[:2] for command in commands] == [
+        ["sbmcap", name] for name in ("compute", "validate-rulebook", "gen-cases", "score", "render-prompt",
+                                      "dump-sensitivities")
+    ]
+    shutil.copytree(fixtures_dir, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SBMCAP_OUT_DIR", raising=False)
+    for command in commands:
+        assert main(command[1:]) == 0, (command, capsys.readouterr().err)
 
 
 class TestHelp:
@@ -209,6 +231,52 @@ class TestCompute:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == f"error: {book}: header missing column(s) {list(CSV_COLUMNS)}\n"
+
+
+def is_finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+# One edit of one cell: a blank, a non-number or non-finite number in a number column, a bad sign or an unknown type.
+_CSV_TYPES = ("bond", "equity", "fx", "commodity")
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+CSV_CELL_EDITS = st.one_of(
+    st.tuples(st.sampled_from(CSV_COLUMNS), st.just("")),
+    st.tuples(st.sampled_from(("quantity", "coupon", "maturity", "frequency")),
+              st.sampled_from(("nan", "-NaN", "inf", "-inf", "+Infinity", "1e999", "x", "1,5")) | _CELL_TEXT)
+    .filter(lambda edit: edit[1].strip() and not is_finite_number(edit[1])),
+    st.tuples(st.just("sign"), _CELL_TEXT.filter(lambda text: text.strip() not in ("", "+", "-"))),
+    st.tuples(st.just("type"), _CELL_TEXT.filter(lambda text: text.strip().lower() not in _CSV_TYPES)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 7), CSV_CELL_EDITS), min_size=1, max_size=4),
+       cut=st.none() | st.integers(0, len(CSV_COLUMNS) - 1))
+def test_edited_csv_book_runs_or_fails_naming_the_file_and_the_line(paths, capsys, tmp_path, edits, cut):
+    # Cells of the fixture book are edited, and the last line may be cut off after its first ``cut`` cells. The run
+    # succeeds, or fails with one error naming the file and an edited line; never a traceback.
+    header, *rows = list(csv.reader(io.StringIO(Path(paths["portfolio"]).read_text(encoding="utf-8"))))
+    for row, (column, text) in edits:
+        rows[row][header.index(column)] = text
+    edited_lines = {row + 2 for row, _ in edits}
+    if cut is not None:
+        rows[-1] = rows[-1][:cut]
+        edited_lines.add(len(rows) + 1)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    book = tmp_path / "book.csv"
+    book.write_text(out.getvalue(), encoding="utf-8")
+    code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 1:
+        assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+        named = re.match(f"error: {re.escape(str(book))}: line ([0-9]+): ", captured.err)
+        assert named and int(named.group(1)) in edited_lines, captured.err
 
 
 class TestValidateRulebook:
@@ -926,6 +994,17 @@ class TestScoringFlow:
         assert captured.err == (
             f"error: {candidate}: malformed candidate answers: answers['case-001']: bucket must be a number, got True\n"
         )
+
+    def test_case_set_of_another_schema_version_is_input_error(self, capsys, tmp_path):
+        # A case set written for another schema used to load as this one, and was written back with its version.
+        data = json.loads(GOLDEN_CASES.read_text())
+        data["schema_version"] = 2
+        cases = tmp_path / "cases.json"
+        cases.write_text(json.dumps(data))
+        code = main(["score", "--cases", str(cases), "--candidate", str(GOLDEN_CANDIDATE)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {cases}: malformed case set: schema_version must be 1, got 2\n"
 
     def test_score_tolerance_flags_are_honored(self, paths, capsys, tmp_path):
         cases_path = tmp_path / "cases.json"

@@ -377,6 +377,7 @@ class TestDictForm:
             (("scenarios", "medium"), 5, "scenarios['medium'] must be an object, got 5"),
             (("warnings",), ["fine", None], "warnings[1] must be a string, got None"),
             (("total_capital",), math.nan, "total_capital must be a finite number, got nan"),
+            (("schema_version",), 7, "schema_version must be 1, got 7"),
             (("scenarios", "medium", "risk_classes", "equity", "buckets", 0, "k_b"), -math.inf,
              "scenarios['medium']: risk_classes['equity']: buckets[0]: k_b must be a finite number, got -inf"),
         ],

@@ -107,11 +107,6 @@ def case_set(rb, market, registry):
     return generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
 
 
-@pytest.fixture(scope="module")
-def files_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("harness_files")
-
-
 class TestCaseGeneration:
     def test_identical_seeds_give_identical_sets(self, rb, market, registry, case_set):
         again = generate_cases(seed=7, n=12, rb=rb, md=market, registry=registry)
@@ -191,14 +186,7 @@ class TestCaseGeneration:
         assert position_types(loaded) == position_types(case_set)
         assert loaded_answers == answers
         assert render_candidate(loaded_answers, "reference") == candidate_text
-        # Generated positions hold integer quantities, which read back as floats (6000 as 6000.0), so the
-        # fixed point is the reloaded set: written and read again, it gives the same record and the same bytes.
-        reloaded_text = render_case_set(loaded)
-        cases.write_text(reloaded_text, encoding="utf-8")
-        again = load_cases(cases)
-        assert again == loaded
-        assert position_types(again) == position_types(loaded)
-        assert render_case_set(again) == reloaded_text
+        assert render_case_set(loaded) == cases_text
 
     def test_short_pool_fails_at_the_first_case_of_its_class(self, rb, market, registry):
         md = market._replace(equity_prices={"XOM": market.equity_prices["XOM"]})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import assign_equity_bucket_by_scan, bond_value, fixture_rulebook_data
 from sbmcap.portfolio import (
+    CSV_COLUMNS,
     Bond,
     BucketAssignmentError,
     CashEquity,
@@ -272,6 +275,63 @@ class TestLoaders:
             load_registry(path)
 
 
+_NAMES = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=6).filter(
+    lambda s: s == s.strip())
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+POSITIONS = st.one_of(
+    st.builds(Bond, _NUMBERS, _NUMBERS, st.floats(0.0, MAX_MATURITY, exclude_min=True), st.sampled_from((1, 2, 4)),
+              _NAMES, st.just("") | _NAMES),
+    st.builds(CashEquity, _NAMES, _NUMBERS),
+    st.builds(FXPosition, _NAMES, _NUMBERS),
+    st.builds(CommodityFuture, _NAMES, _NUMBERS, st.just("") | _NAMES),
+)
+# The cells a CSV row of each type cannot leave blank.
+REQUIRED_CELLS = {
+    Bond: ("quantity", "maturity", "currency"),
+    CashEquity: ("issuer_or_id", "quantity"),
+    FXPosition: ("currency", "quantity"),
+    CommodityFuture: ("issuer_or_id", "quantity"),
+}
+
+
+def csv_cells(instr, sign: str) -> dict[str, str]:
+    """The CSV cells of one position; with sign '-', the quantity cell holds the negated quantity."""
+    if type(instr) is Bond:
+        cells = {"type": "bond", "issuer_or_id": instr.label, "quantity": instr.notional, "coupon": instr.coupon_rate,
+                 "maturity": instr.maturity, "frequency": instr.frequency, "currency": instr.currency}
+    elif type(instr) is CashEquity:
+        cells = {"type": "equity", "issuer_or_id": instr.issuer_id, "quantity": instr.shares}
+    elif type(instr) is FXPosition:
+        cells = {"type": "fx", "currency": instr.foreign_currency, "quantity": instr.signed_notional}
+    else:
+        cells = {"type": "commodity", "issuer_or_id": instr.commodity_id, "quantity": instr.quantity, "unit": instr.unit}
+    cells["quantity"], cells["sign"] = (-cells["quantity"] if sign == "-" else cells["quantity"]), sign
+    return {column: repr(cells[column]) if type(cells.get(column)) is float else str(cells.get(column, ""))
+            for column in CSV_COLUMNS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(instr=POSITIONS, sign=st.sampled_from(("", "+", "-")))
+def test_csv_row_reads_as_its_json_row_and_a_blank_required_cell_names_its_column(files_dir, instr, sign):
+    book, json_book = files_dir / "book.csv", files_dir / "book.json"
+    json_book.write_text(json.dumps({"positions": [instrument_to_dict(instr)]}), encoding="utf-8")
+
+    def write_csv(cells):
+        out = io.StringIO()
+        csv.DictWriter(out, CSV_COLUMNS, lineterminator="\n").writerows([dict(zip(CSV_COLUMNS, CSV_COLUMNS)), cells])
+        book.write_text(out.getvalue(), encoding="utf-8")
+
+    cells = csv_cells(instr, sign)
+    write_csv(cells)
+    read = [(type(p), p) for path in (book, json_book) for p in load_portfolio(path).positions]
+    assert read == [(type(instr), instr)] * 2
+    for column in REQUIRED_CELLS[type(instr)]:
+        write_csv({**cells, column: ""})
+        with pytest.raises(PortfolioParseError) as excinfo:
+            load_portfolio(book)
+        assert str(excinfo.value) == f"{book}: line 2: column {column!r} is required for this row type"
+
+
 BOND = Bond(notional=1_000.0, coupon_rate=0.05, maturity=5.0, frequency=2, currency="USD", label="B")
 CURVE = ZeroCurve((1.0, 5.0, 30.0), (0.03, 0.035, 0.04))
 
@@ -368,11 +428,17 @@ class TestValuation:
     def test_extrapolation_beyond_last_pillar_warns(self, market, registry, rb):
         # The curve extrapolates flat and silently; collecting the bond's deltas
         # returns one message per flow beyond the 30y last pillar.
-        bond = Bond(notional=100.0, coupon_rate=0.0, maturity=35.0, frequency=1, currency="USD")
-        pv = bond_value(bond, market)
-        assert pv == pytest.approx(100.0 * 1.04**-35.0, rel=1e-12)
+        bond = Bond(notional=100.0, coupon_rate=0.05, maturity=35.0, frequency=1, currency="USD")
         _, messages = collect_sensitivities(Portfolio(positions=(bond,)), market, registry, rb)
         assert messages == tuple(f"zero rate at t={t} beyond last pillar 30, extrapolating flat" for t in range(31, 36))
+
+    def test_zero_coupon_bond_beyond_last_pillar_warns_once(self, market, registry, rb):
+        # A zero-coupon bond pays only at maturity: one flow, valued at the flat last rate, and one message.
+        bond = Bond(notional=100.0, coupon_rate=0.0, maturity=35.0, frequency=1, currency="USD")
+        assert bond.cash_flows() == [(35.0, 100.0)]
+        assert bond_value(bond, market) == pytest.approx(100.0 * 1.04**-35.0, rel=1e-12)
+        _, messages = collect_sensitivities(Portfolio(positions=(bond,)), market, registry, rb)
+        assert messages == ("zero rate at t=35 beyond last pillar 30, extrapolating flat",)
 
     def test_missing_equity_price(self, market):
         with pytest.raises(MarketDataError, match="ZZZ"):

@@ -611,11 +611,11 @@ class TestPerQuoteResolution:
         monkeypatch.setattr(sensitivities, "SensitivityRecord", counting("records", SensitivityRecord))
         records, _ = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
         # Each of the 6 quotes (XOM, T, MSFT, EUR, gold, crude_oil) is classified
-        # and read once, and each of the 2 bonds is classified; no position is
+        # and read once, and the 2 USD bonds are classified once; no position is
         # revalued, and the only records built are one per netted factor, the
         # bonds' tenors included.
         assert any(rec.key.risk_class is RiskClass.GIRR for rec in records)
-        assert counts == {"assign_bucket": 6 + 2, "value": 0, "quote reads": 6, "records": len(records)}
+        assert counts == {"assign_bucket": 6 + 1, "value": 0, "quote reads": 6, "records": len(records)}
 
     def test_quotes_of_different_types_sharing_a_name_stay_apart(self, market, registry, rb):
         # An issuer id may spell a currency code; its equity price is another quote.
@@ -646,6 +646,8 @@ class TestPerQuoteResolution:
             (CashEquity("NOBUCKET", 100),
              "issuer 'NOBUCKET' (advanced/large/crypto) matches no equity bucket, and the rulebook has no equity residual bucket"),
             (FXPosition("XYZ", 100), "no fx bucket covers currency 'XYZ'"),
+            (Bond(notional=100.0, coupon_rate=0.0, maturity=1.0, frequency=1, currency="XYZ"),
+             "no girr bucket covers currency 'XYZ'"),
         ],
     )
     def test_unclassifiable_quote_fails_every_position_holding_it(self, market, registry, rb, unclassifiable, message):
