@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Any, NamedTuple, Union
 
 from .rulebook import (
-    JSONFieldError, RiskClass, Rulebook, _each, _make_through_new, _prefixed,
-    read_finite, read_finite_values, read_integer, read_json_object, read_list, read_object, read_string, read_text,
+    JSONFieldError, RiskClass, Rulebook, _each, _make_through_new, _prefixed, _read_literal, _read_positive,
+    read_finite, read_integer, read_json_object, read_list, read_object, read_string, read_text,
 )
 
 CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity", "frequency", "currency", "sign")
@@ -279,7 +279,7 @@ def _residual_or_error(rb: Rulebook, risk_class: RiskClass, why: str) -> tuple[i
 # -- file loaders -----------------------------------------------------------
 
 
-# Malformed input the JSON readers below raise: each becomes a PortfolioParseError that names the file and the path.
+# Malformed input the readers below raise: each becomes a PortfolioParseError that names the file and the path.
 _ERRORS = (PortfolioParseError, PortfolioError)
 
 
@@ -288,15 +288,23 @@ def load_market_data(path: str | Path) -> MarketData:
 
 
 def _market_from_dict(data: dict[str, Any]) -> MarketData:
+    _read_literal(data.get("schema_version", 1), "schema_version")
     curve = [_pillar(pair, i) for i, pair in enumerate(read_list(data.get("zero_curve", []), "zero_curve"))]
     return MarketData(
         read_string(data["reporting_currency"], "reporting_currency"),
-        read_finite_values(data.get("equity_prices", {}), "equity_prices"),
-        read_finite_values(data.get("fx_spots", {}), "fx_spots"),
-        read_finite_values(data.get("commodity_prices", {}), "commodity_prices"),
+        *(_quotes(data.get(field, {}), field) for field in ("equity_prices", "fx_spots", "commodity_prices")),
         ZeroCurve(tuple(tenor for tenor, _ in curve), tuple(rate for _, rate in curve)),
         None if data.get("as_of") is None else read_string(data["as_of"], "as_of"),
     )
+
+
+def _quotes(value: Any, field: str) -> dict[str, float]:
+    # A price is a finite number above 0: a zero or negative quote would shrink or flip every delta on it.
+    quotes = read_object(value, field)
+    for quote in quotes.values():  # a file of float prices is returned as read
+        if type(quote) is not float or not 0.0 < quote < math.inf:
+            return {name: _read_positive(quote, field, name) for name, quote in quotes.items()}
+    return quotes
 
 
 def _pillar(value: Any, i: int) -> tuple[float, float]:
@@ -311,6 +319,7 @@ def load_registry(path: str | Path) -> dict[str, IssuerInfo]:
 
 
 def _registry_from_dict(data: dict[str, Any]) -> dict[str, IssuerInfo]:
+    _read_literal(data.get("schema_version", 1), "schema_version")
     registry: dict[str, IssuerInfo] = {}
     for info in _each(data["issuers"], "issuers", _issuer, _ERRORS):
         if registry.setdefault(info.issuer_id, info) is not info:
@@ -337,12 +346,14 @@ def load_portfolio(path: str | Path) -> Portfolio:
 
 
 def _portfolio_from_dict(data: dict[str, Any]) -> Portfolio:
+    _read_literal(data.get("schema_version", 1), "schema_version")
     positions = _each(data["positions"], "positions", instrument_from_dict, _ERRORS)
     return Portfolio(positions, None if data.get("as_of") is None else read_string(data["as_of"], "as_of"))
 
 
 def instrument_from_dict(row: Any) -> Instrument:
     """Parse one position from its JSON-schema row; a wrongly typed field raises ``JSONFieldError``."""
+    # Written out, not read from _ROWS, for load_portfolio's speed; it reads each type's keys in _ROWS's order.
     kind = read_object(row, "position")["type"]
     if kind == "bond":
         return Bond(
@@ -363,7 +374,7 @@ def instrument_from_dict(row: Any) -> Instrument:
             read_finite(row["quantity"], "quantity"),
             read_string(row.get("unit", ""), "unit"),
         )
-    raise JSONFieldError("type", "one of bond, equity, fx, commodity", kind)
+    raise JSONFieldError("type", "one of " + ", ".join(token for token, _ in _ROWS.values()), kind)
 
 
 def _portfolio_from_csv(path: Path) -> Portfolio:
@@ -375,25 +386,26 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]  # an empty file has no header
     if missing:
         raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
-    errors = (PortfolioParseError, ValueError)  # float() of a cell that is not a number raises ValueError
-    return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, errors)
+    return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, _ERRORS)
                             for row in reader]))
 
 
-# The row key of each CSV column a position type reads, in the order its row reader reads them.
-_CSV_KEYS = {
-    "bond": {"quantity": "notional", "coupon": "coupon_rate", "maturity": "maturity", "frequency": "frequency",
-             "currency": "currency", "issuer_or_id": "id"},
-    "equity": {"issuer_or_id": "issuer_id", "quantity": "shares"},
-    "fx": {"currency": "currency", "quantity": "notional"},
-    "commodity": {"issuer_or_id": "commodity_id", "quantity": "quantity", "unit": "unit"},
+# The one statement of a position row: per type, its ``type`` token and, per field in field order, its row key and
+# its CSV column. instrument_to_dict and _CSV_KEYS (per type, CSV column to row key, in field order) are built from it.
+_ROWS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
+    Bond: ("bond", (("notional", "quantity"), ("coupon_rate", "coupon"), ("maturity", "maturity"),
+                    ("frequency", "frequency"), ("currency", "currency"), ("id", "issuer_or_id"))),
+    CashEquity: ("equity", (("issuer_id", "issuer_or_id"), ("shares", "quantity"))),
+    FXPosition: ("fx", (("currency", "currency"), ("notional", "quantity"))),
+    CommodityFuture: ("commodity", (("commodity_id", "issuer_or_id"), ("quantity", "quantity"), ("unit", "unit"))),
 }
+_CSV_KEYS = {kind: {column: key for key, column in fields} for kind, fields in _ROWS.values()}
 _CSV_NUMBERS = ("quantity", "coupon", "maturity", "frequency")
 
 
 def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
     # The row's portfolio-file row, read by instrument_from_dict.
-    kind = row["type"].strip().lower()
+    kind = row["type"].strip()
     columns = _CSV_KEYS.get(kind, {})  # an unknown type reads no cell: the row reader rejects the type
     position: dict[str, Any] = {"type": kind}
     for column, key in columns.items():
@@ -414,31 +426,19 @@ def _instrument_from_csv_row(row: dict[str, str]) -> Instrument:
 
 
 def instrument_to_dict(instr: Instrument) -> dict[str, Any]:
-    """JSON-schema row for one position (inverse of instrument_from_dict)."""
-    if isinstance(instr, Bond):
-        row: dict[str, Any] = {
-            "type": "bond",
-            "notional": instr.notional,
-            "coupon_rate": instr.coupon_rate,
-            "maturity": instr.maturity,
-            "frequency": instr.frequency,
-            "currency": instr.currency,
-        }
-        if instr.label:
-            row["id"] = instr.label
-        return row
-    if isinstance(instr, CashEquity):
-        return {"type": "equity", "issuer_id": instr.issuer_id, "shares": instr.shares}
-    if isinstance(instr, FXPosition):
-        return {"type": "fx", "currency": instr.foreign_currency, "notional": instr.signed_notional}
-    if isinstance(instr, CommodityFuture):
-        return {"type": "commodity", "commodity_id": instr.commodity_id, "quantity": instr.quantity, "unit": instr.unit}
-    raise PortfolioError(f"cannot serialize instrument of type {type(instr).__name__}")
+    """JSON-schema row for one position (inverse of instrument_from_dict); a bond without a label has no ``id``."""
+    kind, fields = next((layout for cls, layout in _ROWS.items() if isinstance(instr, cls)), (None, ()))
+    if kind is None:
+        raise PortfolioError(f"cannot serialize instrument of type {type(instr).__name__}")
+    return {"type": kind, **{key: field for (key, _), field in zip(fields, instr) if key != "id" or field}}
 
 
-def _finite(raw: Any, label: str) -> float:
+def _finite(raw: str, column: str) -> float:
     # float() of a CSV cell accepts "nan" and "inf"; neither is a usable quantity.
-    number = float(raw)
+    try:
+        number = float(raw)
+    except ValueError:
+        raise PortfolioParseError(f"column {column!r} must be a number, got {raw!r}") from None
     if not math.isfinite(number):
-        raise PortfolioParseError(f"{label} must be a finite number, got {raw!r}")
+        raise PortfolioParseError(f"{column} must be a finite number, got {raw!r}")
     return number

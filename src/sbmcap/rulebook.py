@@ -709,15 +709,6 @@ def read_finite(value: Any, field: str, key: Any = None) -> float:
     return number
 
 
-def read_finite_values(value: Any, field: str) -> dict[str, float]:
-    """A JSON object of finite numbers, each as a float; ``field[key]`` names a value of another kind."""
-    numbers = read_object(value, field)
-    for number in numbers.values():
-        if type(number) is not float or number - number != 0.0:
-            return {key: read_finite(number, field, key) for key, number in numbers.items()}
-    return numbers
-
-
 def read_integer(value: Any, field: str, key: Any = None) -> int:
     """A JSON integer, or a number of integral value such as 2.0; not a bool, a fraction or an infinity."""
     if type(value) is int:

@@ -47,8 +47,9 @@ netted records are sorted in plain tuple order, which is (risk class,
 bucket, name, tenor): after netting the keys are distinct, and only GIRR
 keys carry a tenor.
 
-A NaN or infinite delta (from non-finite inputs passed in through the API;
-the loaders reject them) fails its position at the valuation stage.
+A quote at or below 0, or a NaN or infinite delta, fails its position at
+the valuation stage (the loaders reject such inputs in files); a spot delta
+past the float range from a finite quantity and quote is an overflow.
 
 Diagnostics are data. Each cash flow beyond the curve's last pillar, which
 the kernel values at the flat last rate, appends a note to one list, and so
@@ -140,12 +141,13 @@ class _SpotType(NamedTuple):
     name_attr: str  # the instrument attribute naming its quote
     quantity_attr: str  # the instrument attribute the quote is multiplied by
     getter: str  # the MarketData method that reads the quote
+    quotes: str  # the MarketData field holding the quote
 
 
 _SPOT_TYPES = {
-    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "shares", "equity_price"),
-    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "signed_notional", "fx_spot"),
-    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "quantity", "commodity_price"),
+    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "shares", "equity_price", "equity_prices"),
+    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "signed_notional", "fx_spot", "fx_spots"),
+    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "quantity", "commodity_price", "commodity_prices"),
 }
 
 
@@ -313,7 +315,7 @@ def collect_sensitivities(
             if math.isfinite(s):
                 terms.append(s)
             else:
-                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(key, s)))
+                issues.append(InstrumentIssue(index, "valuation", _non_finite_message(key, s, q, x)))
             continue
         if not isinstance(instr, Bond):
             issues.append(InstrumentIssue(index, "classification", f"unsupported type {type(instr).__name__}"))
@@ -370,12 +372,16 @@ def _resolve_quote(
             notes.append(note)
         stage = "valuation"
         x = getattr(md, spot.getter)(name)  # fx_spot rejects the reporting currency
+        if x <= 0.0:  # as the market loader reads a quote; a NaN or infinite one fails each position's delta
+            raise MarketDataError(f"{spot.quotes}[{name!r}] must be a finite number above 0, got {x!r}")
         return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []
     except (PortfolioError, RulebookError, ValueError) as exc:
         return InstrumentIssue(index, stage, str(exc))
 
 
-def _non_finite_message(key: RiskFactorKey, delta: float) -> str:
+def _non_finite_message(key: RiskFactorKey, delta: float, *operands: float) -> str:
+    if operands and all(map(math.isfinite, operands)):  # a spot delta whose products left the float range
+        return f"{_factor_label(key)} overflows the float range; the quantity or price of this position is too large"
     return (
         f"{_factor_label(key)} is {delta!r}; "
         "a quantity, price or rate of this position is not finite or too large"

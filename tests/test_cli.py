@@ -176,7 +176,40 @@ class TestCompute:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == f"error: {bad}: equity_prices['XOM'] must be a finite number, got nan\n"
+        assert captured.err == f"error: {bad}: equity_prices['XOM'] must be a finite number above 0, got nan\n"
+
+    def test_every_quote_not_above_zero_is_an_input_error_naming_it(self, paths, capsys, tmp_path):
+        # A zero price used to zero every delta on it, and a negative one to flip them: one zero XOM price cut the
+        # fixture capital from 772,695.14 to 377,269.05 with exit 0 and no warning.
+        market = json.loads(Path(paths["market"]).read_text(encoding="utf-8"))
+        bad = tmp_path / "market.json"
+        args = ["compute", *market_args({**paths, "market": str(bad)}), "--portfolio", paths["portfolio"]]
+        runs = 0
+        for section in ("equity_prices", "fx_spots", "commodity_prices"):
+            for name, quote in market[section].items():
+                for edited in (0, -quote, -0.0):
+                    bad.write_text(json.dumps({**market, section: {**market[section], name: edited}}), encoding="utf-8")
+                    code = main(args)
+                    captured = capsys.readouterr()
+                    assert (code, captured.out) == (1, ""), (section, name, edited)
+                    assert captured.err == (
+                        f"error: {bad}: {section}[{name!r}] must be a finite number above 0, got {float(edited)!r}\n"
+                    )
+                    runs += 1
+        assert runs == 3 * 22
+
+    def test_spot_delta_past_the_float_range_is_named_an_overflow(self, paths, capsys, tmp_path):
+        # The quantity and the price are finite, but q * 1.01 x is not; this used to read "equity delta to T is nan".
+        header = Path(paths["portfolio"]).read_text(encoding="utf-8").splitlines()[0]
+        book = tmp_path / "huge.csv"
+        book.write_text(f"{header}\nequity,XOM,1,,,,,,+\nequity,T,1e308,shares,,,,,+\n", encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "error: 1 position(s) failed: position 1 (valuation): equity delta to T overflows the float range; "
+            "the quantity or price of this position is too large\n"
+        )
 
     def test_netting_overflow_is_input_error_naming_the_factor(self, paths, capsys, tmp_path):
         # Each position's delta (1.1e308) is finite; their net sum is not.
@@ -240,7 +273,7 @@ def is_finite_number(text):
         return False
 
 
-# One edit of one cell: a blank, a non-number or non-finite number in a number column, a bad sign or an unknown type.
+# One edit of one cell: a blank, a non-number or non-finite number in a number column, a bad sign or a bad type.
 _CSV_TYPES = ("bond", "equity", "fx", "commodity")
 _CELL_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
 CSV_CELL_EDITS = st.one_of(
@@ -249,7 +282,9 @@ CSV_CELL_EDITS = st.one_of(
               st.sampled_from(("nan", "-NaN", "inf", "-inf", "+Infinity", "1e999", "x", "1,5")) | _CELL_TEXT)
     .filter(lambda edit: edit[1].strip() and not is_finite_number(edit[1])),
     st.tuples(st.just("sign"), _CELL_TEXT.filter(lambda text: text.strip() not in ("", "+", "-"))),
-    st.tuples(st.just("type"), _CELL_TEXT.filter(lambda text: text.strip().lower() not in _CSV_TYPES)),
+    # A type token in another case is a bad type, as in a JSON row.
+    st.tuples(st.just("type"), _CELL_TEXT.filter(lambda text: text.strip() not in _CSV_TYPES)
+              | st.sampled_from(_CSV_TYPES).flatmap(lambda kind: st.sampled_from((kind.upper(), kind.title())))),
 )
 
 
@@ -589,7 +624,11 @@ class TestWrongTypedSections:
             pytest.param("json_portfolio", ("positions", 5, "shares"), 10**400,
                          f"positions[5]: shares must be a finite number, got {10**400!r}", id="shares-beyond-float-range"),
             pytest.param("market", ("equity_prices", "T"), 10**400,
-                         f"equity_prices['T'] must be a finite number, got {10**400!r}", id="integer-beyond-float-range"),
+                         "equity_prices['T'] must be a finite number above 0, got inf", id="integer-beyond-float-range"),
+            # These loaders used to read no schema_version, so a version-2 file was read as version 1 without a word.
+            *((source, ("schema_version",), bad, message) for source in ("market", "registry", "json_portfolio")
+              for bad, message in ((2, "schema_version must be 1, got 2"),
+                                   (None, "schema_version must be an integer, got None"))),
             # A string field takes only a string: str() used to read null as "None" and 5 as "5".
             ("registry", ("issuers", 0, "sector"), None, "issuers[0]: sector must be a string, got None"),
             ("registry", ("issuers", 0, "issuer_id"), 5, "issuers[0]: issuer_id must be a string, got 5"),
@@ -744,6 +783,63 @@ def test_input_that_is_not_utf8_is_an_input_error_naming_the_byte(paths, capsys,
     assert captured.err == f"error: {path}: not UTF-8 text: byte 0x{bad:02x} at offset {len(head)}\n"
 
 
+# The command that reads each CLI input from ``path``, by its key in ``paths`` (the CSV book is "portfolio"), for the
+# damage property below.
+DAMAGED_INPUTS = {
+    "rulebook": lambda paths, path: [
+        "compute", *market_args({**paths, "rulebook": path}), "--portfolio", paths["json_portfolio"]],
+    "market": lambda paths, path: [
+        "compute", *market_args({**paths, "market": path}), "--portfolio", paths["json_portfolio"]],
+    "registry": lambda paths, path: [
+        "compute", *market_args({**paths, "registry": path}), "--portfolio", paths["json_portfolio"]],
+    "json_portfolio": lambda paths, path: [
+        "compute", *market_args(paths), "--portfolio", path, "--format", "hierarchical"],
+    "portfolio": lambda paths, path: ["dump-sensitivities", *market_args(paths), "--portfolio", path],
+    "cases": lambda paths, path: ["score", "--cases", path, "--candidate", paths["candidate"]],
+    "candidate": lambda paths, path: [
+        "score", "--cases", paths["cases"], "--candidate", path, "--format", "hierarchical"],
+    "prompt": lambda paths, path: ["render-prompt", "--spec", path],
+}
+# A value to replace: a number, or in JSON also a string that is not a key.
+NUMBER = rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+JSON_VALUE = re.compile(rb'"(?:[^"\\]|\\.)*"(?!\s*:)|' + NUMBER)
+ODD_VALUES = (b"1e400", b"NaN", b"Infinity", b"1e308", b"0", b'""', b"{}", b"null")
+DEEP = b"[" * 5000 + b"1" + b"]" * 5000
+
+
+@st.composite
+def damaged(draw, text: bytes, is_json: bool) -> bytes:
+    """``text`` with one edit: cut short, one bit of one byte flipped, or one value replaced (in JSON, maybe by
+    arrays nested 5,000 deep)."""
+    edit = draw(st.sampled_from(("truncate", "flip", "replace", *(("nest",) if is_json else ()))))
+    if edit == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if edit == "flip":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + bytes([text[i] ^ 1 << draw(st.integers(0, 7))]) + text[i + 1:]
+    values = [m.span() for m in (JSON_VALUE if is_json else re.compile(NUMBER)).finditer(text)]
+    start, end = draw(st.sampled_from(values))
+    return text[:start] + (DEEP if edit == "nest" else draw(st.sampled_from(ODD_VALUES))) + text[end:]
+
+
+@pytest.mark.parametrize("source", list(DAMAGED_INPUTS))
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_input_runs_or_fails_with_one_error_never_a_traceback(paths, capsys, tmp_path, source, data):
+    # One edit to one input file: the run succeeds, fails with exactly one error line, or for a rulebook lists its
+    # violations. Nothing ends in a traceback.
+    paths = {**paths, "cases": str(GOLDEN_CASES), "candidate": str(GOLDEN_CANDIDATE)}
+    path = tmp_path / ("input.csv" if source == "portfolio" else "input.json")
+    path.write_bytes(data.draw(damaged(Path(paths[source]).read_bytes(), source != "portfolio"), label="text"))
+    code = main(DAMAGED_INPUTS[source](paths, str(path)))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in captured.err, captured.err
+    if code == 1:
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    if code == 2:
+        assert source == "rulebook" and captured.err.startswith("rulebook validation failed:\n"), captured.err
+
+
 def json_leaves(value, path=()):
     """(path, value) of each number and string in a JSON document, in document order."""
     if isinstance(value, dict):
@@ -758,9 +854,6 @@ def json_leaves(value, path=()):
 
 # Top-level fields no loader reads, so a value of any type passes.
 UNREAD_FIELDS = {
-    ("market", ("schema_version",)),
-    ("registry", ("schema_version",)),
-    ("json_portfolio", ("schema_version",)),
     ("candidate", ("schema_version",)),
     ("candidate", ("source_label",)),
 }
@@ -844,11 +937,10 @@ ACCEPTED_EDITS = {
     ("rulebook", "drop"): RULEBOOK_OPTIONAL | {"girr"},
     ("rulebook", "null"): RULEBOOK_OPTIONAL,
     ("market", "drop"): {"schema_version", "as_of", *UNUSED_QUOTES},
-    ("market", "null"): {"schema_version", "as_of"},
+    ("market", "null"): {"as_of"},
     ("registry", "drop"): {"schema_version", "name"},
-    ("registry", "null"): {"schema_version"},
     ("json_portfolio", "drop"): {"schema_version", "as_of", "coupon_rate", "frequency", "id", "unit"},
-    ("json_portfolio", "null"): {"schema_version", "as_of"},
+    ("json_portfolio", "null"): {"as_of"},
     ("cases", "drop"): {"schema_version", "tenor", "coupon_rate", "frequency", "unit", *AXES},
     ("cases", "null"): {"tenor", *AXES},
     ("candidate", "drop"): {"schema_version", "source_label", *AXES, *(f"case-{i:03d}" for i in range(1, 9))},

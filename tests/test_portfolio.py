@@ -101,8 +101,10 @@ class TestLoaders:
             "equity,T,oops,shares,,,,,+\n",
             encoding="utf-8",
         )
-        with pytest.raises(PortfolioParseError, match="line 3"):
+        with pytest.raises(PortfolioParseError) as excinfo:
             load_portfolio(path)
+        # This used to read "could not convert string to float: 'oops'", naming no column.
+        assert str(excinfo.value) == f"{path}: line 3: column 'quantity' must be a number, got 'oops'"
 
     @pytest.mark.parametrize(
         "row, field",
@@ -170,17 +172,22 @@ class TestLoaders:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(PortfolioParseError) as excinfo:
             load_market_data(path)
-        assert str(excinfo.value) == f"{path}: {field} must be a finite number, got {bad!r}"
+        kind = "a finite number" if section == "zero_curve" else "a finite number above 0"
+        assert str(excinfo.value) == f"{path}: {field} must be {kind}, got {bad!r}"
 
-    def test_unknown_type_tag_rejected(self, tmp_path):
+    # The CSV layer used to lower-case the type, so "Bond" read as a bond in a CSV row and was rejected in JSON.
+    @pytest.mark.parametrize("kind", ["swaption", "Bond", "EQUITY", "Fx", "commodity."])
+    def test_unknown_type_tag_rejected(self, tmp_path, kind):
         path = tmp_path / "bad.csv"
         path.write_text(
             "type,issuer_or_id,quantity,unit,coupon,maturity,frequency,currency,sign\n"
-            "swaption,X,1,,,,,USD,+\n",
+            " equity ,XOM,1,,,,,,+\n"  # every cell is stripped, the type cell too
+            f"{kind},X,1,,,5,,USD,+\n",
             encoding="utf-8",
         )
-        with pytest.raises(PortfolioParseError, match="swaption"):
+        with pytest.raises(PortfolioParseError) as excinfo:
             load_portfolio(path)
+        assert str(excinfo.value) == f"{path}: line 3: type must be one of bond, equity, fx, commodity, got {kind!r}"
 
     def test_missing_header_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

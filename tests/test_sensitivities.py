@@ -690,10 +690,15 @@ def per_position_sensitivities(positions, md, registry, rb):
     revalued twice against full snapshots; bonds through ``per_flow_girr_deltas``.
     Issues are (index, stage, message), one per failed position; notes are the
     residual-bucket and extrapolation notes, in position and flow order.
+
+    A spot quote must be above 0. A delta that is not finite fails its
+    position; for a spot position whose quantity and quote are both finite,
+    that is an overflow.
     """
     records, issues, notes = [], [], []
     for index, instr in enumerate(positions):
         stage = "classification"
+        inputs = ()  # the quantity and quote of a spot position
         try:
             if isinstance(instr, Bond):
                 bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
@@ -708,6 +713,12 @@ def per_position_sensitivities(positions, md, registry, rb):
                     if note is not None:
                         notes.append(note)
                 stage = "valuation"
+                _, name_attr, getter, quotes = SPOT_QUOTES[type(instr)]
+                name = getattr(instr, name_attr)
+                price = getattr(md, getter)(name)
+                if price <= 0.0:
+                    raise MarketDataError(f"{quotes}[{name!r}] must be a finite number above 0, got {price!r}")
+                inputs = (instr[1], price)
                 deltas = [delta(instr, md, bucket)]
         except (PortfolioError, RulebookError) as exc:
             issues.append((index, stage, str(exc)))
@@ -717,8 +728,13 @@ def per_position_sensitivities(positions, md, registry, rb):
             records += deltas
             continue
         tenor = f" at tenor {bad.key.tenor:g}" if bad.key.tenor is not None else ""
-        issues.append((index, "valuation", f"{bad.key.risk_class.value} delta to {bad.key.name}{tenor} is {bad.value!r}; "
-                                           "a quantity, price or rate of this position is not finite or too large"))
+        label = f"{bad.key.risk_class.value} delta to {bad.key.name}{tenor}"
+        if inputs and all(map(math.isfinite, inputs)):
+            issues.append((index, "valuation", f"{label} overflows the float range; "
+                                               "the quantity or price of this position is too large"))
+        else:
+            issues.append((index, "valuation", f"{label} is {bad.value!r}; "
+                                               "a quantity, price or rate of this position is not finite or too large"))
     return records, issues, notes
 
 
@@ -755,7 +771,11 @@ class TestAgainstThePerPositionOracle:
              reporting="USD", quotes="fixture", residual=True)
     @example(positions=[CashEquity("T", 1.0), CashEquity("XOM", 2.0), CashEquity("T", -3.0)],
              reporting="USD", quotes="huge T", residual=True)
+    @example(positions=[CashEquity("T", math.nan), CashEquity("T", 0.0)], reporting="USD", quotes="huge T",
+             residual=True)
     @example(positions=[CashEquity("XOM", 2.0), CashEquity("XOM", 1.0)], reporting="USD", quotes="nan XOM", residual=True)
+    @example(positions=[CashEquity("XOM", 1.0), FXPosition("EUR", 2.0), CommodityFuture("gold", 1.0, ""),
+                        CashEquity("T", 1.0)], reporting="USD", quotes="not above 0", residual=True)
     @example(positions=[FXPosition("CHF", 1.0), CommodityFuture("silver", 5.0, ""), FXPosition("CHF", 2.0)],
              reporting="USD", quotes="no CHF or silver", residual=True)
     @example(positions=[CashEquity("ACME", 1.0), CommodityFuture("unobtainium", 2.0, ""), CashEquity("ACME", 3.0)],
@@ -763,7 +783,7 @@ class TestAgainstThePerPositionOracle:
     @given(
         positions=st.lists(CLEAN_POSITIONS, max_size=12) | st.lists(CLEAN_POSITIONS | FAILING_POSITIONS, max_size=12),
         reporting=st.sampled_from(("USD", "USD", "USD", "EUR")),
-        quotes=st.sampled_from(("fixture", "nan XOM", "huge T", "no CHF or silver")),
+        quotes=st.sampled_from(("fixture", "nan XOM", "huge T", "no CHF or silver", "not above 0")),
         residual=st.booleans(),
     )
     def test_collect_matches_net_records_over_the_oracle_bit_for_bit(
@@ -778,6 +798,9 @@ class TestAgainstThePerPositionOracle:
         elif quotes == "huge T":
             # 1.01 times this quote overflows, so every T delta is infinite or NaN.
             md = md._replace(equity_prices={**md.equity_prices, "T": 1.79e308})
+        elif quotes == "not above 0":
+            md = md._replace(equity_prices={**md.equity_prices, "XOM": 0.0}, fx_spots={**md.fx_spots, "EUR": -1.1},
+                             commodity_prices={**md.commodity_prices, "gold": -0.0})
         elif quotes == "no CHF or silver":
             md = md._replace(fx_spots={k: v for k, v in md.fx_spots.items() if k != "CHF"},
                          commodity_prices={k: v for k, v in md.commodity_prices.items() if k != "silver"})
@@ -823,6 +846,19 @@ class TestNonFiniteDeltas:
         [issue] = excinfo.value.issues
         assert (issue.index, issue.stage) == (3, "valuation")
         assert issue.message == f"{message}; a quantity, price or rate of this position is not finite or too large"
+
+    @pytest.mark.parametrize("instr, quotes, name", [(CashEquity("XOM", 10.0), "equity_prices", "XOM"),
+                                                     (FXPosition("EUR", -5.0), "fx_spots", "EUR"),
+                                                     (CommodityFuture("gold", 2.0, "oz"), "commodity_prices", "gold")])
+    @pytest.mark.parametrize("quote", [0.0, -0.0, -110.0])
+    def test_quote_not_above_zero_fails_the_position(self, market, registry, rb, instr, quotes, name, quote):
+        # The market loader rejects such a quote in a file; an API-built snapshot cannot bypass that rule. A zero
+        # price used to give a zero delta, and a negative one a delta of the wrong sign.
+        md = market._replace(**{quotes: {**getattr(market, quotes), name: quote}})
+        with pytest.raises(SensitivityError) as excinfo:
+            compute_capital(Portfolio(positions=(instr,)), md, registry, rb)
+        assert [tuple(issue) for issue in excinfo.value.issues] == [
+            (0, "valuation", f"{quotes}[{name!r}] must be a finite number above 0, got {quote!r}")]
 
     def test_nan_price_fails_every_position_reading_it(self, reference_portfolio, market, registry, rb):
         md = market._replace(equity_prices={**market.equity_prices, "XOM": math.nan})
