@@ -169,6 +169,8 @@ def compute_capital(
 
     total, scenarios = scenario_envelope(by_class, rb, tuple(CorrelationScenario) if scenario is None else (scenario,))
     messages = list(collected)
+    if p.as_of and md.as_of and p.as_of != md.as_of:  # the report is dated by the portfolio
+        messages.insert(0, f"portfolio as_of {p.as_of} differs from market as_of {md.as_of}")
     for sc_token, result in scenarios.items():
         messages.extend(
             f"{rc_token}: cross-bucket quadratic form was negative under scenario {sc_token}; "

@@ -14,6 +14,10 @@ Conventions:
     maturity: its one cash flow is (maturity, notional).
   - FX positions are signed notionals of the foreign currency; positive means
     long the foreign currency against the reporting currency.
+  - The spot table ``_SPOT_TYPES``, beside the row table ``_ROWS``, says once
+    what an equity, FX or commodity position reads. ``value`` and
+    ``sensitivities.collect_sensitivities`` read a quote through it, by the
+    market loader's rule: a finite number above 0.
 """
 
 from __future__ import annotations
@@ -120,6 +124,34 @@ class CommodityFuture(NamedTuple):
 Instrument = Union[Bond, CashEquity, FXPosition, CommodityFuture]
 
 
+# The one statement of a position row: per type, its ``type`` token and, per field in field order, its row key and
+# its CSV column. instrument_to_dict and _CSV_KEYS (per type, CSV column to row key, in field order) are built from it.
+_ROWS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
+    Bond: ("bond", (("notional", "quantity"), ("coupon_rate", "coupon"), ("maturity", "maturity"),
+                    ("frequency", "frequency"), ("currency", "currency"), ("id", "issuer_or_id"))),
+    CashEquity: ("equity", (("issuer_id", "issuer_or_id"), ("shares", "quantity"))),
+    FXPosition: ("fx", (("currency", "currency"), ("notional", "quantity"))),
+    CommodityFuture: ("commodity", (("commodity_id", "issuer_or_id"), ("quantity", "quantity"), ("unit", "unit"))),
+}
+
+
+class _SpotType(NamedTuple):
+    risk_class: RiskClass
+    name_attr: str  # the instrument attribute naming its quote
+    quotes: str  # the MarketData field holding the quote
+    quantity_attr: str  # the instrument attribute the quote multiplies
+    missing: str  # what a missing quote is called, before its name
+
+
+# What each spot position reads: the one statement of it, for value() and collect_sensitivities.
+_SPOT_TYPES = {
+    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "equity_prices", "shares", "no equity price for issuer"),
+    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "fx_spots", "signed_notional", "no FX spot for currency"),
+    CommodityFuture: _SpotType(
+        RiskClass.COMMODITY, "commodity_id", "commodity_prices", "quantity", "no commodity price for"),
+}
+
+
 class Portfolio(NamedTuple):
     positions: tuple[Instrument, ...]
     as_of: str | None = None
@@ -201,40 +233,33 @@ class MarketData(_MarketDataFields):
 
     _make = classmethod(_make_through_new)
 
-    def equity_price(self, issuer_id: str) -> float:
-        try:
-            return self.equity_prices[issuer_id]
-        except KeyError:
-            raise MarketDataError(f"no equity price for issuer {issuer_id!r}") from None
 
-    def fx_spot(self, currency: str) -> float:
-        """Price of one unit of ``currency`` in the reporting currency, which itself has no FX quote."""
-        if currency == self.reporting_currency:
-            raise MarketDataError("FX position must be against a non-reporting currency")
-        try:
-            return self.fx_spots[currency]
-        except KeyError:
-            raise MarketDataError(f"no FX spot for currency {currency!r}") from None
-
-    def commodity_price(self, commodity_id: str) -> float:
-        try:
-            return self.commodity_prices[commodity_id]
-        except KeyError:
-            raise MarketDataError(f"no commodity price for {commodity_id!r}") from None
+def _read_quote(spot: _SpotType, name: str, md: MarketData) -> float:
+    """Quote ``name`` of a spot type, held to the market loader's rule; a NaN or infinite one fails each delta on it."""
+    if name == md.reporting_currency and spot.risk_class is RiskClass.FX:  # which has no FX quote
+        raise MarketDataError("FX position must be against a non-reporting currency")
+    try:
+        x = getattr(md, spot.quotes)[name]
+    except KeyError:
+        raise MarketDataError(f"{spot.missing} {name!r}") from None
+    try:
+        if not x <= 0.0:  # an accepted quote costs one dict read and this comparison
+            return x
+        kind = "a finite number above 0"
+    except TypeError:  # not a number
+        kind = "a number"
+    raise MarketDataError(str(JSONFieldError(spot.quotes, kind, x, name)))  # in the market loader's words
 
 
 def value(instr: Instrument, md: MarketData) -> float:
-    """Present value of one spot position (equity, FX or commodity) in the reporting currency.
+    """Present value of one spot position (equity, FX or commodity) in the reporting currency: quantity times quote.
 
     Bonds are valued only through their GIRR deltas (``sensitivities.collect_sensitivities``).
     """
-    if isinstance(instr, CashEquity):
-        return instr.shares * md.equity_price(instr.issuer_id)
-    if isinstance(instr, FXPosition):
-        return instr.signed_notional * md.fx_spot(instr.foreign_currency)
-    if isinstance(instr, CommodityFuture):
-        return instr.quantity * md.commodity_price(instr.commodity_id)
-    raise PortfolioError(f"cannot value instrument of type {type(instr).__name__}")
+    spot = _SPOT_TYPES.get(type(instr))
+    if spot is None:
+        raise PortfolioError(f"cannot value instrument of type {type(instr).__name__}")
+    return getattr(instr, spot.quantity_attr) * _read_quote(spot, getattr(instr, spot.name_attr), md)
 
 
 def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebook) -> tuple[int, str | None]:
@@ -383,22 +408,16 @@ def _portfolio_from_csv(path: Path) -> Portfolio:
 
     text = read_text(path, PortfolioParseError)
     reader = csv.DictReader(io.StringIO(text), restval="")  # a short row's missing cells are blank
-    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]  # an empty file has no header
-    if missing:
-        raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
-    return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, _ERRORS)
-                            for row in reader]))
+    try:  # the reader raises csv.Error on a line it cannot split, such as one with a cell past the field limit
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]  # an empty file has no header
+        if missing:
+            raise PortfolioParseError(f"{path}: header missing column(s) {missing}")
+        return Portfolio(tuple([_prefixed(f"{path}: line {reader.line_num}", _instrument_from_csv_row, row, _ERRORS)
+                                for row in reader]))
+    except csv.Error as exc:
+        raise PortfolioParseError(f"{path}: line {reader.reader.line_num}: {exc}") from None  # the line it stopped on
 
 
-# The one statement of a position row: per type, its ``type`` token and, per field in field order, its row key and
-# its CSV column. instrument_to_dict and _CSV_KEYS (per type, CSV column to row key, in field order) are built from it.
-_ROWS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {
-    Bond: ("bond", (("notional", "quantity"), ("coupon_rate", "coupon"), ("maturity", "maturity"),
-                    ("frequency", "frequency"), ("currency", "currency"), ("id", "issuer_or_id"))),
-    CashEquity: ("equity", (("issuer_id", "issuer_or_id"), ("shares", "quantity"))),
-    FXPosition: ("fx", (("currency", "currency"), ("notional", "quantity"))),
-    CommodityFuture: ("commodity", (("commodity_id", "issuer_or_id"), ("quantity", "quantity"), ("unit", "unit"))),
-}
 _CSV_KEYS = {kind: {column: key for key, column in fields} for kind, fields in _ROWS.values()}
 _CSV_NUMBERS = ("quantity", "coupon", "maturity", "frequency")
 

@@ -47,9 +47,12 @@ netted records are sorted in plain tuple order, which is (risk class,
 bucket, name, tenor): after netting the keys are distinct, and only GIRR
 keys carry a tenor.
 
-A quote at or below 0, or a NaN or infinite delta, fails its position at
-the valuation stage (the loaders reject such inputs in files); a spot delta
-past the float range from a finite quantity and quote is an overflow.
+What a spot position reads is stated in ``portfolio._SPOT_TYPES``, and its
+quote is read by ``portfolio._read_quote``, as ``value`` reads it. A quote
+that is missing, at or below 0 or not a number, or a NaN or infinite delta,
+fails its position at the valuation stage (the loaders reject such inputs
+in files); a spot delta past the float range from a finite quantity and
+quote is an overflow.
 
 Diagnostics are data. Each cash flow beyond the curve's last pillar, which
 the kernel values at the flat last rate, appends a note to one list, and so
@@ -67,15 +70,16 @@ from typing import Iterable, NamedTuple
 
 from .portfolio import (
     Bond,
-    CashEquity,
-    CommodityFuture,
-    FXPosition,
+    Instrument,
     IssuerInfo,
     MarketData,
     MarketDataError,
     Portfolio,
     PortfolioError,
     ZeroCurve,
+    _SPOT_TYPES,
+    _SpotType,
+    _read_quote,
     assign_bucket,
 )
 from .rulebook import RiskClass, Rulebook, RulebookError
@@ -134,21 +138,6 @@ class RiskFactorKey(NamedTuple):
 class SensitivityRecord(NamedTuple):
     key: RiskFactorKey
     value: float
-
-
-class _SpotType(NamedTuple):
-    risk_class: RiskClass
-    name_attr: str  # the instrument attribute naming its quote
-    quantity_attr: str  # the instrument attribute the quote is multiplied by
-    getter: str  # the MarketData method that reads the quote
-    quotes: str  # the MarketData field holding the quote
-
-
-_SPOT_TYPES = {
-    CashEquity: _SpotType(RiskClass.EQUITY, "issuer_id", "shares", "equity_price", "equity_prices"),
-    FXPosition: _SpotType(RiskClass.FX, "foreign_currency", "signed_notional", "fx_spot", "fx_spots"),
-    CommodityFuture: _SpotType(RiskClass.COMMODITY, "commodity_id", "quantity", "commodity_price", "commodity_prices"),
-}
 
 
 class _GirrKernel:
@@ -297,8 +286,10 @@ def collect_sensitivities(
     quotes: dict[tuple[type, str], tuple[RiskFactorKey, float, float, list[float]] | InstrumentIssue] = {}
     girr: _GirrKernel | None = None  # built when the first bond is seen
     bond_buckets: dict[str, int] = {}  # GIRR bucket by currency, of the bonds classified so far
+    # A local: CPython compiles .get on an imported name as an attribute load, a bound method per position.
+    spot_types = _SPOT_TYPES
     for index, instr in enumerate(p.positions):
-        spot = _SPOT_TYPES.get(type(instr))
+        spot = spot_types.get(type(instr))
         if spot is not None:
             quote_id = (type(instr), getattr(instr, spot.name_attr))
             quote = quotes.get(quote_id)
@@ -355,7 +346,7 @@ def collect_sensitivities(
 
 def _resolve_quote(
     index: int,
-    instr: CashEquity | FXPosition | CommodityFuture,
+    instr: Instrument,
     spot: _SpotType,
     md: MarketData,
     registry: dict[str, IssuerInfo],
@@ -371,9 +362,7 @@ def _resolve_quote(
         if note is not None:
             notes.append(note)
         stage = "valuation"
-        x = getattr(md, spot.getter)(name)  # fx_spot rejects the reporting currency
-        if x <= 0.0:  # as the market loader reads a quote; a NaN or infinite one fails each position's delta
-            raise MarketDataError(f"{spot.quotes}[{name!r}] must be a finite number above 0, got {x!r}")
+        x = _read_quote(spot, name, md)
         return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []
     except (PortfolioError, RulebookError, ValueError) as exc:
         return InstrumentIssue(index, stage, str(exc))

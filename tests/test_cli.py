@@ -265,6 +265,31 @@ class TestCompute:
         assert (code, captured.out) == (1, "")
         assert captured.err == f"error: {book}: header missing column(s) {list(CSV_COLUMNS)}\n"
 
+    @pytest.mark.parametrize("line", [1, 2, 5])
+    def test_csv_cell_past_the_field_limit_is_input_error_naming_the_line(self, paths, capsys, tmp_path, line):
+        # The csv module refuses a cell longer than 131,072 characters; that used to escape as a traceback.
+        lines = Path(paths["portfolio"]).read_text(encoding="utf-8").splitlines()
+        cells = lines[line - 1].split(",")
+        cells[1] = "x" * 200_000
+        lines[line - 1] = ",".join(cells)
+        book = tmp_path / "book.csv"
+        book.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(book)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {book}: line {line}: field larger than field limit (131072)\n"
+
+    def test_portfolio_dated_apart_from_the_market_is_warned(self, paths, capsys, tmp_path):
+        book = json.loads(Path(paths["json_portfolio"]).read_text(encoding="utf-8"))
+        book["as_of"] = "2099-01-01"
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book), encoding="utf-8")
+        code = main(["compute", *market_args(paths), "--portfolio", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        warned = [line for line in captured.err.splitlines() if "as_of" in line]
+        assert warned == ["warning: portfolio as_of 2099-01-01 differs from market as_of 2024-06-28"]
+
 
 def is_finite_number(text):
     try:
@@ -805,13 +830,14 @@ NUMBER = rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 JSON_VALUE = re.compile(rb'"(?:[^"\\]|\\.)*"(?!\s*:)|' + NUMBER)
 ODD_VALUES = (b"1e400", b"NaN", b"Infinity", b"1e308", b"0", b'""', b"{}", b"null")
 DEEP = b"[" * 5000 + b"1" + b"]" * 5000
+LONG = b"x" * 200_000  # past the csv module's field limit of 131,072 characters
 
 
 @st.composite
 def damaged(draw, text: bytes, is_json: bool) -> bytes:
-    """``text`` with one edit: cut short, one bit of one byte flipped, or one value replaced (in JSON, maybe by
-    arrays nested 5,000 deep)."""
-    edit = draw(st.sampled_from(("truncate", "flip", "replace", *(("nest",) if is_json else ()))))
+    """``text`` with one edit: cut short, one bit of one byte flipped, or one value replaced (by 200,000 characters,
+    quoted in JSON and a bare cell in CSV, or in JSON maybe by arrays nested 5,000 deep)."""
+    edit = draw(st.sampled_from(("truncate", "flip", "replace", "long", *(("nest",) if is_json else ()))))
     if edit == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
     if edit == "flip":
@@ -819,7 +845,13 @@ def damaged(draw, text: bytes, is_json: bool) -> bytes:
         return text[:i] + bytes([text[i] ^ 1 << draw(st.integers(0, 7))]) + text[i + 1:]
     values = [m.span() for m in (JSON_VALUE if is_json else re.compile(NUMBER)).finditer(text)]
     start, end = draw(st.sampled_from(values))
-    return text[:start] + (DEEP if edit == "nest" else draw(st.sampled_from(ODD_VALUES))) + text[end:]
+    if edit == "replace":
+        value = draw(st.sampled_from(ODD_VALUES))
+    elif edit == "long":
+        value = b'"' + LONG + b'"' if is_json else LONG
+    else:
+        value = DEEP
+    return text[:start] + value + text[end:]
 
 
 @pytest.mark.parametrize("source", list(DAMAGED_INPUTS))

@@ -116,6 +116,15 @@ class TestComputeCapital:
         report_csv = compute_capital(csv_portfolio, market, registry, rb, scenario=MEDIUM)
         assert report_csv.as_of == market.as_of == "2024-06-28"
 
+    def test_portfolio_dated_apart_from_the_market_is_warned(self, rb, reference_portfolio, market, registry):
+        undated = compute_capital(reference_portfolio, market, registry, rb)
+        same_day = compute_capital(reference_portfolio._replace(as_of=market.as_of), market, registry, rb)
+        dated = compute_capital(reference_portfolio._replace(as_of="2099-01-01"), market, registry, rb)
+        assert undated.warnings == same_day.warnings == ()
+        assert compute_capital(reference_portfolio, market._replace(as_of=None), registry, rb).warnings == ()
+        assert dated.warnings == ("portfolio as_of 2099-01-01 differs from market as_of 2024-06-28",)
+        assert dated.as_of == "2099-01-01" and dated.total_capital == undated.total_capital
+
     def test_report_carries_rulebook_version(self, rb, equity_portfolio, market, registry):
         report = compute_capital(equity_portfolio, market, registry, rb, scenario=MEDIUM)
         assert report.rulebook_version == rb.version
@@ -179,6 +188,21 @@ class TestCapitalProperties:
         assert all(report.total_capital >= total for total in totals)
         assert report.total_capital in totals
 
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), size=st.floats(min_value=-6.0, max_value=12.0), sign=st.sampled_from((1.0, -1.0)))
+    def test_every_one_position_book_has_capital_above_zero(self, rb, market, registry, data, size, sign):
+        # Each quoted name of the fixture market, long or short by 1e-6 to 1e12; a zero charge would hide a position.
+        q = sign * 10.0 ** size
+        instr = data.draw(st.one_of(
+            st.builds(CashEquity, st.sampled_from(sorted(market.equity_prices)), st.just(q)),
+            st.builds(FXPosition, st.sampled_from(sorted(set(market.fx_spots) - {market.reporting_currency})),
+                      st.just(q)),
+            st.builds(CommodityFuture, st.sampled_from(sorted(market.commodity_prices)), st.just(q), st.just("")),
+            st.builds(Bond, notional=st.just(q), coupon_rate=st.sampled_from((0.0, 0.03, 0.08)),
+                      maturity=st.sampled_from(rb.tenor_grid) | st.floats(min_value=0.01, max_value=60.0),
+                      frequency=st.sampled_from((1, 2, 4)), currency=st.just("USD")),
+        ), label="position")
+        assert compute_capital(Portfolio(positions=(instr,)), market, registry, rb).total_capital > 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(book=st.lists(BOOK_POSITIONS, max_size=12))

@@ -25,6 +25,7 @@ from sbmcap.portfolio import (
     MarketData,
     MarketDataError,
     Portfolio,
+    PortfolioError,
     PortfolioParseError,
     ZeroCurve,
     assign_bucket,
@@ -448,20 +449,42 @@ class TestValuation:
         assert messages == ("zero rate at t=35 beyond last pillar 30, extrapolating flat",)
 
     def test_missing_equity_price(self, market):
-        with pytest.raises(MarketDataError, match="ZZZ"):
+        with pytest.raises(MarketDataError, match=r"^no equity price for issuer 'ZZZ'$"):
             value(CashEquity("ZZZ", 1), market)
 
     def test_missing_fx_spot(self, market):
-        with pytest.raises(MarketDataError, match="AUD"):
+        with pytest.raises(MarketDataError, match=r"^no FX spot for currency 'AUD'$"):
             value(FXPosition("AUD", 1), market)
 
     def test_fx_against_reporting_currency_rejected(self, market):
-        with pytest.raises(MarketDataError, match="non-reporting"):
+        with pytest.raises(MarketDataError, match="^FX position must be against a non-reporting currency$"):
             value(FXPosition("USD", 1), market)
 
     def test_missing_commodity_price(self, market):
-        with pytest.raises(MarketDataError, match="uranium"):
+        with pytest.raises(MarketDataError, match=r"^no commodity price for 'uranium'$"):
             value(CommodityFuture("uranium", 1, "lb"), market)
+
+    @pytest.mark.parametrize("instr, quotes, name", [(CashEquity("XOM", 10.0), "equity_prices", "XOM"),
+                                                     (FXPosition("EUR", -5.0), "fx_spots", "EUR"),
+                                                     (CommodityFuture("gold", 2.0, "oz"), "commodity_prices", "gold")])
+    @pytest.mark.parametrize("quote, kind", [(0.0, "a finite number above 0"), (-0.0, "a finite number above 0"),
+                                             (-110.0, "a finite number above 0"), ("110", "a number")])
+    def test_quote_not_a_number_above_zero_rejected(self, market, instr, quotes, name, quote, kind):
+        # value() reads a quote by the rule compute_capital does: it used to return 0.0, -x or raise TypeError.
+        md = market._replace(**{quotes: {**getattr(market, quotes), name: quote}})
+        with pytest.raises(MarketDataError) as excinfo:
+            value(instr, md)
+        assert str(excinfo.value) == f"{quotes}[{name!r}] must be {kind}, got {quote!r}"
+
+    def test_nan_or_infinite_quote_is_valued(self, market):
+        # Its deltas are not finite, and compute_capital fails each position on it there.
+        assert math.isnan(value(CashEquity("XOM", 1.0), market._replace(equity_prices={"XOM": math.nan})))
+        assert value(CashEquity("XOM", 2.0), market._replace(equity_prices={"XOM": math.inf})) == math.inf
+
+    def test_bond_has_no_spot_value(self, market):
+        bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="USD")
+        with pytest.raises(PortfolioError, match="cannot value instrument of type Bond"):
+            value(bond, market)
 
     def test_foreign_bond_rejected(self, market):
         bond = Bond(notional=100.0, coupon_rate=0.02, maturity=5.0, frequency=1, currency="EUR")

@@ -54,11 +54,11 @@ FIXTURE_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 ODD_GRID = (0.3, 0.7, 1.1, 2.9, 4.3, 7.7, 11.3, 17.9, 26.1)
 
 
-# Spot type -> (risk class, attribute naming its quote, MarketData method, field holding the quote).
+# Spot type -> (risk class, attribute naming its quote, MarketData field holding the quote, missing-quote text).
 SPOT_QUOTES = {
-    CashEquity: (RiskClass.EQUITY, "issuer_id", "equity_price", "equity_prices"),
-    FXPosition: (RiskClass.FX, "foreign_currency", "fx_spot", "fx_spots"),
-    CommodityFuture: (RiskClass.COMMODITY, "commodity_id", "commodity_price", "commodity_prices"),
+    CashEquity: (RiskClass.EQUITY, "issuer_id", "equity_prices", "no equity price for issuer"),
+    FXPosition: (RiskClass.FX, "foreign_currency", "fx_spots", "no FX spot for currency"),
+    CommodityFuture: (RiskClass.COMMODITY, "commodity_id", "commodity_prices", "no commodity price for"),
 }
 
 
@@ -67,9 +67,9 @@ def spot_quote(instr, md, bucket):
 
     The bumped snapshot holds that quote alone.
     """
-    risk_class, name_attr, getter, quotes = SPOT_QUOTES[type(instr)]
+    risk_class, name_attr, quotes, _ = SPOT_QUOTES[type(instr)]
     name = getattr(instr, name_attr)
-    bumped = md._replace(**{quotes: {name: getattr(md, getter)(name) * (1.0 + REL_BUMP)}})
+    bumped = md._replace(**{quotes: {name: getattr(md, quotes)[name] * (1.0 + REL_BUMP)}})
     return RiskFactorKey(risk_class=risk_class, bucket=bucket, name=name), bumped
 
 
@@ -606,8 +606,7 @@ class TestPerQuoteResolution:
 
         monkeypatch.setattr(sensitivities, "assign_bucket", counting("assign_bucket", sensitivities.assign_bucket))
         monkeypatch.setattr(portfolio, "value", counting("value", portfolio.value))
-        for getter in ("equity_price", "fx_spot", "commodity_price"):
-            monkeypatch.setattr(MarketData, getter, counting("quote reads", getattr(MarketData, getter)))
+        monkeypatch.setattr(sensitivities, "_read_quote", counting("quote reads", sensitivities._read_quote))
         monkeypatch.setattr(sensitivities, "SensitivityRecord", counting("records", SensitivityRecord))
         records, _ = collect_sensitivities(Portfolio(positions=REPEATED_NAMES), market, registry, rb)
         # Each of the 6 quotes (XOM, T, MSFT, EUR, gold, crude_oil) is classified
@@ -713,9 +712,13 @@ def per_position_sensitivities(positions, md, registry, rb):
                     if note is not None:
                         notes.append(note)
                 stage = "valuation"
-                _, name_attr, getter, quotes = SPOT_QUOTES[type(instr)]
+                _, name_attr, quotes, missing = SPOT_QUOTES[type(instr)]
                 name = getattr(instr, name_attr)
-                price = getattr(md, getter)(name)
+                if isinstance(instr, FXPosition) and name == md.reporting_currency:
+                    raise MarketDataError("FX position must be against a non-reporting currency")
+                if name not in getattr(md, quotes):
+                    raise MarketDataError(f"{missing} {name!r}")
+                price = getattr(md, quotes)[name]
                 if price <= 0.0:
                     raise MarketDataError(f"{quotes}[{name!r}] must be a finite number above 0, got {price!r}")
                 inputs = (instr[1], price)
@@ -850,15 +853,18 @@ class TestNonFiniteDeltas:
     @pytest.mark.parametrize("instr, quotes, name", [(CashEquity("XOM", 10.0), "equity_prices", "XOM"),
                                                      (FXPosition("EUR", -5.0), "fx_spots", "EUR"),
                                                      (CommodityFuture("gold", 2.0, "oz"), "commodity_prices", "gold")])
-    @pytest.mark.parametrize("quote", [0.0, -0.0, -110.0])
-    def test_quote_not_above_zero_fails_the_position(self, market, registry, rb, instr, quotes, name, quote):
+    @pytest.mark.parametrize("quote, kind", [
+        *((quote, "a finite number above 0") for quote in (0.0, -0.0, -110.0, 0, False)),
+        *((quote, "a number") for quote in ("110", None, [110.0])),
+    ])
+    def test_quote_not_above_zero_fails_the_position(self, market, registry, rb, instr, quotes, name, quote, kind):
         # The market loader rejects such a quote in a file; an API-built snapshot cannot bypass that rule. A zero
-        # price used to give a zero delta, and a negative one a delta of the wrong sign.
+        # price used to give a zero delta, a negative one a delta of the wrong sign, and a string a bare TypeError.
         md = market._replace(**{quotes: {**getattr(market, quotes), name: quote}})
         with pytest.raises(SensitivityError) as excinfo:
-            compute_capital(Portfolio(positions=(instr,)), md, registry, rb)
-        assert [tuple(issue) for issue in excinfo.value.issues] == [
-            (0, "valuation", f"{quotes}[{name!r}] must be a finite number above 0, got {quote!r}")]
+            compute_capital(Portfolio(positions=(instr, instr)), md, registry, rb)
+        message = f"{quotes}[{name!r}] must be {kind}, got {quote!r}"
+        assert [tuple(issue) for issue in excinfo.value.issues] == [(0, "valuation", message), (1, "valuation", message)]
 
     def test_nan_price_fails_every_position_reading_it(self, reference_portfolio, market, registry, rb):
         md = market._replace(equity_prices={**market.equity_prices, "XOM": math.nan})
