@@ -264,16 +264,14 @@ def _case_pools(rb: Rulebook, md: MarketData, registry: dict[str, IssuerInfo]) -
     """What a case of each class draws its two factors from, in a fixed order.
 
     Equity: registered issuers with a price; FX and commodity: quoted names
-    some bucket covers; GIRR: grid tenors inside the curve.
+    some bucket lists; GIRR: grid tenors inside the curve.
     """
-    fx_covered = {ccy for b in rb.buckets_for(RiskClass.FX) for ccy in b.currencies}
-    commodity_covered = {cid for b in rb.buckets_for(RiskClass.COMMODITY) for cid in b.commodities}
     curve_max = md.zero_curve.tenors[-1] if md.zero_curve.tenors else 0.0
     return {
         RiskClass.GIRR: [t for t in rb.tenor_grid if t <= curve_max],
         RiskClass.EQUITY: sorted(i for i in registry if i in md.equity_prices),
-        RiskClass.FX: sorted(c for c in md.fx_spots if c in fx_covered),
-        RiskClass.COMMODITY: sorted(c for c in md.commodity_prices if c in commodity_covered),
+        RiskClass.FX: sorted(c for c in md.fx_spots if rb.member_bucket(RiskClass.FX, c)),
+        RiskClass.COMMODITY: sorted(c for c in md.commodity_prices if rb.member_bucket(RiskClass.COMMODITY, c)),
     }
 
 

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Any, NamedTuple, Union
 
 from .rulebook import (
-    JSONFieldError, RiskClass, Rulebook, _each, _make_through_new, _prefixed, _read_literal, _read_positive,
-    read_finite, read_integer, read_json_object, read_list, read_object, read_string, read_text,
+    JSONFieldError, RiskClass, Rulebook, RulebookQueryError, _each, _make_through_new, _prefixed, _read_literal,
+    _read_positive, read_finite, read_integer, read_json_object, read_list, read_object, read_string, read_text,
 )
 
 CSV_COLUMNS = ("type", "issuer_or_id", "quantity", "unit", "coupon", "maturity", "frequency", "currency", "sign")
@@ -263,34 +263,31 @@ def value(instr: Instrument, md: MarketData) -> float:
 
 
 def assign_bucket(instr: Instrument, registry: dict[str, IssuerInfo], rb: Rulebook) -> tuple[int, str | None]:
-    """Rulebook bucket id for an instrument, and a note or None.
+    """Rulebook bucket id for an instrument, and a note or None, from one ``Rulebook.member_bucket`` lookup.
 
-    A bond takes the GIRR bucket of its currency and an FX position the FX
-    bucket of its foreign currency. Unmatched equities and commodities fall
-    through to the residual bucket when the rulebook defines one, and the
-    note says why; otherwise they raise BucketAssignmentError.
+    A bond takes the GIRR bucket of its currency and an FX position the FX bucket of its foreign currency; a currency
+    no bucket lists is a RulebookQueryError. Unmatched equities and commodities fall through to the residual bucket
+    when the rulebook defines one, and the note says why; otherwise they raise BucketAssignmentError. A name that is
+    not a string raises JSONFieldError, as the portfolio loader would.
     """
-    if isinstance(instr, Bond):
-        return rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id, None
-    if isinstance(instr, FXPosition):
-        return rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id, None
+    if isinstance(instr, (Bond, FXPosition)):
+        risk_class = RiskClass.GIRR if isinstance(instr, Bond) else RiskClass.FX
+        currency = read_string(instr.currency if risk_class is RiskClass.GIRR else instr.foreign_currency, "currency")
+        bucket = rb.member_bucket(risk_class, currency)
+        if bucket is None:
+            raise RulebookQueryError(f"no {risk_class.value} bucket covers currency {currency!r}")
+        return bucket.bucket_id, None
     if isinstance(instr, CashEquity):
-        info = registry.get(instr.issuer_id)
+        info = registry.get(read_string(instr.issuer_id, "issuer_id"))
         if info is None:
             return _residual_or_error(rb, RiskClass.EQUITY, f"issuer {instr.issuer_id!r} not in registry")
-        for b in rb.equity_buckets_for(info.economy, info.size):
-            if b.sectors is None or info.sector in b.sectors:
-                return b.bucket_id, None
-        return _residual_or_error(
-            rb,
-            RiskClass.EQUITY,
-            f"issuer {instr.issuer_id!r} ({info.economy}/{info.size}/{info.sector}) matches no equity bucket",
-        )
+        bucket = rb.member_bucket(RiskClass.EQUITY, (info.economy, info.size, info.sector))
+        return (bucket.bucket_id, None) if bucket else _residual_or_error(rb, RiskClass.EQUITY, (
+            f"issuer {instr.issuer_id!r} ({info.economy}/{info.size}/{info.sector}) matches no equity bucket"))
     if isinstance(instr, CommodityFuture):
-        for b in rb.buckets_for(RiskClass.COMMODITY):
-            if instr.commodity_id in b.commodities:
-                return b.bucket_id, None
-        return _residual_or_error(rb, RiskClass.COMMODITY, f"commodity {instr.commodity_id!r} matches no bucket")
+        bucket = rb.member_bucket(RiskClass.COMMODITY, read_string(instr.commodity_id, "commodity_id"))
+        return (bucket.bucket_id, None) if bucket else _residual_or_error(
+            rb, RiskClass.COMMODITY, f"commodity {instr.commodity_id!r} matches no bucket")
     raise BucketAssignmentError(f"cannot assign a bucket to an instrument of type {type(instr).__name__}")
 
 

@@ -95,10 +95,9 @@ _EMPTY: Mapping[Any, Any] = MappingProxyType({})
 class Bucket(NamedTuple):
     """One rulebook bucket.
 
-    Non-GIRR buckets carry a single scalar ``risk_weight``; GIRR buckets carry
-    ``risk_weights_by_tenor`` with one weight per standard tenor. Membership
-    criteria differ per class: equity buckets match on (economy, size, sector),
-    FX and GIRR buckets list currencies, commodity buckets list commodity ids.
+    Non-GIRR buckets carry a single scalar ``risk_weight``; GIRR buckets carry ``risk_weights_by_tenor`` with one
+    weight per standard tenor. Equity buckets list (economy, size, sector), FX and GIRR buckets currencies, commodity
+    buckets commodity ids; in a loaded rulebook no two buckets of a class list one name (``_members``).
     """
 
     risk_class: RiskClass
@@ -146,16 +145,11 @@ class Rulebook(_RulebookFields):
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Rulebook:
         self = super().__new__(cls, *args, **kwargs)
-        by_class = {rc: tuple(b for b in self.buckets if b.risk_class is rc) for rc in RiskClass}
-        by_profile: dict[tuple[str | None, str | None], list[Bucket]] = {}
-        for b in by_class[RiskClass.EQUITY]:
-            if not b.residual:
-                by_profile.setdefault((b.economy, b.size), []).append(b)
         vars(self).update(
-            # Of two buckets with one id the first is found; validation rejects such duplicates anyway.
+            # Of two buckets with one id, or listing one name, the first is found; validation rejects both anyway.
             _by_id={(b.risk_class, b.bucket_id): b for b in reversed(self.buckets)},
-            _by_class=by_class,
-            _equity_by_profile={k: tuple(bs) for k, bs in by_profile.items()},
+            _by_class={rc: tuple(b for b in self.buckets if b.risk_class is rc) for rc in RiskClass},
+            _by_name=_members(self.buckets, []),
             _adjusted=_adjusted_correlations(self.correlations, self.scenario_rules),
         )
         return self
@@ -178,19 +172,13 @@ class Rulebook(_RulebookFields):
         except KeyError:
             raise RulebookQueryError(f"no {risk_class.value} bucket with id {bucket_id}") from None
 
-    def equity_buckets_for(self, economy: str, size: str) -> tuple[Bucket, ...]:
-        """The non-residual equity buckets of an (economy, size) pair, in rulebook order."""
-        return self._equity_by_profile.get((economy, size), ())
-
     def residual_bucket(self, risk_class: RiskClass) -> Bucket | None:
         return next((b for b in self._by_class[risk_class] if b.residual), None)
 
-    def currency_bucket(self, risk_class: RiskClass, currency: str) -> Bucket:
-        """Bucket listing ``currency`` (FX and GIRR classes)."""
-        for b in self.buckets_for(risk_class):
-            if currency in b.currencies:
-                return b
-        raise RulebookQueryError(f"no {risk_class.value} bucket covers currency {currency!r}")
+    def member_bucket(self, risk_class: RiskClass, name: Any) -> Bucket | None:
+        """The bucket listing ``name`` (see ``_members``), or None; an equity's sector comes before its profile."""
+        b = self._by_name.get((risk_class, name))
+        return self._by_name.get((risk_class, (*name[:2], None))) if b is None and risk_class is _EQUITY else b
 
     # -- parameter queries ---------------------------------------------------
 
@@ -359,10 +347,32 @@ def apply_scenario(
     raise RulebookQueryError(f"unknown scenario {scenario!r}")
 
 
+def _members(buckets: Iterable[Bucket], violations: list[str]) -> dict[tuple[RiskClass, Any], Bucket]:
+    # (risk class, name) -> the first bucket listing the name: a GIRR or FX currency, a commodity id, or an equity
+    # (economy, size, sector), the sector None for a bucket without a sector list; a residual equity bucket lists none.
+    # A later bucket listing it too is a violation. A rejected membership field lists none: it is its own violation.
+    members: dict[tuple[RiskClass, Any], Bucket] = {}
+    for b in buckets:
+        rc = b.risk_class
+        names = b.commodities if rc is _COMMODITY else b.currencies  # a rejected list yields nothing
+        if rc is _EQUITY:
+            if b.residual or _REJECTED in (b.economy, b.size, b.sectors, b.residual):
+                continue
+            names = [(b.economy, b.size, s) for s in ((None,) if b.sectors is None else b.sectors)]
+        for name in names:
+            first = members.setdefault((rc, name), b)
+            if first is not b and first.bucket_id != b.bucket_id:
+                what = repr(name) if type(name) is str else f"{name[0]}/{name[1]} " + (
+                    "without sectors" if name[2] is None else f"sector {name[2]!r}")
+                violations.append(f"{rc.value} buckets {first.bucket_id} and {b.bucket_id} both list {what}")
+    return members
+
+
 # The risk class of each token, and each scenario, read once: RiskClass(token) would find a class too, through the Enum
 # machinery at 30 times the cost, and a member read through its Enum class costs about five reads of a global.
 _RISK_CLASSES = {rc.value: rc for rc in RiskClass}
 _LOW, _MEDIUM, _HIGH = CorrelationScenario
+_EQUITY, _COMMODITY = RiskClass.EQUITY, RiskClass.COMMODITY
 
 
 class _Rejected(dict):
@@ -539,6 +549,8 @@ def _validate(grid: Any, buckets: list[Bucket], unlisted: set[RiskClass], intra:
         residual = [str(b.bucket_id) for b in buckets if b.risk_class is rc and b.residual]
         if len(residual) > 1:
             violations.append(f"{rc.value} buckets {', '.join(residual)}: more than one residual bucket in the class")
+
+    _members(buckets, violations)
 
     known = {rc: _REJECTED if rc in unlisted else ids[rc] for rc in RiskClass}
     refs = [("intra correlation", rc, b) for rc, rhos in intra.items() for b in rhos]

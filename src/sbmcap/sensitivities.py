@@ -58,8 +58,8 @@ Diagnostics are data. Each cash flow beyond the curve's last pillar, which
 the kernel values at the flat last rate, appends a note to one list, and so
 does each quote that ``assign_bucket`` puts in a residual bucket: in
 position order, and in flow order within a bond. ``collect_sensitivities``
-returns the distinct notes in first-seen order beside the records; nothing
-goes through Python's ``warnings`` machinery.
+returns the distinct notes in first-seen order beside the records, a note
+that the ``as_of`` dates differ first; nothing goes through ``warnings``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .portfolio import (
     _read_quote,
     assign_bucket,
 )
-from .rulebook import RiskClass, Rulebook, RulebookError
+from .rulebook import JSONFieldError, RiskClass, Rulebook, RulebookError
 
 # One-sided bump sizes; deltas are scaled back to per-unit terms.
 REL_BUMP = 0.01
@@ -272,12 +272,13 @@ def collect_sensitivities(
     Every position is attempted; failures are gathered and raised together as
     a SensitivityError tagged with position index and stage. Each distinct
     spot quote is classified, keyed and bumped once (see the module docstring),
-    and the bonds of one currency are classified once.
-    The messages are the residual-bucket and curve-extrapolation notes, each
-    once, in first-seen order.
+    and the bonds of one currency are classified once. The messages are a note that the portfolio and market
+    ``as_of`` dates differ, then the residual-bucket and curve-extrapolation notes, each once, in first-seen order.
     """
     issues: list[InstrumentIssue] = []
     notes: list[str] = []
+    if p.as_of and md.as_of and p.as_of != md.as_of:  # a report is dated by the portfolio
+        notes.append(f"portfolio as_of {p.as_of} differs from market as_of {md.as_of}")
     # id(factor key) -> (key, delta terms), in first-seen order. Each spot quote
     # and each GIRR tenor has one key object per call.
     factors: dict[int, tuple[RiskFactorKey, list[float]]] = {}
@@ -292,7 +293,10 @@ def collect_sensitivities(
         spot = spot_types.get(type(instr))
         if spot is not None:
             quote_id = (type(instr), getattr(instr, spot.name_attr))
-            quote = quotes.get(quote_id)
+            try:
+                quote = quotes.get(quote_id)
+            except TypeError:  # a name no dict can key, such as a list: assign_bucket rejects it
+                quote = _resolve_quote(index, instr, spot, md, registry, rb, notes)
             if quote is None:
                 quote = quotes[quote_id] = _resolve_quote(index, instr, spot, md, registry, rb, notes)
                 if type(quote) is not InstrumentIssue:
@@ -313,14 +317,15 @@ def collect_sensitivities(
             continue
         stage = "classification"
         try:
-            bucket = bond_buckets.get(instr.currency)
-            if bucket is None:
+            try:
+                bucket = bond_buckets[instr.currency]
+            except (KeyError, TypeError):  # the first bond of its currency, or one no dict can key (a list, say)
                 bucket = bond_buckets[instr.currency] = assign_bucket(instr, registry, rb)[0]
             stage = "valuation"
             if girr is None:
                 girr = _GirrKernel(md, rb.tenor_grid)
             pairs = girr.deltas(instr, bucket, notes)
-        except (PortfolioError, RulebookError, ValueError) as exc:
+        except (PortfolioError, RulebookError, ValueError, JSONFieldError) as exc:
             issues.append(InstrumentIssue(index, stage, str(exc)))
             continue
         except (OverflowError, ZeroDivisionError):
@@ -364,7 +369,7 @@ def _resolve_quote(
         stage = "valuation"
         x = _read_quote(spot, name, md)
         return RiskFactorKey(spot.risk_class, bucket, name), x, x * (1.0 + REL_BUMP), []
-    except (PortfolioError, RulebookError, ValueError) as exc:
+    except (PortfolioError, RulebookError, ValueError, JSONFieldError) as exc:
         return InstrumentIssue(index, stage, str(exc))
 
 

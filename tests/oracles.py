@@ -16,8 +16,12 @@ faster way, or a convenience only the tests need:
 - ``risk_class_delta``: one risk class under one scenario, through
   ``scenario_envelope``.
 - ``assign_equity_bucket_by_scan``: an issuer's equity bucket found by
-  scanning every equity bucket in rulebook order; ``assign_bucket``, which
-  reads an (economy, size) index, must give its bucket, note and error.
+  scanning every equity bucket for one that lists the issuer's sector, and
+  then for its profile's bucket without a sector list; ``assign_bucket``,
+  which reads the rulebook's membership index, must give its bucket, note
+  and error.
+- ``currency_bucket_by_scan``: the GIRR or FX bucket whose ``currencies``
+  list a currency, found without the membership index.
 - ``bond_value`` and ``parallel_bumped``: a bond's present value by
   discounting every cash flow on the curve, and a parallel-shifted curve.
 - ``render_hierarchical``: the hierarchical report as ``json.dumps`` writes
@@ -149,23 +153,29 @@ def risk_class_delta(records: list[SensitivityRecord], rb: Rulebook, scenario: C
 def assign_equity_bucket_by_scan(
     instr: CashEquity, registry: dict[str, IssuerInfo], rb: Rulebook
 ) -> tuple[int, str | None]:
-    """The first non-residual equity bucket matching the issuer's economy, size and sector, else the residual one."""
+    """The non-residual equity bucket of the issuer's economy and size that lists its sector, else the one of them
+    without a sector list, else the residual one."""
     info = registry.get(instr.issuer_id)
     if info is None:
         why = f"issuer {instr.issuer_id!r} not in registry"
     else:
-        for b in rb.buckets_for(RiskClass.EQUITY):
-            if b.residual:
-                continue
-            if b.economy != info.economy or b.size != info.size:
-                continue
-            if b.sectors is None or info.sector in b.sectors:
-                return b.bucket_id, None
+        for listed in (lambda b: b.sectors is not None and info.sector in b.sectors, lambda b: b.sectors is None):
+            for b in rb.buckets_for(RiskClass.EQUITY):
+                if not b.residual and b.economy == info.economy and b.size == info.size and listed(b):
+                    return b.bucket_id, None
         why = f"issuer {instr.issuer_id!r} ({info.economy}/{info.size}/{info.sector}) matches no equity bucket"
     residual = rb.residual_bucket(RiskClass.EQUITY)
     if residual is None:
         raise BucketAssignmentError(f"{why}, and the rulebook has no equity residual bucket")
     return residual.bucket_id, f"{why}; assigned to residual bucket {residual.bucket_id}"
+
+
+def currency_bucket_by_scan(rb: Rulebook, risk_class: RiskClass, currency: str) -> int:
+    """Id of the ``risk_class`` bucket whose ``currencies`` list ``currency``, as ``assign_bucket`` words a miss."""
+    for b in rb.buckets_for(risk_class):
+        if currency in b.currencies:
+            return b.bucket_id
+    raise RulebookQueryError(f"no {risk_class.value} bucket covers currency {currency!r}")
 
 
 def bond_value(bond: Bond, md: MarketData) -> float:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import bond_value, bucket_risk_position, parallel_bumped, risk_class_delta
+from oracles import bond_value, bucket_risk_position, currency_bucket_by_scan, parallel_bumped, risk_class_delta
 from sbmcap.aggregation import FactorRow, cross_bucket_delta, weight_sensitivity
 from sbmcap.engine import compute_capital
 from sbmcap.harness import (
@@ -216,7 +216,7 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
         spots = bonds = 0
         for instr in reference_portfolio.positions:
             if isinstance(instr, Bond):
-                bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
+                bucket = currency_bucket_by_scan(rb, RiskClass.GIRR, instr.currency)
                 girr, _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)
                 assert {r.key.bucket for r in girr} == {bucket}
                 tenor_sum = math.fsum(r.value for r in girr)
@@ -226,7 +226,7 @@ def test_criterion_5_linear_bump_identity(rb, reference_portfolio, market, regis
                 bonds += 1
                 continue
             if isinstance(instr, FXPosition):
-                bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
+                bucket = currency_bucket_by_scan(rb, RiskClass.FX, instr.foreign_currency)
             else:
                 bucket, _ = assign_bucket(instr, registry, rb)
             [rec], _ = collect_sensitivities(Portfolio(positions=(instr,)), market, registry, rb)

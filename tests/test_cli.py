@@ -483,6 +483,27 @@ class TestValidateRulebook:
             "  - equity buckets 1, 11: more than one residual bucket in the class\n"
         )
 
+    @pytest.mark.parametrize("command", ["validate-rulebook", "compute"])
+    def test_name_listed_by_two_buckets_exits_two_naming_both(self, paths, capsys, tmp_path, command):
+        # Row order would give crude oil bucket 1's 0.30, not its own 0.35, and XOM bucket 5's 0.30, not 0.40.
+        data = json.loads(Path(paths["rulebook"]).read_text())
+        for b in data["buckets"]:
+            if (b["risk_class"], b["id"]) == ("commodity", 1):
+                b["commodities"].append("crude_oil")
+            if (b["risk_class"], b["id"]) == ("equity", 5):
+                b["sectors"].append("energy")
+        bad = tmp_path / "listed_twice.json"
+        bad.write_text(json.dumps(data))
+        args = [*market_args({**paths, "rulebook": str(bad)}), "--portfolio", paths["json_portfolio"]]
+        code = main([command, *(args if command == "compute" else args[:2])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "rulebook validation failed:\n"
+            "  - equity buckets 5 and 7 both list advanced/large sector 'energy'\n"
+            "  - commodity buckets 1 and 2 both list 'crude_oil'\n"
+        )
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{")
@@ -1201,6 +1222,17 @@ class TestDumpSensitivities:
         assert float(xom["value"]) == pytest.approx(1_100_000.0, rel=1e-12)
         girr = [r for r in rows if r["risk_class"] == "girr"]
         assert sorted(r["tenor"] for r in girr) == ["10.0", "5.0"]
+
+    def test_portfolio_dated_apart_from_the_market_is_warned(self, paths, capsys, tmp_path):
+        book = json.loads(Path(paths["json_portfolio"]).read_text(encoding="utf-8"))
+        book["as_of"] = "2099-01-01"
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(book), encoding="utf-8")
+        code = main(["dump-sensitivities", *market_args(paths), "--portfolio", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: portfolio as_of 2099-01-01 differs from market as_of 2024-06-28\n"
+        assert captured.out.encode("utf-8") == GOLDEN_SENSITIVITIES.read_bytes()
 
     def test_warnings_are_reported_like_compute(self, paths, capsys, tmp_path):
         args = diagnostic_args(paths, tmp_path)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assign_equity_bucket_by_scan, bond_value, fixture_rulebook_data
+from oracles import assign_equity_bucket_by_scan, bond_value, currency_bucket_by_scan, fixture_rulebook_data
 from sbmcap.portfolio import (
     CSV_COLUMNS,
     Bond,
@@ -36,7 +36,7 @@ from sbmcap.portfolio import (
     load_registry,
     value,
 )
-from sbmcap.rulebook import RiskClass, Rulebook, RulebookQueryError, rulebook_from_dict
+from sbmcap.rulebook import RiskClass, Rulebook, RulebookQueryError, RulebookValidationError, rulebook_from_dict
 from sbmcap.sensitivities import collect_sensitivities
 
 REL_TOL = 1e-12
@@ -560,23 +560,42 @@ def equity_bucket(bucket_id: int, economy: str, size: str, sectors: list[str] | 
 
 
 @st.composite
-def overlapping_equity_rulebooks(draw) -> Rulebook:
-    """Buckets that share economy and size, with overlapping or absent sector lists, in an order other than by id."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    rows = [
-        equity_bucket(
-            bucket_id,
-            draw(st.sampled_from(ECONOMIES)),
-            draw(st.sampled_from(SIZES)),
-            draw(st.none() | st.lists(st.sampled_from(SECTORS), min_size=1, max_size=3, unique=True)),
-        )
-        for bucket_id in draw(st.permutations(range(1, n + 1)))
-    ]
+def overlapping_equity_rows(draw) -> list[dict]:
+    """Buckets that share economy and size, with overlapping or absent sector lists, in an order other than by id.
+
+    In half the draws each row leaves out what an earlier row of its economy and size lists, so that the rows load.
+    """
+    distinct, listed, rows = draw(st.booleans()), set(), []
+    for bucket_id in draw(st.permutations(range(1, draw(st.integers(min_value=1, max_value=8)) + 1))):
+        economy, size = draw(st.sampled_from(ECONOMIES)), draw(st.sampled_from(SIZES))
+        sectors = draw(st.none() | st.lists(st.sampled_from(SECTORS), min_size=1, max_size=3, unique=True))
+        names = {(economy, size, sector) for sector in sectors or [None]}
+        if distinct and names & listed:
+            if sectors is None or names <= listed:
+                continue
+            sectors = [sector for sector in sectors if (economy, size, sector) not in listed]
+        listed |= names
+        rows.append(equity_bucket(bucket_id, economy, size, sectors))
     if draw(st.booleans()):
         # A residual bucket may carry an economy and size that issuers match; it is only ever the fallback.
-        residual = equity_bucket(n + 1, draw(st.sampled_from(ECONOMIES)), draw(st.sampled_from(SIZES)), None, True)
-        rows.insert(draw(st.integers(min_value=0, max_value=n)), residual)
-    return equity_rulebook(rows)
+        residual = equity_bucket(9, draw(st.sampled_from(ECONOMIES)), draw(st.sampled_from(SIZES)), None, True)
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), residual)
+    return rows
+
+
+def clashes(rows: list[dict]) -> list[str]:
+    """One violation per name a row lists that an earlier row lists: a sector of an economy and size, or an economy and
+    size without a sector list. A residual bucket lists nothing."""
+    first, found = {}, []
+    for row in rows:
+        for sector in [] if row["residual"] else row.get("sectors", [None]):
+            profile = f"{row['economy']}/{row['size']}"
+            key = (profile, sector)
+            if key in first:
+                what = f"{profile} without sectors" if sector is None else f"{profile} sector {sector!r}"
+                found.append(f"equity buckets {first[key]} and {row['id']} both list {what}")
+            first.setdefault(key, row["id"])
+    return found
 
 
 def assignment(assign, instr, registry, rb):
@@ -590,7 +609,7 @@ def assignment(assign, instr, registry, rb):
 class TestBucketAssignment:
     @settings(max_examples=300, deadline=None)
     @given(
-        rb=overlapping_equity_rulebooks(),
+        rows=overlapping_equity_rows(),
         profiles=st.lists(
             st.tuples(
                 st.sampled_from(SECTORS + ("other",)),
@@ -600,19 +619,28 @@ class TestBucketAssignment:
             max_size=12,
         ),
     )
-    def test_equity_index_agrees_with_the_scan(self, rb, profiles):
+    def test_equity_index_agrees_with_the_scan(self, rows, profiles):
+        # Rows that list a name twice fail to load, one violation per name; the others assign as the scan does.
+        if clashes(rows):
+            with pytest.raises(RulebookValidationError) as raised:
+                equity_rulebook(rows)
+            assert raised.value.violations == clashes(rows)
+            return
+        rb = equity_rulebook(rows)
         registry = {f"I{i}": IssuerInfo(f"I{i}", *profile) for i, profile in enumerate(profiles)}
         for issuer in [*registry, "UNREGISTERED"]:
             instr = CashEquity(issuer, 1.0)
             expected = assignment(assign_equity_bucket_by_scan, instr, registry, rb)
             assert assignment(assign_bucket, instr, registry, rb) == expected
 
-    def test_first_matching_bucket_in_rulebook_order_wins(self):
-        rb = equity_rulebook([
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sector_listing_bucket_wins_in_either_row_order(self, reverse):
+        rows = [
             equity_bucket(5, "advanced", "large", ["energy"]),
             equity_bucket(2, "advanced", "large", None),
             equity_bucket(3, "advanced", "large", None, residual=True),
-        ])
+        ]
+        rb = equity_rulebook(rows[::-1] if reverse else rows)
         registry = {
             "OIL": IssuerInfo("OIL", "energy", "advanced", "large"),
             "SOFT": IssuerInfo("SOFT", "technology", "advanced", "large"),
@@ -667,10 +695,10 @@ class TestBucketAssignment:
 
     def test_bond_gets_the_girr_bucket_of_its_currency(self, rb, registry):
         bond = Bond(notional=1.0, coupon_rate=0.0, maturity=1.0, frequency=1, currency="USD")
-        assert assign_bucket(bond, registry, rb) == (rb.currency_bucket(RiskClass.GIRR, "USD").bucket_id, None)
+        assert assign_bucket(bond, registry, rb) == (currency_bucket_by_scan(rb, RiskClass.GIRR, "USD"), None)
 
     def test_fx_position_gets_the_fx_bucket_of_its_currency(self, rb, registry):
-        expected = rb.currency_bucket(RiskClass.FX, "EUR").bucket_id
+        expected = currency_bucket_by_scan(rb, RiskClass.FX, "EUR")
         assert assign_bucket(FXPosition("EUR", -5.0), registry, rb) == (expected, None)
 
     @pytest.mark.parametrize("instr", [Bond(1.0, 0.0, 1.0, 1, "XYZ"), FXPosition("XYZ", 1.0)])

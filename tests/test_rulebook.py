@@ -305,6 +305,8 @@ class TestRulebookValue:
         with pytest.raises(RulebookQueryError, match="no commodity bucket with id 1"):
             rebuilt.bucket(RiskClass.COMMODITY, 1)
         assert rb.bucket(RiskClass.COMMODITY, 1).bucket_id == 1
+        assert rebuilt.member_bucket(RiskClass.COMMODITY, "gold") is None
+        assert rb.member_bucket(RiskClass.COMMODITY, "gold").bucket_id == 7
 
     def test_equal_exactly_when_the_fields_are(self, rb):
         assert rb == rulebook_from_dict(fixture_rulebook_data())
@@ -567,6 +569,45 @@ class TestValidation:
         data["buckets"].append(dict(data["buckets"][1]))
         with pytest.raises(RulebookValidationError, match="duplicate bucket id"):
             rulebook_from_dict(data)
+
+    def test_name_listed_by_two_buckets_of_a_class_rejected_naming_both(self):
+        # Row order would decide each of these names; one name in two classes (USD) is no clash.
+        data = self._base()
+        data["buckets"][2]["sectors"].append("energy")
+        data["buckets"] += [
+            {"risk_class": "girr", "id": 2, "description": "USD again", "currencies": ["USD"],
+             "risk_weights_by_tenor": {"1": 0.02, "5": 0.015}},
+            {"risk_class": "fx", "id": 1, "description": "USD", "currencies": ["USD"], "risk_weight": 0.3},
+            *({"risk_class": "equity", "id": i, "description": "small", "economy": "advanced", "size": "small",
+               "risk_weight": 0.5, "residual": i == 5} for i in (3, 4, 5)),
+        ]
+        data["intra_correlations"]["equity"].update({"3": 0.25, "4": 0.25, "5": 0.25})
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [
+            "equity buckets 1 and 2 both list advanced/large sector 'energy'",
+            "girr buckets 1 and 2 both list 'USD'",
+            "equity buckets 3 and 4 both list advanced/small without sectors",
+        ]
+
+    @pytest.mark.parametrize(
+        "field, bad, violation",
+        [
+            (None, None, "equity bucket 1: duplicate bucket id within risk class"),
+            ("sectors", "energy", "buckets[2]: sectors must be a list, got 'energy'"),
+            ("economy", 5, "buckets[2]: economy must be a string, got 5"),
+            ("residual", "yes", "buckets[2]: residual must be true or false, got 'yes'"),
+        ],
+    )
+    def test_a_bucket_listing_a_name_again_through_another_fault_is_one_violation(self, field, bad, violation):
+        data = self._base()
+        if field is None:
+            data["buckets"].append(dict(data["buckets"][1]))
+        else:
+            data["buckets"][2].update({"sectors": ["energy"], field: bad})
+        with pytest.raises(RulebookValidationError) as excinfo:
+            rulebook_from_dict(data)
+        assert excinfo.value.violations == [violation]
 
     def test_girr_bucket_must_cover_grid(self):
         data = self._base()

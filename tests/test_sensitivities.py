@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from collections import defaultdict
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bond_value, fixture_rulebook_data, parallel_bumped
+from oracles import bond_value, currency_bucket_by_scan, fixture_rulebook_data, parallel_bumped
 from sbmcap import portfolio, sensitivities
 from sbmcap.engine import compute_capital
 from sbmcap.portfolio import (
@@ -28,7 +29,7 @@ from sbmcap.portfolio import (
     value,
 )
 from sbmcap.aggregation import AggregationError, scenario_envelope
-from sbmcap.rulebook import RiskClass, RulebookError, RulebookQueryError, rulebook_from_dict
+from sbmcap.rulebook import JSONFieldError, RiskClass, RulebookError, RulebookQueryError, rulebook_from_dict
 from sbmcap.sensitivities import (
     GIRR_BUMP,
     REL_BUMP,
@@ -484,6 +485,15 @@ class TestGirrDeltas:
         assert report.warnings == tuple(dict.fromkeys(expected))
         assert compute_capital(reference_portfolio, market, registry, rb).warnings == ()
 
+    def test_dates_apart_are_the_first_note(self, rb, registry, market):
+        # compute and dump-sensitivities both report the notes collect_sensitivities returns.
+        p = Portfolio(positions=(CashEquity("ACME", 10),), as_of="2099-01-01")
+        md = market._replace(equity_prices={"ACME": 50.0})
+        _, notes = collect_sensitivities(p, md, registry, rb)
+        assert notes == ("portfolio as_of 2099-01-01 differs from market as_of 2024-06-28",
+                         "issuer 'ACME' not in registry; assigned to residual bucket 11")
+        assert collect_sensitivities(p._replace(as_of=market.as_of), md, registry, rb)[1] == notes[1:]
+
     def test_off_grid_tenor_rejected(self, market, rb):
         with pytest.raises(ValueError, match="not on the grid"):
             tent_bumped_curve(market.zero_curve, rb.tenor_grid, 7.0, GIRR_BUMP)
@@ -700,13 +710,13 @@ def per_position_sensitivities(positions, md, registry, rb):
         inputs = ()  # the quantity and quote of a spot position
         try:
             if isinstance(instr, Bond):
-                bucket = rb.currency_bucket(RiskClass.GIRR, instr.currency).bucket_id
+                bucket = currency_bucket_by_scan(rb, RiskClass.GIRR, instr.currency)
                 stage = "valuation"
                 deltas, flow_notes = per_flow_girr_deltas(instr, md, rb.tenor_grid, bucket)
                 notes += flow_notes
             else:
                 if isinstance(instr, FXPosition):
-                    bucket = rb.currency_bucket(RiskClass.FX, instr.foreign_currency).bucket_id
+                    bucket = currency_bucket_by_scan(rb, RiskClass.FX, instr.foreign_currency)
                 else:
                     bucket, note = assign_bucket(instr, registry, rb)
                     if note is not None:
@@ -865,6 +875,23 @@ class TestNonFiniteDeltas:
             compute_capital(Portfolio(positions=(instr, instr)), md, registry, rb)
         message = f"{quotes}[{name!r}] must be {kind}, got {quote!r}"
         assert [tuple(issue) for issue in excinfo.value.issues] == [(0, "valuation", message), (1, "valuation", message)]
+
+    @pytest.mark.parametrize("instr, message", [
+        (CashEquity(["XOM"], 1.0), "issuer_id must be a string, got ['XOM']"),
+        (FXPosition(["EUR"], 1.0), "currency must be a string, got ['EUR']"),
+        (CommodityFuture({"gold": 1}, 1.0, "oz"), "commodity_id must be a string, got {'gold': 1}"),
+        (Bond(100.0, 0.03, 5.0, 1, ["USD"]), "currency must be a string, got ['USD']"),
+        (CashEquity(None, 1.0), "issuer_id must be a string, got None"),
+        (FXPosition(("EUR",), 1.0), "currency must be a string, got ('EUR',)"),
+    ])
+    def test_name_that_is_no_string_fails_the_position_at_classification(self, market, registry, rb, instr, message):
+        # The portfolio loader rejects such a name in a file. Built in Python, a list name used to escape as a bare
+        # TypeError, and a None issuer went to the residual bucket before its price was found missing.
+        with pytest.raises(SensitivityError) as excinfo:
+            compute_capital(Portfolio(positions=(instr,)), market, registry, rb)
+        assert [tuple(issue) for issue in excinfo.value.issues] == [(0, "classification", message)]
+        with pytest.raises(JSONFieldError, match=f"^{re.escape(message)}$"):
+            assign_bucket(instr, registry, rb)
 
     def test_nan_price_fails_every_position_reading_it(self, reference_portfolio, market, registry, rb):
         md = market._replace(equity_prices={**market.equity_prices, "XOM": math.nan})
